@@ -18,6 +18,13 @@
 //! operations do not issue until it graduates and the write buffer drains —
 //! the synchronization runtime relies on this, exactly as MIPS code relies
 //! on `sync`.
+//!
+//! Issue walks an age-ordered queue of the un-issued instructions rather
+//! than the whole window. Each queued instruction remembers what it waits
+//! for (a producer, a cycle, older stores, a fence), and the walk is skipped
+//! on cycles before anything can issue; DESIGN.md §6 lists the events that
+//! wake it, which is the argument that this issues exactly what a scan of
+//! the whole window would.
 
 use crate::arch::ArchState;
 use crate::btb::Btb;
@@ -66,16 +73,25 @@ impl MxsConfig {
     /// Returns [`ConfigError::TooFewPhysRegs`] when renaming could
     /// deadlock (`phys_regs < 32 + rob_entries`: every architectural
     /// register plus every in-flight instruction needs a physical
-    /// register), and [`ConfigError::FetchWidthOutOfRange`] when the fetch
-    /// width is zero or exceeds the fetch-buffer capacity.
+    /// register), [`ConfigError::TooManyPhysRegs`] when the register file
+    /// outgrows the core's 16-bit physical register indices, and
+    /// [`ConfigError::FetchWidthOutOfRange`] when the fetch width is zero
+    /// or exceeds the fetch-buffer capacity.
     ///
     /// [`ConfigError::TooFewPhysRegs`]: cmpsim_mem::ConfigError::TooFewPhysRegs
+    /// [`ConfigError::TooManyPhysRegs`]: cmpsim_mem::ConfigError::TooManyPhysRegs
     /// [`ConfigError::FetchWidthOutOfRange`]: cmpsim_mem::ConfigError::FetchWidthOutOfRange
     pub fn validate(&self) -> Result<(), cmpsim_mem::ConfigError> {
         if self.phys_regs < 32 + self.rob_entries {
             return Err(cmpsim_mem::ConfigError::TooFewPhysRegs {
                 phys_regs: self.phys_regs,
                 needed: 32 + self.rob_entries,
+            });
+        }
+        if self.phys_regs > MAX_PHYS_REGS {
+            return Err(cmpsim_mem::ConfigError::TooManyPhysRegs {
+                phys_regs: self.phys_regs,
+                max: MAX_PHYS_REGS,
             });
         }
         if self.fetch_width == 0 || self.fetch_width > FBUF_CAP {
@@ -105,6 +121,9 @@ impl Default for MxsConfig {
     }
 }
 
+/// Physical registers per file that the `u16` register indices can name.
+const MAX_PHYS_REGS: usize = 1 << 16;
+
 /// Buffered store data awaiting graduation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StoreVal {
@@ -124,17 +143,29 @@ impl StoreVal {
     }
 }
 
+/// A renamed destination: the architectural register, the physical
+/// register allocated for it, and the mapping it replaced (the undo record
+/// a squash restores).
+#[derive(Debug, Clone, Copy)]
+struct Def {
+    arch: u8,
+    new: u16,
+    old: u16,
+}
+
 /// A fetched, renamed, in-flight instruction.
 #[derive(Debug)]
 struct RobEntry {
     pc: u32,
     instr: Instr,
+    /// `instr.fu_class()`, cached at dispatch.
+    class: FuClass,
     /// The pc fetch assumed would follow this instruction.
     predicted_next: u32,
-    int_def: Option<(usize, usize, usize)>, // (arch, new phys, old phys)
-    fp_def: Option<(usize, usize, usize)>,
-    int_srcs: [Option<usize>; 2],
-    fp_srcs: [Option<usize>; 2],
+    int_def: Option<Def>,
+    fp_def: Option<Def>,
+    int_srcs: [Option<u16>; 2],
+    fp_srcs: [Option<u16>; 2],
     issued: bool,
     done_at: Cycle,
     mispredicted: bool,
@@ -143,6 +174,39 @@ struct RobEntry {
     is_sc: bool,
     /// Load that missed the L1 (blame graduation stalls on the data cache).
     dcache_blame: bool,
+}
+
+/// A physical register of either file.
+#[derive(Debug, Clone, Copy)]
+enum PReg {
+    Int(u16),
+    Fp(u16),
+}
+
+/// An issue-queue slot: a dispatched instruction that has not issued.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    /// Sequence number of its ROB entry.
+    seq: u64,
+    /// A source whose ready cycle is still unknown: its producer has not
+    /// issued (or is an `LL`/`SC`, whose result is ready at graduation).
+    wait: Option<PReg>,
+    /// Cycle by which every source is ready; meaningful once `wait` is
+    /// `None`.
+    ready_at: Cycle,
+    /// For a load: the store epoch at which disambiguation against older
+    /// stores last failed.
+    store_blocked: Option<u64>,
+}
+
+/// Why a load that passed the issue checks could not execute.
+#[derive(Debug, Clone, Copy)]
+enum Blocked {
+    /// An older store has no address yet, or overlaps without an exact
+    /// match.
+    Store,
+    /// Every MSHR holds another line's miss.
+    Mshrs,
 }
 
 /// A fetched instruction waiting for rename (the fetch buffer).
@@ -168,14 +232,26 @@ pub struct MxsCpu {
     int_ready: Vec<Cycle>,
     fp_preg: Vec<f64>,
     fp_ready: Vec<Cycle>,
-    front_int: [usize; 32],
-    front_fp: [usize; 32],
-    retire_int: [usize; 32],
-    retire_fp: [usize; 32],
-    int_free: Vec<usize>,
-    fp_free: Vec<usize>,
+    front_int: [u16; 32],
+    front_fp: [u16; 32],
+    retire_int: [u16; 32],
+    retire_fp: [u16; 32],
+    int_free: Vec<u16>,
+    fp_free: Vec<u16>,
 
     rob: VecDeque<RobEntry>,
+    /// Sequence number of `rob[0]`: entry `i` is number `rob_base + i`.
+    rob_base: u64,
+    /// The un-issued instructions, oldest first.
+    iq: Vec<Waiting>,
+    /// No queued instruction can issue before this cycle, so the issue
+    /// walk is skipped until then (or until an event lowers it).
+    issue_wake: Cycle,
+    /// Counts store issues and graduations: the only events that change
+    /// the outcome of a load's disambiguation against older stores.
+    store_epoch: u64,
+    /// `SYNC`s in the window.
+    syncs: usize,
     fetch_pc: u32,
     fetch_resume_at: Cycle,
     fetch_stopped: bool,
@@ -207,9 +283,10 @@ impl MxsCpu {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_regs < 32 + rob_entries` (renaming could deadlock)
-    /// or the fetch width is out of range. Use [`MxsCpu::try_with_config`]
-    /// to reject bad configurations without unwinding.
+    /// Panics if `phys_regs < 32 + rob_entries` (renaming could deadlock),
+    /// `phys_regs` exceeds the 16-bit register index range, or the fetch
+    /// width is out of range. Use [`MxsCpu::try_with_config`] to reject bad
+    /// configurations without unwinding.
     pub fn with_config(cpu: CpuId, pc: u32, space: AddrSpace, cfg: MxsConfig) -> MxsCpu {
         MxsCpu::try_with_config(cpu, pc, space, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -237,17 +314,22 @@ impl MxsCpu {
             front_fp: [0; 32],
             retire_int: [0; 32],
             retire_fp: [0; 32],
-            int_free: Vec::new(),
-            fp_free: Vec::new(),
+            int_free: Vec::with_capacity(cfg.phys_regs),
+            fp_free: Vec::with_capacity(cfg.phys_regs),
             rob: VecDeque::with_capacity(cfg.rob_entries),
+            rob_base: 0,
+            iq: Vec::with_capacity(cfg.rob_entries),
+            issue_wake: Cycle::ZERO,
+            store_epoch: 0,
+            syncs: 0,
             fetch_pc: pc,
             fetch_resume_at: Cycle::ZERO,
             fetch_stopped: false,
-            fbuf: VecDeque::new(),
+            fbuf: VecDeque::with_capacity(FBUF_CAP),
             btb: Btb::new(cfg.btb_entries),
             decode: DecodeCache::new(),
             wbuf: WriteBuffer::new(cfg.wbuf_entries),
-            outstanding: Vec::new(),
+            outstanding: Vec::with_capacity(cfg.mshrs),
             fetch_line: None,
             counters: CpuCounters::new(),
         };
@@ -258,18 +340,25 @@ impl MxsCpu {
     /// Rebuilds all speculative state from the committed `arch` state.
     fn reset_pipeline(&mut self) {
         for r in 0..32 {
-            self.front_int[r] = r;
-            self.front_fp[r] = r;
-            self.retire_int[r] = r;
-            self.retire_fp[r] = r;
+            self.front_int[r] = r as u16;
+            self.front_fp[r] = r as u16;
+            self.retire_int[r] = r as u16;
+            self.retire_fp[r] = r as u16;
             self.int_preg[r] = self.arch.gpr(Reg::new(r as u8));
             self.fp_preg[r] = self.arch.fpr(cmpsim_isa::FReg::new(r as u8));
             self.int_ready[r] = Cycle::ZERO;
             self.fp_ready[r] = Cycle::ZERO;
         }
-        self.int_free = (32..self.cfg.phys_regs).collect();
-        self.fp_free = (32..self.cfg.phys_regs).collect();
+        // Refilled in place: this runs on every hcall graduation.
+        let free = (32..self.cfg.phys_regs).map(|p| p as u16);
+        self.int_free.clear();
+        self.int_free.extend(free.clone());
+        self.fp_free.clear();
+        self.fp_free.extend(free);
         self.rob.clear();
+        self.iq.clear();
+        self.issue_wake = Cycle::ZERO;
+        self.syncs = 0;
         self.fbuf.clear();
         self.fetch_pc = self.arch.pc;
         self.fetch_stopped = false;
@@ -280,13 +369,15 @@ impl MxsCpu {
     /// Copies the committed register state into `arch` (pc set by caller).
     fn sync_arch(&mut self) {
         for r in 1..32u8 {
-            self.arch
-                .set_gpr(Reg::new(r), self.int_preg[self.retire_int[r as usize]]);
+            self.arch.set_gpr(
+                Reg::new(r),
+                self.int_preg[usize::from(self.retire_int[r as usize])],
+            );
         }
         for r in 0..32u8 {
             self.arch.set_fpr(
                 cmpsim_isa::FReg::new(r),
-                self.fp_preg[self.retire_fp[r as usize]],
+                self.fp_preg[usize::from(self.retire_fp[r as usize])],
             );
         }
     }
@@ -297,46 +388,74 @@ impl MxsCpu {
     fn squash_after(&mut self, keep: usize) {
         while self.rob.len() > keep + 1 {
             let e = self.rob.pop_back().expect("len checked");
-            if let Some((arch, new, old)) = e.int_def {
-                self.front_int[arch] = old;
-                self.int_free.push(new);
+            if let Some(d) = e.int_def {
+                self.front_int[usize::from(d.arch)] = d.old;
+                self.int_free.push(d.new);
             }
-            if let Some((arch, new, old)) = e.fp_def {
-                self.front_fp[arch] = old;
-                self.fp_free.push(new);
+            if let Some(d) = e.fp_def {
+                self.front_fp[usize::from(d.arch)] = d.old;
+                self.fp_free.push(d.new);
             }
+            if matches!(e.instr, Instr::Sync) {
+                self.syncs -= 1;
+            }
+        }
+        let last = self.rob_base + keep as u64;
+        while self.iq.last().is_some_and(|w| w.seq > last) {
+            self.iq.pop();
         }
         self.fbuf.clear();
     }
 
-    fn src_ready(&self, e: &RobEntry, now: Cycle) -> bool {
-        e.int_srcs
-            .iter()
-            .flatten()
-            .all(|&p| self.int_ready[p] <= now)
-            && e.fp_srcs.iter().flatten().all(|&p| self.fp_ready[p] <= now)
+    /// The first source of `e` whose ready cycle is unknown, or else the
+    /// cycle by which all its sources are ready.
+    fn source_wait(&self, e: &RobEntry) -> (Option<PReg>, Cycle) {
+        let mut ready_at = Cycle::ZERO;
+        for &p in e.int_srcs.iter().flatten() {
+            let r = self.int_ready[usize::from(p)];
+            if r == Cycle::MAX {
+                return (Some(PReg::Int(p)), ready_at);
+            }
+            ready_at = ready_at.max(r);
+        }
+        for &p in e.fp_srcs.iter().flatten() {
+            let r = self.fp_ready[usize::from(p)];
+            if r == Cycle::MAX {
+                return (Some(PReg::Fp(p)), ready_at);
+            }
+            ready_at = ready_at.max(r);
+        }
+        (None, ready_at)
     }
 
-    fn write_int(&mut self, def: Option<(usize, usize, usize)>, value: u32, ready: Cycle) {
-        if let Some((_, new, _)) = def {
-            self.int_preg[new] = value;
-            self.int_ready[new] = ready;
+    /// Whether `p`'s ready cycle is still unknown.
+    fn unknown(&self, p: PReg) -> bool {
+        match p {
+            PReg::Int(i) => self.int_ready[usize::from(i)] == Cycle::MAX,
+            PReg::Fp(i) => self.fp_ready[usize::from(i)] == Cycle::MAX,
         }
     }
 
-    fn write_fp(&mut self, def: Option<(usize, usize, usize)>, value: f64, ready: Cycle) {
-        if let Some((_, new, _)) = def {
-            self.fp_preg[new] = value;
-            self.fp_ready[new] = ready;
+    fn write_int(&mut self, def: Option<Def>, value: u32, ready: Cycle) {
+        if let Some(d) = def {
+            self.int_preg[usize::from(d.new)] = value;
+            self.int_ready[usize::from(d.new)] = ready;
         }
     }
 
-    fn ival(&self, src: Option<usize>) -> u32 {
-        src.map_or(0, |p| self.int_preg[p])
+    fn write_fp(&mut self, def: Option<Def>, value: f64, ready: Cycle) {
+        if let Some(d) = def {
+            self.fp_preg[usize::from(d.new)] = value;
+            self.fp_ready[usize::from(d.new)] = ready;
+        }
     }
 
-    fn fval(&self, src: Option<usize>) -> f64 {
-        src.map_or(0.0, |p| self.fp_preg[p])
+    fn ival(&self, src: Option<u16>) -> u32 {
+        src.map_or(0, |p| self.int_preg[usize::from(p)])
+    }
+
+    fn fval(&self, src: Option<u16>) -> f64 {
+        src.map_or(0.0, |p| self.fp_preg[usize::from(p)])
     }
 
     // ------------------------------------------------------------------
@@ -430,19 +549,32 @@ impl MxsCpu {
             }
 
             let head = self.rob.pop_front().expect("head exists");
+            self.rob_base += 1;
+            // Graduations that can make a queued instruction issuable this
+            // very cycle (issue runs after graduate): an `LL`/`SC` result,
+            // a store leaving the window, or a fence lifting.
+            if head.instr.is_store() {
+                self.store_epoch += 1;
+                self.issue_wake = self.issue_wake.min(now);
+            } else if matches!(head.instr, Instr::Sync) {
+                self.syncs -= 1;
+                self.issue_wake = self.issue_wake.min(now);
+            } else if matches!(head.instr, Instr::Ll { .. }) {
+                self.issue_wake = self.issue_wake.min(now);
+            }
             if head.instr.is_control() && !head.instr.is_direct_jump() {
                 self.counters.branches += 1;
                 if head.mispredicted {
                     self.counters.mispredicts += 1;
                 }
             }
-            if let Some((arch, new, old)) = head.int_def {
-                self.retire_int[arch] = new;
-                self.int_free.push(old);
+            if let Some(d) = head.int_def {
+                self.retire_int[usize::from(d.arch)] = d.new;
+                self.int_free.push(d.old);
             }
-            if let Some((arch, new, old)) = head.fp_def {
-                self.retire_fp[arch] = new;
-                self.fp_free.push(old);
+            if let Some(d) = head.fp_def {
+                self.retire_fp[usize::from(d.arch)] = d.new;
+                self.fp_free.push(d.old);
             }
             self.counters.instructions += 1;
             grads += 1;
@@ -484,59 +616,107 @@ impl MxsCpu {
     // Issue / execute stage
     // ------------------------------------------------------------------
 
+    /// Issues up to `issue_width` ready instructions, oldest first.
+    ///
+    /// Walks the issue queue, not the window. An instruction passed over
+    /// either lowers the next walk's `issue_wake` (a known ready cycle, or a
+    /// per-cycle resource to retry next cycle) or records the event it
+    /// waits for: a producer's result, a store issuing or graduating, a
+    /// `SYNC` graduating. Those events lower `issue_wake` where they happen.
     fn issue(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &mut PhysMem) {
+        if now < self.issue_wake {
+            return;
+        }
         self.outstanding.retain(|&(_, f)| f > now);
+        let mut wake = Cycle::MAX;
         let mut issued = 0usize;
         let mut mem_port_used = false;
         let mut class_counts = [0usize; 12];
         // Index of the oldest un-graduated SYNC; younger memory operations
         // must not issue past it (full-fence semantics).
-        let fence_idx = self.rob.iter().position(|e| matches!(e.instr, Instr::Sync));
+        let fence_idx = if self.syncs == 0 {
+            None
+        } else {
+            self.rob.iter().position(|e| matches!(e.instr, Instr::Sync))
+        };
 
-        let mut i = 0;
-        while i < self.rob.len() && issued < self.cfg.issue_width {
-            if self.rob[i].issued {
-                i += 1;
+        let mut q = 0;
+        while q < self.iq.len() {
+            if issued >= self.cfg.issue_width {
+                wake = now + 1;
+                break;
+            }
+            let mut w = self.iq[q];
+            let idx = (w.seq - self.rob_base) as usize;
+            if let Some(p) = w.wait {
+                if self.unknown(p) {
+                    q += 1;
+                    continue;
+                }
+                (w.wait, w.ready_at) = self.source_wait(&self.rob[idx]);
+                self.iq[q] = w;
+                if w.wait.is_some() {
+                    q += 1;
+                    continue;
+                }
+            }
+            if w.ready_at > now {
+                wake = wake.min(w.ready_at);
+                q += 1;
                 continue;
             }
-            if !self.src_ready(&self.rob[i], now) {
-                i += 1;
-                continue;
-            }
-            let class = self.rob[i].instr.fu_class();
+            let class = self.rob[idx].class;
             let is_mem = matches!(class, FuClass::Load | FuClass::Store);
             if is_mem {
                 if mem_port_used {
-                    i += 1;
+                    wake = now + 1;
+                    q += 1;
                     continue;
                 }
-                if fence_idx.is_some_and(|f| f < i) {
-                    i += 1;
+                if fence_idx.is_some_and(|f| f < idx) {
+                    q += 1;
+                    continue;
+                }
+                if w.store_blocked == Some(self.store_epoch) {
+                    q += 1;
                     continue;
                 }
             } else if class_counts[class_index(class)] >= self.cfg.fu_per_class {
-                i += 1;
+                wake = now + 1;
+                q += 1;
                 continue;
             }
 
-            let ok = self.execute_at(i, now, mem, phys);
-            if ok {
-                issued += 1;
-                if is_mem {
-                    mem_port_used = true;
-                } else {
-                    class_counts[class_index(class)] += 1;
+            match self.execute_at(idx, now, mem, phys) {
+                Err(Blocked::Store) => {
+                    self.iq[q].store_blocked = Some(self.store_epoch);
+                    q += 1;
                 }
-                if self.rob[i].mispredicted {
-                    // Squash redirects fetch; nothing younger remains.
-                    break;
+                Err(Blocked::Mshrs) => {
+                    // Another CPU's access can turn this load into an L1
+                    // hit at any cycle: retry every cycle.
+                    wake = now + 1;
+                    q += 1;
+                }
+                Ok(()) => {
+                    self.iq.remove(q);
+                    issued += 1;
+                    if is_mem {
+                        mem_port_used = true;
+                    } else {
+                        class_counts[class_index(class)] += 1;
+                    }
+                    if self.rob[idx].mispredicted {
+                        // Squash redirects fetch; nothing younger remains.
+                        break;
+                    }
                 }
             }
-            i += 1;
         }
+        self.issue_wake = wake;
     }
 
-    /// Executes the instruction in ROB slot `idx`. Returns false if it
+    /// Executes the instruction in ROB slot `idx`, or reports why a load
     /// could not issue after all (memory structural hazards).
     fn execute_at(
         &mut self,
@@ -544,16 +724,14 @@ impl MxsCpu {
         now: Cycle,
         mem: &mut dyn MemorySystem,
         phys: &mut PhysMem,
-    ) -> bool {
-        let instr = self.rob[idx].instr;
-        let pc = self.rob[idx].pc;
+    ) -> Result<(), Blocked> {
+        let e = &self.rob[idx];
+        let (instr, pc, class) = (e.instr, e.pc, e.class);
+        let (int_srcs, fp_srcs) = (e.int_srcs, e.fp_srcs);
+        let (int_def, fp_def) = (e.int_def, e.fp_def);
         let next = pc.wrapping_add(4);
-        let int_srcs = self.rob[idx].int_srcs;
-        let fp_srcs = self.rob[idx].fp_srcs;
-        let int_def = self.rob[idx].int_def;
-        let fp_def = self.rob[idx].fp_def;
         let fu = self.cfg.fu;
-        let mut done = now + fu.of(instr.fu_class());
+        let mut done = now + fu.of(class);
         let mut actual_next = next;
 
         use Instr::*;
@@ -612,7 +790,7 @@ impl MxsCpu {
                 let bytes = instr.mem_bytes().expect("load has a size");
                 // Disambiguate against older stores in the window.
                 match self.scan_older_stores(idx, pa, bytes) {
-                    StoreScan::Unknown | StoreScan::Partial => return false,
+                    StoreScan::Unknown | StoreScan::Partial => return Err(Blocked::Store),
                     StoreScan::Forward(val) => {
                         done = now + 1;
                         self.finish_load(instr, int_def, fp_def, pa, Some(val), done, phys);
@@ -629,7 +807,7 @@ impl MxsCpu {
                             if !mem.load_would_hit_l1(self.cpu, pa)
                                 && self.outstanding.len() >= self.cfg.mshrs
                             {
-                                return false; // all MSHRs busy
+                                return Err(Blocked::Mshrs);
                             }
                             let res = mem.access(now, MemRequest::load(self.cpu, pa));
                             done = res.finish;
@@ -660,6 +838,7 @@ impl MxsCpu {
                 done = now + fu.store;
                 self.rob[idx].mem_paddr = Some(pa);
                 self.rob[idx].store_val = Some(val);
+                self.store_epoch += 1;
                 // An SC's destination becomes ready at graduation, when the
                 // link is checked; leave it not-ready here.
             }
@@ -701,15 +880,15 @@ impl MxsCpu {
             self.fetch_stopped = false;
             self.fetch_line = None;
         }
-        true
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the execute-stage operands
     fn finish_load(
         &mut self,
         instr: Instr,
-        int_def: Option<(usize, usize, usize)>,
-        fp_def: Option<(usize, usize, usize)>,
+        int_def: Option<Def>,
+        fp_def: Option<Def>,
         pa: u32,
         forwarded: Option<StoreVal>,
         ready: Cycle,
@@ -837,19 +1016,28 @@ impl MxsCpu {
                 let new = self.int_free.pop().expect("checked non-empty");
                 let old = self.front_int[r.index()];
                 self.front_int[r.index()] = new;
-                self.int_ready[new] = Cycle::MAX;
-                (r.index(), new, old)
+                self.int_ready[usize::from(new)] = Cycle::MAX;
+                Def {
+                    arch: r.index() as u8,
+                    new,
+                    old,
+                }
             });
             let fp_def = ops.fp_def.map(|r| {
                 let new = self.fp_free.pop().expect("checked non-empty");
                 let old = self.front_fp[r.index()];
                 self.front_fp[r.index()] = new;
-                self.fp_ready[new] = Cycle::MAX;
-                (r.index(), new, old)
+                self.fp_ready[usize::from(new)] = Cycle::MAX;
+                Def {
+                    arch: r.index() as u8,
+                    new,
+                    old,
+                }
             });
-            self.rob.push_back(RobEntry {
+            let entry = RobEntry {
                 pc: f.pc,
                 instr: f.instr,
+                class: f.instr.fu_class(),
                 predicted_next: f.predicted_next,
                 int_def,
                 fp_def,
@@ -862,7 +1050,20 @@ impl MxsCpu {
                 store_val: None,
                 is_sc: matches!(f.instr, Instr::Sc { .. }),
                 dcache_blame: false,
+            };
+            let (wait, ready_at) = self.source_wait(&entry);
+            if wait.is_none() {
+                // Issue already ran this cycle.
+                self.issue_wake = self.issue_wake.min(ready_at.max(now + 1));
+            }
+            self.syncs += usize::from(matches!(f.instr, Instr::Sync));
+            self.iq.push(Waiting {
+                seq: self.rob_base + self.rob.len() as u64,
+                wait,
+                ready_at,
+                store_blocked: None,
             });
+            self.rob.push_back(entry);
             n += 1;
         }
     }
@@ -879,7 +1080,9 @@ impl MxsCpu {
             return;
         }
         let group_pa = self.space.translate(self.fetch_pc);
-        let mut staged: Vec<Fetched> = Vec::with_capacity(self.cfg.fetch_width);
+        // The group goes straight into the fetch buffer; its arrival time
+        // is patched in once the line access below is known.
+        let first = self.fbuf.len();
         for _ in 0..self.cfg.fetch_width {
             let pc = self.fetch_pc;
             let pa = self.space.translate(pc);
@@ -892,11 +1095,11 @@ impl MxsCpu {
                 }
                 _ => pc.wrapping_add(4),
             };
-            staged.push(Fetched {
+            self.fbuf.push_back(Fetched {
                 pc,
                 instr,
                 predicted_next,
-                avail_at: Cycle::MAX, // patched below
+                avail_at: Cycle::MAX,
                 was_icache_miss: false,
             });
             self.fetch_pc = predicted_next;
@@ -917,10 +1120,9 @@ impl MxsCpu {
             self.fetch_line = Some(line);
             (res.finish, res.l1_miss)
         };
-        for mut f in staged {
+        for f in self.fbuf.range_mut(first..) {
             f.avail_at = avail_at;
             f.was_icache_miss = was_miss;
-            self.fbuf.push_back(f);
         }
     }
 
@@ -1055,6 +1257,27 @@ mod tests {
                 needed: 32 + MxsConfig::default().rob_entries,
             })
         );
+
+        let oversized = MxsConfig {
+            phys_regs: MAX_PHYS_REGS + 1,
+            ..MxsConfig::default()
+        };
+        assert_eq!(
+            oversized.validate(),
+            Err(ConfigError::TooManyPhysRegs {
+                phys_regs: MAX_PHYS_REGS + 1,
+                max: MAX_PHYS_REGS,
+            })
+        );
+        for phys_regs in [32 + 512, MAX_PHYS_REGS] {
+            // The explorer's widest window (rob 512) and the largest file.
+            let wide = MxsConfig {
+                rob_entries: 512,
+                phys_regs,
+                ..MxsConfig::default()
+            };
+            assert!(wide.validate().is_ok(), "{phys_regs} registers");
+        }
 
         for fetch_width in [0, FBUF_CAP + 1] {
             let wide = MxsConfig {
@@ -1349,5 +1572,110 @@ mod tests {
         }
         assert!(saw_hcall);
         assert_eq!(cpu.arch().gpr(Reg::T1), 43);
+    }
+
+    // The tests below pin one issue wake-up rule each. Their expected
+    // values were recorded from the model that scanned the whole window
+    // every cycle, so the issue queue must reproduce them exactly.
+
+    /// End cycle and the counters a change in issue timing would move.
+    fn timing(cpu: &MxsCpu, end: Cycle) -> [u64; 7] {
+        let c = cpu.counters();
+        [
+            end.0,
+            c.instructions,
+            c.slots_pipeline,
+            c.slots_dcache,
+            c.slots_icache,
+            c.window_occupancy_sum,
+            c.dispatch_stall_rob,
+        ]
+    }
+
+    #[test]
+    fn wakes_a_load_when_an_older_store_address_resolves() {
+        let mut a = Asm::new(0x1000);
+        a.li(Reg::A0, 0x8000);
+        a.li(Reg::T1, 1);
+        a.li(Reg::T0, 5);
+        a.div(Reg::T2, Reg::A0, Reg::T1); // the store address, after 12 cycles
+        a.sw(Reg::T0, Reg::T2, 0);
+        a.lw(Reg::T3, Reg::A0, 64); // disjoint, but waits for the store address
+        a.addi(Reg::T4, Reg::T3, 1);
+        a.halt();
+        let (mut phys, mut mem, mut cpu) = build(&a);
+        let end = run_to_halt(&mut phys, &mut mem, &mut cpu);
+        assert_eq!(cpu.arch().gpr(Reg::T4), 1);
+        assert_eq!(timing(&cpu, end), [124, 9, 31, 110, 98, 199, 0]);
+    }
+
+    #[test]
+    fn wakes_a_partially_overlapping_load_when_the_store_graduates() {
+        let mut a = Asm::new(0x1000);
+        a.li(Reg::A0, 0x8000);
+        a.li(Reg::T0, 0x1122_3344);
+        a.sw(Reg::T0, Reg::A0, 0);
+        a.lb(Reg::T1, Reg::A0, 1); // part of the stored word: waits for graduation
+        a.lw(Reg::T2, Reg::A0, 0); // the exact word: forwarded at once
+        a.add(Reg::T3, Reg::T1, Reg::T2);
+        a.halt();
+        let (mut phys, mut mem, mut cpu) = build(&a);
+        let end = run_to_halt(&mut phys, &mut mem, &mut cpu);
+        assert_eq!(cpu.arch().gpr(Reg::T3), 0x33 + 0x1122_3344);
+        assert_eq!(timing(&cpu, end), [103, 9, 16, 0, 181, 28, 0]);
+    }
+
+    #[test]
+    fn wakes_ll_and_sc_dependents_at_graduation() {
+        let mut a = Asm::new(0x1000);
+        a.li(Reg::A0, 0xa000);
+        a.ll(Reg::T0, Reg::A0, 0);
+        a.addi(Reg::T1, Reg::T0, 1);
+        a.addi(Reg::T2, Reg::T1, 1);
+        a.sc(Reg::T2, Reg::A0, 0);
+        a.add(Reg::T3, Reg::T2, Reg::T1); // the SC's success flag plus T1
+        a.halt();
+        let (mut phys, mut mem, mut cpu) = build(&a);
+        let end = run_to_halt(&mut phys, &mut mem, &mut cpu);
+        assert_eq!(phys.read_u32(0xa000), 2);
+        assert_eq!(cpu.arch().gpr(Reg::T3), 2);
+        assert_eq!(timing(&cpu, end), [108, 8, 12, 98, 98, 325, 0]);
+    }
+
+    #[test]
+    fn wakes_fenced_memory_operations_when_the_sync_graduates() {
+        let mut a = Asm::new(0x1000);
+        a.li(Reg::A0, 0xc000);
+        a.li(Reg::T0, 77);
+        a.sw(Reg::T0, Reg::A0, 0);
+        a.sync();
+        a.lw(Reg::T1, Reg::A0, 0);
+        a.addi(Reg::T2, Reg::T0, 1); // not a memory operation: issues past the fence
+        a.lw(Reg::T3, Reg::A0, 4);
+        a.halt();
+        let (mut phys, mut mem, mut cpu) = build(&a);
+        let end = run_to_halt(&mut phys, &mut mem, &mut cpu);
+        assert_eq!(cpu.arch().gpr(Reg::T1), 77);
+        assert_eq!(cpu.arch().gpr(Reg::T2), 78);
+        assert_eq!(timing(&cpu, end), [109, 9, 8, 103, 98, 236, 0]);
+    }
+
+    #[test]
+    fn retries_loads_every_cycle_while_all_mshrs_are_busy() {
+        let mut a = Asm::new(0x1000);
+        a.li(Reg::A0, 0x2_0000);
+        a.lw(Reg::T0, Reg::A0, 0);
+        a.lw(Reg::T1, Reg::A0, 0x40);
+        a.lw(Reg::T2, Reg::A0, 0x80);
+        a.lw(Reg::T3, Reg::A0, 4); // merges with the first miss
+        a.halt();
+        let (mut phys, mut mem, _) = build(&a);
+        let cfg = MxsConfig {
+            mshrs: 1,
+            ..MxsConfig::default()
+        };
+        let mut cpu = MxsCpu::with_config(0, 0x1000, AddrSpace::identity(), cfg);
+        let end = run_to_halt(&mut phys, &mut mem, &mut cpu);
+        assert_eq!(timing(&cpu, end), [204, 6, 10, 294, 98, 607, 0]);
     }
 }

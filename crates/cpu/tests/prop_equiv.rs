@@ -5,7 +5,7 @@
 //! Any renaming, forwarding, squash or fence bug shows up here.
 //! Runs on `cmpsim_engine::prop`.
 
-use cmpsim_cpu::{CpuModel, MipsyCpu, MxsCpu};
+use cmpsim_cpu::{CpuModel, MipsyCpu, MxsConfig, MxsCpu};
 use cmpsim_engine::prop::{self, Config, Source};
 use cmpsim_engine::Cycle;
 use cmpsim_isa::{AluOp, Asm, FReg, FpOp, Reg};
@@ -201,12 +201,30 @@ fn run<C: CpuModel>(mut cpu: C, prog: &cmpsim_isa::Program) -> (C, PhysMem) {
     panic!("generated program did not halt");
 }
 
+/// An MXS core shape: window sizes from a tiny to the explorer's widest,
+/// and the MSHR, issue and fetch widths the issue queue's wake-up rules
+/// depend on.
+fn any_mxs_config(src: &mut Source) -> MxsConfig {
+    let rob_entries = src.choice(&[4, 8, 32, 512]);
+    MxsConfig {
+        rob_entries,
+        phys_regs: 96.max(32 + rob_entries),
+        mshrs: src.usize(1..5),
+        issue_width: src.usize(1..5),
+        fetch_width: src.usize(1..9),
+        ..MxsConfig::default()
+    }
+}
+
 /// Runs the program on both models and asserts identical architectural
 /// state: GPRs, FPRs (NaN == NaN) and all data memory.
-fn assert_models_agree(ops: &[GenOp], iters: u8) {
+fn assert_models_agree(ops: &[GenOp], iters: u8, cfg: MxsConfig) {
     let prog = emit(ops, iters).assemble().expect("assembles");
     let (mipsy, mem_a) = run(MipsyCpu::new(0, CODE, AddrSpace::identity()), &prog);
-    let (mxs, mem_b) = run(MxsCpu::new(0, CODE, AddrSpace::identity()), &prog);
+    let (mxs, mem_b) = run(
+        MxsCpu::with_config(0, CODE, AddrSpace::identity(), cfg),
+        &prog,
+    );
 
     for r in 0..32u8 {
         assert_eq!(
@@ -237,7 +255,8 @@ fn mipsy_and_mxs_agree_on_architectural_state() {
     prop::check_with(&cfg, "mipsy_and_mxs_agree_on_architectural_state", |src| {
         let ops = src.vec(1..40, any_op);
         let iters = src.u8(1..12);
-        assert_models_agree(&ops, iters);
+        let cfg = any_mxs_config(src);
+        assert_models_agree(&ops, iters, cfg);
     });
 }
 
@@ -252,5 +271,6 @@ fn regression_llsc_reservation_set_at_graduation() {
     assert_models_agree(
         &[GenOp::Mul(12, 8, 8), GenOp::Store(8, 96), GenOp::LlSc(96)],
         1,
+        MxsConfig::default(),
     );
 }

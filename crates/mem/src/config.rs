@@ -65,6 +65,14 @@ pub enum ConfigError {
         /// Minimum required (`32 + rob_entries`).
         needed: usize,
     },
+    /// MXS physical register file larger than its 16-bit register indices
+    /// can name.
+    TooManyPhysRegs {
+        /// Requested physical register count.
+        phys_regs: usize,
+        /// Supported maximum (inclusive).
+        max: usize,
+    },
     /// MXS fetch width outside the fetch buffer's capacity.
     FetchWidthOutOfRange {
         /// Requested fetch width.
@@ -123,6 +131,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "need at least 32 + rob_entries physical registers \
                  (got {phys_regs}, need {needed})"
+            ),
+            ConfigError::TooManyPhysRegs { phys_regs, max } => write!(
+                f,
+                "at most {max} physical registers fit 16-bit register indices \
+                 (got {phys_regs})"
             ),
             ConfigError::FetchWidthOutOfRange { fetch_width, max } => write!(
                 f,
@@ -715,6 +728,11 @@ mod tests {
             needed: 64,
         };
         assert!(e.to_string().contains("32 + rob_entries"));
+        let e = ConfigError::TooManyPhysRegs {
+            phys_regs: 70_000,
+            max: 65_536,
+        };
+        assert!(e.to_string().contains("at most 65536") && e.to_string().contains("70000"));
         let e = ConfigError::PartialCluster {
             n_cpus: 3,
             cpus_per_cluster: 2,
