@@ -10,11 +10,10 @@
 pub mod matrix;
 pub mod timing;
 
-use cmpsim_core::machine::run_workload_resilient;
 use cmpsim_core::report::IpcBreakdown;
 use cmpsim_core::{
-    decode_summary, encode_summary, ArchKind, Breakdown, CpuKind, MachineConfig, MissRates,
-    RunSummary,
+    decode_summary, encode_summary, run_workload, ArchKind, Breakdown, CpuKind, MachineConfig,
+    MissRates, RunSummary,
 };
 use cmpsim_engine::journal::{Journal, JournalKey};
 use cmpsim_engine::supervise::{map_jobs_supervised, SuperviseSpec};
@@ -141,8 +140,8 @@ pub fn run_figure_with(
         }
         let w = build_by_name(workload, 4, scale)
             .unwrap_or_else(|e| panic!("building {workload}: {e}"));
-        let summary = run_workload_resilient(&cfg, &w, BUDGET)
-            .unwrap_or_else(|e| panic!("{workload} on {arch}: {e}"));
+        let summary =
+            run_workload(&cfg, &w, BUDGET).unwrap_or_else(|e| panic!("{workload} on {arch}: {e}"));
         if let Some(j) = &journal {
             // A summary with sentinel violations refuses to encode; such
             // a run should fail loudly downstream, never resume silently.

@@ -13,8 +13,7 @@
 //!   (`jobs` only changes which thread runs a case, never its result).
 
 use crate::timing::{json_line, JsonVal};
-use cmpsim_core::machine::run_workload_resilient;
-use cmpsim_core::{capture_run, ArchKind, CpuKind, MachineConfig, RunSummary};
+use cmpsim_core::{capture_run, run_workload, ArchKind, CpuKind, MachineConfig, RunSummary};
 use cmpsim_engine::journal::{Journal, JournalKey};
 use cmpsim_engine::pool::map_jobs;
 use cmpsim_engine::supervise::{map_jobs_supervised, Quarantine, SuperviseSpec};
@@ -173,26 +172,13 @@ pub fn run_case(case: &MatrixCase) -> RunSummary {
 /// Like [`run_case`] but pinning the sentinel spec instead of resolving it
 /// from the environment (digest-equivalence tests need both modes in one
 /// process without racing on env vars).
-pub fn run_case_with_sentinel(
-    case: &MatrixCase,
-    sentinel: Option<cmpsim_mem::SentinelSpec>,
-) -> RunSummary {
-    run_case_pinned(case, sentinel, None)
-}
-
-/// Like [`run_case`] but pinning both the sentinel spec and the shard
-/// count instead of resolving them from the environment — the in-process
-/// form of the `CMPSIM_SHARDS` digest-identity gate (`scripts/verify.sh`
-/// runs the whole matrix under the env knob; this lets one test process
-/// compare several shard counts without racing on env vars).
 ///
 /// # Panics
 ///
 /// As [`run_case`].
-pub fn run_case_pinned(
+pub fn run_case_with_sentinel(
     case: &MatrixCase,
     sentinel: Option<cmpsim_mem::SentinelSpec>,
-    shards: Option<usize>,
 ) -> RunSummary {
     let w = build_by_name(case.workload, case.n_cpus, case.scale)
         .unwrap_or_else(|e| panic!("building {}: {e}", case.workload));
@@ -200,11 +186,7 @@ pub fn run_case_pinned(
     cfg.n_cpus = case.n_cpus;
     cfg.cpus_per_cluster = case.cpus_per_cluster;
     cfg.sentinel = sentinel;
-    cfg.shards = shards;
-    // Resilient entry point: a sharded run that trips the forward-progress
-    // watchdog gets one serial retry before the case is declared dead, so
-    // a host-scheduling artifact cannot poison a whole sweep.
-    let s = run_workload_resilient(&cfg, &w, MATRIX_BUDGET)
+    let s = run_workload(&cfg, &w, MATRIX_BUDGET)
         .unwrap_or_else(|e| panic!("{} on {}: {e}", case.workload, case.arch));
     assert!(
         s.violations.is_empty(),
@@ -466,49 +448,6 @@ mod tests {
                 "{} on {}: sentinel changed results",
                 case.workload, case.arch
             );
-        }
-    }
-
-    /// Tentpole, fast subset (the full 56-case gate runs in `verify.sh`
-    /// under `CMPSIM_SHARDS=4`): the digest of a case is byte-identical at
-    /// any shard count — the sharded run loop is an implementation detail
-    /// of host time, never of results (DESIGN.md §12). Mipsy rows only:
-    /// MXS declines staging and falls back to the serial loop, so its
-    /// identity is trivial; Mipsy rows exercise the stage/commit spine,
-    /// and the multiprog rows drive it through context switches.
-    #[test]
-    fn sharded_digests_are_bit_identical() {
-        use cmpsim_mem::SentinelSpec;
-        let mut cases: Vec<MatrixCase> = default_matrix(0.02)
-            .into_iter()
-            .filter(|c| c.cpu == CpuKind::Mipsy && matches!(c.workload, "eqntott" | "multiprog"))
-            .collect();
-        assert_eq!(cases.len(), 8, "two workloads x four architectures");
-        // One non-default geometry row: 8 CPUs split 4 x 2 across clusters.
-        cases.push(MatrixCase {
-            workload: "eqntott",
-            scale: 0.02,
-            arch: ArchKind::Clustered,
-            cpu: CpuKind::Mipsy,
-            n_cpus: 8,
-            cpus_per_cluster: Some(2),
-        });
-        for case in &cases {
-            let serial = summary_json(
-                case,
-                &run_case_pinned(case, Some(SentinelSpec::off()), Some(1)),
-            );
-            for shards in [2usize, 4] {
-                let sharded = summary_json(
-                    case,
-                    &run_case_pinned(case, Some(SentinelSpec::off()), Some(shards)),
-                );
-                assert_eq!(
-                    serial, sharded,
-                    "{} on {} ({} CPUs): {shards} shards changed the digest",
-                    case.workload, case.arch, case.n_cpus
-                );
-            }
         }
     }
 

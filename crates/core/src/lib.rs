@@ -35,9 +35,8 @@ pub mod snapshot;
 
 pub use cmpsim_cpu::MxsConfig;
 pub use machine::{
-    retry_stalled_serial, run_workload, run_workload_resilient, ArchKind, CpuDiag, CpuKind,
-    DemotionReason, Machine, MachineConfig, RunError, RunSummary, ShardStats, Watchdog,
-    WatchdogReport, ENV_SHARDS, ENV_SHARD_STATS, ENV_STALL_CYCLES, ENV_TRACE_IN, ENV_TRACE_OUT,
+    run_workload, ArchKind, CpuDiag, CpuKind, Machine, MachineConfig, RunError, RunSummary,
+    Watchdog, WatchdogReport, ENV_STALL_CYCLES, ENV_TRACE_IN, ENV_TRACE_OUT,
 };
 pub use probe::{capture_run, probe_latencies, ProbeResult};
 pub use report::{Breakdown, IpcBreakdown, MissRates, TraceProfile};

@@ -147,59 +147,6 @@ impl DecodeCache {
         self.generation += 1;
         self.last_slot = usize::MAX;
     }
-
-    /// Read-only lookup: the memoized decode at `pa`, if present and from
-    /// the current generation. Never decodes and never mutates — the
-    /// staging path uses this so speculative fetches cannot memoize
-    /// decodes a serial run would not have, and `None` when memoization is
-    /// disabled keeps the `CMPSIM_NO_DECODE_CACHE` semantics (every fetch
-    /// decodes fresh).
-    pub fn probe(&self, pa: Addr) -> Option<Instr> {
-        if !self.enabled {
-            return None;
-        }
-        let pa = pa & !3;
-        let page = pa >> PAGE_SHIFT;
-        let idx = ((pa as usize) >> 2) & (WORDS_PER_PAGE - 1);
-        let &slot = self.index.get(&page)?;
-        let p = &self.pages[slot];
-        if p.generation != self.generation {
-            return None;
-        }
-        p.slots[idx]
-    }
-
-    /// Memoizes `instr` at `pa` — what [`DecodeCache::fetch`] would have
-    /// done on a miss. The sharded commit spine applies a staged fetch's
-    /// pending decode here, so the cache ends up exactly as if the fetch
-    /// had run serially. A no-op when memoization is disabled.
-    pub fn insert(&mut self, pa: Addr, instr: Instr) {
-        if !self.enabled {
-            return;
-        }
-        let pa = pa & !3;
-        let page = pa >> PAGE_SHIFT;
-        let idx = ((pa as usize) >> 2) & (WORDS_PER_PAGE - 1);
-        let slot = match self.index.get(&page) {
-            Some(&s) => {
-                if self.pages[s].generation != self.generation {
-                    self.pages[s].slots.fill(None);
-                    self.pages[s].generation = self.generation;
-                }
-                s
-            }
-            None => {
-                let s = self.pages.len();
-                self.pages.push(Page {
-                    generation: self.generation,
-                    slots: Box::new([None; WORDS_PER_PAGE]),
-                });
-                self.index.insert(page, s);
-                s
-            }
-        };
-        self.pages[slot].slots[idx] = Some(instr);
-    }
 }
 
 #[cfg(test)]
@@ -278,34 +225,6 @@ mod tests {
         // Both pages must re-decode, including the non-last one.
         assert_ne!(dc.fetch(&mem, 0x1000), i);
         assert_ne!(dc.fetch(&mem, 0x5000), i);
-    }
-
-    #[test]
-    fn probe_and_insert_mirror_fetch() {
-        let mut mem = PhysMem::new(1);
-        let i = Instr::Halt;
-        mem.write_u32(0x1000, encode(&i));
-        let mut dc = DecodeCache::new_with(true);
-        // Nothing memoized yet: probe sees nothing and leaves no trace.
-        assert_eq!(dc.probe(0x1000), None);
-        assert_eq!(dc.fetch(&mem, 0x1000), i);
-        assert_eq!(dc.probe(0x1000), Some(i));
-        assert_eq!(dc.probe(0x1002), Some(i), "probe truncates like fetch");
-        // Stale generation: probe refuses, insert revalidates.
-        dc.clear();
-        assert_eq!(dc.probe(0x1000), None);
-        dc.insert(0x1000, Instr::Nop);
-        assert_eq!(dc.probe(0x1000), Some(Instr::Nop));
-        // Insert into a brand-new page allocates it.
-        dc.insert(0x7000, i);
-        assert_eq!(dc.probe(0x7000), Some(i));
-    }
-
-    #[test]
-    fn probe_and_insert_are_noops_when_disabled() {
-        let mut dc = DecodeCache::new_with(false);
-        dc.insert(0x1000, Instr::Halt);
-        assert_eq!(dc.probe(0x1000), None);
     }
 
     #[test]

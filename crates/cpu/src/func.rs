@@ -14,85 +14,11 @@ use crate::arch::ArchState;
 use cmpsim_isa::{AluOp, BranchCond, FpCmp, FpOp, HcallNo, Instr};
 use cmpsim_mem::{AccessKind, Addr, AddrSpace, CpuId, PhysMem};
 
-/// The memory-contents interface the functional core executes against.
-///
-/// [`PhysMem`] is the real thing; the sharded runner's
-/// [`StagingMem`](crate::stage::StagingMem) implements the same surface
-/// over a frozen snapshot plus a private overlay, which is what lets a
-/// shard execute instructions speculatively without mutating shared state.
-/// Reads take `&mut self` so implementations may record read sets.
-pub trait DataMem {
-    /// Reads one byte (unmapped memory reads as zero).
-    fn read_u8(&mut self, addr: Addr) -> u8;
-    /// Reads a little-endian `u32` (any alignment).
-    fn read_u32(&mut self, addr: Addr) -> u32;
-    /// Reads an `f32`.
-    fn read_f32(&mut self, addr: Addr) -> f32;
-    /// Reads an `f64`.
-    fn read_f64(&mut self, addr: Addr) -> f64;
-    /// Writes one byte.
-    fn write_u8(&mut self, addr: Addr, value: u8);
-    /// Writes an `f32`.
-    fn write_f32(&mut self, addr: Addr, value: f32);
-    /// Writes an `f64`.
-    fn write_f64(&mut self, addr: Addr, value: f64);
-    /// A `u32` store that also breaks every CPU's LL link to the line.
-    fn write_u32_tracked(&mut self, cpu: CpuId, addr: Addr, value: u32);
-    /// Invalidates all LL links to `addr`'s line (any store, any size).
-    fn snoop_store(&mut self, addr: Addr);
-    /// Establishes `cpu`'s LL link on the line containing `addr`.
-    fn set_link(&mut self, cpu: CpuId, addr: Addr);
-    /// Atomically checks and consumes the link for an SC.
-    fn check_and_clear_link(&mut self, cpu: CpuId, addr: Addr) -> bool;
-}
-
-impl DataMem for PhysMem {
-    // Inherent methods win over trait methods in resolution, so each body
-    // below calls the real implementation, not itself.
-    fn read_u8(&mut self, addr: Addr) -> u8 {
-        PhysMem::read_u8(self, addr)
-    }
-    fn read_u32(&mut self, addr: Addr) -> u32 {
-        PhysMem::read_u32(self, addr)
-    }
-    fn read_f32(&mut self, addr: Addr) -> f32 {
-        PhysMem::read_f32(self, addr)
-    }
-    fn read_f64(&mut self, addr: Addr) -> f64 {
-        PhysMem::read_f64(self, addr)
-    }
-    fn write_u8(&mut self, addr: Addr, value: u8) {
-        PhysMem::write_u8(self, addr, value);
-    }
-    fn write_f32(&mut self, addr: Addr, value: f32) {
-        PhysMem::write_f32(self, addr, value);
-    }
-    fn write_f64(&mut self, addr: Addr, value: f64) {
-        PhysMem::write_f64(self, addr, value);
-    }
-    fn write_u32_tracked(&mut self, cpu: CpuId, addr: Addr, value: u32) {
-        PhysMem::write_u32_tracked(self, cpu, addr, value);
-    }
-    fn snoop_store(&mut self, addr: Addr) {
-        PhysMem::snoop_store(self, addr);
-    }
-    fn set_link(&mut self, cpu: CpuId, addr: Addr) {
-        PhysMem::set_link(self, cpu, addr);
-    }
-    fn check_and_clear_link(&mut self, cpu: CpuId, addr: Addr) -> bool {
-        PhysMem::check_and_clear_link(self, cpu, addr)
-    }
-}
-
 /// Execution environment: memory contents, address space and CPU identity.
-///
-/// Generic over the memory implementation; the default keeps every
-/// existing `ExecEnv<'_>` annotation meaning "executes against real
-/// memory".
 #[derive(Debug)]
-pub struct ExecEnv<'a, M: DataMem = PhysMem> {
-    /// Memory contents (real or staged).
-    pub mem: &'a mut M,
+pub struct ExecEnv<'a> {
+    /// Physical memory contents.
+    pub mem: &'a mut PhysMem,
     /// Current address space (translation).
     pub space: AddrSpace,
     /// This CPU's id (for `CPUID` and LL/SC links).
@@ -210,11 +136,7 @@ const NO_MEM: StepInfo = StepInfo {
 
 /// Executes one instruction in order: reads/writes registers and memory,
 /// updates `state.pc`, and reports what the timing model must charge.
-pub fn step<M: DataMem>(
-    state: &mut ArchState,
-    instr: &Instr,
-    env: &mut ExecEnv<'_, M>,
-) -> StepInfo {
+pub fn step(state: &mut ArchState, instr: &Instr, env: &mut ExecEnv<'_>) -> StepInfo {
     use Instr::*;
     let pc = state.pc;
     let next = pc.wrapping_add(4);

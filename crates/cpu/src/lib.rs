@@ -26,16 +26,14 @@ pub mod decode;
 pub mod func;
 pub mod mipsy;
 pub mod mxs;
-pub mod stage;
 
 pub use arch::ArchState;
 pub use btb::Btb;
 pub use counters::{CpuCounters, StallCategory};
 pub use decode::DecodeCache;
-pub use func::{DataMem, ExecEnv, Outcome, StepInfo};
+pub use func::{ExecEnv, Outcome, StepInfo};
 pub use mipsy::MipsyCpu;
 pub use mxs::{MxsConfig, MxsCpu};
-pub use stage::{RegDelta, StagedAccess, StagedStep, StagingMem, StoreVal};
 
 use cmpsim_engine::Cycle;
 use cmpsim_isa::{FuClass, HcallNo};
@@ -123,17 +121,7 @@ pub enum StepEvent {
 /// `now` and returns the cycle at which the CPU next wants to run. Keeping
 /// all CPUs ordered by that time makes the functional memory interleaving
 /// consistent with the timing model.
-///
-/// Models that additionally implement [`CpuModel::stage`] /
-/// [`CpuModel::commit_staged`] (and report [`CpuModel::stageable`]) can be
-/// driven by the sharded run loop: shards execute instructions ahead of time
-/// against a frozen memory snapshot, and the commit spine replays the staged
-/// records in canonical order with full timing (DESIGN.md §12). The defaults
-/// opt a model out, which simply keeps it on the serial path.
-///
-/// `Send` is a supertrait so a machine full of models can cross the scoped
-/// thread boundary that sharding uses.
-pub trait CpuModel: Send {
+pub trait CpuModel {
     /// Advances the CPU. Returns the next cycle this CPU is runnable and
     /// any event the machine must handle.
     fn step(
@@ -168,36 +156,6 @@ pub trait CpuModel: Send {
 
     /// Mutable statistics counters (region-of-interest reset).
     fn counters_mut(&mut self) -> &mut CpuCounters;
-
-    /// Whether this model supports stage-ahead execution. Models that
-    /// return `false` are driven serially even inside a sharded run.
-    fn stageable(&self) -> bool {
-        false
-    }
-
-    /// Executes up to `budget` instructions functionally against the frozen
-    /// snapshot `phys`, appending one [`StagedStep`] per instruction to
-    /// `out`. Must not mutate anything shared and must stop early at any
-    /// instruction that needs serial execution (`SC`, `HCALL`, `HALT`,
-    /// staged-code fetch). Only called when [`CpuModel::stageable`] is true.
-    fn stage(&self, phys: &PhysMem, budget: usize, out: &mut Vec<StagedStep>) {
-        let _ = (phys, budget, out);
-    }
-
-    /// Commits one staged step at cycle `now` with exact serial timing and
-    /// side effects, returning what [`CpuModel::step`] would have. Only
-    /// called when [`CpuModel::stageable`] is true and the step's read set
-    /// validated against the round's store journal.
-    fn commit_staged(
-        &mut self,
-        now: Cycle,
-        staged: &StagedStep,
-        mem: &mut dyn MemorySystem,
-        phys: &mut PhysMem,
-    ) -> (Cycle, StepEvent) {
-        let _ = (now, staged, mem, phys);
-        unreachable!("commit_staged called on a model that is not stageable")
-    }
 }
 
 #[cfg(test)]

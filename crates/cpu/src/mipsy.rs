@@ -12,10 +12,8 @@ use crate::arch::ArchState;
 use crate::counters::{CpuCounters, StallCategory};
 use crate::decode::DecodeCache;
 use crate::func::{self, ExecEnv, Outcome};
-use crate::stage::{apply_store, RegDelta, StagedAccess, StagedStep, StagingMem};
 use crate::{CpuModel, StepEvent};
 use cmpsim_engine::Cycle;
-use cmpsim_isa::Instr;
 use cmpsim_mem::{
     AccessKind, AddrSpace, CpuId, MemRequest, MemorySystem, PhysMem, ServiceLevel, WriteBuffer,
 };
@@ -207,149 +205,6 @@ impl CpuModel for MipsyCpu {
 
     fn counters_mut(&mut self) -> &mut CpuCounters {
         &mut self.counters
-    }
-
-    fn stageable(&self) -> bool {
-        true
-    }
-
-    fn stage(&self, phys: &PhysMem, budget: usize, out: &mut Vec<StagedStep>) {
-        debug_assert!(!self.halted, "staging a halted CPU");
-        let mut scratch = self.state.clone();
-        let mut sm = StagingMem::new(phys);
-        for _ in 0..budget {
-            let ipa = self.space.translate(scratch.pc);
-            if sm.overlay_contains(ipa) {
-                // Staged self-modifying code: the real fetch must see the
-                // committed store, so hand back to the serial spine.
-                break;
-            }
-            let probed = self.decode.probe(ipa);
-            let instr = probed.unwrap_or_else(|| {
-                cmpsim_isa::decode(phys.read_u32(ipa & !3)).unwrap_or(Instr::Nop)
-            });
-            if matches!(instr, Instr::Sc { .. } | Instr::Hcall { .. } | Instr::Halt) {
-                // These read or steer shared machine state; they run
-                // serially on the spine (before executing, so the spine
-                // re-fetches them itself).
-                break;
-            }
-            sm.begin_step();
-            sm.note_read(ipa);
-            let mut env = ExecEnv {
-                mem: &mut sm,
-                space: self.space,
-                cpu: self.cpu,
-            };
-            let info = func::step(&mut scratch, &instr, &mut env);
-            debug_assert!(!info.sc_failed);
-            let ops = instr.reg_ops();
-            let delta = if let Some(r) = ops.int_def {
-                RegDelta::Gpr(r, scratch.gpr(r))
-            } else if let Some(f) = ops.fp_def {
-                RegDelta::Fpr(f, scratch.fpr(f))
-            } else {
-                RegDelta::None
-            };
-            let (reads, n_reads, ll, store) = sm.step_record();
-            let access = match info.mem_access {
-                Some((AccessKind::Load, pa)) => StagedAccess::Load(pa),
-                Some((AccessKind::Store, pa)) => {
-                    let (saddr, sval) = store.expect("store instruction captured its value");
-                    debug_assert_eq!(saddr, pa);
-                    StagedAccess::Store(pa, sval)
-                }
-                Some((AccessKind::IFetch, _)) => unreachable!("execute never ifetches"),
-                None => StagedAccess::None,
-            };
-            out.push(StagedStep {
-                ipa,
-                instr,
-                pc_after: scratch.pc,
-                delta,
-                access,
-                ll,
-                fresh_decode: probed.is_none(),
-                reads,
-                n_reads,
-            });
-        }
-    }
-
-    fn commit_staged(
-        &mut self,
-        now: Cycle,
-        s: &StagedStep,
-        mem: &mut dyn MemorySystem,
-        phys: &mut PhysMem,
-    ) -> (Cycle, StepEvent) {
-        // An exact timing replay of `step` for a pre-executed instruction:
-        // same accesses at the same cycles, same counter updates, with the
-        // architectural effects applied from the staged record.
-        debug_assert!(!self.halted, "committing on a halted CPU");
-        debug_assert_eq!(self.space.translate(self.state.pc), s.ipa);
-        let mut t = now;
-
-        let ires = mem.access(t, MemRequest::ifetch(self.cpu, s.ipa));
-        let iextra = (ires.finish - t).saturating_sub(1);
-        self.counters.stall(StallCategory::Instruction, iextra);
-        t += iextra;
-
-        if s.fresh_decode {
-            // The serial fetch would have missed and memoized here.
-            self.decode.insert(s.ipa, s.instr);
-        }
-
-        match s.delta {
-            RegDelta::None => {}
-            RegDelta::Gpr(r, v) => self.state.set_gpr(r, v),
-            RegDelta::Fpr(f, v) => self.state.set_fpr(f, v),
-        }
-        self.state.pc = s.pc_after;
-        self.counters.instructions += 1;
-        self.counters.busy_cycles += 1;
-        if s.instr.is_control() && !s.instr.is_direct_jump() {
-            self.counters.branches += 1;
-        }
-        let issue = t;
-        t += 1;
-
-        match s.access {
-            StagedAccess::Load(pa) => {
-                self.counters.loads += 1;
-                if s.ll {
-                    phys.set_link(self.cpu, pa);
-                }
-                let res = mem.access(issue, MemRequest::load(self.cpu, pa));
-                let stall = (res.finish - issue).saturating_sub(1);
-                self.counters
-                    .stall(Self::data_stall_category(res.serviced_by), stall);
-                t += stall;
-            }
-            StagedAccess::Store(pa, val) => {
-                self.counters.stores += 1;
-                apply_store(phys, self.cpu, pa, val);
-                let mut at = issue;
-                if self.wbuf.is_full(at) {
-                    let free = self.wbuf.free_at(at);
-                    self.counters.stall(StallCategory::StoreBuffer, free - at);
-                    t += free - at;
-                    at = free;
-                }
-                let res = mem.access(at, MemRequest::store(self.cpu, pa));
-                self.wbuf.push(at, res.finish);
-            }
-            StagedAccess::None => {}
-        }
-
-        if matches!(s.instr, Instr::Sync) {
-            let drain = self.wbuf.drain_time(t);
-            self.counters.stall(StallCategory::Fence, drain.since(t));
-            t = t.max(drain);
-        }
-
-        // SC/HCALL/HALT are never staged, so the outcome is always Normal.
-        (t, StepEvent::None)
     }
 }
 

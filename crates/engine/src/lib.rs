@@ -8,10 +8,9 @@
 //!   cache ports, buses and DRAM banks.
 //! * [`EventQueue`] — a deterministic time-ordered event queue.
 //! * [`ReadyHeap`] — an indexed min-heap over `(Cycle, index)` keys, the
-//!   earliest-ready order the machine run loops use.
-//! * [`pool`] — scoped-thread fan-out: the index-ordered job pool the bench
-//!   harness uses and the stage/commit barrier rounds the sharded machine
-//!   runner is built on.
+//!   earliest-ready order the machine run loop uses.
+//! * [`pool`] — scoped-thread fan-out: the index-ordered job pool that
+//!   runs independent simulations in parallel.
 //! * [`hash`] — deterministic fixed-function hashing ([`FastMap`],
 //!   [`FastSet`]) for the simulators' internal line-address maps.
 //! * [`stats`] — counters and histograms used for the paper's
@@ -54,7 +53,7 @@ pub mod supervise;
 
 pub use hash::{BuildFastHasher, FastHasher, FastMap, FastSet};
 pub use journal::{Journal, JournalKey};
-pub use pool::{barrier_rounds, map_jobs, run_indexed};
+pub use pool::{map_jobs, run_indexed};
 pub use queue::EventQueue;
 pub use ready::ReadyHeap;
 pub use resource::{BankedResource, Port};

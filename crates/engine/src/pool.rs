@@ -1,22 +1,16 @@
-//! Scoped-thread fan-out primitives shared by the bench harness and the
-//! sharded run loop.
+//! Scoped-thread job pool shared by the bench harness, trace decode and
+//! replay, and (through [`crate::supervise`]) the sweep and explore
+//! drivers.
 //!
-//! Two shapes of parallelism live here, both built on `std::thread::scope`
-//! with zero external dependencies:
-//!
-//! * [`run_indexed`] / [`map_jobs`] — an atomic-cursor job pool for
-//!   independent work items whose results are always returned **in index
-//!   order**, so callers produce byte-identical output whatever the thread
-//!   count or scheduling. The bench matrix fans out over this.
-//! * [`barrier_rounds`] — a persistent worker team alternating parallel
-//!   *stage* phases with serial *commit* phases, the skeleton of the
-//!   sharded machine runner (DESIGN.md §12). Workers are spawned once and
-//!   reused every round; round boundaries are full barriers, so the stage
-//!   closure may freely read state the commit closure mutates between
-//!   rounds.
+//! [`run_indexed`] / [`map_jobs`] are an atomic-cursor job pool for
+//! independent work items, built on `std::thread::scope` with zero
+//! external dependencies. Results are always returned **in index order**,
+//! so callers produce byte-identical output whatever the thread count or
+//! scheduling. This is the simulator's one parallelism model: independent
+//! jobs (whole runs, trace chunks, replay configurations) in parallel,
+//! while a single simulation always runs on one thread.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker count from the environment variable `var`: a positive integer
 /// is taken literally, a zero/unparsable value means "run serially", and
@@ -97,69 +91,9 @@ where
     run_indexed(jobs, items.len(), |i| f(&items[i]))
 }
 
-/// Alternates parallel stage phases with serial commit phases over a
-/// persistent team of `shards` participants until `commit` returns `false`.
-///
-/// Each round every participant `0..shards` runs `stage(i)` concurrently
-/// (the calling thread doubles as participant 0, so `shards` participants
-/// cost `shards - 1` spawned threads); once all have finished, the calling
-/// thread alone runs `commit()`. Returning `false` from `commit` ends the
-/// loop after releasing the workers.
-///
-/// Full barriers separate the phases, so `commit` may mutate state that
-/// `stage` reads (e.g. behind an `RwLock` whose writer side only the commit
-/// phase takes) without any per-access synchronization. With `shards <= 1`
-/// the loop runs inline with no threads or barriers.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker's `stage` call (the scope unwinds).
-pub fn barrier_rounds<S, C>(shards: usize, stage: S, mut commit: C)
-where
-    S: Fn(usize) + Sync,
-    C: FnMut() -> bool,
-{
-    if shards <= 1 {
-        loop {
-            stage(0);
-            if !commit() {
-                return;
-            }
-        }
-    }
-    let start = Barrier::new(shards);
-    let end = Barrier::new(shards);
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for w in 1..shards {
-            let (stage, start, end, done) = (&stage, &start, &end, &done);
-            s.spawn(move || loop {
-                start.wait();
-                if done.load(Ordering::Acquire) {
-                    return;
-                }
-                stage(w);
-                end.wait();
-            });
-        }
-        loop {
-            start.wait();
-            stage(0);
-            end.wait();
-            if !commit() {
-                // One more release lets every worker observe `done`.
-                done.store(true, Ordering::Release);
-                start.wait();
-                return;
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn results_come_back_in_index_order() {
@@ -191,30 +125,5 @@ mod tests {
     fn map_jobs_preserves_item_order() {
         let items = ["a", "bb", "ccc"];
         assert_eq!(map_jobs(3, &items, |s| s.len()), vec![1, 2, 3]);
-    }
-
-    /// Every participant stages once per round, and commit sees all of the
-    /// round's contributions — for each team size, including the inline
-    /// `shards = 1` path.
-    #[test]
-    fn barrier_rounds_stage_then_commit() {
-        for shards in [1usize, 2, 4] {
-            let staged: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let mut rounds = 0usize;
-            barrier_rounds(
-                shards,
-                |w| staged.lock().unwrap().push(w),
-                || {
-                    let mut s = staged.lock().unwrap();
-                    // All participants contributed exactly once this round.
-                    let mut got = std::mem::take(&mut *s);
-                    got.sort_unstable();
-                    assert_eq!(got, (0..shards).collect::<Vec<_>>());
-                    rounds += 1;
-                    rounds < 5
-                },
-            );
-            assert_eq!(rounds, 5);
-        }
     }
 }

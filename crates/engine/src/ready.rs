@@ -1,6 +1,6 @@
 //! A ready-heap over a fixed set of indexed actors.
 //!
-//! The simulator's run loops repeatedly ask "which CPU is ready earliest?"
+//! The simulator's run loop repeatedly asks "which CPU is ready earliest?"
 //! with ties broken by the lowest CPU index — that tie-break is part of the
 //! simulator's determinism contract, so [`ReadyHeap`] bakes it into the key
 //! order: entries compare by `(Cycle, index)`. The heap is indexed (each
@@ -9,8 +9,7 @@
 //!
 //! Operations are `O(log n)`; with the small `n` of a simulated machine the
 //! win over the previous `O(n)` scan is modest per step but is paid on every
-//! step of every run, and the same structure orders the commit spine of the
-//! sharded runner.
+//! step of every run.
 
 use crate::Cycle;
 

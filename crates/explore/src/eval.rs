@@ -25,8 +25,7 @@
 use crate::cache::ResultCache;
 use crate::space::{DesignSpace, Point};
 use crate::ExploreError;
-use cmpsim_core::machine::run_workload_resilient;
-use cmpsim_core::{capture_run, ArchKind, MachineConfig, RunSummary};
+use cmpsim_core::{capture_run, run_workload, ArchKind, MachineConfig, RunSummary};
 use cmpsim_engine::supervise::{map_jobs_supervised, SuperviseSpec};
 use cmpsim_kernels::build_by_name;
 use cmpsim_mem::{LevelStats, MemStats, SentinelSpec};
@@ -169,7 +168,6 @@ fn capture_config(p: &Point) -> MachineConfig {
     let mut cfg = MachineConfig::new(ArchKind::SharedMem, p.cfg.cpu);
     cfg.n_cpus = p.cfg.n_cpus;
     cfg.sentinel = Some(SentinelSpec::off());
-    cfg.shards = Some(1);
     cfg
 }
 
@@ -284,7 +282,7 @@ impl Evaluator {
         let run = map_jobs_supervised(&SuperviseSpec::from_env(), spec.jobs, todo, |p| {
             let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
                 .unwrap_or_else(|e| panic!("building {}: {e}", spec.workload));
-            let s = run_workload_resilient(&p.cfg, &w, spec.budget)
+            let s = run_workload(&p.cfg, &w, spec.budget)
                 .unwrap_or_else(|e| panic!("explore point {}: {e}", p.code));
             exec_metrics(p, &s)
         });

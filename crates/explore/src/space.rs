@@ -79,9 +79,8 @@ pub struct DesignSpace {
 }
 
 /// One decoded, validated point of a design space: its embedding plus
-/// the fully resolved machine configuration (sentinel pinned off and
-/// shards pinned to 1, so a point means the same machine whatever the
-/// environment).
+/// the fully resolved machine configuration (sentinel pinned off, so a
+/// point means the same machine whatever the environment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// The mixed-radix embedding this point decodes from.
@@ -392,10 +391,9 @@ impl DesignSpace {
         };
         let mut cfg = MachineConfig::new(arch, cpu);
         cfg.n_cpus = n;
-        // Pin the environment-resolved knobs: a point must mean the same
+        // Pin the environment-resolved knob: a point must mean the same
         // machine in any process.
         cfg.sentinel = Some(SentinelSpec::off());
-        cfg.shards = Some(1);
         let paper = arch.config(n);
         if !self.l1_kb.is_empty() {
             // The dimension is per-CPU; the shared-L1 architecture's

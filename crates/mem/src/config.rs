@@ -92,6 +92,13 @@ pub enum ConfigError {
         /// CPUs the machine has.
         machine: usize,
     },
+    /// A machine configuration asked for a shard count other than 1.
+    /// Every run is one serial loop; the shard count survives only as a
+    /// retired field that accepts 1.
+    ShardsRetired {
+        /// The requested shard count.
+        shards: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -148,6 +155,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "workload built for a different CPU count \
                  ({workload} workload vs {machine} machine)"
+            ),
+            ConfigError::ShardsRetired { shards } => write!(
+                f,
+                "shards = {shards}: sharded runs were removed; \
+                 every run uses one serial loop (leave shards unset or 1)"
             ),
         }
     }

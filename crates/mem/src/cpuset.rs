@@ -1,12 +1,12 @@
 //! A CPU/node bitset with a fixed small-size fast path.
 //!
-//! Every layer that tracks sharers — the directory's presence table, the
-//! sentinel's residency checks, the slice journal's write-set map — used
-//! to carry raw `u32`/`u64` bitmasks, structurally capping configurations
-//! at 32 CPUs. [`CpuSet`] lifts that: the first 64 members live in one
-//! inline word (no heap traffic, so ≤64-CPU configurations keep the old
-//! single-word arithmetic), and larger configurations spill into extra
-//! words allocated on first use. Results are identical either way — the
+//! Every layer that tracks sharers — the directory's presence table and
+//! the sentinel's residency checks — used to carry raw `u32`/`u64`
+//! bitmasks, structurally capping configurations at 32 CPUs. [`CpuSet`]
+//! lifts that: the first 64 members live in one inline word (no heap
+//! traffic, so ≤64-CPU configurations keep the old single-word
+//! arithmetic), and larger configurations spill into extra words
+//! allocated on first use. Results are identical either way — the
 //! representation is invisible to digests.
 
 /// A set of CPU (or node) indices, backed by 64-bit words.
@@ -141,8 +141,8 @@ impl CpuSet {
     }
 
     /// Does the set contain any member other than `i`? This is the
-    /// only-other-sharer probe: the slice journal's cross-CPU conflict
-    /// test and the directory's "anyone else to invalidate?" early-out.
+    /// only-other-sharer probe: the directory's "anyone else to
+    /// invalidate?" early-out.
     #[inline]
     pub fn contains_other(&self, i: usize) -> bool {
         let w = i >> 6;

@@ -471,17 +471,6 @@ impl<S: NodeScheme> DirectoryTopo<S> {
 impl<S: NodeScheme> Topology for DirectoryTopo<S> {
     const NAME: &'static str = S::NAME;
 
-    /// With one CPU per node the fastest cross-CPU path is the shared L2;
-    /// with several CPUs per node (the clustered extension) it is the
-    /// pooled intra-node L1 behind its small crossbar.
-    fn cross_cpu_lookahead(&self, core: &HierarchyCore) -> u64 {
-        if self.nodes.n_nodes() < core.cfg.n_cpus {
-            self.xbar_lat
-        } else {
-            core.cfg.lat.l2_lat
-        }
-    }
-
     #[inline]
     fn access(&mut self, core: &mut HierarchyCore, now: Cycle, req: MemRequest) -> MemResult {
         let node = self.nodes.node_of(req.cpu);

@@ -89,13 +89,6 @@ pub trait Topology {
 
     /// Appends one [`PortUtil`] per contended resource, in report order.
     fn push_port_util(&self, out: &mut Vec<PortUtil>);
-
-    /// Minimum cycles before one CPU's store can reach another CPU through
-    /// this topology (see [`MemorySystem::cross_cpu_lookahead`]). The
-    /// default is the fully conservative 1 cycle.
-    fn cross_cpu_lookahead(&self, _core: &HierarchyCore) -> u64 {
-        1
-    }
 }
 
 /// A complete memory system assembled from the shared [`HierarchyCore`]
@@ -171,10 +164,6 @@ impl<T: Topology> MemorySystem for HierarchySystem<T> {
 
     fn injected_faults(&self) -> &[(FaultKind, Addr)] {
         self.core.sentinel.injected_faults()
-    }
-
-    fn cross_cpu_lookahead(&self) -> u64 {
-        self.topo.cross_cpu_lookahead(&self.core)
     }
 }
 

@@ -45,7 +45,6 @@ pub mod cpuset;
 pub mod hierarchy;
 pub mod phys;
 pub mod sentinel;
-pub mod slice;
 pub mod stats;
 pub mod systems;
 pub mod wbuf;
@@ -58,7 +57,6 @@ pub use sentinel::{
     FaultClassSet, FaultInjector, FaultKind, Sentinel, SentinelSpec, SentinelViolation,
     ViolationKind,
 };
-pub use slice::SliceJournal;
 pub use stats::{LevelStats, MemStats};
 pub use systems::{ClusteredSystem, MeshSystem, SharedL1System, SharedL2System, SharedMemSystem};
 pub use wbuf::WriteBuffer;
@@ -208,28 +206,13 @@ pub trait MemorySystem {
     fn injected_faults(&self) -> &[(sentinel::FaultKind, Addr)] {
         &[]
     }
-
-    /// Minimum number of cycles before one CPU's store can affect another
-    /// CPU's execution through this memory system — the conservative
-    /// cross-CPU interaction lookahead.
-    ///
-    /// The sharded run loop sizes its staging slices from this bound: a
-    /// larger lookahead means more work can be speculated per barrier
-    /// round before cross-CPU validation is likely to fail. Correctness
-    /// never depends on the value (every staged read is validated against
-    /// the round's store journal), so implementations should return their
-    /// cheapest cross-CPU path honestly rather than pessimistically. The
-    /// default is the fully conservative 1 cycle.
-    fn cross_cpu_lookahead(&self) -> u64 {
-        1
-    }
 }
 
 /// A boxed system is a system: lets `Box<dyn MemorySystem>` (the shape
 /// `ArchKind::try_build`-style factories return) flow into APIs generic
 /// over `S: MemorySystem` — the batched replay driver in particular —
 /// without unboxing. Forwards every method, including the defaulted ones,
-/// so sentinel reports and lookahead bounds survive the indirection.
+/// so sentinel reports survive the indirection.
 impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
     fn access(&mut self, now: Cycle, req: MemRequest) -> MemResult {
         (**self).access(now, req)
@@ -260,8 +243,5 @@ impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
     }
     fn injected_faults(&self) -> &[(sentinel::FaultKind, Addr)] {
         (**self).injected_faults()
-    }
-    fn cross_cpu_lookahead(&self) -> u64 {
-        (**self).cross_cpu_lookahead()
     }
 }

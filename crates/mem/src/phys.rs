@@ -13,11 +13,9 @@
 //! data, as in IRIX).
 
 use crate::sentinel::{FaultInjector, FaultKind, SentinelSpec, SentinelViolation, ViolationKind};
-use crate::slice::SliceJournal;
 use crate::{Addr, CpuId};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
@@ -42,7 +40,7 @@ pub const KERNEL_BASE: Addr = 0xC000_0000;
 /// m.write_u32_tracked(1, 0x200, 7);
 /// assert!(!m.check_and_clear_link(0, 0x200));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PhysMem {
     /// Page frames; `index` maps page numbers to slots here.
     pages: Vec<Box<[u8; PAGE_BYTES]>>,
@@ -50,9 +48,8 @@ pub struct PhysMem {
     /// One-entry translation cache, packed `page << 32 | (slot + 1)`; a
     /// zero slot field means invalid. Simulated memory access is the
     /// hottest loop in the whole simulator and exhibits strong page
-    /// locality. Atomic (relaxed — it is only a cache) so sharded staging
-    /// threads can read memory through a shared `&PhysMem`.
-    last: AtomicU64,
+    /// locality.
+    last: Cell<u64>,
     /// Per-CPU link register: line address of an outstanding LL.
     links: Vec<Option<Addr>>,
     line_mask: Addr,
@@ -60,25 +57,6 @@ pub struct PhysMem {
     /// cross-checks every load. `None` in normal runs, so the hot paths
     /// pay one predictable branch.
     oracle: Option<Box<OracleMem>>,
-    /// Per-slice store journal (sharded runs only): every committed store
-    /// records its word addresses here so staged reads can be validated
-    /// against cross-CPU writes. `None` in serial runs — one predictable
-    /// branch per store.
-    journal: Option<Box<SliceJournal>>,
-}
-
-impl Clone for PhysMem {
-    fn clone(&self) -> PhysMem {
-        PhysMem {
-            pages: self.pages.clone(),
-            index: self.index.clone(),
-            last: AtomicU64::new(self.last.load(Ordering::Relaxed)),
-            links: self.links.clone(),
-            line_mask: self.line_mask,
-            oracle: self.oracle.clone(),
-            journal: self.journal.clone(),
-        }
-    }
 }
 
 /// The sentinel's flat-memory shadow: a second page array kept in slot
@@ -87,32 +65,17 @@ impl Clone for PhysMem {
 /// program — so an injected corruption is detected, reported and contained
 /// rather than cascading — and the main copy is queued for healing, which
 /// [`PhysMem::sentinel_heal`] applies at the next safe (`&mut`) point.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OracleMem {
     shadow: Vec<Box<[u8; PAGE_BYTES]>>,
     /// (cpu, cycle) attribution for the next detected mismatch, set by the
-    /// run loop before each CPU step. Atomics (relaxed) purely so `PhysMem`
-    /// is `Sync`; sentinel runs are always serial.
-    ctx_cpu: AtomicUsize,
-    ctx_cycle: AtomicU64,
-    violations: Mutex<Vec<SentinelViolation>>,
+    /// run loop before each CPU step.
+    ctx: Cell<(usize, u64)>,
+    violations: RefCell<Vec<SentinelViolation>>,
     /// Corrupted spans awaiting restoration: (slot, offset, length).
-    pending_heal: Mutex<Vec<(usize, usize, usize)>>,
+    pending_heal: RefCell<Vec<(usize, usize, usize)>>,
     /// Stale-write-back fault injector (None unless that class is armed).
     injector: Option<FaultInjector>,
-}
-
-impl Clone for OracleMem {
-    fn clone(&self) -> OracleMem {
-        OracleMem {
-            shadow: self.shadow.clone(),
-            ctx_cpu: AtomicUsize::new(self.ctx_cpu.load(Ordering::Relaxed)),
-            ctx_cycle: AtomicU64::new(self.ctx_cycle.load(Ordering::Relaxed)),
-            violations: Mutex::new(self.violations.lock().unwrap().clone()),
-            pending_heal: Mutex::new(self.pending_heal.lock().unwrap().clone()),
-            injector: self.injector.clone(),
-        }
-    }
 }
 
 impl OracleMem {
@@ -125,16 +88,15 @@ impl OracleMem {
         off: usize,
         len: usize,
     ) {
-        let cpu = self.ctx_cpu.load(Ordering::Relaxed);
-        let cycle = self.ctx_cycle.load(Ordering::Relaxed);
-        self.violations.lock().unwrap().push(SentinelViolation {
+        let (cpu, cycle) = self.ctx.get();
+        self.violations.borrow_mut().push(SentinelViolation {
             cycle,
             cpu,
             addr,
             kind: ViolationKind::OracleMismatch,
             detail: format!("load returned {got:#x} but the flat-memory oracle holds {want:#x}"),
         });
-        self.pending_heal.lock().unwrap().push((slot, off, len));
+        self.pending_heal.borrow_mut().push((slot, off, len));
     }
 }
 
@@ -145,11 +107,10 @@ impl PhysMem {
         PhysMem {
             pages: Vec::new(),
             index: HashMap::new(),
-            last: AtomicU64::new(0),
+            last: Cell::new(0),
             links: vec![None; n_cpus],
             line_mask: !31,
             oracle: None,
-            journal: None,
         }
     }
 
@@ -163,13 +124,12 @@ impl PhysMem {
 
     /// Resolves a page number to a frame slot, if mapped (cached).
     fn slot_of(&self, page: u32) -> Option<usize> {
-        let packed = self.last.load(Ordering::Relaxed);
+        let packed = self.last.get();
         if packed as u32 != 0 && (packed >> 32) as u32 == page {
             return Some(packed as u32 as usize - 1);
         }
         let slot = *self.index.get(&page)?;
-        self.last
-            .store(Self::pack_last(page, slot), Ordering::Relaxed);
+        self.last.set(Self::pack_last(page, slot));
         Some(slot as usize)
     }
 
@@ -185,8 +145,7 @@ impl PhysMem {
             o.shadow.push(Box::new([0u8; PAGE_BYTES]));
         }
         self.index.insert(page, slot);
-        self.last
-            .store(Self::pack_last(page, slot), Ordering::Relaxed);
+        self.last.set(Self::pack_last(page, slot));
         slot as usize
     }
 
@@ -212,9 +171,6 @@ impl PhysMem {
 
     /// Writes one byte, allocating the page on demand.
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
-        if let Some(j) = &mut self.journal {
-            j.record(addr & !3);
-        }
         let (page, off) = Self::page_of(addr);
         let slot = self.slot_or_alloc(page);
         let mut stored = value;
@@ -270,11 +226,6 @@ impl PhysMem {
     pub fn write_u32(&mut self, addr: Addr, value: u32) {
         let (page, off) = Self::page_of(addr);
         if off + 4 <= PAGE_BYTES {
-            if let Some(j) = &mut self.journal {
-                // An unaligned in-page write touches two words.
-                j.record(addr & !3);
-                j.record(addr.wrapping_add(3) & !3);
-            }
             let slot = self.slot_or_alloc(page);
             let mut stored = value;
             if let Some(o) = &mut self.oracle {
@@ -384,10 +335,9 @@ impl PhysMem {
             .filter(|_| spec.fault_classes.contains(FaultKind::StaleWriteback));
         self.oracle = Some(Box::new(OracleMem {
             shadow: self.pages.clone(),
-            ctx_cpu: AtomicUsize::new(0),
-            ctx_cycle: AtomicU64::new(0),
-            violations: Mutex::new(Vec::new()),
-            pending_heal: Mutex::new(Vec::new()),
+            ctx: Cell::new((0, 0)),
+            violations: RefCell::new(Vec::new()),
+            pending_heal: RefCell::new(Vec::new()),
             injector,
         }));
     }
@@ -401,8 +351,7 @@ impl PhysMem {
     /// detected mismatch. The run loop calls this before stepping each CPU.
     pub fn sentinel_context(&self, cpu: CpuId, cycle: u64) {
         if let Some(o) = &self.oracle {
-            o.ctx_cpu.store(cpu, Ordering::Relaxed);
-            o.ctx_cycle.store(cycle, Ordering::Relaxed);
+            o.ctx.set((cpu, cycle));
         }
     }
 
@@ -411,8 +360,7 @@ impl PhysMem {
     /// the number of spans healed.
     pub fn sentinel_heal(&mut self) -> usize {
         let Some(o) = &mut self.oracle else { return 0 };
-        let pending: Vec<(usize, usize, usize)> =
-            o.pending_heal.lock().unwrap().drain(..).collect();
+        let pending: Vec<(usize, usize, usize)> = o.pending_heal.borrow_mut().drain(..).collect();
         for &(slot, off, len) in &pending {
             self.pages[slot][off..off + len].copy_from_slice(&o.shadow[slot][off..off + len]);
         }
@@ -423,7 +371,7 @@ impl PhysMem {
     pub fn violations(&self) -> Vec<SentinelViolation> {
         self.oracle
             .as_ref()
-            .map_or_else(Vec::new, |o| o.violations.lock().unwrap().clone())
+            .map_or_else(Vec::new, |o| o.violations.borrow().clone())
     }
 
     /// Stale-write-back faults the oracle's injector introduced so far.
@@ -432,27 +380,6 @@ impl PhysMem {
             .as_ref()
             .and_then(|o| o.injector.as_ref())
             .map_or_else(Vec::new, |inj| inj.injected().to_vec())
-    }
-
-    /// Arms the per-slice store journal (sharded runs). From here on every
-    /// store records its word addresses; see [`SliceJournal`].
-    pub fn arm_slice_journal(&mut self) {
-        self.journal = Some(Box::new(SliceJournal::new()));
-    }
-
-    /// Disarms the journal, returning stores to the plain path.
-    pub fn disarm_slice_journal(&mut self) {
-        self.journal = None;
-    }
-
-    /// The armed journal, if any (validation queries).
-    pub fn slice_journal(&self) -> Option<&SliceJournal> {
-        self.journal.as_deref()
-    }
-
-    /// The armed journal, mutably (slice begin / committing-CPU context).
-    pub fn slice_journal_mut(&mut self) -> Option<&mut SliceJournal> {
-        self.journal.as_deref_mut()
     }
 }
 
@@ -525,14 +452,6 @@ impl AddrSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phys_mem_is_send_and_sync() {
-        // Sharded staging reads memory through a shared `&PhysMem` from
-        // several threads; keep that capability pinned at compile time.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<PhysMem>();
-    }
 
     #[test]
     fn read_write_roundtrip_all_widths() {

@@ -245,14 +245,6 @@ impl MeshTopo {
 impl Topology for MeshTopo {
     const NAME: &'static str = "mesh";
 
-    /// The fastest cross-CPU path is a store landing on its own tile's L2
-    /// slice (zero hops): the shared-L2 service latency bounds how soon
-    /// one CPU's action can change another CPU's timing, exactly as in the
-    /// crossbar shared-L2 system.
-    fn cross_cpu_lookahead(&self, core: &HierarchyCore) -> u64 {
-        core.cfg.lat.l2_lat
-    }
-
     #[inline]
     fn access(&mut self, core: &mut HierarchyCore, now: Cycle, req: MemRequest) -> MemResult {
         let tile = req.cpu;
@@ -451,12 +443,5 @@ mod tests {
         }
         assert!(s.violations().is_empty(), "{:?}", s.violations());
         assert!(s.directory_consistent());
-    }
-
-    #[test]
-    fn lookahead_is_the_l2_latency() {
-        let s = sys(16);
-        assert_eq!(s.cross_cpu_lookahead(), 14);
-        assert_eq!(s.name(), "mesh");
     }
 }

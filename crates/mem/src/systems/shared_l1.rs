@@ -191,17 +191,6 @@ impl SharedL1Topo {
 impl Topology for SharedL1Topo {
     const NAME: &'static str = "shared-L1";
 
-    /// CPUs communicate through the shared L1 itself, so the fastest
-    /// cross-CPU path is one L1 hit: 1 cycle idealized, else the crossbar
-    /// hit latency.
-    fn cross_cpu_lookahead(&self, core: &HierarchyCore) -> u64 {
-        if core.cfg.ideal_shared_l1 {
-            1
-        } else {
-            core.cfg.lat.l1_lat
-        }
-    }
-
     /// The hit path (bank grant, one tag lookup, one counter) stays inline;
     /// the miss machinery lives in `SharedL1Topo::service_miss` so this
     /// body is small enough to inline into the CPU models' access loops.

@@ -324,13 +324,6 @@ impl SharedMemTopo {
 impl Topology for SharedMemTopo {
     const NAME: &'static str = "shared-memory";
 
-    /// Private hierarchies interact over the bus: the fastest cross-CPU
-    /// path is whichever of a cache-to-cache transfer or a memory round
-    /// trip is cheaper (Table 2 makes that memory, 50 vs 60 cycles).
-    fn cross_cpu_lookahead(&self, core: &HierarchyCore) -> u64 {
-        core.cfg.lat.c2c_lat.min(core.cfg.lat.mem_lat)
-    }
-
     /// A clean hit in the private L1 — the overwhelmingly common case —
     /// touches nothing shared and returns straight away; stores that need
     /// state work and all misses take the out-of-line paths so this body

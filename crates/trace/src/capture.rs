@@ -287,10 +287,6 @@ impl MemorySystem for TracingSystem {
     fn injected_faults(&self) -> &[(sentinel::FaultKind, Addr)] {
         self.inner.injected_faults()
     }
-
-    fn cross_cpu_lookahead(&self) -> u64 {
-        self.inner.cross_cpu_lookahead()
-    }
 }
 
 /// A clonable in-memory byte buffer implementing [`Write`] — the capture

@@ -59,20 +59,16 @@
 #    =4 — the mesh topology rides the same capture/replay contract as
 #    the crossbar machines. (The mesh rows of the extended matrix also
 #    pass through gate 8's digest-equality replay check.)
-# 9. Shard identity: the quick digest matrix runs again with
-#    CMPSIM_SHARDS=4 — the sharded machine loop staging instructions
-#    ahead on worker threads (DESIGN.md §12) — and must produce
-#    byte-identical lines to the serial run, with the sentinel off and
-#    on. Shard count is a host-time knob, never a results knob.
-# 10. Quick simulator-speed check: the sim_throughput, shard_sweep,
-#    replay_sweep, extension_mesh_scaling and explore_sweep benches in
-#    quick mode (CMPSIM_BENCH_QUICK=1) appended to BENCH_pr10.json, so
-#    every verification leaves a dated throughput record (sentinel
-#    overhead, supervised-vs-plain sweep overhead, geometry rows, the
-#    trace-replay sweep, the shard-scaling sweep, the parallel
-#    decode/batched-replay sweep, the mesh 4->16->64 scaling study, and
-#    the explore points/s + cache-hit speedup) next to the pre/post-PR
-#    entries.
+# 9. (Retired together with the sharded run loop, DESIGN.md §12; gates
+#    10 and 11 keep their numbers.)
+# 10. Quick simulator-speed check: the sim_throughput, replay_sweep,
+#    extension_mesh_scaling and explore_sweep benches in quick mode
+#    (CMPSIM_BENCH_QUICK=1) appended to BENCH_pr10.json, so every
+#    verification leaves a dated throughput record (sentinel overhead,
+#    supervised-vs-plain sweep overhead, geometry rows, the trace-replay
+#    sweep, the parallel decode/batched-replay sweep, the mesh
+#    4->16->64 scaling study, and the explore points/s + cache-hit
+#    speedup) next to the pre/post-PR entries.
 # 11. Explore smoke: a seeded 64-point `cmpsim explore` search over a
 #    4-dimensional memory sweep must (a) emit byte-identical JSON at
 #    --jobs 1 and --jobs 4, (b) report replayed points > 0 on stderr
@@ -253,21 +249,6 @@ if ! diff "$tmpdir/mesh_replay_j1.txt" "$tmpdir/mesh_replay_j4.txt"; then
 fi
 echo "ok: mesh trace replays byte-identically (jobs 1 vs 4, link stats intact)"
 
-echo "== shard identity: quick matrix at CMPSIM_SHARDS=4 vs serial =="
-matrix_sharded=$(CMPSIM_SHARDS=4 CMPSIM_MATRIX_SCALE=0.02 cargo bench -q -p cmpsim-bench --bench summary_matrix 2>/dev/null | grep '^{')
-if [ "$matrix_off" != "$matrix_sharded" ]; then
-    echo "ERROR: CMPSIM_SHARDS=4 digest matrix differs from serial:" >&2
-    diff <(printf '%s\n' "$matrix_off") <(printf '%s\n' "$matrix_sharded") >&2 || true
-    exit 1
-fi
-matrix_sharded_on=$(CMPSIM_SHARDS=4 CMPSIM_SENTINEL=1 CMPSIM_MATRIX_SCALE=0.02 cargo bench -q -p cmpsim-bench --bench summary_matrix 2>/dev/null | grep '^{')
-if [ "$matrix_off" != "$matrix_sharded_on" ]; then
-    echo "ERROR: CMPSIM_SHARDS=4 sentinel-on digest matrix differs from serial:" >&2
-    diff <(printf '%s\n' "$matrix_off") <(printf '%s\n' "$matrix_sharded_on") >&2 || true
-    exit 1
-fi
-echo "ok: sharded matrix is bit-identical to serial (sentinel off and on)"
-
 echo "== explore smoke: seeded 64-point search, jobs/cache/kill invariance =="
 explore_args=(explore --workload eqntott --scale 0.02 --seed 7 --points 64
     --dim arch=shared-l2,shared-mem,mesh --dim cpus=2,4
@@ -320,12 +301,12 @@ echo "ok: explore search byte-identical across jobs, cache reruns and a mid-run 
 
 echo "== quick simulator-speed record -> BENCH_pr10.json =="
 stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-for bench in sim_throughput shard_sweep replay_sweep extension_mesh_scaling explore_sweep; do
+for bench in sim_throughput replay_sweep extension_mesh_scaling explore_sweep; do
     CMPSIM_BENCH_QUICK=1 cargo bench -q -p cmpsim-bench --bench "$bench" 2>/dev/null \
         | grep '^{' \
         | sed "s/^{/{\"phase\":\"verify\",\"utc\":\"${stamp}\",/" \
         >> BENCH_pr10.json
 done
-echo "ok: appended quick sim_throughput, shard_sweep, replay_sweep, mesh-scaling and explore records"
+echo "ok: appended quick sim_throughput, replay_sweep, mesh-scaling and explore records"
 
 echo "verify.sh: all checks passed"
