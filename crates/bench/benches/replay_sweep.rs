@@ -1,21 +1,13 @@
-//! Parallel trace-pipeline throughput sweep: decode (v1 vs v2, serial vs
-//! fanned across the job pool) and batched multi-config replay
-//! (`cmpsim_trace::replay_matrix`), emitted as JSON lines for
-//! `BENCH_*.json`. Not a paper figure — the regression guard for the
-//! restartable-chunk format and the parallel replay driver.
+//! Trace-pipeline throughput sweep: serial decode and batched
+//! multi-config replay (`cmpsim_trace::replay_matrix`), emitted as JSON
+//! lines for `BENCH_*.json`. Not a paper figure — the regression guard
+//! for the codec and the batched replay driver.
 //!
-//! The acceptance bar this bench records: single-threaded v2 decode must
-//! be at least as fast as v1 decode (`v2_vs_v1_ratio >= 1`, the median
-//! of per-pair ratios over back-to-back interleaved samples, so host
-//! noise bursts and drift don't decide it) — the
-//! restart preamble costs 12 bytes per 4096-record chunk and removes
-//! nothing from the hot loop, so the two paths should be within noise of
-//! each other. Parallel-decode and batched-replay records carry
-//! `speedup_vs_serial`; every record carries `host_cpus`, and on a
-//! 1-core host those speedups are the overhead bound of the fan-out, not
-//! scaling (PR 6 precedent) — compare at equal `host_cpus`. Result
-//! *identity* at any job count is the test suite's and verify.sh's job;
-//! this bench only tracks host time.
+//! Batched-replay records carry `speedup_vs_serial`; every record
+//! carries `host_cpus`, and on a 1-core host those speedups are the
+//! overhead bound of the fan-out, not scaling — compare at equal
+//! `host_cpus`. Result *identity* at any job count is the test suite's
+//! and verify.sh's job; this bench only tracks host time.
 //!
 //! Setting `CMPSIM_BENCH_QUICK` (to anything but `0`) drops repeat
 //! counts and scale so `scripts/verify.sh` can append cheap records.
@@ -24,7 +16,6 @@ use cmpsim_bench::timing::{self, JsonVal};
 use cmpsim_core::{capture_run, ArchKind, CpuKind, MachineConfig};
 use cmpsim_kernels::build_by_name;
 use cmpsim_mem::SharedL2System;
-use cmpsim_trace::codec::{VERSION, VERSION_V1};
 
 /// Repeat counts: (warmup, runs, workload scale).
 fn knobs() -> (u32, u32, f64) {
@@ -48,92 +39,20 @@ fn main() {
     let (_, bytes) = capture_run(&base, &w, 100_000_000).expect("captures");
     let records = cmpsim_trace::decode(&bytes).expect("decodes");
     let refs = records.len() as u64;
-    let header = cmpsim_trace::decode_with_header(&bytes).expect("decodes").0;
-    let (n_cpus, line) = (usize::from(header.n_cpus), u32::from(header.line_bytes));
 
-    // Re-encode the same records in both formats so the decode
-    // comparison sees identical record streams, not capture noise.
-    let v1 = cmpsim_trace::encode_with_version(&records, n_cpus, line, VERSION_V1).expect("v1");
-    let v2 = cmpsim_trace::encode_with_version(&records, n_cpus, line, VERSION).expect("v2");
-
-    // The v1/v2 samples interleave as back-to-back pairs so host-speed
-    // noise (the dominant error on a shared container) is common to both
-    // sides of each pair instead of biasing whichever format was
-    // measured second. A single decode is under a dozen milliseconds, so
-    // the pair count is generous — the ratio below is the acceptance
-    // number and worth a tight estimate.
-    let time_one = |bytes: &[u8]| {
-        let start = std::time::Instant::now();
-        std::hint::black_box(cmpsim_trace::decode(bytes).expect("decodes").len());
-        start.elapsed().as_nanos() as u64
-    };
-    for _ in 0..warmup {
-        time_one(&v1);
-        time_one(&v2);
-    }
-    let pairs = (runs * 3).max(75);
-    let (mut t_v1, mut t_v2) = (Vec::new(), Vec::new());
-    for _ in 0..pairs {
-        t_v1.push(time_one(&v1));
-        t_v2.push(time_one(&v2));
-    }
-    // >= 1 means v2 decodes at least as fast as v1. Median of per-pair
-    // ratios — the paired estimator: each pair ran back-to-back inside
-    // one noise window, so slowdowns hit both sides of a pair and cancel
-    // in its ratio, where min-to-min or median-to-median compare order
-    // statistics of *independent* samples and jitter ±3 % on this VM.
-    let mut ratios: Vec<f64> = t_v1
-        .iter()
-        .zip(&t_v2)
-        .map(|(&a, &b)| a as f64 / (b as f64).max(f64::MIN_POSITIVE))
-        .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let v2_vs_v1 = ratios[ratios.len() / 2];
-
-    let m_v1 = timing::Measured::from_times_ns(warmup, t_v1);
-    let m_v2 = timing::Measured::from_times_ns(warmup, t_v2);
+    let m = timing::measure(warmup, runs, || {
+        cmpsim_trace::decode(&bytes).expect("decodes").len()
+    });
     timing::emit_record(
         "replay_sweep",
-        "decode/v1_serial",
-        &m_v1,
+        "decode/serial",
+        &m,
         &[
             ("refs", refs.into()),
-            ("trace_bytes", (v1.len() as u64).into()),
-            ("refs_per_host_sec", JsonVal::F64(m_v1.per_sec(refs))),
+            ("trace_bytes", (bytes.len() as u64).into()),
+            ("refs_per_host_sec", JsonVal::F64(m.per_sec(refs))),
         ],
     );
-
-    timing::emit_record(
-        "replay_sweep",
-        "decode/v2_serial",
-        &m_v2,
-        &[
-            ("refs", refs.into()),
-            ("trace_bytes", (v2.len() as u64).into()),
-            ("refs_per_host_sec", JsonVal::F64(m_v2.per_sec(refs))),
-            ("v2_vs_v1_ratio", JsonVal::F64(v2_vs_v1)),
-        ],
-    );
-
-    for jobs in [2usize, 4] {
-        let m = timing::measure(warmup, runs, || {
-            cmpsim_trace::decode_parallel(&v2, jobs)
-                .expect("decodes")
-                .len()
-        });
-        let speedup = m_v2.min_ns as f64 / (m.min_ns as f64).max(f64::MIN_POSITIVE);
-        timing::emit_record(
-            "replay_sweep",
-            &format!("decode/v2_jobs{jobs}"),
-            &m,
-            &[
-                ("jobs", (jobs as u64).into()),
-                ("refs", refs.into()),
-                ("refs_per_host_sec", JsonVal::F64(m.per_sec(refs))),
-                ("speedup_vs_serial", JsonVal::F64(speedup)),
-            ],
-        );
-    }
 
     // Batched replay: one decoded arena, four L2-occupancy variants of
     // the capturing configuration (sim_throughput's sweep axis), fanned

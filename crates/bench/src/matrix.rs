@@ -328,18 +328,15 @@ pub fn matrix_json_lines_supervised(
 /// these renders the same JSON lines as [`run_case`] — which is the
 /// other half of the contract: capture must not perturb the run.
 ///
-/// The decode and the replay both go through the parallel pipeline at
-/// `CMPSIM_REPLAY_JOBS` ([`cmpsim_trace::replay_jobs`]): parallel chunk
-/// decode is asserted byte-identical to serial decode, and the replay
-/// runs through the batched [`cmpsim_trace::replay_matrix`] driver — so
-/// the verify.sh 56-case gate pins the whole parallel path, not just the
-/// serial one.
+/// The replay runs through the batched [`cmpsim_trace::replay_matrix`]
+/// driver at `CMPSIM_REPLAY_JOBS` ([`cmpsim_trace::replay_jobs`]), so the
+/// verify.sh 56-case gate pins the job-pool path, not just the serial
+/// one.
 ///
 /// # Panics
 ///
-/// As [`run_case`]; additionally panics if the trace fails to decode,
-/// parallel decode diverges from serial, or the replayed statistics
-/// differ.
+/// As [`run_case`]; additionally panics if the trace fails to decode or
+/// the replayed statistics differ.
 pub fn run_case_replay_checked(case: &MatrixCase) -> RunSummary {
     let w = build_by_name(case.workload, case.n_cpus, case.scale)
         .unwrap_or_else(|e| panic!("building {}: {e}", case.workload));
@@ -351,20 +348,6 @@ pub fn run_case_replay_checked(case: &MatrixCase) -> RunSummary {
     let jobs = cmpsim_trace::replay_jobs();
     let records = cmpsim_trace::decode(&bytes)
         .unwrap_or_else(|e| panic!("{} on {}: decode failed: {e}", case.workload, case.arch));
-    let parallel = cmpsim_trace::decode_parallel(&bytes, jobs).unwrap_or_else(|e| {
-        panic!(
-            "{} on {}: parallel decode failed: {e}",
-            case.workload, case.arch
-        )
-    });
-    assert_eq!(
-        records,
-        parallel,
-        "{} on {} ({}): parallel decode (jobs={jobs}) diverged from serial",
-        case.workload,
-        case.arch,
-        cpu_label(case.cpu),
-    );
     let sc = cfg.system_config();
     let replayed = cmpsim_trace::replay_matrix(&records, 1, jobs, |_| {
         cfg.arch.try_build(&sc).unwrap_or_else(|e| panic!("{e}"))

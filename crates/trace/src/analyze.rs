@@ -7,7 +7,7 @@
 //! captured trace — no simulation required, so they run at decode speed
 //! and apply equally to externally supplied traces.
 
-use crate::codec::{TraceError, TraceKind, TraceReader, TraceRecord};
+use crate::codec::{decode_with_header, TraceError, TraceKind, TraceRecord};
 use cmpsim_engine::Histogram;
 use std::collections::HashMap;
 use std::fmt;
@@ -298,9 +298,7 @@ where
 ///
 /// Propagates decode errors.
 pub fn analyze_bytes(bytes: &[u8]) -> Result<TraceAnalysis, TraceError> {
-    let reader = TraceReader::new(bytes)?;
-    let header = reader.header();
-    let records = reader.collect_all()?;
+    let (header, records) = decode_with_header(bytes)?;
     Ok(analyze(
         &records,
         usize::from(header.n_cpus).max(1),

@@ -9,53 +9,43 @@
 //! footer:  0xFFFF_FFFF: u32 LE | total_records: u64 LE
 //! ```
 //!
-//! Each payload record is a tag byte (access kind in the low 2 bits, CPU id
-//! in the high 6) followed by two LEB128 varints: the zigzag-encoded cycle
-//! delta and address delta against the previous record. Cycle deltas are
-//! signed because the run loop's per-CPU interleave can step time backwards
+//! A chunk payload opens with a 12-byte *restart preamble* — the absolute
+//! delta baseline (`restart_cycle: u64 LE | restart_addr: u32 LE`) the
+//! chunk's first record is encoded against — followed by the records. Each
+//! record is a tag byte (access kind in the low 2 bits, CPU id in the high
+//! 6) followed by two LEB128 varints: the zigzag-encoded cycle delta and
+//! address delta against the previous record. Cycle deltas are signed
+//! because the run loop's per-CPU interleave can step time backwards
 //! between consecutive records even though each CPU's own stream is
 //! monotone.
 //!
-//! **Format v2 (current): restartable chunks.** A v2 chunk payload opens
-//! with a 12-byte *restart preamble* — the absolute delta baseline
-//! (`restart_cycle: u64 LE | restart_addr: u32 LE`) the chunk's first
-//! record is encoded against — so every chunk decodes independently of
-//! every other: initialize the delta state from the preamble and walk the
-//! records. That is what lets [`decode_parallel`] fan chunk decode across
-//! host threads and lets any chunk subset decode in any order
-//! ([`scan_chunks`] / [`decode_chunk`]). The preamble sits inside the
-//! checksummed payload, so a corrupted restart state is detected exactly
-//! like a corrupted record.
+//! The preamble makes every chunk decode on its own: [`salvage`] relies on
+//! it to skip a corrupt chunk and keep every chunk after it, and any chunk
+//! subset decodes in any order ([`scan_chunks`] / [`decode_chunk`]). It
+//! sits inside the checksummed payload, so a corrupted restart state is
+//! detected exactly like a corrupted record.
 //!
-//! **Format v1 (still readable).** v1 chunks carry no preamble; their
-//! delta state deliberately crosses chunk boundaries, so a v1 trace can
-//! only decode serially front to back (chunk 0 is the one exception — its
-//! baseline is the all-zero initial state). Readers accept both versions;
-//! writers emit v2 unless [`ENV_TRACE_FORMAT`] (`CMPSIM_TRACE_FORMAT=1`)
-//! pins the legacy format, and `cmpsim replay --rewrite` migrates v1
-//! files in place of re-capturing.
-//!
-//! The footer doubles as the truncation sentinel: a reader that reaches end
-//! of file without having consumed a footer reports
-//! [`TraceError::Truncated`], and a footer whose record count disagrees
-//! with the records actually decoded reports [`TraceError::CountMismatch`].
+//! Every reader is a loop over the same two steps — a frame walker that
+//! reads one chunk header or the footer, and a chunk decoder that verifies
+//! the checksum, reads the preamble and appends the chunk's records — and
+//! the readers differ only in what they do with an error. The footer
+//! doubles as the truncation sentinel: a reader that reaches end of file
+//! without having consumed a footer reports [`TraceError::Truncated`], and
+//! a footer whose record count disagrees with the records actually decoded
+//! reports [`TraceError::CountMismatch`].
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::ops::Range;
 
 /// File magic: the first four bytes of every cmpsim trace.
 pub const MAGIC: [u8; 4] = *b"CMPT";
 
-/// Current format version (the fifth byte of the file): restartable
-/// chunks.
+/// Format version (the fifth byte of the file). Readers reject every
+/// other version with [`TraceError::BadVersion`].
 pub const VERSION: u8 = 2;
 
-/// Legacy format version: delta state carries across chunk boundaries, so
-/// decode is serial front to back.
-pub const VERSION_V1: u8 = 1;
-
-/// Bytes of the v2 restart preamble at the front of every chunk payload:
+/// Bytes of the restart preamble at the front of every chunk payload:
 /// `restart_cycle: u64 LE | restart_addr: u32 LE`.
 pub const RESTART_BYTES: usize = 12;
 
@@ -68,21 +58,8 @@ pub const FOOTER_SENTINEL: u32 = 0xFFFF_FFFF;
 /// Highest CPU id the 6-bit tag field can carry.
 pub const MAX_CPU: u8 = 63;
 
-/// Environment knob selecting the format written by [`TraceWriter::new`]
-/// (and therefore by `CMPSIM_TRACE_OUT` capture): `1` writes the legacy
-/// carry-across-chunks format, anything else (including unset) writes the
-/// current restartable format. Exists so the v1→v2 migration path stays
-/// testable end to end after the writer default moved on.
-pub const ENV_TRACE_FORMAT: &str = "CMPSIM_TRACE_FORMAT";
-
-/// The version [`TraceWriter::new`] writes: [`VERSION_V1`] when
-/// [`ENV_TRACE_FORMAT`] is `1`, else [`VERSION`].
-pub fn default_version() -> u8 {
-    match std::env::var(ENV_TRACE_FORMAT) {
-        Ok(v) if v.trim() == "1" => VERSION_V1,
-        _ => VERSION,
-    }
-}
+/// Fewest bytes one record can take: a tag and two one-byte varints.
+const MIN_RECORD_BYTES: usize = 3;
 
 /// What one trace record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,21 +159,15 @@ pub enum TraceError {
         /// Checksum of the bytes actually read.
         found: u64,
     },
-    /// A v2 chunk payload is too short to carry its restart preamble.
+    /// A chunk payload is too short to carry its restart preamble.
     BadRestart {
-        /// Zero-based chunk index.
-        chunk: u64,
-    },
-    /// The chunk cannot decode independently: a v1 chunk past index 0 has
-    /// no restart state of its own (its delta baseline lives in the chunk
-    /// before it).
-    NotRestartable {
         /// Zero-based chunk index.
         chunk: u64,
     },
     /// The file ended before a complete footer was read.
     Truncated,
-    /// A chunk payload did not decode to exactly its declared records.
+    /// A chunk payload did not decode to exactly its declared records,
+    /// or declares more records than it has bytes for.
     ChunkOverrun {
         /// Zero-based chunk index.
         chunk: u64,
@@ -220,7 +191,7 @@ impl fmt::Display for TraceError {
             TraceError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported trace version {v} (this build reads {VERSION_V1} and {VERSION})"
+                    "unsupported trace version {v} (this build reads {VERSION})"
                 )
             }
             TraceError::ChecksumMismatch {
@@ -234,10 +205,6 @@ impl fmt::Display for TraceError {
             TraceError::BadRestart { chunk } => {
                 write!(f, "chunk {chunk} is too short to carry its restart state")
             }
-            TraceError::NotRestartable { chunk } => write!(
-                f,
-                "chunk {chunk} of a v1 trace cannot decode independently (rewrite to v2 first)"
-            ),
             TraceError::Truncated => write!(f, "trace truncated: footer missing"),
             TraceError::ChunkOverrun { chunk } => {
                 write!(f, "chunk {chunk} payload does not match its record count")
@@ -335,9 +302,8 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Delta state a record stream is encoded against. In a v2 trace it is
-/// reset from each chunk's restart preamble; in a v1 trace it carries
-/// across chunks front to back.
+/// Delta state a record stream is encoded against, reset from each
+/// chunk's restart preamble.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct DeltaState {
     prev_cycle: u64,
@@ -345,13 +311,13 @@ struct DeltaState {
 }
 
 impl DeltaState {
-    /// Writes the 12-byte v2 restart preamble naming this state.
+    /// Writes the 12-byte restart preamble naming this state.
     fn write_restart(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.prev_cycle.to_le_bytes());
         out.extend_from_slice(&self.prev_addr.to_le_bytes());
     }
 
-    /// Reads a 12-byte v2 restart preamble. `None` if fewer bytes remain.
+    /// Reads a 12-byte restart preamble. `None` if fewer bytes remain.
     fn read_restart(buf: &[u8], pos: &mut usize) -> Option<DeltaState> {
         let cycle = take::<8>(buf, pos)?;
         let addr = take::<4>(buf, pos)?;
@@ -436,28 +402,6 @@ impl DeltaState {
     }
 }
 
-/// Decodes exactly `n_records` records from `payload[*pos..]` into `out`.
-/// Runs the delta state in a register-resident local and writes it back
-/// once — the shared hot loop of every decode path. `false` on underrun.
-#[inline]
-fn decode_records(
-    payload: &[u8],
-    pos: &mut usize,
-    n_records: u32,
-    state: &mut DeltaState,
-    out: &mut Vec<TraceRecord>,
-) -> bool {
-    let mut local = *state;
-    for _ in 0..n_records {
-        match local.decode(payload, pos) {
-            Some(rec) => out.push(rec),
-            None => return false,
-        }
-    }
-    *state = local;
-    true
-}
-
 /// Streaming chunked writer.
 ///
 /// Buffers records, flushes a checksummed chunk every [`CHUNK_RECORDS`],
@@ -466,7 +410,6 @@ fn decode_records(
 /// call `finish` explicitly when they matter).
 pub struct TraceWriter<W: Write> {
     out: Option<W>,
-    version: u8,
     pending: Vec<TraceRecord>,
     state: DeltaState,
     records: u64,
@@ -476,7 +419,6 @@ pub struct TraceWriter<W: Write> {
 impl<W: Write> fmt::Debug for TraceWriter<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceWriter")
-            .field("version", &self.version)
             .field("records", &self.records)
             .field("bytes", &self.bytes)
             .field("finished", &self.out.is_none())
@@ -485,28 +427,12 @@ impl<W: Write> fmt::Debug for TraceWriter<W> {
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Starts a trace in the default format ([`default_version`]; v2
-    /// unless `CMPSIM_TRACE_FORMAT=1`): writes the header immediately.
-    pub fn new(out: W, n_cpus: usize, line_bytes: u32) -> io::Result<TraceWriter<W>> {
-        TraceWriter::with_version(out, n_cpus, line_bytes, default_version())
-    }
-
-    /// Starts a trace pinned to `version` ([`VERSION`] or [`VERSION_V1`]).
+    /// Starts a trace: writes the header immediately.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown version or a CPU count the tag field cannot
-    /// carry.
-    pub fn with_version(
-        mut out: W,
-        n_cpus: usize,
-        line_bytes: u32,
-        version: u8,
-    ) -> io::Result<TraceWriter<W>> {
-        assert!(
-            version == VERSION || version == VERSION_V1,
-            "unknown trace format version {version}"
-        );
+    /// Panics on a CPU count the tag field cannot carry.
+    pub fn new(mut out: W, n_cpus: usize, line_bytes: u32) -> io::Result<TraceWriter<W>> {
         assert!(
             n_cpus <= usize::from(MAX_CPU) + 1,
             "trace tag field carries at most {} CPUs",
@@ -514,13 +440,12 @@ impl<W: Write> TraceWriter<W> {
         );
         let mut header = [0u8; 8];
         header[..4].copy_from_slice(&MAGIC);
-        header[4] = version;
+        header[4] = VERSION;
         header[5] = n_cpus as u8;
         header[6..8].copy_from_slice(&(line_bytes as u16).to_le_bytes());
         out.write_all(&header)?;
         Ok(TraceWriter {
             out: Some(out),
-            version,
             pending: Vec::with_capacity(CHUNK_RECORDS),
             state: DeltaState::default(),
             records: 0,
@@ -543,11 +468,9 @@ impl<W: Write> TraceWriter<W> {
             return Ok(());
         }
         let mut payload = Vec::with_capacity(RESTART_BYTES + self.pending.len() * 4);
-        if self.version == VERSION {
-            // The restart preamble is the delta baseline of the chunk's
-            // first record: exactly the writer's state before encoding it.
-            self.state.write_restart(&mut payload);
-        }
+        // The restart preamble is the delta baseline of the chunk's first
+        // record: exactly the writer's state before encoding it.
+        self.state.write_restart(&mut payload);
         for rec in &self.pending {
             self.state.encode(rec, &mut payload);
         }
@@ -601,187 +524,6 @@ impl<W: Write> Drop for TraceWriter<W> {
     }
 }
 
-/// Streaming chunked reader: an iterator of records that verifies every
-/// chunk checksum and the footer count on the way through. Reads both
-/// format versions ([`TraceHeader::version`] says which).
-#[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    src: R,
-    header: TraceHeader,
-    chunk: Vec<TraceRecord>,
-    next: usize,
-    state: DeltaState,
-    chunks_read: u64,
-    decoded: u64,
-    finished: bool,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Opens a trace: reads and validates the header.
-    pub fn new(mut src: R) -> Result<TraceReader<R>, TraceError> {
-        let mut header = [0u8; 8];
-        src.read_exact(&mut header)?;
-        if header[..4] != MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&header[..4]);
-            return Err(TraceError::BadMagic(m));
-        }
-        if header[4] != VERSION && header[4] != VERSION_V1 {
-            return Err(TraceError::BadVersion(header[4]));
-        }
-        Ok(TraceReader {
-            src,
-            header: TraceHeader {
-                version: header[4],
-                n_cpus: header[5],
-                line_bytes: u16::from_le_bytes([header[6], header[7]]),
-            },
-            chunk: Vec::new(),
-            next: 0,
-            state: DeltaState::default(),
-            chunks_read: 0,
-            decoded: 0,
-            finished: false,
-        })
-    }
-
-    /// The file's header metadata.
-    pub fn header(&self) -> TraceHeader {
-        self.header
-    }
-
-    /// Loads and verifies the next chunk. `Ok(false)` means the footer was
-    /// reached (and validated).
-    fn load_chunk(&mut self) -> Result<bool, TraceError> {
-        let mut word = [0u8; 4];
-        self.src.read_exact(&mut word)?;
-        let payload_len = u32::from_le_bytes(word);
-        if payload_len == FOOTER_SENTINEL {
-            let mut total = [0u8; 8];
-            self.src.read_exact(&mut total)?;
-            let expected = u64::from_le_bytes(total);
-            if expected != self.decoded {
-                return Err(TraceError::CountMismatch {
-                    expected,
-                    found: self.decoded,
-                });
-            }
-            let mut probe = [0u8; 1];
-            match self.src.read(&mut probe) {
-                Ok(0) => {}
-                Ok(_) => return Err(TraceError::TrailingData),
-                Err(e) => return Err(e.into()),
-            }
-            self.finished = true;
-            return Ok(false);
-        }
-        self.src.read_exact(&mut word)?;
-        let n_records = u32::from_le_bytes(word);
-        let mut sum = [0u8; 8];
-        self.src.read_exact(&mut sum)?;
-        let expected = u64::from_le_bytes(sum);
-        let mut payload = vec![0u8; payload_len as usize];
-        self.src.read_exact(&mut payload)?;
-        let found = fnv1a(&payload);
-        if found != expected {
-            return Err(TraceError::ChecksumMismatch {
-                chunk: self.chunks_read,
-                expected,
-                found,
-            });
-        }
-        let mut pos = 0usize;
-        if self.header.version == VERSION {
-            // Restartable chunk: the delta baseline is in the preamble,
-            // not carried from the previous chunk.
-            self.state =
-                DeltaState::read_restart(&payload, &mut pos).ok_or(TraceError::BadRestart {
-                    chunk: self.chunks_read,
-                })?;
-        }
-        self.chunk.clear();
-        if !decode_records(
-            &payload,
-            &mut pos,
-            n_records,
-            &mut self.state,
-            &mut self.chunk,
-        ) || pos != payload.len()
-        {
-            return Err(TraceError::ChunkOverrun {
-                chunk: self.chunks_read,
-            });
-        }
-        self.chunks_read += 1;
-        self.decoded += u64::from(n_records);
-        self.next = 0;
-        Ok(true)
-    }
-
-    /// Drains the remaining records into a vector, validating everything.
-    pub fn collect_all(self) -> Result<Vec<TraceRecord>, TraceError> {
-        let mut out = Vec::new();
-        for rec in self {
-            out.push(rec?);
-        }
-        Ok(out)
-    }
-
-    /// Decodes the whole trace with chunk decode fanned across up to
-    /// `jobs` threads of the engine job pool, returning records
-    /// byte-identical to serial decode at any job count (chunks merge in
-    /// index order). A v1 trace — whose chunks cannot decode
-    /// independently — silently takes the serial path, as does `jobs <= 1`.
-    ///
-    /// Must be called on a freshly opened reader: it slurps the remaining
-    /// stream into memory and re-frames it, so records already iterated
-    /// would be dropped.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode`]: the error of the lowest-index failing chunk, or the
-    /// framing/footer error, deterministically at any job count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if records were already consumed from this reader.
-    pub fn decode_chunks_parallel(mut self, jobs: usize) -> Result<Vec<TraceRecord>, TraceError> {
-        assert!(
-            self.decoded == 0 && self.next >= self.chunk.len(),
-            "decode_chunks_parallel needs a freshly opened reader"
-        );
-        let mut body = Vec::new();
-        self.src.read_to_end(&mut body)?;
-        decode_body_parallel(self.header, &body, jobs)
-    }
-}
-
-impl<R: Read> Iterator for TraceReader<R> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.next < self.chunk.len() {
-                let rec = self.chunk[self.next];
-                self.next += 1;
-                return Some(Ok(rec));
-            }
-            if self.finished {
-                return None;
-            }
-            match self.load_chunk() {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => {
-                    // Poison the reader: one error ends the stream.
-                    self.finished = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
 /// Reads `N` little-endian bytes at `*pos`, advancing it. `None` at EOF.
 #[inline]
 fn take<const N: usize>(bytes: &[u8], pos: &mut usize) -> Option<[u8; N]> {
@@ -798,7 +540,7 @@ fn parse_header(bytes: &[u8], pos: &mut usize) -> Result<TraceHeader, TraceError
         m.copy_from_slice(&header[..4]);
         return Err(TraceError::BadMagic(m));
     }
-    if header[4] != VERSION && header[4] != VERSION_V1 {
+    if header[4] != VERSION {
         return Err(TraceError::BadVersion(header[4]));
     }
     Ok(TraceHeader {
@@ -806,6 +548,97 @@ fn parse_header(bytes: &[u8], pos: &mut usize) -> Result<TraceHeader, TraceError
         n_cpus: header[5],
         line_bytes: u16::from_le_bytes([header[6], header[7]]),
     })
+}
+
+/// One step of the frame walk.
+enum Frame {
+    /// A chunk header, with the byte range its payload claims.
+    Chunk {
+        n_records: u32,
+        checksum: u64,
+        payload: Range<usize>,
+    },
+    /// The footer, with the record total it claims.
+    Footer { total: u64 },
+}
+
+/// The frame walker: reads the chunk header or footer at `*pos` and moves
+/// `*pos` past it (and past a chunk's payload). A header or footer cut
+/// off by the end of `bytes` is `Truncated`. The payload range is not
+/// checked against `bytes`, because callers order that check differently:
+/// [`scan_chunks`] reports a payload too short for its restart preamble
+/// before one the file cuts off.
+fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<Frame, TraceError> {
+    let payload_len = u32::from_le_bytes(take(bytes, pos).ok_or(TraceError::Truncated)?);
+    if payload_len == FOOTER_SENTINEL {
+        let total = u64::from_le_bytes(take(bytes, pos).ok_or(TraceError::Truncated)?);
+        return Ok(Frame::Footer { total });
+    }
+    let n_records = u32::from_le_bytes(take(bytes, pos).ok_or(TraceError::Truncated)?);
+    let checksum = u64::from_le_bytes(take(bytes, pos).ok_or(TraceError::Truncated)?);
+    let start = *pos;
+    *pos = start.saturating_add(payload_len as usize);
+    Ok(Frame::Chunk {
+        n_records,
+        checksum,
+        payload: start..*pos,
+    })
+}
+
+/// Checks a footer's record total against the records counted before it,
+/// and that no bytes follow it.
+fn check_footer(total: u64, counted: u64, at_end: bool) -> Result<(), TraceError> {
+    if total != counted {
+        return Err(TraceError::CountMismatch {
+            expected: total,
+            found: counted,
+        });
+    }
+    if !at_end {
+        return Err(TraceError::TrailingData);
+    }
+    Ok(())
+}
+
+/// The chunk decoder: verifies `payload` against `checksum`, reads its
+/// restart preamble and appends exactly `n_records` records to `out`. On
+/// error `out` is left as it was; `chunk` only labels the error.
+fn decode_chunk_into(
+    payload: &[u8],
+    checksum: u64,
+    n_records: u32,
+    chunk: u64,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), TraceError> {
+    let found = fnv1a(payload);
+    if found != checksum {
+        return Err(TraceError::ChecksumMismatch {
+            chunk,
+            expected: checksum,
+            found,
+        });
+    }
+    let mut pos = 0usize;
+    let mut state =
+        DeltaState::read_restart(payload, &mut pos).ok_or(TraceError::BadRestart { chunk })?;
+    // The count comes from the file: bound it by what the payload can
+    // hold before reserving room for it.
+    if n_records as usize > (payload.len() - pos) / MIN_RECORD_BYTES {
+        return Err(TraceError::ChunkOverrun { chunk });
+    }
+    let start = out.len();
+    out.reserve(n_records as usize);
+    for _ in 0..n_records {
+        match state.decode(payload, &mut pos) {
+            Some(rec) => out.push(rec),
+            None => break,
+        }
+    }
+    if out.len() - start != n_records as usize || pos != payload.len() {
+        out.truncate(start);
+        return Err(TraceError::ChunkOverrun { chunk });
+    }
+    Ok(())
 }
 
 /// One chunk's framing, located by [`scan_chunks`] without decoding any
@@ -823,20 +656,9 @@ pub struct ChunkFrame {
     pub n_records: u32,
     /// Checksum the chunk header claims for the payload.
     pub checksum: u64,
-    /// Byte range of the payload (v2: including the restart preamble)
-    /// within the slice [`scan_chunks`] walked.
+    /// Byte range of the payload (including the restart preamble) within
+    /// the slice [`scan_chunks`] walked.
     pub payload: Range<usize>,
-    /// Format version of the containing file.
-    pub version: u8,
-}
-
-impl ChunkFrame {
-    /// Whether this chunk can decode independently of every other: any v2
-    /// chunk (restart preamble), or the first chunk of a v1 trace (its
-    /// baseline is the all-zero initial state).
-    pub fn restartable(&self) -> bool {
-        self.version == VERSION || self.index == 0
-    }
 }
 
 /// Walks the chunk framing of an in-memory trace without decoding a
@@ -854,92 +676,56 @@ impl ChunkFrame {
 pub fn scan_chunks(bytes: &[u8]) -> Result<(TraceHeader, Vec<ChunkFrame>), TraceError> {
     let mut pos = 0usize;
     let header = parse_header(bytes, &mut pos)?;
-    let frames = scan_body(header, bytes, pos)?;
-    Ok((header, frames))
-}
-
-/// The body of [`scan_chunks`]: walks frames from `pos` to the footer.
-fn scan_body(
-    header: TraceHeader,
-    bytes: &[u8],
-    mut pos: usize,
-) -> Result<Vec<ChunkFrame>, TraceError> {
     let mut frames = Vec::new();
     let mut first_record = 0u64;
     loop {
-        let payload_len = u32::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-        if payload_len == FOOTER_SENTINEL {
-            let expected = u64::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-            if expected != first_record {
-                return Err(TraceError::CountMismatch {
-                    expected,
-                    found: first_record,
+        match next_frame(bytes, &mut pos)? {
+            Frame::Footer { total } => {
+                check_footer(total, first_record, pos == bytes.len())?;
+                return Ok((header, frames));
+            }
+            Frame::Chunk {
+                n_records,
+                checksum,
+                payload,
+            } => {
+                let index = frames.len() as u64;
+                if payload.len() < RESTART_BYTES {
+                    return Err(TraceError::BadRestart { chunk: index });
+                }
+                if payload.end > bytes.len() {
+                    return Err(TraceError::Truncated);
+                }
+                frames.push(ChunkFrame {
+                    index,
+                    first_record,
+                    n_records,
+                    checksum,
+                    payload,
                 });
+                first_record += u64::from(n_records);
             }
-            if pos != bytes.len() {
-                return Err(TraceError::TrailingData);
-            }
-            return Ok(frames);
         }
-        let n_records = u32::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-        let checksum = u64::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-        let index = frames.len() as u64;
-        if header.version == VERSION && (payload_len as usize) < RESTART_BYTES {
-            return Err(TraceError::BadRestart { chunk: index });
-        }
-        let start = pos;
-        let end = start
-            .checked_add(payload_len as usize)
-            .filter(|&e| e <= bytes.len())
-            .ok_or(TraceError::Truncated)?;
-        pos = end;
-        frames.push(ChunkFrame {
-            index,
-            first_record,
-            n_records,
-            checksum,
-            payload: start..end,
-            version: header.version,
-        });
-        first_record += u64::from(n_records);
     }
 }
 
 /// Decodes one chunk independently of every other: verifies its checksum,
-/// initializes the delta state from its restart preamble (v2) or the
-/// all-zero initial state (v1 chunk 0), and decodes exactly its declared
-/// records. `bytes` must be the same slice `frame` was scanned from.
+/// initializes the delta state from its restart preamble, and decodes
+/// exactly its declared records. `bytes` must be the same slice `frame`
+/// was scanned from.
 ///
 /// # Errors
 ///
-/// `NotRestartable` for a v1 chunk past index 0, `ChecksumMismatch`,
-/// `BadRestart`, or `ChunkOverrun`.
+/// `ChecksumMismatch`, `BadRestart`, or `ChunkOverrun`.
 pub fn decode_chunk(bytes: &[u8], frame: &ChunkFrame) -> Result<Vec<TraceRecord>, TraceError> {
-    if !frame.restartable() {
-        return Err(TraceError::NotRestartable { chunk: frame.index });
-    }
-    let payload = &bytes[frame.payload.clone()];
-    let found = fnv1a(payload);
-    if found != frame.checksum {
-        return Err(TraceError::ChecksumMismatch {
-            chunk: frame.index,
-            expected: frame.checksum,
-            found,
-        });
-    }
-    let mut pos = 0usize;
-    let mut state = if frame.version == VERSION {
-        DeltaState::read_restart(payload, &mut pos)
-            .ok_or(TraceError::BadRestart { chunk: frame.index })?
-    } else {
-        DeltaState::default()
-    };
-    let mut out = Vec::with_capacity(frame.n_records as usize);
-    if !decode_records(payload, &mut pos, frame.n_records, &mut state, &mut out)
-        || pos != payload.len()
-    {
-        return Err(TraceError::ChunkOverrun { chunk: frame.index });
-    }
+    let mut out = Vec::new();
+    decode_chunk_into(
+        &bytes[frame.payload.clone()],
+        frame.checksum,
+        frame.n_records,
+        frame.index,
+        &mut out,
+    )?;
     Ok(out)
 }
 
@@ -955,9 +741,7 @@ pub struct Salvage {
     /// Chunks whose payload verified and decoded.
     pub chunks_recovered: u64,
     /// Chunks whose framing was intact but whose payload failed its
-    /// checksum, restart preamble, or decode (v2 only: a bad v1 chunk
-    /// ends the walk instead, because later v1 chunks need its final
-    /// delta state as their baseline).
+    /// checksum, restart preamble, or decode.
     pub chunks_skipped: u64,
     /// Bytes abandoned at the tail: a torn chunk header, a partial
     /// payload, a missing footer, or trailing garbage after it.
@@ -974,10 +758,9 @@ pub struct Salvage {
 /// Where [`decode`] rejects the whole file on the first framing or
 /// payload error, this walks leniently: torn framing at the tail (the
 /// usual result of a `kill -9` or disk-full mid-capture) drops only the
-/// unfinished bytes; a v2 chunk with a bad checksum or payload is
-/// skipped and the walk continues, because every v2 chunk carries a
-/// restart preamble and decodes independently. A bad v1 chunk ends the
-/// walk — chunks after it would inherit a poisoned delta baseline.
+/// unfinished bytes; a chunk with a bad checksum or payload is skipped
+/// and the walk continues, because every chunk carries a restart preamble
+/// and decodes independently.
 ///
 /// # Errors
 ///
@@ -994,101 +777,46 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, TraceError> {
         bytes_dropped: 0,
         clean_eof: false,
     };
-    // v1 chunks chain their delta state; v2 chunks each re-seed from
-    // their restart preamble, so `state` is only carried for v1.
-    let mut state = DeltaState::default();
     let mut declared = 0u64;
     loop {
         let frame_start = pos;
-        let Some(len_bytes) = take::<4>(bytes, &mut pos) else {
-            out.bytes_dropped = bytes.len() - frame_start;
-            return Ok(out);
-        };
-        let payload_len = u32::from_le_bytes(len_bytes);
-        if payload_len == FOOTER_SENTINEL {
-            let Some(total_bytes) = take::<8>(bytes, &mut pos) else {
-                out.bytes_dropped = bytes.len() - frame_start;
-                return Ok(out);
-            };
-            let total = u64::from_le_bytes(total_bytes);
-            out.clean_eof = total == declared && pos == bytes.len();
-            out.bytes_dropped = bytes.len() - pos;
-            return Ok(out);
-        }
-        let (Some(n_bytes), Some(sum_bytes)) =
-            (take::<4>(bytes, &mut pos), take::<8>(bytes, &mut pos))
-        else {
-            out.bytes_dropped = bytes.len() - frame_start;
-            return Ok(out);
-        };
-        let n_records = u32::from_le_bytes(n_bytes);
-        let checksum = u64::from_le_bytes(sum_bytes);
-        let Some(end) = pos
-            .checked_add(payload_len as usize)
-            .filter(|&e| e <= bytes.len())
-        else {
-            out.bytes_dropped = bytes.len() - frame_start;
-            return Ok(out);
-        };
-        let payload = &bytes[pos..end];
-        pos = end;
-        declared += u64::from(n_records);
-        // From here the framing is intact; payload faults are per-chunk.
-        let decoded =
-            decode_salvage_payload(header.version, payload, checksum, n_records, &mut state);
-        match decoded {
-            Some(records) => {
-                out.records.extend(records);
-                out.chunks_recovered += 1;
-            }
-            None if header.version == VERSION_V1 => {
-                // Later v1 chunks have no baseline without this one.
-                out.chunks_skipped += 1;
+        match next_frame(bytes, &mut pos) {
+            Ok(Frame::Footer { total }) => {
+                out.clean_eof = total == declared && pos == bytes.len();
                 out.bytes_dropped = bytes.len() - pos;
                 return Ok(out);
             }
-            None => out.chunks_skipped += 1,
+            Ok(Frame::Chunk {
+                n_records,
+                checksum,
+                payload,
+            }) if payload.end <= bytes.len() => {
+                declared += u64::from(n_records);
+                // From here the framing is intact; payload faults are
+                // per-chunk.
+                let chunk = out.chunks_recovered + out.chunks_skipped;
+                match decode_chunk_into(
+                    &bytes[payload],
+                    checksum,
+                    n_records,
+                    chunk,
+                    &mut out.records,
+                ) {
+                    Ok(()) => out.chunks_recovered += 1,
+                    Err(_) => out.chunks_skipped += 1,
+                }
+            }
+            // Torn framing: the bytes end inside a chunk header, a
+            // payload or the footer.
+            _ => {
+                out.bytes_dropped = bytes.len() - frame_start;
+                return Ok(out);
+            }
         }
     }
 }
 
-/// Verifies and decodes one chunk payload during [`salvage`], returning
-/// `None` on any fault. For v1, `state` chains across chunks and is only
-/// advanced when the whole chunk decodes.
-fn decode_salvage_payload(
-    version: u8,
-    payload: &[u8],
-    checksum: u64,
-    n_records: u32,
-    state: &mut DeltaState,
-) -> Option<Vec<TraceRecord>> {
-    if fnv1a(payload) != checksum {
-        return None;
-    }
-    let mut pos = 0usize;
-    let mut local = if version == VERSION {
-        DeltaState::read_restart(payload, &mut pos)?
-    } else {
-        *state
-    };
-    let mut records = Vec::with_capacity(n_records as usize);
-    if !decode_records(payload, &mut pos, n_records, &mut local, &mut records)
-        || pos != payload.len()
-    {
-        return None;
-    }
-    if version == VERSION_V1 {
-        *state = local;
-    }
-    Some(records)
-}
-
 /// Decodes an in-memory trace, validating every chunk and the footer.
-///
-/// This walks the byte slice directly — no `io::Read` indirection, no
-/// intermediate per-chunk record buffer — and is the hot path replay
-/// sweeps lean on; it enforces exactly the same checks as the streaming
-/// [`TraceReader`]. Reads both format versions.
 pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
     decode_with_header(bytes).map(|(_, records)| records)
 }
@@ -1096,200 +824,43 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
 /// [`decode`], also returning the validated file header.
 pub fn decode_with_header(bytes: &[u8]) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
     let mut pos = 0usize;
-    let meta = parse_header(bytes, &mut pos)?;
-    let mut out = Vec::with_capacity(bytes.len() / 4);
-    let mut state = DeltaState::default();
-    let mut chunks = 0u64;
-    loop {
-        let payload_len = u32::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-        if payload_len == FOOTER_SENTINEL {
-            let expected = u64::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-            if expected != out.len() as u64 {
-                return Err(TraceError::CountMismatch {
-                    expected,
-                    found: out.len() as u64,
-                });
-            }
-            if pos != bytes.len() {
-                return Err(TraceError::TrailingData);
-            }
-            return Ok((meta, out));
-        }
-        let n_records = u32::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-        let expected = u64::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-        let payload = bytes
-            .get(pos..pos + payload_len as usize)
-            .ok_or(TraceError::Truncated)?;
-        pos += payload_len as usize;
-        let found = fnv1a(payload);
-        if found != expected {
-            return Err(TraceError::ChecksumMismatch {
-                chunk: chunks,
-                expected,
-                found,
-            });
-        }
-        let mut p = 0usize;
-        if meta.version == VERSION {
-            // v2: reload the baseline from the preamble instead of
-            // carrying it across the chunk boundary.
-            state = DeltaState::read_restart(payload, &mut p)
-                .ok_or(TraceError::BadRestart { chunk: chunks })?;
-        }
-        if !decode_records(payload, &mut p, n_records, &mut state, &mut out) || p != payload.len() {
-            return Err(TraceError::ChunkOverrun { chunk: chunks });
-        }
-        chunks += 1;
-    }
-}
-
-/// [`decode`] with chunk decode fanned across up to `jobs` threads of the
-/// engine job pool ([`cmpsim_engine::pool::run_indexed`]): scans the
-/// chunk framing, decodes every chunk concurrently, and concatenates the
-/// results in chunk-index order — byte-identical to serial [`decode`] at
-/// any job count. A v1 trace (not restartable past chunk 0) and
-/// `jobs <= 1` take the serial path.
-///
-/// # Errors
-///
-/// The framing/footer error, or the error of the lowest-index failing
-/// chunk — deterministic at any job count.
-pub fn decode_parallel(bytes: &[u8], jobs: usize) -> Result<Vec<TraceRecord>, TraceError> {
-    decode_parallel_with_header(bytes, jobs).map(|(_, records)| records)
-}
-
-/// [`decode_parallel`], also returning the validated file header.
-pub fn decode_parallel_with_header(
-    bytes: &[u8],
-    jobs: usize,
-) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
-    let mut pos = 0usize;
     let header = parse_header(bytes, &mut pos)?;
-    let records = decode_body_parallel(header, bytes, jobs)?;
-    Ok((header, records))
-}
-
-/// The shared back half of [`decode_parallel_with_header`] and
-/// [`TraceReader::decode_chunks_parallel`]. `bytes` is the whole file
-/// when it still carries its 8-byte header (`decode_parallel`), or the
-/// header-less remainder of a stream (the reader path) — `scan_body`
-/// starts after the header iff one is present.
-fn decode_body_parallel(
-    header: TraceHeader,
-    bytes: &[u8],
-    jobs: usize,
-) -> Result<Vec<TraceRecord>, TraceError> {
-    let body_start = if bytes.len() >= 8 && bytes[..4] == MAGIC {
-        8
-    } else {
-        0
-    };
-    if header.version == VERSION_V1 || jobs <= 1 {
-        // Serial path: v1 chunks carry their delta baseline implicitly.
-        let mut out = Vec::with_capacity(bytes.len() / 4);
-        let mut state = DeltaState::default();
-        let mut pos = body_start;
-        let mut chunks = 0u64;
-        loop {
-            let payload_len =
-                u32::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-            if payload_len == FOOTER_SENTINEL {
-                let expected =
-                    u64::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-                if expected != out.len() as u64 {
-                    return Err(TraceError::CountMismatch {
-                        expected,
-                        found: out.len() as u64,
-                    });
-                }
-                if pos != bytes.len() {
-                    return Err(TraceError::TrailingData);
-                }
-                return Ok(out);
+    let mut out = Vec::with_capacity(bytes.len() / 4);
+    let mut chunk = 0u64;
+    loop {
+        match next_frame(bytes, &mut pos)? {
+            Frame::Footer { total } => {
+                check_footer(total, out.len() as u64, pos == bytes.len())?;
+                return Ok((header, out));
             }
-            let n_records = u32::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-            let expected = u64::from_le_bytes(take(bytes, &mut pos).ok_or(TraceError::Truncated)?);
-            let payload = bytes
-                .get(pos..pos + payload_len as usize)
-                .ok_or(TraceError::Truncated)?;
-            pos += payload_len as usize;
-            let found = fnv1a(payload);
-            if found != expected {
-                return Err(TraceError::ChecksumMismatch {
-                    chunk: chunks,
-                    expected,
-                    found,
-                });
+            Frame::Chunk {
+                n_records,
+                checksum,
+                payload,
+            } => {
+                let payload = bytes.get(payload).ok_or(TraceError::Truncated)?;
+                decode_chunk_into(payload, checksum, n_records, chunk, &mut out)?;
+                chunk += 1;
             }
-            let mut p = 0usize;
-            if header.version == VERSION {
-                state = DeltaState::read_restart(payload, &mut p)
-                    .ok_or(TraceError::BadRestart { chunk: chunks })?;
-            }
-            if !decode_records(payload, &mut p, n_records, &mut state, &mut out)
-                || p != payload.len()
-            {
-                return Err(TraceError::ChunkOverrun { chunk: chunks });
-            }
-            chunks += 1;
         }
     }
-    let frames = scan_body(header, bytes, body_start)?;
-    let decoded =
-        cmpsim_engine::pool::run_indexed(jobs, frames.len(), |i| decode_chunk(bytes, &frames[i]));
-    let mut out = Vec::with_capacity(frames.iter().map(|f| f.n_records as usize).sum());
-    // Walking results in index order makes the reported error the
-    // lowest-index failure whatever the thread schedule was.
-    for chunk in decoded {
-        out.append(&mut chunk?);
-    }
-    Ok(out)
 }
 
 /// Encodes records into a complete in-memory trace (header through
-/// footer) in the current format.
+/// footer).
 pub fn encode(
     records: &[TraceRecord],
     n_cpus: usize,
     line_bytes: u32,
 ) -> Result<Vec<u8>, TraceError> {
-    encode_with_version(records, n_cpus, line_bytes, VERSION)
-}
-
-/// [`encode`] pinned to a format version — the legacy-format source for
-/// migration tests and the v1→v2 rewrite gate.
-pub fn encode_with_version(
-    records: &[TraceRecord],
-    n_cpus: usize,
-    line_bytes: u32,
-    version: u8,
-) -> Result<Vec<u8>, TraceError> {
     let mut out = Vec::new();
-    let mut w = TraceWriter::with_version(&mut out, n_cpus, line_bytes, version)?;
+    let mut w = TraceWriter::new(&mut out, n_cpus, line_bytes)?;
     for &rec in records {
         w.push(rec)?;
     }
     w.finish()?;
     drop(w);
     Ok(out)
-}
-
-/// Rewrites a trace into the current restartable format: decodes
-/// (validating everything) and re-encodes as v2, preserving the header's
-/// CPU count and line size. The v1→v2 migration — also accepts a v2
-/// input, which round-trips unchanged in content.
-///
-/// # Errors
-///
-/// Propagates decode errors from the input.
-pub fn rewrite_v2(bytes: &[u8]) -> Result<Vec<u8>, TraceError> {
-    let (header, records) = decode_with_header(bytes)?;
-    encode_with_version(
-        &records,
-        usize::from(header.n_cpus),
-        u32::from(header.line_bytes),
-        VERSION,
-    )
 }
 
 #[cfg(test)]
@@ -1340,19 +911,37 @@ mod tests {
             .collect()
     }
 
+    /// Hand-builds a 1-CPU file of one chunk holding `payload` (with a
+    /// valid checksum) and declaring `n_records`, then a footer claiming
+    /// `total`.
+    fn one_chunk_file(payload: &[u8], n_records: u32, total: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.push(VERSION);
+        bytes.push(1); // n_cpus
+        bytes.extend_from_slice(&32u16.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&n_records.to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&FOOTER_SENTINEL.to_le_bytes());
+        bytes.extend_from_slice(&total.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn round_trips_a_small_stream() {
         let bytes = encode(&sample(), 4, 32).expect("encodes");
-        let reader = TraceReader::new(&bytes[..]).expect("opens");
+        let (header, records) = decode_with_header(&bytes).expect("decodes");
         assert_eq!(
-            reader.header(),
+            header,
             TraceHeader {
                 version: VERSION,
                 n_cpus: 4,
                 line_bytes: 32
             }
         );
-        assert_eq!(reader.collect_all().expect("decodes"), sample());
+        assert_eq!(records, sample());
     }
 
     #[test]
@@ -1360,46 +949,6 @@ mod tests {
         let records = multi_chunk();
         let bytes = encode(&records, 4, 32).expect("encodes");
         assert_eq!(decode(&bytes).expect("decodes"), records);
-    }
-
-    #[test]
-    fn v1_round_trips_via_every_serial_path() {
-        let records = multi_chunk();
-        let bytes = encode_with_version(&records, 4, 32, VERSION_V1).expect("encodes");
-        let reader = TraceReader::new(&bytes[..]).expect("opens");
-        assert_eq!(reader.header().version, VERSION_V1);
-        assert_eq!(reader.collect_all().expect("streams"), records);
-        assert_eq!(decode(&bytes).expect("decodes"), records);
-        // The parallel entry point silently falls back to serial for v1.
-        assert_eq!(decode_parallel(&bytes, 4).expect("decodes"), records);
-    }
-
-    #[test]
-    fn v2_is_smaller_than_the_sum_of_its_parts_but_carries_restarts() {
-        let records = multi_chunk();
-        let v1 = encode_with_version(&records, 4, 32, VERSION_V1).expect("encodes");
-        let v2 = encode(&records, 4, 32).expect("encodes");
-        // 4 chunks × 12-byte preamble, plus the deltas of each chunk's
-        // first record now measured from the restart baseline (which the
-        // v1 carry already equals, so only the preamble differs).
-        assert_eq!(v2.len(), v1.len() + 4 * RESTART_BYTES);
-        assert_eq!(decode(&v2).expect("decodes"), records);
-    }
-
-    #[test]
-    fn parallel_decode_is_byte_identical_to_serial_at_any_job_count() {
-        let records = multi_chunk();
-        let bytes = encode(&records, 4, 32).expect("encodes");
-        let serial = decode(&bytes).expect("decodes");
-        for jobs in [1usize, 2, 3, 4, 7] {
-            assert_eq!(
-                decode_parallel(&bytes, jobs).expect("decodes"),
-                serial,
-                "jobs={jobs}"
-            );
-        }
-        let reader = TraceReader::new(&bytes[..]).expect("opens");
-        assert_eq!(reader.decode_chunks_parallel(4).expect("decodes"), serial);
     }
 
     #[test]
@@ -1422,21 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_chunks_past_zero_refuse_independent_decode() {
-        let records = multi_chunk();
-        let bytes = encode_with_version(&records, 4, 32, VERSION_V1).expect("encodes");
-        let (_, frames) = scan_chunks(&bytes).expect("scans");
-        assert!(frames[0].restartable(), "chunk 0 starts from zero state");
-        let got = decode_chunk(&bytes, &frames[0]).expect("decodes");
-        assert_eq!(got, records[..frames[0].n_records as usize]);
-        assert!(!frames[1].restartable());
-        assert!(matches!(
-            decode_chunk(&bytes, &frames[1]).expect_err("not restartable"),
-            TraceError::NotRestartable { chunk: 1 }
-        ));
-    }
-
-    #[test]
     fn corrupted_restart_preamble_fails_the_checksum() {
         let bytes = encode(&multi_chunk(), 4, 32).expect("encodes");
         let (_, frames) = scan_chunks(&bytes).expect("scans");
@@ -1452,28 +986,13 @@ mod tests {
             decode_chunk(&bad, &bad_frames[1]).expect_err("corrupt restart"),
             TraceError::ChecksumMismatch { chunk: 1, .. }
         ));
-        assert!(matches!(
-            decode_parallel(&bad, 4).expect_err("corrupt restart"),
-            TraceError::ChecksumMismatch { chunk: 1, .. }
-        ));
     }
 
     #[test]
     fn truncated_restart_preamble_is_detected() {
-        // Hand-build a v2 file whose only chunk's payload is shorter than
-        // the 12-byte restart preamble (payload: 4 bytes of zeros).
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION);
-        bytes.push(1); // n_cpus
-        bytes.extend_from_slice(&32u16.to_le_bytes());
-        let payload = [0u8; 4];
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // n_records
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&FOOTER_SENTINEL.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
+        // The only chunk's payload is shorter than the 12-byte restart
+        // preamble.
+        let bytes = one_chunk_file(&[0u8; 4], 0, 0);
         assert!(matches!(
             decode(&bytes).expect_err("short restart"),
             TraceError::BadRestart { chunk: 0 }
@@ -1482,59 +1001,20 @@ mod tests {
             scan_chunks(&bytes).expect_err("short restart"),
             TraceError::BadRestart { chunk: 0 }
         ));
-        assert!(matches!(
-            decode_parallel(&bytes, 4).expect_err("short restart"),
-            TraceError::BadRestart { chunk: 0 }
-        ));
-        let reader = TraceReader::new(&bytes[..]).expect("header is fine");
-        let err = reader
-            .collect_all()
-            .expect_err("streaming reader rejects it too");
-        // The streaming reader sees a 4-byte payload that cannot yield a
-        // preamble; decode_general then underruns ⇒ BadRestart.
-        assert!(matches!(err, TraceError::BadRestart { chunk: 0 }), "{err}");
-    }
-
-    #[test]
-    fn rewrite_v1_to_v2_preserves_records_and_header() {
-        let records = multi_chunk();
-        let v1 = encode_with_version(&records, 8, 64, VERSION_V1).expect("encodes");
-        let v2 = rewrite_v2(&v1).expect("rewrites");
-        let (header, got) = decode_with_header(&v2).expect("decodes");
-        assert_eq!(header.version, VERSION);
-        assert_eq!(header.n_cpus, 8);
-        assert_eq!(header.line_bytes, 64);
-        assert_eq!(got, records);
-        // Rewriting a v2 trace is the identity on bytes.
-        assert_eq!(rewrite_v2(&v2).expect("rewrites"), v2);
-    }
-
-    #[test]
-    fn env_knob_selects_the_writer_format() {
-        // Serial test binaries may run tests concurrently; take the env
-        // lock by using with_version for the pinned cases and only probe
-        // default_version's parsing here.
-        assert_eq!(VERSION, 2);
-        let v1 = encode_with_version(&sample(), 4, 32, VERSION_V1).expect("encodes");
-        assert_eq!(v1[4], VERSION_V1);
-        let v2 = encode(&sample(), 4, 32).expect("encodes");
-        assert_eq!(v2[4], VERSION);
     }
 
     #[test]
     fn truncation_is_detected() {
-        for version in [VERSION_V1, VERSION] {
-            let bytes = encode_with_version(&sample(), 4, 32, version).expect("encodes");
-            for cut in 0..bytes.len() {
-                let err = decode(&bytes[..cut]).expect_err("every strict prefix fails");
-                assert!(
-                    matches!(
-                        err,
-                        TraceError::Truncated | TraceError::CountMismatch { .. }
-                    ),
-                    "v{version} cut at {cut}: {err}"
-                );
-            }
+        let bytes = encode(&sample(), 4, 32).expect("encodes");
+        for cut in 0..bytes.len() {
+            let err = decode(&bytes[..cut]).expect_err("every strict prefix fails");
+            assert!(
+                matches!(
+                    err,
+                    TraceError::Truncated | TraceError::CountMismatch { .. }
+                ),
+                "cut at {cut}: {err}"
+            );
         }
     }
 
@@ -1574,12 +1054,37 @@ mod tests {
             decode(&bad).expect_err("bad magic"),
             TraceError::BadMagic(_)
         ));
-        let mut bad = bytes;
-        bad[4] = 99;
+        for version in [1u8, 99] {
+            let mut bad = bytes.clone();
+            bad[4] = version;
+            let err = decode(&bad).expect_err("bad version");
+            assert!(
+                matches!(err, TraceError::BadVersion(v) if v == version),
+                "{err}"
+            );
+        }
+    }
+
+    /// A 48-byte file: one chunk whose valid checksum covers only the
+    /// restart preamble, declaring `u32::MAX` records. Decoding must fail
+    /// without first reserving room for 4 G records.
+    #[test]
+    fn a_record_count_the_payload_cannot_hold_is_rejected_before_reserving() {
+        let bytes = one_chunk_file(&[0u8; RESTART_BYTES], u32::MAX, u64::from(u32::MAX));
+        assert_eq!(bytes.len(), 48);
         assert!(matches!(
-            decode(&bad).expect_err("bad version"),
-            TraceError::BadVersion(99)
+            decode(&bytes).expect_err("overrun"),
+            TraceError::ChunkOverrun { chunk: 0 }
         ));
+        let (_, frames) = scan_chunks(&bytes).expect("framing is intact");
+        assert!(matches!(
+            decode_chunk(&bytes, &frames[0]).expect_err("overrun"),
+            TraceError::ChunkOverrun { chunk: 0 }
+        ));
+        let s = salvage(&bytes).expect("header is intact");
+        assert_eq!((s.chunks_recovered, s.chunks_skipped), (0, 1));
+        assert!(s.records.is_empty());
+        assert!(s.clean_eof);
     }
 
     #[test]

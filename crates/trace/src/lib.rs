@@ -11,11 +11,10 @@
 //!   [`salvage`] recovers every intact chunk from a torn `.tmp`.
 //! - **Codec** ([`codec`]): a chunked binary format — delta-encoded
 //!   cycles/addresses as zigzag LEB128 varints, FNV-1a checksummed
-//!   chunks, a footer that doubles as a truncation detector. Format v2
-//!   chunks carry restart state, so any chunk decodes independently:
-//!   [`decode_parallel`] fans chunk decode across the engine job pool
-//!   with results byte-identical to serial decode at any job count
-//!   (legacy v1 traces stay readable via the serial path).
+//!   chunks, a footer that doubles as a truncation detector. Every chunk
+//!   opens with its own restart state, so any chunk decodes on its own:
+//!   [`salvage`] skips a corrupt chunk and keeps the rest, and
+//!   [`decode_chunk`] decodes any chunk [`scan_chunks`] located.
 //! - **Replay** ([`replay`]): re-issue a captured stream into a memory
 //!   system built from configuration alone, skipping the CPU models.
 //!   Replay into the captured configuration reproduces bit-identical
@@ -38,12 +37,10 @@ pub use capture::{
     sink_to, sink_to_path, AtomicFile, SharedBuf, SinkHandle, SinkOut, TraceSink, TracingSystem,
 };
 pub use codec::{
-    decode, decode_chunk, decode_parallel, decode_parallel_with_header, decode_with_header, encode,
-    encode_with_version, rewrite_v2, salvage, scan_chunks, ChunkFrame, Salvage, TraceError,
-    TraceHeader, TraceKind, TraceReader, TraceRecord, TraceWriter, ENV_TRACE_FORMAT, VERSION,
-    VERSION_V1,
+    decode, decode_chunk, decode_with_header, encode, salvage, scan_chunks, ChunkFrame, Salvage,
+    TraceError, TraceHeader, TraceKind, TraceRecord, TraceWriter, VERSION,
 };
 pub use replay::{
-    count_accesses, kind_totals, replay_bytes, replay_jobs, replay_matrix, replay_reader,
-    replay_records, ConfigReplay, ReplayStats, ENV_REPLAY_JOBS,
+    count_accesses, replay_bytes, replay_jobs, replay_matrix, replay_records, ConfigReplay,
+    ReplayStats, ENV_REPLAY_JOBS,
 };

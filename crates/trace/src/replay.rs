@@ -11,14 +11,12 @@
 //! exactly what makes memory-hierarchy sweeps run at raw memory-system
 //! throughput (no Mipsy/MXS execution cost per configuration).
 
-use crate::codec::{TraceError, TraceKind, TraceReader, TraceRecord};
+use crate::codec::{TraceError, TraceKind, TraceRecord};
 use cmpsim_engine::Cycle;
-use cmpsim_mem::{AccessKind, MemRequest, MemStats, MemorySystem, PortUtil};
-use std::io::Read;
+use cmpsim_mem::{MemRequest, MemStats, MemorySystem, PortUtil};
 
 /// Environment knob: thread count for batched replay
-/// ([`replay_matrix`]) and parallel trace decode in the `cmpsim` binary.
-/// Unset ⇒ host parallelism.
+/// ([`replay_matrix`]) in the `cmpsim` binary. Unset ⇒ host parallelism.
 pub const ENV_REPLAY_JOBS: &str = "CMPSIM_REPLAY_JOBS";
 
 /// Resolves [`ENV_REPLAY_JOBS`]: the explicit setting, else the host's
@@ -83,37 +81,13 @@ where
     stats
 }
 
-/// Streams a trace out of `reader` straight into `sys` — chunks decode as
-/// they are consumed, so arbitrarily long traces replay in constant
-/// memory.
-///
-/// # Errors
-///
-/// Stops at the first decode error (corrupt chunk, truncation); accesses
-/// replayed before the error have already been applied to `sys`.
-pub fn replay_reader<R: Read, S: MemorySystem + ?Sized>(
-    reader: TraceReader<R>,
-    sys: &mut S,
-) -> Result<ReplayStats, TraceError> {
-    let mut stats = ReplayStats::default();
-    for rec in reader {
-        if apply(&rec?, sys) {
-            stats.accesses += 1;
-        } else {
-            stats.resets += 1;
-        }
-    }
-    Ok(stats)
-}
-
 /// Replays a complete in-memory trace (as produced by capture) into
-/// `sys`, validating every chunk first via the direct-slice decoder.
+/// `sys`, validating every chunk first.
 ///
 /// # Errors
 ///
 /// Fails on decode errors (corrupt chunk, truncation) *before* touching
-/// `sys` — unlike [`replay_reader`], which streams and may have applied a
-/// prefix when it reports an error.
+/// `sys`.
 pub fn replay_bytes<S: MemorySystem + ?Sized>(
     bytes: &[u8],
     sys: &mut S,
@@ -180,32 +154,11 @@ where
 ///
 /// Propagates decode errors.
 pub fn count_accesses(bytes: &[u8]) -> Result<u64, TraceError> {
-    let mut n = 0;
-    for rec in TraceReader::new(bytes)? {
-        if rec?.kind != TraceKind::StatsReset {
-            n += 1;
-        }
-    }
-    Ok(n)
-}
-
-/// Splits an access-kind total out of a trace for reporting: returns
-/// `(ifetches, loads, stores)`.
-///
-/// # Errors
-///
-/// Propagates decode errors.
-pub fn kind_totals(bytes: &[u8]) -> Result<(u64, u64, u64), TraceError> {
-    let (mut i, mut l, mut s) = (0, 0, 0);
-    for rec in TraceReader::new(bytes)? {
-        match rec?.kind.access_kind() {
-            Some(AccessKind::IFetch) => i += 1,
-            Some(AccessKind::Load) => l += 1,
-            Some(AccessKind::Store) => s += 1,
-            None => {}
-        }
-    }
-    Ok((i, l, s))
+    let records = crate::codec::decode(bytes)?;
+    Ok(records
+        .iter()
+        .filter(|rec| rec.kind != TraceKind::StatsReset)
+        .count() as u64)
 }
 
 #[cfg(test)]
@@ -260,8 +213,6 @@ mod tests {
             format!("{:?}", traced.port_utilization()),
         );
         assert_eq!(count_accesses(&bytes).expect("counts"), 6_000);
-        let (i, l, s) = kind_totals(&bytes).expect("totals");
-        assert_eq!(i + l + s, 6_000);
     }
 
     /// Cross-configuration replay is the fixed-stream approximation: it

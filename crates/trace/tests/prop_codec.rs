@@ -6,8 +6,8 @@
 
 use cmpsim_engine::prop::{self, Config, Source};
 use cmpsim_trace::{
-    decode, decode_chunk, decode_parallel, encode, encode_with_version, scan_chunks, TraceKind,
-    TraceReader, TraceRecord, VERSION_V1,
+    decode, decode_chunk, decode_with_header, encode, salvage, scan_chunks, TraceKind, TraceRecord,
+    VERSION,
 };
 
 /// Draws a record stream with the shapes capture actually produces:
@@ -43,10 +43,9 @@ fn prop_encode_decode_is_identity() {
         let records = gen_records(src);
         let n_cpus = src.usize(1..65);
         let bytes = encode(&records, n_cpus, 32).expect("encodes");
-        let reader = TraceReader::new(bytes.as_slice()).expect("valid header");
-        assert_eq!(usize::from(reader.header().n_cpus), n_cpus);
-        assert_eq!(reader.header().line_bytes, 32);
-        let decoded = reader.collect_all().expect("decodes");
+        let (header, decoded) = decode_with_header(&bytes).expect("decodes");
+        assert_eq!(usize::from(header.n_cpus), n_cpus);
+        assert_eq!(header.line_bytes, 32);
         assert_eq!(decoded, records);
     });
 }
@@ -97,18 +96,18 @@ fn prop_decoder_never_panics_on_arbitrary_bytes() {
     prop::check("trace codec arbitrary input", |src| {
         let mut bytes = src.vec(0..300, |s| s.u32(0..256) as u8);
         if src.bool() {
-            // Valid magic + a real version so the deeper chunk machinery
-            // runs too — both the legacy and the restartable format.
-            let version = if src.bool() { 1u8 } else { 2 };
+            // Valid magic + the real version so the deeper chunk
+            // machinery runs too.
             let mut framed = b"CMPT".to_vec();
-            framed.push(version);
+            framed.push(VERSION);
             framed.append(&mut bytes);
             bytes = framed;
         }
         // Must return (Ok or Err), never panic or loop — on every entry
-        // point: serial decode, the frame scanner, and parallel decode.
+        // point: strict decode, the lenient salvage walk, the frame
+        // scanner, and single-chunk decode.
         let _ = decode(&bytes);
-        let _ = decode_parallel(&bytes, 4);
+        let _ = salvage(&bytes);
         if let Ok((_, frames)) = scan_chunks(&bytes) {
             for frame in &frames {
                 let _ = decode_chunk(&bytes, frame);
@@ -117,8 +116,8 @@ fn prop_decoder_never_panics_on_arbitrary_bytes() {
     });
 }
 
-/// Tentpole property — v2 chunk independence: decoding any chunk subset
-/// in any order equals the corresponding slices of the serial decode.
+/// Chunk independence: decoding any chunk subset in any order equals the
+/// corresponding slices of the serial decode.
 /// Streams span several chunks (the writer flushes every 4096 records),
 /// and the visit order is a drawn permutation, so later chunks routinely
 /// decode before — or without — earlier ones.
@@ -128,7 +127,7 @@ fn prop_any_chunk_subset_decodes_in_any_order() {
         cases: 25,
         ..Config::default()
     };
-    prop::check_result(&cfg, "v2 chunk subset independence", |src| {
+    prop::check_result(&cfg, "chunk subset independence", |src| {
         let mut cycle = src.u64(0..1_000_000);
         let records: Vec<TraceRecord> = src.vec(1..10_000, |s| {
             cycle = cycle.saturating_add_signed(s.i64(-64..4096));
@@ -163,41 +162,6 @@ fn prop_any_chunk_subset_decodes_in_any_order() {
         }
     })
     .expect("holds");
-}
-
-/// Migration property: a v1 encoding of any stream still round-trips
-/// through every serial path, and the parallel entry point's v1 fallback
-/// agrees with it.
-#[test]
-fn prop_v1_encodings_remain_readable() {
-    let cfg = Config {
-        cases: 50,
-        ..Config::default()
-    };
-    prop::check_result(&cfg, "v1 back-compat round-trip", |src| {
-        let records = gen_records(src);
-        let bytes = encode_with_version(&records, 4, 32, VERSION_V1).expect("encodes");
-        assert_eq!(decode(&bytes).expect("decodes"), records);
-        assert_eq!(decode_parallel(&bytes, 4).expect("decodes"), records);
-        let reader = TraceReader::new(bytes.as_slice()).expect("opens");
-        assert_eq!(reader.header().version, VERSION_V1);
-        assert_eq!(reader.collect_all().expect("streams"), records);
-    })
-    .expect("holds");
-}
-
-/// The parallel decoder is byte-identical to the serial one on arbitrary
-/// streams at several job counts (unit tests pin the multi-chunk case;
-/// this covers arbitrary shapes).
-#[test]
-fn prop_parallel_decode_equals_serial() {
-    prop::check("parallel decode identity", |src| {
-        let records = gen_records(src);
-        let bytes = encode(&records, 4, 32).expect("encodes");
-        let serial = decode(&bytes).expect("decodes");
-        let jobs = src.usize(1..8);
-        assert_eq!(decode_parallel(&bytes, jobs).expect("decodes"), serial);
-    });
 }
 
 /// Shrinking works on trace streams: a property that forbids stores fails,

@@ -3,8 +3,7 @@
 //! atomic-finalize (temp file + rename) capture path.
 
 use cmpsim_trace::codec::{
-    decode, encode, encode_with_version, fnv1a, salvage, scan_chunks, TraceError, TraceKind,
-    TraceRecord, CHUNK_RECORDS, VERSION_V1,
+    decode, encode, fnv1a, salvage, scan_chunks, TraceError, TraceKind, TraceRecord, CHUNK_RECORDS,
 };
 use cmpsim_trace::{sink_to_path, TraceSink};
 use std::io::Write as _;
@@ -116,40 +115,6 @@ fn bad_restart_preamble_skips_the_chunk() {
 }
 
 #[test]
-fn v1_corruption_ends_the_walk_at_the_bad_chunk() {
-    // v1 chunks chain their delta baseline, so a bad chunk poisons
-    // everything after it: salvage must keep the prefix and stop.
-    let records = stream(2 * CHUNK_RECORDS + 100);
-    let mut bytes = encode_with_version(&records, 4, 32, VERSION_V1).expect("encodes");
-    let (_, frames) = scan_chunks(&bytes).expect("scans");
-    assert_eq!(frames.len(), 3);
-    let mid = frames[1].payload.start + frames[1].payload.len() / 2;
-    bytes[mid] ^= 0xA5;
-
-    let s = salvage(&bytes).expect("header is intact");
-    assert_eq!(s.chunks_recovered, 1);
-    assert_eq!(s.chunks_skipped, 1);
-    assert_eq!(s.records, records[..frames[0].n_records as usize]);
-    assert!(!s.clean_eof);
-    assert!(s.bytes_dropped > 0, "chunk 2 and the footer are abandoned");
-}
-
-#[test]
-fn v1_torn_tail_still_salvages_because_chunks_chain_forward() {
-    let records = stream(2 * CHUNK_RECORDS + 100);
-    let bytes = encode_with_version(&records, 4, 32, VERSION_V1).expect("encodes");
-    let (_, frames) = scan_chunks(&bytes).expect("scans");
-    let torn = &bytes[..frames[1].payload.end + 3];
-    let s = salvage(torn).expect("header survives");
-    assert_eq!(s.chunks_recovered, 2);
-    assert_eq!(
-        s.records,
-        records[..(frames[0].n_records + frames[1].n_records) as usize]
-    );
-    assert!(!s.clean_eof);
-}
-
-#[test]
 fn trailing_garbage_after_the_footer_is_counted_dropped() {
     let records = stream(100);
     let mut bytes = encode(&records, 4, 32).expect("encodes");
@@ -170,6 +135,10 @@ fn unusable_header_is_the_only_salvage_error() {
     assert!(matches!(
         salvage(b"CMPT\x09\x04\x20\x00"),
         Err(TraceError::BadVersion(9))
+    ));
+    assert!(matches!(
+        salvage(b"CMPT\x01\x04\x20\x00"),
+        Err(TraceError::BadVersion(1))
     ));
 }
 

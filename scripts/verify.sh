@@ -24,12 +24,11 @@
 #    CMPSIM_MATRIX_REPLAY=1 — every case captured to a reference trace
 #    and replayed through a fresh memory system — and must produce
 #    byte-identical lines to the execution-driven run, at
-#    CMPSIM_REPLAY_JOBS=1 and =4. The replay-checked matrix decodes each
-#    trace both serially and through the parallel chunk decoder and
-#    replays through the batched replay_matrix driver, so this gate pins
-#    the whole parallel trace pipeline to the execution-driven digests.
-#    This is the capture/replay fidelity contract: a trace carries
-#    everything the memory system ever sees, at any job count.
+#    CMPSIM_REPLAY_JOBS=1 and =4. The replay-checked matrix replays
+#    through the batched replay_matrix driver, so this gate pins the
+#    job-pool replay path to the execution-driven digests. This is the
+#    capture/replay fidelity contract: a trace carries everything the
+#    memory system ever sees, at any job count.
 # 6b. Kill-and-resume: the quick matrix runs with CMPSIM_RESUME pointing
 #    at a fresh journal and CMPSIM_KILL_AFTER=28 — the sweep SIGKILLs
 #    itself after journaling its 28th row. A second run with only
@@ -41,18 +40,15 @@
 #    attempt. The sweep must exit nonzero, report the quarantined case
 #    on stderr, and emit every OTHER row byte-identical to the clean
 #    sweep — one poisoned job never takes the sweep down with it.
-# 8b. Trace-format migration: a run captured in the legacy v1 format
-#    (CMPSIM_TRACE_FORMAT=1) is rewritten to v2 with `cmpsim replay
-#    --rewrite`, and replaying the original and the rewrite must print
-#    identical reports (MemStats, ports, stream profile) — the v1→v2
-#    round-trip changes bytes, never results.
-# 8c. Trace salvage: the v2 capture from (8b) is truncated at 60%, 85%
-#    and 99% of its length. Strict replay must reject every torn file;
+# 8b. (Retired together with trace format v1; gates 8c and 8d keep
+#    their numbers.)
+# 8c. Trace salvage: an eqntott capture is truncated at 60%, 85% and
+#    99% of its length. Strict replay must reject every torn file;
 #    `cmpsim replay --salvage` must recover every intact chunk, and
 #    replaying the salvaged records must match `--salvage --head N` on
 #    the intact file (N = the salvaged record count) byte for byte — a
 #    torn capture degrades to a clean prefix, never to wrong results.
-# 8d. Mesh replay smoke: a 16-CPU mesh fft run captured to a v2 trace
+# 8d. Mesh replay smoke: a 16-CPU mesh fft run captured to a trace
 #    must replay through a fresh mesh system (same grid) with the
 #    replayed reference count and per-link port rows intact, and the
 #    replay report must be byte-identical at CMPSIM_REPLAY_JOBS=1 and
@@ -66,7 +62,7 @@
 #    (CMPSIM_BENCH_QUICK=1) appended to BENCH_pr10.json, so every
 #    verification leaves a dated throughput record (sentinel overhead,
 #    supervised-vs-plain sweep overhead, geometry rows, the trace-replay
-#    sweep, the parallel decode/batched-replay sweep, the mesh
+#    sweep, the decode/batched-replay sweep, the mesh
 #    4->16->64 scaling study, and the explore points/s + cache-hit
 #    speedup) next to the pre/post-PR entries.
 # 11. Explore smoke: a seeded 64-point `cmpsim explore` search over a
@@ -187,26 +183,12 @@ for replay_jobs in 1 4; do
     echo "ok: trace-replay matrix is bit-identical to execution-driven (CMPSIM_REPLAY_JOBS=$replay_jobs)"
 done
 
-echo "== trace-format migration: v1 capture -> --rewrite v2 -> identical replay =="
-CMPSIM_TRACE_FORMAT=1 CMPSIM_TRACE_OUT="$tmpdir/v1.trace" \
+echo "== trace salvage: torn capture recovers every intact chunk =="
+CMPSIM_TRACE_OUT="$tmpdir/eqntott.trace" \
     target/release/cmpsim run --workload eqntott --scale 0.05 >/dev/null
-target/release/cmpsim replay --file "$tmpdir/v1.trace" --rewrite "$tmpdir/v2.trace" \
-    > "$tmpdir/replay_v1.txt"
-target/release/cmpsim replay --file "$tmpdir/v2.trace" > "$tmpdir/replay_v2.txt"
-# Drop the trace-path and rewrite-report lines; every result line
-# (replayed counts, miss rates, latencies, ports, stream profile) must
-# be byte-identical between the v1 original and its v2 rewrite.
-if ! diff <(grep -vE '^(trace|rewrote)' "$tmpdir/replay_v1.txt") \
-          <(grep -vE '^(trace|rewrote)' "$tmpdir/replay_v2.txt"); then
-    echo "ERROR: v1 trace and its --rewrite v2 migration replay differently" >&2
-    exit 1
-fi
-echo "ok: v1 -> v2 rewrite round-trips to identical replay results"
-
-echo "== trace salvage: torn v2 capture recovers every intact chunk =="
-v2size=$(wc -c < "$tmpdir/v2.trace")
+tracesize=$(wc -c < "$tmpdir/eqntott.trace")
 for pct in 60 85 99; do
-    head -c $(( v2size * pct / 100 )) "$tmpdir/v2.trace" > "$tmpdir/torn.trace"
+    head -c $(( tracesize * pct / 100 )) "$tmpdir/eqntott.trace" > "$tmpdir/torn.trace"
     if target/release/cmpsim replay --file "$tmpdir/torn.trace" >/dev/null 2>&1; then
         echo "ERROR: strict replay accepted a trace torn at ${pct}%" >&2
         exit 1
@@ -218,7 +200,7 @@ for pct in 60 85 99; do
         cat "$tmpdir/salv.txt" >&2
         exit 1
     fi
-    target/release/cmpsim replay --salvage --head "$n" --file "$tmpdir/v2.trace" \
+    target/release/cmpsim replay --salvage --head "$n" --file "$tmpdir/eqntott.trace" \
         > "$tmpdir/intact_head.txt"
     # The salvaged torn file must replay exactly like the same-length
     # prefix of the intact file — only the trace-path and salvage-report

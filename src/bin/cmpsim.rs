@@ -17,8 +17,7 @@ use cmpsim::core::{
 use cmpsim::engine::journal::{Journal, JournalKey};
 use cmpsim::trace::codec::fnv1a;
 use cmpsim::trace::{
-    analyze_bytes, decode_parallel_with_header, encode_with_version, replay_jobs, replay_matrix,
-    salvage, ConfigReplay,
+    analyze, decode_with_header, replay_jobs, replay_matrix, salvage, ConfigReplay,
 };
 use cmpsim_kernels::synth::{build as build_synth, SynthParams};
 use cmpsim_kernels::{build_by_name, ALL_WORKLOADS};
@@ -40,12 +39,11 @@ USAGE:
     cmpsim replay [--file <TRACE>] [--arch <ARCH>]... [--cpus <N>]
                  [--l2-assoc <N>] [--l1-latency <N>] [--l1-banks <N>]
                  [--mesh-rows <N> --mesh-cols <N>]
-                 [--rewrite <OUT>] [--salvage] [--head <N>]
+                 [--salvage] [--head <N>]
                                  replay a captured reference trace into
                                  freshly built memory systems (no CPU
                                  model); repeat --arch to batch several
-                                 architectures over one decode, --rewrite
-                                 to migrate the trace to format v2,
+                                 architectures over one decode,
                                  --salvage to recover every intact chunk
                                  of a torn/corrupted trace instead of
                                  rejecting it, --head N to replay only
@@ -79,10 +77,9 @@ The mesh architecture tiles the CPUs on a near-square 2D grid by default;
 
 Set CMPSIM_TRACE_OUT=<path> on any `run` to capture its reference trace
 crash-safely (bytes land at <path>.tmp and rename onto <path> when the
-footer is written; CMPSIM_TRACE_FORMAT=1 pins the legacy v1 format);
-`replay` reads --file or CMPSIM_TRACE_IN, decodes chunks in parallel,
-and fans a multi-arch batch across CMPSIM_REPLAY_JOBS threads (default:
-host parallelism). CMPSIM_RESUME=<path> journals each replayed
+footer is written); `replay` reads --file or CMPSIM_TRACE_IN and fans a
+multi-arch batch across CMPSIM_REPLAY_JOBS threads (default: host
+parallelism). CMPSIM_RESUME=<path> journals each replayed
 configuration's block so an interrupted multi-arch replay restarts where
 it died with identical output.
 ";
@@ -472,7 +469,6 @@ fn main() -> ExitCode {
             let mut l1_banks = None;
             let mut mesh_rows = None;
             let mut mesh_cols = None;
-            let mut rewrite: Option<String> = None;
             let mut do_salvage = false;
             let mut head: Option<usize> = None;
             let mut it = rest.iter();
@@ -503,7 +499,6 @@ fn main() -> ExitCode {
                     "--mesh-cols" => {
                         mesh_cols = Some(val()?.parse().map_err(|e| format!("bad cols: {e}"))?)
                     }
-                    "--rewrite" => rewrite = Some(val()?),
                     "--salvage" => do_salvage = true,
                     "--head" => head = Some(val()?.parse().map_err(|e| format!("bad head: {e}"))?),
                     other => return Err(format!("unknown flag `{other}`")),
@@ -517,10 +512,9 @@ fn main() -> ExitCode {
             let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
             let jobs = replay_jobs();
             // Decode once; every configuration replays from this arena.
-            // Strict mode rejects any framing or payload fault and fans
-            // chunk decode across the job pool; --salvage walks leniently
-            // and keeps every chunk that verifies.
-            let (header, mut records) = if do_salvage {
+            // Strict mode rejects any framing or payload fault; --salvage
+            // walks leniently and keeps every chunk that verifies.
+            let (records, header) = if do_salvage {
                 let s = salvage(&bytes).map_err(|e| e.to_string())?;
                 println!(
                     "salvaged     : {} chunks ({} records), {} skipped, {} bytes dropped, {}",
@@ -530,30 +524,13 @@ fn main() -> ExitCode {
                     s.bytes_dropped,
                     if s.clean_eof { "clean eof" } else { "torn eof" }
                 );
-                (s.header, s.records)
+                (s.records, None)
             } else {
-                decode_parallel_with_header(&bytes, jobs).map_err(|e| e.to_string())?
+                let (header, records) = decode_with_header(&bytes).map_err(|e| e.to_string())?;
+                (records, Some(header))
             };
-            if let Some(n) = head {
-                records.truncate(n);
-            }
+            let replayed = &records[..head.map_or(records.len(), |n| n.min(records.len()))];
             println!("trace        : {path}");
-            if let Some(out) = rewrite {
-                let v2 = encode_with_version(
-                    &records,
-                    usize::from(header.n_cpus),
-                    u32::from(header.line_bytes),
-                    cmpsim::trace::VERSION,
-                )
-                .map_err(|e| e.to_string())?;
-                std::fs::write(&out, &v2).map_err(|e| format!("{out}: {e}"))?;
-                println!(
-                    "rewrote      : {out} (v{} -> v{}, {} bytes)",
-                    header.version,
-                    cmpsim::trace::VERSION,
-                    v2.len()
-                );
-            }
             // Validate every configuration before fanning out, so a bad
             // geometry is a CLI error rather than a worker panic.
             let cfgs: Vec<_> = archs
@@ -578,7 +555,7 @@ fn main() -> ExitCode {
             let stream = format!(
                 "cmpsim-replay-trace-v1|{:016x}|{}",
                 fnv1a(&bytes),
-                records.len()
+                replayed.len()
             );
             // v3: keys now come from the shared JournalKey::digest helper
             // (journal-side FNV), so rows journaled by older binaries are
@@ -605,7 +582,7 @@ fn main() -> ExitCode {
                     eprintln!("replay: resumed {hits} rows from {}", j.path().display());
                 }
             }
-            let results = replay_matrix(&records, todo.len(), jobs, |i| {
+            let results = replay_matrix(replayed, todo.len(), jobs, |i| {
                 let (arch, ref sc) = cfgs[todo[i]];
                 arch.try_build(sc).expect("configuration validated above")
             });
@@ -628,11 +605,15 @@ fn main() -> ExitCode {
                 };
                 print!("{block}");
             }
-            // The stream profile decodes strictly from the raw bytes, so
-            // it has no meaning for a torn --salvage input; the replayed
-            // statistics above are the recovery product.
-            if !do_salvage {
-                let a = analyze_bytes(&bytes).map_err(|e| e.to_string())?;
+            // The stream profile covers the whole file, whatever --head
+            // replayed. It has no meaning for a torn --salvage input; there
+            // the replayed statistics are the recovery product.
+            if let Some(header) = header {
+                let a = analyze(
+                    &records,
+                    usize::from(header.n_cpus).max(1),
+                    u32::from(header.line_bytes).max(1),
+                );
                 println!("stream       : {}", TraceProfile::from_analysis(&a));
             }
             Ok(())
