@@ -19,17 +19,15 @@
 //!
 //! The plain (non-replay) path runs under the supervised execution
 //! layer: a panicking case is quarantined (reported to stderr, exit
-//! code 2) without losing any other row, `CMPSIM_RETRY` /
-//! `CMPSIM_JOB_DEADLINE_MS` set the retry policy, and
-//! `CMPSIM_RESUME=<path>` journals each completed row crash-safely so a
-//! killed sweep restarts where it died with byte-identical stdout.
+//! code 2) without losing any other row, and `CMPSIM_RESUME=<path>`
+//! journals each completed row crash-safely so a killed sweep restarts
+//! where it died with byte-identical stdout.
 
 use cmpsim_bench::matrix::{
     extended_matrix, matrix_json_lines_replay_checked, matrix_json_lines_supervised,
 };
 use cmpsim_bench::n_jobs;
 use cmpsim_engine::journal::Journal;
-use cmpsim_engine::supervise::SuperviseSpec;
 use std::sync::Mutex;
 
 fn main() {
@@ -60,12 +58,7 @@ fn main() {
             );
         }
     }
-    let out = matrix_json_lines_supervised(
-        &cases,
-        n_jobs(),
-        &SuperviseSpec::from_env(),
-        journal.as_ref(),
-    );
+    let out = matrix_json_lines_supervised(&cases, n_jobs(), journal.as_ref());
     for line in &out.lines {
         println!("{line}");
     }

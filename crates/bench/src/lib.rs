@@ -8,7 +8,6 @@
 //! values produced by these targets.
 
 pub mod matrix;
-pub mod timing;
 
 use cmpsim_core::report::IpcBreakdown;
 use cmpsim_core::{
@@ -16,7 +15,7 @@ use cmpsim_core::{
     MissRates, RunSummary,
 };
 use cmpsim_engine::journal::{Journal, JournalKey};
-use cmpsim_engine::supervise::{map_jobs_supervised, SuperviseSpec};
+use cmpsim_engine::pool::map_jobs;
 use cmpsim_kernels::build_by_name;
 use std::sync::Mutex;
 
@@ -93,27 +92,24 @@ impl FigureData {
 /// so they fan out across host cores (see [`n_jobs`]); results come
 /// back in `ArchKind::ALL` order regardless of the worker count.
 ///
-/// Every run goes through the supervised execution layer: panic
-/// isolation plus the `CMPSIM_RETRY` / `CMPSIM_JOB_DEADLINE_MS` policy,
-/// and — with `CMPSIM_RESUME=<path>` set — each completed architecture's
-/// full `RunSummary` is journaled (snapshot-encoded) so a restarted
-/// figure skips finished runs and reproduces identical output.
+/// With `CMPSIM_RESUME=<path>` set, each completed architecture's full
+/// `RunSummary` is journaled (snapshot-encoded) so a restarted figure
+/// skips finished runs and reproduces identical output.
 ///
 /// # Panics
 ///
-/// Panics if a run times out, fails validation, or exhausts its retry
-/// budget — bench targets should never silently report bad data.
+/// Panics if a run times out or fails validation — bench targets should
+/// never silently report bad data.
 pub fn run_figure_with(
     workload: &str,
     scale: f64,
     cpu: CpuKind,
     tweak: impl Fn(&mut MachineConfig) + Sync,
 ) -> FigureData {
-    let spec = SuperviseSpec::from_env();
     let journal = Journal::from_env()
         .unwrap_or_else(|e| panic!("opening resume journal: {e}"))
         .map(Mutex::new);
-    let run = map_jobs_supervised(&spec, n_jobs(), &ArchKind::ALL, |&arch| {
+    let results = map_jobs(n_jobs(), &ArchKind::ALL, |&arch| {
         let mut cfg = MachineConfig::new(arch, cpu);
         tweak(&mut cfg);
         // The config digest covers the post-tweak `Debug` form, so two
@@ -159,7 +155,6 @@ pub fn run_figure_with(
             summary,
         }
     });
-    let results = run.expect_clean(&format!("figure {workload}"));
     FigureData {
         workload: workload.to_string(),
         results,

@@ -12,12 +12,12 @@
 //!   `CMPSIM_BENCH_JOBS=1` and `=8` must produce byte-identical lines
 //!   (`jobs` only changes which thread runs a case, never its result).
 
-use crate::timing::{json_line, JsonVal};
 use cmpsim_core::{capture_run, run_workload, ArchKind, CpuKind, MachineConfig, RunSummary};
 use cmpsim_engine::journal::{Journal, JournalKey};
 use cmpsim_engine::pool::map_jobs;
-use cmpsim_engine::supervise::{map_jobs_supervised, Quarantine, SuperviseSpec};
+use cmpsim_engine::supervise::{map_jobs_supervised, Quarantine};
 use cmpsim_kernels::{build_by_name, ALL_WORKLOADS};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -121,6 +121,77 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// One value in a JSON line.
+#[derive(Debug)]
+enum JsonVal {
+    Str(String),
+    U64(u64),
+    F64(f64),
+}
+
+impl From<&str> for JsonVal {
+    fn from(s: &str) -> JsonVal {
+        JsonVal::Str(s.to_string())
+    }
+}
+impl From<u64> for JsonVal {
+    fn from(v: u64) -> JsonVal {
+        JsonVal::U64(v)
+    }
+}
+impl From<f64> for JsonVal {
+    fn from(v: f64) -> JsonVal {
+        JsonVal::F64(v)
+    }
+}
+
+/// Formats one `{"k":v,...}` JSON object line from ordered pairs.
+/// Strings are escaped; floats print with enough digits to round-trip.
+fn json_line(pairs: &[(&str, JsonVal)]) -> String {
+    let mut out = String::from("{");
+    for (i, (key, val)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}:", json_str(key));
+        match val {
+            JsonVal::Str(s) => out.push_str(&json_str(s)),
+            JsonVal::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            JsonVal::F64(v) => {
+                if v.is_finite() {
+                    let _ = write!(out, "{v}");
+                } else {
+                    out.push_str("null");
+                }
+            }
+        }
+    }
+    out.push('}');
+    out
+}
+
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Renders one case's result as its canonical JSON line.
 pub fn summary_json(case: &MatrixCase, s: &RunSummary) -> String {
     // The fingerprint covers everything the acceptance criteria pin:
@@ -207,8 +278,8 @@ pub fn matrix_json_lines(cases: &[MatrixCase], jobs: usize) -> Vec<String> {
 
 /// Env knob poisoning one matrix case for the quarantine gate, spelled
 /// `<workload>:<arch-name>:<cpu-label>` (e.g. `mp3d:shared-L2:mipsy`).
-/// The matching case panics on every attempt instead of running; the
-/// supervised sweep must quarantine it without losing any other row.
+/// The matching case panics instead of running; the supervised sweep
+/// must quarantine it without losing any other row.
 pub const ENV_MATRIX_PANIC: &str = "CMPSIM_MATRIX_PANIC";
 
 /// Env knob `SIGKILL`ing the process right after the n-th row is
@@ -240,19 +311,18 @@ pub struct MatrixOutcome {
     /// One JSON line per surviving case, in matrix order; quarantined
     /// cases are simply absent (their slot is dropped, never reordered).
     pub lines: Vec<String>,
-    /// Quarantine records for the cases that exhausted their retry
-    /// budget, in matrix order.
+    /// Quarantine records for the cases that panicked, in matrix order.
     pub quarantined: Vec<Quarantine>,
     /// Rows answered verbatim from the resume journal instead of re-run.
     pub resumed: usize,
 }
 
 /// [`matrix_json_lines`] under the supervised execution layer: each case
-/// runs in panic isolation with `spec`'s retry/deadline policy, and —
-/// when `journal` is supplied — each completed row is journaled
-/// crash-safely and resumed verbatim on restart. When nothing fails and
-/// no journal row pre-exists, the surviving lines are byte-identical to
-/// the unsupervised sweep's (test-asserted).
+/// runs once in panic isolation, and — when `journal` is supplied — each
+/// completed row is journaled crash-safely and resumed verbatim on
+/// restart. When nothing fails and no journal row pre-exists, the
+/// surviving lines are byte-identical to the unsupervised sweep's
+/// (test-asserted).
 ///
 /// Honors [`ENV_MATRIX_PANIC`] (poison one case) and [`ENV_KILL_AFTER`]
 /// (self-`SIGKILL` after the n-th journal append) for the verify.sh
@@ -260,7 +330,6 @@ pub struct MatrixOutcome {
 pub fn matrix_json_lines_supervised(
     cases: &[MatrixCase],
     jobs: usize,
-    spec: &SuperviseSpec,
     journal: Option<&Mutex<Journal>>,
 ) -> MatrixOutcome {
     let poison = std::env::var(ENV_MATRIX_PANIC).ok();
@@ -269,7 +338,7 @@ pub fn matrix_json_lines_supervised(
         .and_then(|s| s.trim().parse().ok());
     let resumed = AtomicUsize::new(0);
     let journaled = AtomicUsize::new(0);
-    let run = map_jobs_supervised(spec, jobs, cases, |case| {
+    let (vals, quarantined) = map_jobs_supervised(jobs, cases, |case| {
         let key = case_key(case);
         if let Some(j) = journal {
             let stored = j
@@ -313,7 +382,6 @@ pub fn matrix_json_lines_supervised(
         }
         line
     });
-    let (vals, quarantined) = run.into_parts();
     MatrixOutcome {
         lines: vals.into_iter().flatten().collect(),
         quarantined,
@@ -508,9 +576,8 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 4);
         let plain = matrix_json_lines(&cases, 4);
-        let spec = SuperviseSpec::new().with_retries(2);
         for jobs in [1usize, 4] {
-            let out = matrix_json_lines_supervised(&cases, jobs, &spec, None);
+            let out = matrix_json_lines_supervised(&cases, jobs, None);
             assert!(out.quarantined.is_empty());
             assert_eq!(out.resumed, 0);
             assert_eq!(
@@ -533,11 +600,10 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("cmpsim-matrix-resume-{}.jrnl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let spec = SuperviseSpec::new();
 
         // First pass journals only a prefix — the "killed mid-sweep" state.
         let j = Mutex::new(Journal::open(&path).expect("opens"));
-        let partial = matrix_json_lines_supervised(&cases[..2], 2, &spec, Some(&j));
+        let partial = matrix_json_lines_supervised(&cases[..2], 2, Some(&j));
         assert_eq!(partial.resumed, 0);
         drop(j);
 
@@ -545,7 +611,7 @@ mod tests {
         // and stdout is byte-identical to an uninterrupted run.
         let j = Mutex::new(Journal::open(&path).expect("reopens"));
         assert_eq!(j.lock().unwrap().recovered(), 2);
-        let resumed = matrix_json_lines_supervised(&cases, 2, &spec, Some(&j));
+        let resumed = matrix_json_lines_supervised(&cases, 2, Some(&j));
         assert_eq!(resumed.resumed, 2, "the journaled prefix is not re-run");
         assert!(resumed.quarantined.is_empty());
         assert_eq!(resumed.lines, matrix_json_lines(&cases, 2));
@@ -573,6 +639,22 @@ mod tests {
         let mut other = cases[0];
         other.scale = 0.07;
         assert_ne!(case_key(&cases[0]), case_key(&other));
+    }
+
+    #[test]
+    fn json_line_formats_and_escapes() {
+        let line = json_line(&[
+            ("bench", "sim\"x\"".into()),
+            ("count", 3u64.into()),
+            ("rate", 1.5f64.into()),
+        ]);
+        assert_eq!(line, r#"{"bench":"sim\"x\"","count":3,"rate":1.5}"#);
+    }
+
+    #[test]
+    fn non_finite_floats_become_null() {
+        let line = json_line(&[("rate", f64::INFINITY.into())]);
+        assert_eq!(line, r#"{"rate":null}"#);
     }
 
     #[test]

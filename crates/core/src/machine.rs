@@ -528,7 +528,8 @@ impl Machine {
 
     /// Fallible constructor: rejects a workload built for a different CPU
     /// count, a shard count other than 1 ([`MachineConfig::shards`] is
-    /// retired) and invalid system configurations. Honors `CMPSIM_TRACE_OUT`:
+    /// retired), invalid system configurations and a capture of more CPUs
+    /// than a trace can carry. Honors `CMPSIM_TRACE_OUT`:
     /// when set, the machine captures its reference trace to that path
     /// crash-safely — bytes land at `<path>.tmp` and rename onto the path
     /// only when the footer has been written, so a killed run never
@@ -591,6 +592,13 @@ impl Machine {
         sc.validate()?;
         if let CpuKind::MxsCustom(mc) = cfg.cpu {
             mc.validate()?;
+        }
+        let trace_max = usize::from(cmpsim_trace::codec::MAX_CPU) + 1;
+        if trace_out.is_some() && cfg.n_cpus > trace_max {
+            return Err(ConfigError::CaptureTooManyCpus {
+                n_cpus: cfg.n_cpus,
+                max: trace_max,
+            });
         }
         let mem = cfg.arch.try_build(&sc)?;
         // Install the capture decorator only when asked: the wrapper
@@ -994,6 +1002,24 @@ mod tests {
         }
     }
 
+    /// A trace record names at most 64 CPUs, so a capturing build of a
+    /// larger machine is a typed error rather than a panic in the writer.
+    #[test]
+    fn capturing_more_cpus_than_a_trace_carries_is_a_config_error() {
+        let w = build_by_name("eqntott", 128, 0.02).expect("builds");
+        let mut cfg = MachineConfig::new(ArchKind::Mesh, CpuKind::Mipsy);
+        cfg.n_cpus = 128;
+        let err = Machine::try_new_capturing(&cfg, &w, Box::new(std::io::sink()))
+            .expect_err("128 CPUs exceed the trace tag field");
+        assert_eq!(
+            err,
+            cmpsim_mem::ConfigError::CaptureTooManyCpus {
+                n_cpus: 128,
+                max: 64
+            }
+        );
+    }
+
     #[test]
     fn try_new_rejects_bad_mxs_configs() {
         let w = build_by_name("eqntott", 4, 0.03).expect("builds");
@@ -1165,7 +1191,7 @@ mod tests {
     /// diagnosis, not just its index.
     #[test]
     fn stalled_job_quarantine_record_carries_the_watchdog_report() {
-        use cmpsim_engine::supervise::{run_indexed_supervised, SuperviseSpec};
+        use cmpsim_engine::supervise::run_indexed_supervised;
         static HOOK: std::sync::Once = std::sync::Once::new();
         HOOK.call_once(|| {
             let default = std::panic::take_hook();
@@ -1179,15 +1205,15 @@ mod tests {
                 }
             }));
         });
-        let run = run_indexed_supervised(&SuperviseSpec::new(), 2, 3, |i| {
+        let (vals, quarantined) = run_indexed_supervised(2, 3, |i| {
             if i == 1 {
                 let err = stalled_error();
                 panic!("[stall-fixture] case mp3d/shared-L2: {err}");
             }
             i as u64
         });
-        assert_eq!(run.quarantined.len(), 1);
-        let q = &run.quarantined[0];
+        assert_eq!(quarantined.len(), 1);
+        let q = &quarantined[0];
         assert_eq!(q.job_id, 1);
         assert!(q.reason.contains("watchdog"), "{}", q.reason);
         assert!(q.reason.contains("pc 0x1234"), "{}", q.reason);
@@ -1196,7 +1222,6 @@ mod tests {
             "{}",
             q.reason
         );
-        let (vals, _) = run.into_parts();
         assert_eq!(vals, vec![Some(0), None, Some(2)]);
     }
 }

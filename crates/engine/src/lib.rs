@@ -20,9 +20,9 @@
 //! * [`prop`] — a deterministic property-testing framework built on
 //!   [`Rng64`], so the whole workspace tests itself without any external
 //!   dependency.
-//! * [`supervise`] — panic isolation, wall-clock deadlines and
-//!   deterministic retry over the [`pool`] fan-out, with a quarantine
-//!   list instead of sweep-killing panics.
+//! * [`supervise`] — panic isolation over the [`pool`] fan-out: one
+//!   attempt per job, with a quarantine list instead of sweep-killing
+//!   panics.
 //! * [`journal`] — an append-only, crash-tolerant resume journal so
 //!   interrupted sweeps skip completed rows on restart.
 //!
@@ -59,10 +59,7 @@ pub use ready::ReadyHeap;
 pub use resource::{BankedResource, Port};
 pub use rng::Rng64;
 pub use stats::{Counter, Histogram};
-pub use supervise::{
-    map_jobs_supervised, run_indexed_supervised, JobOutcome, Quarantine, SuperviseSpec,
-    SupervisedRun,
-};
+pub use supervise::{map_jobs_supervised, run_indexed_supervised, Quarantine};
 
 use std::fmt;
 use std::iter::Sum;

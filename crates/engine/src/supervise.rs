@@ -1,254 +1,41 @@
-//! Supervised job fan-out: panic isolation, wall-clock deadlines and
-//! deterministic retry on top of the [`pool`] primitives.
+//! Supervised job fan-out: panic isolation on top of the [`pool`]
+//! primitives.
 //!
 //! The plain pool propagates the first worker panic, which is the right
-//! default for unit tests but fatal for long batch sweeps: one poisoned
-//! configuration out of thousands throws away every other result. This
-//! module wraps each job in `catch_unwind`, classifies what happened as a
-//! typed [`JobOutcome`], retries failed attempts a bounded number of
-//! times (seeded, jittered backoff — no external dependencies), and
-//! collects jobs that failed every attempt into an index-ordered
-//! quarantine list instead of aborting the sweep.
+//! default for unit tests and figure runs but fatal for long batch
+//! sweeps: one poisoned configuration out of thousands throws away every
+//! other result. This module runs each job once under `catch_unwind` and
+//! collects the jobs that panicked into an index-ordered quarantine list
+//! instead of aborting the sweep.
 //!
-//! Two invariants the tests pin:
+//! Each job gets exactly one attempt. Every job is a deterministic
+//! simulation, so a job that panicked once would panic again on a retry.
+//! A hung simulation is caught in simulated time, by the cycle budget and
+//! the forward-progress watchdog, and its error reaches the quarantine
+//! list like any other panic.
 //!
-//! * **Byte-identity when nothing fails** — the merged output of a
-//!   supervised run with zero failures is exactly the output of the
-//!   unsupervised pool at any job count (index-ordered, same values).
-//! * **Determinism of the supervision machinery** — retry counts and
-//!   backoff delays derive from [`Rng64`] seeded by `(spec.seed,
-//!   job_id, attempt)`, never from wall-clock entropy. (Deadline
-//!   *classification* is inherently wall-clock; deadlines are off by
-//!   default and meant for hung-job detection in unattended sweeps.)
-//!
-//! A job that exceeds its deadline cannot be preempted — scoped threads
-//! forbid abandoning a running closure — so the deadline thread flags it,
-//! the attempt runs to completion, and the completed result is discarded
-//! and the attempt classified [`JobOutcome::TimedOut`]. The supervisor
-//! therefore never leaks threads and never tears shared state.
+//! The invariant the tests pin is **byte-identity when nothing fails**:
+//! the results of a supervised run with zero failures are exactly the
+//! output of the unsupervised pool at any job count (index-ordered, same
+//! values).
 
 use crate::pool;
-use crate::rng::Rng64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// Environment knob: how many times a failed (panicked or timed-out) job
-/// is retried before it is quarantined. Unset means 0: one attempt.
-pub const ENV_RETRY: &str = "CMPSIM_RETRY";
-
-/// Environment knob: per-job wall-clock deadline in milliseconds. Unset
-/// means no deadline.
-pub const ENV_JOB_DEADLINE_MS: &str = "CMPSIM_JOB_DEADLINE_MS";
-
-/// Supervision policy for one fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperviseSpec {
-    /// Retries after the first attempt (total attempts = `retries + 1`).
-    pub retries: u32,
-    /// Per-job wall-clock deadline in milliseconds; `None` disables the
-    /// deadline thread entirely.
-    pub deadline_ms: Option<u64>,
-    /// Base backoff before a retry, in milliseconds. Attempt `k` sleeps
-    /// `backoff_ms << k` plus a jitter in `[0, backoff_ms)`, capped at
-    /// one second.
-    pub backoff_ms: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-}
-
-impl SuperviseSpec {
-    /// No retries, no deadline — supervision reduces to panic isolation.
-    pub fn new() -> SuperviseSpec {
-        SuperviseSpec {
-            retries: 0,
-            deadline_ms: None,
-            backoff_ms: 5,
-            seed: 0x5eed_0fc0_ffee,
-        }
-    }
-
-    /// Policy from the environment: `CMPSIM_RETRY` retries and a
-    /// `CMPSIM_JOB_DEADLINE_MS` deadline (both optional).
-    pub fn from_env() -> SuperviseSpec {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        SuperviseSpec {
-            retries: parse(ENV_RETRY).map_or(0, |v| v.min(u64::from(u32::MAX)) as u32),
-            deadline_ms: parse(ENV_JOB_DEADLINE_MS).filter(|&ms| ms > 0),
-            ..SuperviseSpec::new()
-        }
-    }
-
-    /// This policy with `retries` retries.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> SuperviseSpec {
-        self.retries = retries;
-        self
-    }
-
-    /// This policy with a deadline of `ms` milliseconds.
-    #[must_use]
-    pub fn with_deadline_ms(mut self, ms: u64) -> SuperviseSpec {
-        self.deadline_ms = Some(ms);
-        self
-    }
-}
-
-impl Default for SuperviseSpec {
-    fn default() -> SuperviseSpec {
-        SuperviseSpec::new()
-    }
-}
-
-/// What happened to one supervised job, after all attempts.
-#[derive(Debug)]
-pub enum JobOutcome<T> {
-    /// The job produced a result (possibly after retries).
-    Done(T),
-    /// Every attempt panicked; `payload` is the final panic message.
-    Panicked {
-        /// Index of the job in the fan-out.
-        job_id: usize,
-        /// Stringified payload of the last panic.
-        payload: String,
-        /// Attempts made (`retries + 1` unless the spec changed).
-        attempts: u32,
-    },
-    /// Every attempt blew its wall-clock deadline.
-    TimedOut {
-        /// Index of the job in the fan-out.
-        job_id: usize,
-        /// Configured deadline in milliseconds.
-        deadline_ms: u64,
-        /// Wall-clock milliseconds the final attempt actually took.
-        elapsed_ms: u64,
-        /// Attempts made.
-        attempts: u32,
-    },
-}
-
-impl<T> JobOutcome<T> {
-    /// Whether the job completed.
-    pub fn is_done(&self) -> bool {
-        matches!(self, JobOutcome::Done(_))
-    }
-
-    /// The result, if the job completed.
-    pub fn into_done(self) -> Option<T> {
-        match self {
-            JobOutcome::Done(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The quarantine record for a failed job (`None` when done).
-    pub fn quarantine(&self) -> Option<Quarantine> {
-        match self {
-            JobOutcome::Done(_) => None,
-            JobOutcome::Panicked {
-                job_id,
-                payload,
-                attempts,
-            } => Some(Quarantine {
-                job_id: *job_id,
-                attempts: *attempts,
-                reason: format!("panicked: {payload}"),
-            }),
-            JobOutcome::TimedOut {
-                job_id,
-                deadline_ms,
-                elapsed_ms,
-                attempts,
-            } => Some(Quarantine {
-                job_id: *job_id,
-                attempts: *attempts,
-                reason: format!("timed out: {elapsed_ms} ms against a {deadline_ms} ms deadline"),
-            }),
-        }
-    }
-}
-
-/// One quarantined job: it failed every attempt and its slot in the
-/// merged output is empty.
+/// One quarantined job: it panicked and its slot in the merged output is
+/// empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quarantine {
     /// Index of the job in the fan-out.
     pub job_id: usize,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// Human-readable failure description (panic payload or deadline
-    /// report — a stalled run's `WatchdogReport` text surfaces here).
+    /// Human-readable failure description (the panic payload — a stalled
+    /// run's `WatchdogReport` text surfaces here).
     pub reason: String,
 }
 
 impl std::fmt::Display for Quarantine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "job {} quarantined after {} attempt{}: {}",
-            self.job_id,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.reason
-        )
-    }
-}
-
-/// Result of a supervised fan-out: one outcome per job in index order,
-/// plus the quarantine list (also index-ordered).
-#[derive(Debug)]
-pub struct SupervisedRun<T> {
-    /// One outcome per job, in job-index order.
-    pub outcomes: Vec<JobOutcome<T>>,
-    /// Jobs that failed every attempt, in job-index order.
-    pub quarantined: Vec<Quarantine>,
-}
-
-impl<T> SupervisedRun<T> {
-    /// Whether every job completed.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-
-    /// Splits into per-index results (`None` for quarantined slots) and
-    /// the quarantine list.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (Vec<Option<T>>, Vec<Quarantine>) {
-        (
-            self.outcomes
-                .into_iter()
-                .map(JobOutcome::into_done)
-                .collect(),
-            self.quarantined,
-        )
-    }
-
-    /// Unwraps a clean run into its index-ordered results.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the quarantine list if any job failed — callers that
-    /// cannot tolerate missing rows (figure sweeps) use this to keep the
-    /// old fail-fast contract while still getting retry and isolation.
-    pub fn expect_clean(self, what: &str) -> Vec<T> {
-        if !self.is_clean() {
-            let reasons: Vec<String> = self.quarantined.iter().map(Quarantine::to_string).collect();
-            panic!(
-                "{what}: {} of {} jobs quarantined; {}",
-                self.quarantined.len(),
-                self.outcomes.len(),
-                reasons.join("; ")
-            );
-        }
-        self.outcomes
-            .into_iter()
-            .map(|o| o.into_done().expect("clean run has only Done outcomes"))
-            .collect()
+        write!(f, "job {} quarantined: {}", self.job_id, self.reason)
     }
 }
 
@@ -264,135 +51,53 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one attempt of a job under `catch_unwind`, with an optional
-/// deadline thread watching a completion flag. Returns the result and
-/// whether the deadline expired before completion, or the panic message.
-fn run_attempt<T>(
-    f: impl FnOnce() -> T,
-    deadline_ms: Option<u64>,
-) -> Result<(T, u64, bool), String> {
-    let start = Instant::now();
-    let Some(ms) = deadline_ms else {
-        // No deadline: just the unwind boundary.
-        return catch_unwind(AssertUnwindSafe(f))
-            .map(|v| (v, start.elapsed().as_millis() as u64, false))
-            .map_err(panic_message);
-    };
-    let deadline = Duration::from_millis(ms);
-    let done = Mutex::new(false);
-    let cv = Condvar::new();
-    let expired = AtomicBool::new(false);
-    let result = std::thread::scope(|s| {
-        // Deadline thread: sleeps on the completion flag with a timeout;
-        // if the flag is still unset when the deadline passes, it marks
-        // the attempt expired and exits. A fast job notifies it awake
-        // early, so short jobs never pay the full deadline.
-        s.spawn(|| {
-            let mut flag = done.lock().expect("deadline mutex");
-            while !*flag {
-                let elapsed = start.elapsed();
-                if elapsed >= deadline {
-                    expired.store(true, Ordering::Release);
-                    return;
-                }
-                let (next, _) = cv
-                    .wait_timeout(flag, deadline - elapsed)
-                    .expect("deadline mutex");
-                flag = next;
-            }
-        });
-        let r = catch_unwind(AssertUnwindSafe(f));
-        *done.lock().expect("deadline mutex") = true;
-        cv.notify_all();
-        r
-    });
-    match result {
-        Ok(v) => Ok((
-            v,
-            start.elapsed().as_millis() as u64,
-            expired.load(Ordering::Acquire) || start.elapsed() >= deadline,
-        )),
-        Err(p) => Err(panic_message(p)),
-    }
-}
-
-/// Supervises one job through the retry loop.
-fn supervise_job<T>(spec: &SuperviseSpec, job_id: usize, f: impl Fn() -> T) -> JobOutcome<T> {
-    // Seed the jitter stream per job so the backoff schedule is a pure
-    // function of (spec.seed, job_id, attempt) — reproducible whatever
-    // the thread interleaving.
-    let mut rng = Rng64::new(
-        spec.seed ^ (job_id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x6b79_2d6e_6a5c_3f21,
-    );
-    let mut last: Option<JobOutcome<T>> = None;
-    for attempt in 0..=spec.retries {
-        if attempt > 0 {
-            let base = spec.backoff_ms << (attempt - 1).min(7);
-            let jitter = if spec.backoff_ms > 0 {
-                rng.range(spec.backoff_ms)
-            } else {
-                0
-            };
-            std::thread::sleep(Duration::from_millis((base + jitter).min(1_000)));
-        }
-        match run_attempt(&f, spec.deadline_ms) {
-            Ok((v, _, false)) => return JobOutcome::Done(v),
-            Ok((_, elapsed_ms, true)) => {
-                last = Some(JobOutcome::TimedOut {
-                    job_id,
-                    deadline_ms: spec.deadline_ms.unwrap_or(0),
-                    elapsed_ms,
-                    attempts: attempt + 1,
-                });
-            }
-            Err(payload) => {
-                last = Some(JobOutcome::Panicked {
-                    job_id,
-                    payload,
-                    attempts: attempt + 1,
-                });
-            }
-        }
-    }
-    last.expect("at least one attempt ran")
-}
-
 /// Supervised [`pool::run_indexed`]: runs `f(0..n)` on up to `jobs`
-/// threads under `spec`, returning typed outcomes in index order. A
-/// clean run's `Done` values are byte-identical to the unsupervised
-/// pool's output.
+/// threads, each job once under `catch_unwind`. Returns one slot per job
+/// in index order (`None` where the job panicked) and the quarantine
+/// list, also index-ordered. A clean run's values are byte-identical to
+/// the unsupervised pool's output.
 pub fn run_indexed_supervised<T, F>(
-    spec: &SuperviseSpec,
     jobs: usize,
     n: usize,
     f: F,
-) -> SupervisedRun<T>
+) -> (Vec<Option<T>>, Vec<Quarantine>)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let outcomes = pool::run_indexed(jobs, n, |i| supervise_job(spec, i, || f(i)));
-    let quarantined = outcomes.iter().filter_map(JobOutcome::quarantine).collect();
-    SupervisedRun {
-        outcomes,
-        quarantined,
+    let outcomes = pool::run_indexed(jobs, n, |i| {
+        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message)
+    });
+    let mut vals = Vec::with_capacity(n);
+    let mut quarantined = Vec::new();
+    for (job_id, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(v) => vals.push(Some(v)),
+            Err(payload) => {
+                vals.push(None);
+                quarantined.push(Quarantine {
+                    job_id,
+                    reason: format!("panicked: {payload}"),
+                });
+            }
+        }
     }
+    (vals, quarantined)
 }
 
-/// Supervised [`pool::map_jobs`]: maps `f` over `items` under `spec`,
-/// outcomes in item order.
+/// Supervised [`pool::map_jobs`]: maps `f` over `items`, slots in item
+/// order.
 pub fn map_jobs_supervised<I, T, F>(
-    spec: &SuperviseSpec,
     jobs: usize,
     items: &[I],
     f: F,
-) -> SupervisedRun<T>
+) -> (Vec<Option<T>>, Vec<Quarantine>)
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    run_indexed_supervised(spec, jobs, items.len(), |i| f(&items[i]))
+    run_indexed_supervised(jobs, items.len(), |i| f(&items[i]))
 }
 
 #[cfg(test)]
@@ -403,9 +108,7 @@ mod tests {
     fn clean_run_matches_unsupervised_pool() {
         let work = |i: usize| (i as u64).wrapping_mul(2_654_435_761) % 1013;
         let plain = pool::run_indexed(4, 32, work);
-        let run = run_indexed_supervised(&SuperviseSpec::new().with_retries(2), 4, 32, work);
-        assert!(run.is_clean());
-        let (vals, q) = run.into_parts();
+        let (vals, q) = run_indexed_supervised(4, 32, work);
         assert!(q.is_empty());
         let vals: Vec<u64> = vals.into_iter().map(|v| v.expect("clean")).collect();
         assert_eq!(vals, plain);
@@ -413,16 +116,14 @@ mod tests {
 
     #[test]
     fn panicking_job_is_quarantined_without_killing_the_sweep() {
-        let run = run_indexed_supervised(&SuperviseSpec::new(), 4, 8, |i| {
+        let (vals, quarantined) = run_indexed_supervised(4, 8, |i| {
             assert!(i != 3, "poisoned job {i}");
             i * 2
         });
-        assert_eq!(run.quarantined.len(), 1);
-        let q = &run.quarantined[0];
+        assert_eq!(quarantined.len(), 1);
+        let q = &quarantined[0];
         assert_eq!(q.job_id, 3);
-        assert_eq!(q.attempts, 1);
         assert!(q.reason.contains("poisoned job 3"), "{}", q.reason);
-        let (vals, _) = run.into_parts();
         for (i, v) in vals.iter().enumerate() {
             if i == 3 {
                 assert!(v.is_none());
@@ -430,73 +131,5 @@ mod tests {
                 assert_eq!(*v, Some(i * 2));
             }
         }
-    }
-
-    #[test]
-    fn retry_recovers_a_flaky_job() {
-        use std::sync::atomic::AtomicU32;
-        let tries = AtomicU32::new(0);
-        let run = run_indexed_supervised(&SuperviseSpec::new().with_retries(2), 1, 3, |i| {
-            if i == 1 && tries.fetch_add(1, Ordering::Relaxed) < 2 {
-                panic!("flaky");
-            }
-            i
-        });
-        assert!(run.is_clean(), "two retries cover two failures");
-        match &run.outcomes[1] {
-            JobOutcome::Done(v) => assert_eq!(*v, 1),
-            other => panic!("expected Done, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expect_clean_panics_with_the_quarantine_report() {
-        let r = std::panic::catch_unwind(|| {
-            run_indexed_supervised(&SuperviseSpec::new(), 2, 4, |i| {
-                assert!(i != 2, "bad row");
-                i
-            })
-            .expect_clean("test sweep")
-        });
-        let msg = panic_message(r.expect_err("must propagate"));
-        assert!(msg.contains("test sweep"), "{msg}");
-        assert!(msg.contains("1 of 4 jobs quarantined"), "{msg}");
-        assert!(msg.contains("bad row"), "{msg}");
-    }
-
-    #[test]
-    fn deadline_classifies_a_slow_job() {
-        let spec = SuperviseSpec::new().with_deadline_ms(10);
-        let run = run_indexed_supervised(&spec, 2, 3, |i| {
-            if i == 1 {
-                std::thread::sleep(Duration::from_millis(200));
-            }
-            i
-        });
-        assert_eq!(run.quarantined.len(), 1);
-        assert_eq!(run.quarantined[0].job_id, 1);
-        assert!(
-            run.quarantined[0].reason.contains("timed out"),
-            "{}",
-            run.quarantined[0].reason
-        );
-        assert!(matches!(
-            run.outcomes[1],
-            JobOutcome::TimedOut {
-                job_id: 1,
-                deadline_ms: 10,
-                ..
-            }
-        ));
-        assert!(run.outcomes[0].is_done() && run.outcomes[2].is_done());
-    }
-
-    #[test]
-    fn spec_env_parsing_defaults() {
-        // Only shape-level checks that avoid touching the environment
-        // (tests run in parallel): the default spec retries nothing.
-        let spec = SuperviseSpec::new();
-        assert_eq!(spec.retries, 0);
-        assert_eq!(spec.deadline_ms, None);
     }
 }

@@ -1,14 +1,13 @@
 //! Deterministic fault-injection suite for the supervised execution
-//! layer: seeded panicking / slow / flaky fixtures at fixed job indices,
-//! exercised across worker counts 1/2/4/7.
+//! layer: seeded panicking fixtures at fixed job indices, exercised
+//! across worker counts 1/2/4/7.
 //!
 //! Every test in this binary injects panics on purpose, so a filtering
 //! panic hook suppresses the known fixture payloads and forwards
 //! anything else (a real test failure) to stderr untouched.
 
-use cmpsim_engine::supervise::{run_indexed_supervised, JobOutcome, Quarantine, SuperviseSpec};
+use cmpsim_engine::supervise::{run_indexed_supervised, Quarantine};
 use cmpsim_engine::{pool, prop};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Once;
 use std::time::Duration;
 
@@ -51,9 +50,9 @@ fn zero_failures_merge_byte_identical_to_unsupervised() {
     let reference = pool::run_indexed(1, n, value_of);
     for jobs in JOB_COUNTS {
         let plain = pool::run_indexed(jobs, n, value_of);
-        let run = run_indexed_supervised(&SuperviseSpec::new().with_retries(3), jobs, n, value_of);
-        assert!(run.is_clean());
-        let supervised = run.expect_clean("identity sweep");
+        let (vals, quarantined) = run_indexed_supervised(jobs, n, value_of);
+        assert!(quarantined.is_empty());
+        let supervised: Vec<u64> = vals.into_iter().map(|v| v.expect("clean")).collect();
         // Byte-identity of the merged artifact: serialize both and diff.
         let bytes = |v: &[u64]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
         assert_eq!(bytes(&supervised), bytes(&plain), "jobs={jobs}");
@@ -66,18 +65,15 @@ fn panicking_fixture_quarantines_only_the_poisoned_jobs() {
     quiet_fixture_panics();
     let n = 10;
     for jobs in JOB_COUNTS {
-        let spec = SuperviseSpec::new().with_retries(1);
-        let run = run_indexed_supervised(&spec, jobs, n, |i| {
+        let (vals, quarantined) = run_indexed_supervised(jobs, n, |i| {
             assert!(!POISONED.contains(&i), "{FIXTURE_MARK} poisoned job {i}");
             value_of(i)
         });
-        let ids: Vec<usize> = run.quarantined.iter().map(|q| q.job_id).collect();
+        let ids: Vec<usize> = quarantined.iter().map(|q| q.job_id).collect();
         assert_eq!(ids, POISONED.to_vec(), "jobs={jobs}");
-        for q in &run.quarantined {
-            assert_eq!(q.attempts, 2, "retries=1 means two attempts");
+        for q in &quarantined {
             assert!(q.reason.contains("poisoned job"), "{}", q.reason);
         }
-        let (vals, _) = run.into_parts();
         for (i, v) in vals.iter().enumerate() {
             if POISONED.contains(&i) {
                 assert!(v.is_none(), "jobs={jobs} i={i}");
@@ -89,90 +85,19 @@ fn panicking_fixture_quarantines_only_the_poisoned_jobs() {
 }
 
 #[test]
-fn flaky_fixture_recovers_under_sufficient_retry() {
-    quiet_fixture_panics();
-    let n = 10;
-    for jobs in JOB_COUNTS {
-        // Each poisoned job fails its first two attempts, then succeeds.
-        let attempts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let flaky = |i: usize| {
-            let k = attempts[i].fetch_add(1, Ordering::Relaxed);
-            assert!(
-                !(POISONED.contains(&i) && k < 2),
-                "{FIXTURE_MARK} flaky job {i} attempt {k}"
-            );
-            value_of(i)
-        };
-        let run = run_indexed_supervised(&SuperviseSpec::new().with_retries(2), jobs, n, flaky);
-        assert!(run.is_clean(), "jobs={jobs}: 2 retries cover 2 failures");
-        let vals = run.expect_clean("flaky sweep");
-        assert_eq!(vals, (0..n).map(value_of).collect::<Vec<_>>());
-    }
-    // Insufficient retry budget: the same fixture quarantines.
-    let attempts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let run = run_indexed_supervised(&SuperviseSpec::new().with_retries(1), 4, n, |i| {
-        let k = attempts[i].fetch_add(1, Ordering::Relaxed);
-        assert!(
-            !(POISONED.contains(&i) && k < 2),
-            "{FIXTURE_MARK} flaky job {i} attempt {k}"
-        );
-        value_of(i)
-    });
-    let ids: Vec<usize> = run.quarantined.iter().map(|q| q.job_id).collect();
-    assert_eq!(ids, POISONED.to_vec());
-}
-
-#[test]
-fn slow_fixture_times_out_without_losing_fast_jobs() {
-    quiet_fixture_panics();
-    let n = 10;
-    let spec = SuperviseSpec::new().with_deadline_ms(20);
-    for jobs in JOB_COUNTS {
-        let run = run_indexed_supervised(&spec, jobs, n, |i| {
-            if POISONED.contains(&i) {
-                std::thread::sleep(Duration::from_millis(150));
-            }
-            value_of(i)
-        });
-        let ids: Vec<usize> = run.quarantined.iter().map(|q| q.job_id).collect();
-        assert_eq!(ids, POISONED.to_vec(), "jobs={jobs}");
-        for (i, o) in run.outcomes.iter().enumerate() {
-            if POISONED.contains(&i) {
-                match o {
-                    JobOutcome::TimedOut {
-                        job_id,
-                        deadline_ms,
-                        elapsed_ms,
-                        attempts,
-                    } => {
-                        assert_eq!(*job_id, i);
-                        assert_eq!(*deadline_ms, 20);
-                        assert!(*elapsed_ms >= 20, "jobs={jobs} i={i} elapsed={elapsed_ms}");
-                        assert_eq!(*attempts, 1);
-                    }
-                    other => panic!("jobs={jobs} i={i}: expected TimedOut, got {other:?}"),
-                }
-            } else {
-                assert!(o.is_done(), "jobs={jobs} i={i}");
-            }
-        }
-    }
-}
-
-#[test]
 fn quarantine_order_is_index_order_not_completion_order() {
     quiet_fixture_panics();
     // Later poisoned jobs fail fast, earlier ones fail slowly, so
     // completion order inverts index order; the quarantine list must
     // still come out index-sorted.
-    let run = run_indexed_supervised(&SuperviseSpec::new(), 4, 8, |i| {
+    let (_, quarantined) = run_indexed_supervised(4, 8, |i| {
         if POISONED.contains(&i) {
             std::thread::sleep(Duration::from_millis(40u64.saturating_sub(5 * i as u64)));
             panic!("{FIXTURE_MARK} ordered failure {i}");
         }
         value_of(i)
     });
-    let ids: Vec<usize> = run.quarantined.iter().map(|q| q.job_id).collect();
+    let ids: Vec<usize> = quarantined.iter().map(|q| q.job_id).collect();
     assert_eq!(ids, POISONED.to_vec());
 }
 
@@ -183,20 +108,13 @@ fn random_poison_sets_quarantine_exactly() {
         let n = src.usize(1..24);
         let poison: Vec<bool> = (0..n).map(|_| src.u64(0..4) == 0).collect();
         let jobs = JOB_COUNTS[src.usize(0..JOB_COUNTS.len())];
-        let retries = src.u64(0..3) as u32;
-        let run =
-            run_indexed_supervised(&SuperviseSpec::new().with_retries(retries), jobs, n, |i| {
-                assert!(!poison[i], "{FIXTURE_MARK} random poison {i}");
-                value_of(i)
-            });
+        let (vals, quarantined) = run_indexed_supervised(jobs, n, |i| {
+            assert!(!poison[i], "{FIXTURE_MARK} random poison {i}");
+            value_of(i)
+        });
         let want: Vec<usize> = (0..n).filter(|&i| poison[i]).collect();
-        let got: Vec<usize> = run.quarantined.iter().map(|q| q.job_id).collect();
+        let got: Vec<usize> = quarantined.iter().map(|q| q.job_id).collect();
         assert_eq!(got, want);
-        for q in &run.quarantined {
-            assert_eq!(q.attempts, retries + 1);
-        }
-        let (vals, quarantined) = run.into_parts();
-        assert_eq!(quarantined.len(), want.len());
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(v.is_none(), poison[i], "slot {i}");
         }
@@ -207,11 +125,9 @@ fn random_poison_sets_quarantine_exactly() {
 fn quarantine_display_is_actionable() {
     let q = Quarantine {
         job_id: 4,
-        attempts: 3,
         reason: "panicked: boom".to_string(),
     };
     let s = q.to_string();
     assert!(s.contains("job 4"), "{s}");
-    assert!(s.contains("3 attempts"), "{s}");
     assert!(s.contains("boom"), "{s}");
 }

@@ -19,14 +19,14 @@
 //! * **Execution mode** (`--exec`): every point runs the full machine —
 //!   exact IPC, at execution speed.
 //!
-//! Both paths fan out through the supervised job pool (panic isolation,
-//! retry, quarantine) and land results in the persistent cache.
+//! Both paths fan out through the supervised job pool (panic isolation
+//! and quarantine) and land results in the persistent cache.
 
 use crate::cache::ResultCache;
 use crate::space::{DesignSpace, Point};
 use crate::ExploreError;
 use cmpsim_core::{capture_run, run_workload, ArchKind, MachineConfig, RunSummary};
-use cmpsim_engine::supervise::{map_jobs_supervised, SuperviseSpec};
+use cmpsim_engine::supervise::map_jobs_supervised;
 use cmpsim_kernels::build_by_name;
 use cmpsim_mem::{LevelStats, MemStats, SentinelSpec};
 use cmpsim_trace::TraceRecord;
@@ -185,9 +185,8 @@ pub struct Evaluator {
     pub exec_runs: usize,
     /// Points evaluated through trace replay.
     pub replay_points: usize,
-    /// Points that exhausted the supervised retry budget and were
-    /// dropped (exec mode only; replay-mode capture failures are typed
-    /// errors).
+    /// Points whose run panicked and was quarantined (exec mode only;
+    /// replay-mode capture failures are typed errors).
     pub quarantined: usize,
 }
 
@@ -279,14 +278,13 @@ impl Evaluator {
     /// Execution mode: every point through the full machine, supervised.
     fn exec_batch(&mut self, todo: &[Point]) -> Vec<Option<PointMetrics>> {
         let spec = &self.spec;
-        let run = map_jobs_supervised(&SuperviseSpec::from_env(), spec.jobs, todo, |p| {
+        let (vals, quarantined) = map_jobs_supervised(spec.jobs, todo, |p| {
             let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
                 .unwrap_or_else(|e| panic!("building {}: {e}", spec.workload));
             let s = run_workload(&p.cfg, &w, spec.budget)
                 .unwrap_or_else(|e| panic!("explore point {}: {e}", p.code));
             exec_metrics(p, &s)
         });
-        let (vals, quarantined) = run.into_parts();
         self.quarantined += quarantined.len();
         self.exec_runs += vals.iter().flatten().count();
         vals
@@ -308,16 +306,14 @@ impl Evaluator {
             .collect();
         if !missing.is_empty() {
             let spec = &self.spec;
-            let run =
-                map_jobs_supervised(&SuperviseSpec::from_env(), spec.jobs, &missing, |(_, p)| {
-                    let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
-                        .unwrap_or_else(|e| panic!("building {}: {e}", spec.workload));
-                    let (_, bytes) = capture_run(&capture_config(p), &w, spec.budget)
-                        .unwrap_or_else(|e| panic!("capture for group {}: {e}", p.group_sig()));
-                    cmpsim_trace::decode(&bytes)
-                        .unwrap_or_else(|e| panic!("decoding group {} trace: {e}", p.group_sig()))
-                });
-            let (vals, _) = run.into_parts();
+            let (vals, _) = map_jobs_supervised(spec.jobs, &missing, |(_, p)| {
+                let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
+                    .unwrap_or_else(|e| panic!("building {}: {e}", spec.workload));
+                let (_, bytes) = capture_run(&capture_config(p), &w, spec.budget)
+                    .unwrap_or_else(|e| panic!("capture for group {}: {e}", p.group_sig()));
+                cmpsim_trace::decode(&bytes)
+                    .unwrap_or_else(|e| panic!("decoding group {} trace: {e}", p.group_sig()))
+            });
             for ((sig, _), records) in missing.iter().zip(vals) {
                 let records = records.ok_or_else(|| {
                     ExploreError::Workload(format!(

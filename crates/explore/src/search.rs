@@ -73,7 +73,7 @@ pub struct SearchOutcome {
     pub cache_hits: usize,
     /// Cache rows recovered from disk at open.
     pub cache_recovered: usize,
-    /// Points dropped after exhausting the supervised retry budget.
+    /// Points dropped because their run panicked (quarantined).
     pub quarantined: usize,
 }
 

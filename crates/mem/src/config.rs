@@ -99,6 +99,14 @@ pub enum ConfigError {
         /// The requested shard count.
         shards: usize,
     },
+    /// Reference-trace capture of more CPUs than a trace record's CPU
+    /// field can name.
+    CaptureTooManyCpus {
+        /// Requested CPU count.
+        n_cpus: usize,
+        /// Most CPUs a trace can carry.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -160,6 +168,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "shards = {shards}: sharded runs were removed; \
                  every run uses one serial loop (leave shards unset or 1)"
+            ),
+            ConfigError::CaptureTooManyCpus { n_cpus, max } => write!(
+                f,
+                "trace capture carries at most {max} CPUs (got {n_cpus}); \
+                 run this machine without capture"
             ),
         }
     }

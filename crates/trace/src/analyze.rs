@@ -292,17 +292,18 @@ where
     a
 }
 
-/// Analyzes an encoded trace, sizing the views from its header.
+/// Analyzes an encoded trace, sizing the views from its header (which
+/// the decoder has already checked: 1 to 64 CPUs, a power-of-two line).
 ///
 /// # Errors
 ///
-/// Propagates decode errors.
+/// Propagates decode errors, including [`TraceError::BadHeader`].
 pub fn analyze_bytes(bytes: &[u8]) -> Result<TraceAnalysis, TraceError> {
     let (header, records) = decode_with_header(bytes)?;
     Ok(analyze(
         &records,
-        usize::from(header.n_cpus).max(1),
-        u32::from(header.line_bytes).max(1),
+        usize::from(header.n_cpus),
+        u32::from(header.line_bytes),
     ))
 }
 

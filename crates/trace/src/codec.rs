@@ -150,6 +150,14 @@ pub enum TraceError {
     BadMagic([u8; 4]),
     /// Unsupported format version.
     BadVersion(u8),
+    /// The header names a geometry no writer produces: a CPU count
+    /// outside `1..=64` or a line size that is not a power of two.
+    BadHeader {
+        /// CPU count the header claims.
+        n_cpus: u8,
+        /// Line size the header claims, in bytes.
+        line_bytes: u16,
+    },
     /// A chunk's payload hashes to something other than its header claims.
     ChecksumMismatch {
         /// Zero-based chunk index.
@@ -194,6 +202,12 @@ impl fmt::Display for TraceError {
                     "unsupported trace version {v} (this build reads {VERSION})"
                 )
             }
+            TraceError::BadHeader { n_cpus, line_bytes } => write!(
+                f,
+                "bad trace header: {n_cpus} CPUs and {line_bytes}-byte lines \
+                 (a trace carries 1..={} CPUs and a power-of-two line size)",
+                usize::from(MAX_CPU) + 1
+            ),
             TraceError::ChecksumMismatch {
                 chunk,
                 expected,
@@ -431,11 +445,13 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Panics
     ///
-    /// Panics on a CPU count the tag field cannot carry.
+    /// Panics on a header the readers reject: a CPU count the tag field
+    /// cannot carry, or a line size that is not a power of two.
     pub fn new(mut out: W, n_cpus: usize, line_bytes: u32) -> io::Result<TraceWriter<W>> {
         assert!(
-            n_cpus <= usize::from(MAX_CPU) + 1,
-            "trace tag field carries at most {} CPUs",
+            header_geometry_ok(n_cpus, line_bytes),
+            "trace header carries 1..={} CPUs and a power-of-two line size below 64 KiB \
+             (got {n_cpus} CPUs, {line_bytes}-byte lines)",
             usize::from(MAX_CPU) + 1
         );
         let mut header = [0u8; 8];
@@ -532,6 +548,15 @@ fn take<const N: usize>(bytes: &[u8], pos: &mut usize) -> Option<[u8; N]> {
     Some(s.try_into().expect("slice of length N"))
 }
 
+/// Whether a header geometry is one the writer emits and analysis can
+/// size its views from: 1 to 64 CPUs (the tag field) and a power-of-two
+/// line size that fits the header's 16-bit field.
+fn header_geometry_ok(n_cpus: usize, line_bytes: u32) -> bool {
+    (1..=usize::from(MAX_CPU) + 1).contains(&n_cpus)
+        && line_bytes.is_power_of_two()
+        && line_bytes <= u32::from(u16::MAX)
+}
+
 /// Parses and validates the 8-byte file header of an in-memory trace.
 fn parse_header(bytes: &[u8], pos: &mut usize) -> Result<TraceHeader, TraceError> {
     let header: [u8; 8] = take(bytes, pos).ok_or(TraceError::Truncated)?;
@@ -543,10 +568,15 @@ fn parse_header(bytes: &[u8], pos: &mut usize) -> Result<TraceHeader, TraceError
     if header[4] != VERSION {
         return Err(TraceError::BadVersion(header[4]));
     }
+    let n_cpus = header[5];
+    let line_bytes = u16::from_le_bytes([header[6], header[7]]);
+    if !header_geometry_ok(usize::from(n_cpus), u32::from(line_bytes)) {
+        return Err(TraceError::BadHeader { n_cpus, line_bytes });
+    }
     Ok(TraceHeader {
         version: header[4],
-        n_cpus: header[5],
-        line_bytes: u16::from_le_bytes([header[6], header[7]]),
+        n_cpus,
+        line_bytes,
     })
 }
 
@@ -672,7 +702,7 @@ pub struct ChunkFrame {
 /// # Errors
 ///
 /// Framing errors only (`Truncated`, `BadMagic`, `BadVersion`,
-/// `BadRestart`, `CountMismatch`, `TrailingData`).
+/// `BadHeader`, `BadRestart`, `CountMismatch`, `TrailingData`).
 pub fn scan_chunks(bytes: &[u8]) -> Result<(TraceHeader, Vec<ChunkFrame>), TraceError> {
     let mut pos = 0usize;
     let header = parse_header(bytes, &mut pos)?;
@@ -764,8 +794,9 @@ pub struct Salvage {
 ///
 /// # Errors
 ///
-/// Only an unusable header (`Truncated`, `BadMagic`, `BadVersion`) —
-/// with fewer than 8 intact leading bytes there is nothing to salvage.
+/// Only an unusable header (`Truncated`, `BadMagic`, `BadVersion`,
+/// `BadHeader`) — without 8 intact, valid leading bytes there is nothing
+/// to salvage.
 pub fn salvage(bytes: &[u8]) -> Result<Salvage, TraceError> {
     let mut pos = 0usize;
     let header = parse_header(bytes, &mut pos)?;
@@ -1063,6 +1094,34 @@ mod tests {
                 "{err}"
             );
         }
+        // A CPU count past the tag field, and a line size that is not a
+        // power of two.
+        let mut bad = bytes.clone();
+        bad[5] = 100;
+        let err = decode(&bad).expect_err("bad n_cpus");
+        assert!(
+            matches!(
+                err,
+                TraceError::BadHeader {
+                    n_cpus: 100,
+                    line_bytes: 32
+                }
+            ),
+            "{err}"
+        );
+        let mut bad = bytes.clone();
+        bad[6..8].copy_from_slice(&48u16.to_le_bytes());
+        let err = decode(&bad).expect_err("bad line_bytes");
+        assert!(
+            matches!(
+                err,
+                TraceError::BadHeader {
+                    n_cpus: 4,
+                    line_bytes: 48
+                }
+            ),
+            "{err}"
+        );
     }
 
     /// A 48-byte file: one chunk whose valid checksum covers only the

@@ -41,6 +41,6 @@ pub use codec::{
     TraceError, TraceHeader, TraceKind, TraceRecord, TraceWriter, VERSION,
 };
 pub use replay::{
-    count_accesses, replay_bytes, replay_jobs, replay_matrix, replay_records, ConfigReplay,
-    ReplayStats, ENV_REPLAY_JOBS,
+    replay_bytes, replay_jobs, replay_matrix, replay_records, ConfigReplay, ReplayStats,
+    ENV_REPLAY_JOBS,
 };

@@ -11,7 +11,7 @@
 //! exactly what makes memory-hierarchy sweeps run at raw memory-system
 //! throughput (no Mipsy/MXS execution cost per configuration).
 
-use crate::codec::{TraceError, TraceKind, TraceRecord};
+use crate::codec::{TraceError, TraceRecord};
 use cmpsim_engine::Cycle;
 use cmpsim_mem::{MemRequest, MemStats, MemorySystem, PortUtil};
 
@@ -147,24 +147,11 @@ where
     })
 }
 
-/// Counts the replayable accesses in an encoded trace without touching
-/// any memory system (sweep benches size their work with this).
-///
-/// # Errors
-///
-/// Propagates decode errors.
-pub fn count_accesses(bytes: &[u8]) -> Result<u64, TraceError> {
-    let records = crate::codec::decode(bytes)?;
-    Ok(records
-        .iter()
-        .filter(|rec| rec.kind != TraceKind::StatsReset)
-        .count() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capture::{sink_to, SharedBuf, TracingSystem};
+    use crate::codec::TraceKind;
     use cmpsim_mem::{SharedL2System, SystemConfig};
     use std::rc::Rc;
 
@@ -212,7 +199,6 @@ mod tests {
             format!("{:?}", fresh.port_utilization()),
             format!("{:?}", traced.port_utilization()),
         );
-        assert_eq!(count_accesses(&bytes).expect("counts"), 6_000);
     }
 
     /// Cross-configuration replay is the fixed-stream approximation: it

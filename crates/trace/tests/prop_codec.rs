@@ -6,8 +6,8 @@
 
 use cmpsim_engine::prop::{self, Config, Source};
 use cmpsim_trace::{
-    decode, decode_chunk, decode_with_header, encode, salvage, scan_chunks, TraceKind, TraceRecord,
-    VERSION,
+    analyze_bytes, decode, decode_chunk, decode_with_header, encode, salvage, scan_chunks,
+    TraceKind, TraceRecord, VERSION,
 };
 
 /// Draws a record stream with the shapes capture actually produces:
@@ -96,17 +96,20 @@ fn prop_decoder_never_panics_on_arbitrary_bytes() {
     prop::check("trace codec arbitrary input", |src| {
         let mut bytes = src.vec(0..300, |s| s.u32(0..256) as u8);
         if src.bool() {
-            // Valid magic + the real version so the deeper chunk
-            // machinery runs too.
+            // Valid magic + the real version, and a header geometry that
+            // is usually valid, so the deeper chunk machinery runs too.
             let mut framed = b"CMPT".to_vec();
             framed.push(VERSION);
+            framed.push(src.choice(&[1u8, 4, 64, 0, 65, 100]));
+            framed.extend_from_slice(&src.choice(&[32u16, 64, 0, 48]).to_le_bytes());
             framed.append(&mut bytes);
             bytes = framed;
         }
         // Must return (Ok or Err), never panic or loop — on every entry
         // point: strict decode, the lenient salvage walk, the frame
-        // scanner, and single-chunk decode.
+        // scanner, single-chunk decode, and analysis of a whole file.
         let _ = decode(&bytes);
+        let _ = analyze_bytes(&bytes);
         let _ = salvage(&bytes);
         if let Ok((_, frames)) = scan_chunks(&bytes) {
             for frame in &frames {

@@ -140,6 +140,20 @@ fn unusable_header_is_the_only_salvage_error() {
         salvage(b"CMPT\x01\x04\x20\x00"),
         Err(TraceError::BadVersion(1))
     ));
+    assert!(matches!(
+        salvage(b"CMPT\x02\x64\x20\x00"),
+        Err(TraceError::BadHeader {
+            n_cpus: 100,
+            line_bytes: 32
+        })
+    ));
+    assert!(matches!(
+        salvage(b"CMPT\x02\x04\x30\x00"),
+        Err(TraceError::BadHeader {
+            n_cpus: 4,
+            line_bytes: 48
+        })
+    ));
 }
 
 fn temp_path(tag: &str) -> std::path::PathBuf {

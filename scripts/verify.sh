@@ -36,10 +36,11 @@
 #    stdout byte-identical to the uninterrupted sweep: a crashed host
 #    loses no completed work and changes no bytes.
 # 6c. Quarantine: the quick matrix runs with CMPSIM_MATRIX_PANIC
-#    poisoning one case (mp3d:shared-L2:mipsy) to panic on every
-#    attempt. The sweep must exit nonzero, report the quarantined case
-#    on stderr, and emit every OTHER row byte-identical to the clean
-#    sweep — one poisoned job never takes the sweep down with it.
+#    poisoning one case (mp3d:shared-L2:mipsy) to panic. Each job gets
+#    one attempt (a deterministic simulation that panicked would panic
+#    again). The sweep must exit nonzero, report the quarantined case on
+#    stderr, and emit every OTHER row byte-identical to the clean sweep
+#    — one poisoned job never takes the sweep down with it.
 # 8b. (Retired together with trace format v1; gates 8c and 8d keep
 #    their numbers.)
 # 8c. Trace salvage: an eqntott capture is truncated at 60%, 85% and
@@ -57,14 +58,13 @@
 #    pass through gate 8's digest-equality replay check.)
 # 9. (Retired together with the sharded run loop, DESIGN.md §12; gates
 #    10 and 11 keep their numbers.)
-# 10. Quick simulator-speed check: the sim_throughput, replay_sweep,
-#    extension_mesh_scaling and explore_sweep benches in quick mode
-#    (CMPSIM_BENCH_QUICK=1) appended to BENCH_pr10.json, so every
-#    verification leaves a dated throughput record (sentinel overhead,
-#    supervised-vs-plain sweep overhead, geometry rows, the trace-replay
-#    sweep, the decode/batched-replay sweep, the mesh
-#    4->16->64 scaling study, and the explore points/s + cache-hit
-#    speedup) next to the pre/post-PR entries.
+# 10. Host-speed benchmark, quick mode: `cmpsim-perf --quick` (perf/,
+#    the benchmark BENCHMARK.json runs) drives all five workloads —
+#    mipsy-read, mipsy-write, mxs-paper, mesh64 and the explore search —
+#    and checks every simulated result and every explore point against
+#    the golden digests in perf/golden. A mismatch exits nonzero. The
+#    gate writes nothing into the tree: perf/ is the one place host
+#    speed is measured, and the BENCH_pr*.json files are frozen history.
 # 11. Explore smoke: a seeded 64-point `cmpsim explore` search over a
 #    4-dimensional memory sweep must (a) emit byte-identical JSON at
 #    --jobs 1 and --jobs 4, (b) report replayed points > 0 on stderr
@@ -151,7 +151,7 @@ echo "ok: killed sweep resumed 28 rows and reproduced the artifact byte-for-byte
 
 echo "== quarantine: one poisoned case, every other row survives =="
 set +e
-CMPSIM_MATRIX_PANIC=mp3d:shared-L2:mipsy CMPSIM_RETRY=1 CMPSIM_MATRIX_SCALE=0.02 \
+CMPSIM_MATRIX_PANIC=mp3d:shared-L2:mipsy CMPSIM_MATRIX_SCALE=0.02 \
     cargo bench -q -p cmpsim-bench --bench summary_matrix \
     > "$tmpdir/poison.out" 2> "$tmpdir/poison.err"
 poison_rc=$?
@@ -281,14 +281,8 @@ if ! grep -qE '[1-9][0-9]* cached' "$tmpdir/explore_resumed.err"; then
 fi
 echo "ok: explore search byte-identical across jobs, cache reruns and a mid-run SIGKILL"
 
-echo "== quick simulator-speed record -> BENCH_pr10.json =="
-stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-for bench in sim_throughput replay_sweep extension_mesh_scaling explore_sweep; do
-    CMPSIM_BENCH_QUICK=1 cargo bench -q -p cmpsim-bench --bench "$bench" 2>/dev/null \
-        | grep '^{' \
-        | sed "s/^{/{\"phase\":\"verify\",\"utc\":\"${stamp}\",/" \
-        >> BENCH_pr10.json
-done
-echo "ok: appended quick sim_throughput, replay_sweep, mesh-scaling and explore records"
+echo "== host-speed benchmark: cmpsim-perf --quick, results checked against perf/golden =="
+cargo run --release -q --offline --manifest-path perf/Cargo.toml -- --quick > "$tmpdir/perf.jsonl"
+echo "ok: cmpsim-perf --quick $(tail -n 1 "$tmpdir/perf.jsonl")"
 
 echo "verify.sh: all checks passed"

@@ -11,8 +11,8 @@
 use cmpsim::core::machine::run_workload;
 use cmpsim::core::report::IpcBreakdown;
 use cmpsim::core::{
-    probe_latencies, ArchKind, Breakdown, CpuKind, MachineConfig, MissRates, RunSummary,
-    TraceProfile, ENV_TRACE_IN,
+    probe_latencies, ArchKind, Breakdown, CpuKind, Machine, MachineConfig, MissRates, RunError,
+    RunSummary, TraceProfile, ENV_TRACE_IN,
 };
 use cmpsim::engine::journal::{Journal, JournalKey};
 use cmpsim::trace::codec::fnv1a;
@@ -266,10 +266,12 @@ fn run_one(a: &Args, arch: ArchKind) -> Result<RunSummary, String> {
     cfg.l1_latency = a.l1_latency;
     cfg.l1_banks = a.l1_banks;
     cfg.mesh_dims = mesh_dims_of(a.mesh_rows, a.mesh_cols)?;
-    // Validate up front so a bad geometry is a CLI error, not a panic out
-    // of the machine builder.
-    cfg.system_config().validate().map_err(|e| e.to_string())?;
-    run_workload(&cfg, &w, a.budget).map_err(|e| e.to_string())
+    // Build fallibly so a bad geometry, or a capture the trace format
+    // cannot carry, is a CLI error rather than a panic out of the builder.
+    let mut m = Machine::try_new(&cfg, &w).map_err(|e| e.to_string())?;
+    let s = m.run(a.budget).map_err(|e| e.to_string())?;
+    (w.check)(m.phys()).map_err(|e| RunError::CheckFailed(e).to_string())?;
+    Ok(s)
 }
 
 /// `cmpsim explore`: seeded design-space search with cached batch
@@ -611,8 +613,8 @@ fn main() -> ExitCode {
             if let Some(header) = header {
                 let a = analyze(
                     &records,
-                    usize::from(header.n_cpus).max(1),
-                    u32::from(header.line_bytes).max(1),
+                    usize::from(header.n_cpus),
+                    u32::from(header.line_bytes),
                 );
                 println!("stream       : {}", TraceProfile::from_analysis(&a));
             }

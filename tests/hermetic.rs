@@ -146,7 +146,7 @@ fn removed_external_crates_stay_removed() {
             assert!(
                 !text.contains(banned),
                 "{} mentions `{}`; the workspace is dependency-free \
-                 (use cmpsim_engine::prop / cmpsim_bench::timing instead)",
+                 (use cmpsim_engine::prop; perf/ measures host speed)",
                 manifest.display(),
                 banned.trim()
             );
