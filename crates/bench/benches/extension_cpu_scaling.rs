@@ -5,9 +5,10 @@
 //! (ear) scale best where sharing is cheap; streaming workloads (ocean)
 //! scale with bandwidth.
 
-use cmpsim_bench::{bench_header, n_jobs, shape_check, BUDGET};
+use cmpsim_bench::{bench_header, shape_check, BUDGET};
 use cmpsim_core::machine::run_workload;
 use cmpsim_core::{ArchKind, CpuKind, MachineConfig};
+use cmpsim_engine::pool::host_jobs;
 use cmpsim_kernels::build_by_name;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
             .into_iter()
             .flat_map(|arch| [1usize, 2, 4].map(|n| (arch, n)))
             .collect();
-        let cycles = cmpsim_engine::pool::map_jobs(n_jobs(), &points, |&(arch, n)| {
+        let cycles = cmpsim_engine::pool::map_jobs(host_jobs(), &points, |&(arch, n)| {
             let w = build_by_name(workload, n, 0.5).expect("builds");
             let mut cfg = MachineConfig::new(arch, CpuKind::Mipsy);
             cfg.n_cpus = n;

@@ -6,9 +6,10 @@
 //! sharing grows; the bus machine holds its own when there is nothing to
 //! share; write-through makes the shared-L2 allergic to stores.
 
-use cmpsim_bench::{bench_header, n_jobs, shape_check, BUDGET};
+use cmpsim_bench::{bench_header, shape_check, BUDGET};
 use cmpsim_core::machine::run_workload;
 use cmpsim_core::{ArchKind, CpuKind, MachineConfig};
+use cmpsim_engine::pool::host_jobs;
 use cmpsim_kernels::synth::{build, SynthParams};
 
 fn best(shared_pct: u8, store_pct: u8) -> (ArchKind, [u64; 3]) {
@@ -49,7 +50,7 @@ fn main() {
         .iter()
         .flat_map(|&sh| store_axis.iter().map(move |&st| (sh, st)))
         .collect();
-    let winners = cmpsim_engine::pool::map_jobs(n_jobs(), &cells, |&(sh, st)| best(sh, st).0);
+    let winners = cmpsim_engine::pool::map_jobs(host_jobs(), &cells, |&(sh, st)| best(sh, st).0);
     let grid: Vec<(u8, u8, ArchKind)> = cells
         .iter()
         .zip(&winners)

@@ -12,9 +12,10 @@
 //! within a small factor of the *idealized* fixed-latency crossbar it
 //! replaces.
 
-use cmpsim_bench::{bench_header, n_jobs, shape_check, BUDGET};
+use cmpsim_bench::{bench_header, shape_check, BUDGET};
 use cmpsim_core::machine::run_workload;
 use cmpsim_core::{ArchKind, CpuKind, MachineConfig};
+use cmpsim_engine::pool::host_jobs;
 use cmpsim_kernels::build_by_name;
 
 const CPU_COUNTS: [usize; 3] = [4, 16, 64];
@@ -37,7 +38,7 @@ fn main() {
         .collect();
     // Every (workload, arch, n) machine is independent; fan out, then
     // rebuild the rows in point order.
-    let results = cmpsim_engine::pool::map_jobs(n_jobs(), &points, |&(workload, arch, n)| {
+    let results = cmpsim_engine::pool::map_jobs(host_jobs(), &points, |&(workload, arch, n)| {
         let w = build_by_name(workload, n, SCALE).expect("builds");
         let mut cfg = MachineConfig::new(arch, CpuKind::Mipsy);
         cfg.n_cpus = n;

@@ -11,27 +11,13 @@ pub mod matrix;
 
 use cmpsim_core::report::IpcBreakdown;
 use cmpsim_core::{
-    decode_summary, encode_summary, run_workload, ArchKind, Breakdown, CpuKind, MachineConfig,
-    MissRates, RunSummary,
+    run_workload, ArchKind, Breakdown, CpuKind, MachineConfig, MissRates, RunSummary,
 };
-use cmpsim_engine::journal::{Journal, JournalKey};
-use cmpsim_engine::pool::map_jobs;
+use cmpsim_engine::pool::{host_jobs, map_jobs};
 use cmpsim_kernels::build_by_name;
-use std::sync::Mutex;
 
 /// Default cycle budget for bench runs.
 pub const BUDGET: u64 = 40_000_000_000;
-
-/// Worker-thread count for bench fan-out: `CMPSIM_BENCH_JOBS` if set (an
-/// unparsable or zero value falls back to 1), else the host's available
-/// parallelism. Every simulated run is single-threaded and
-/// deterministic, so independent `(arch × workload × cpu-model)` runs
-/// fan out across host cores without touching the simulator itself; the
-/// policy lives in [`cmpsim_engine::pool::env_jobs`], shared with the
-/// explore drivers.
-pub fn n_jobs() -> usize {
-    cmpsim_engine::pool::env_jobs("CMPSIM_BENCH_JOBS")
-}
 
 /// Results of one workload on one architecture.
 #[derive(Debug, Clone)]
@@ -89,12 +75,9 @@ impl FigureData {
 ///
 /// `tweak` lets ablation benches adjust each machine configuration. The
 /// three per-architecture runs are independent deterministic simulations,
-/// so they fan out across host cores (see [`n_jobs`]); results come
-/// back in `ArchKind::ALL` order regardless of the worker count.
-///
-/// With `CMPSIM_RESUME=<path>` set, each completed architecture's full
-/// `RunSummary` is journaled (snapshot-encoded) so a restarted figure
-/// skips finished runs and reproduces identical output.
+/// so they fan out across the host's cores
+/// ([`cmpsim_engine::pool::host_jobs`]); results come back in
+/// `ArchKind::ALL` order regardless of the worker count.
 ///
 /// # Panics
 ///
@@ -106,48 +89,13 @@ pub fn run_figure_with(
     cpu: CpuKind,
     tweak: impl Fn(&mut MachineConfig) + Sync,
 ) -> FigureData {
-    let journal = Journal::from_env()
-        .unwrap_or_else(|e| panic!("opening resume journal: {e}"))
-        .map(Mutex::new);
-    let results = map_jobs(n_jobs(), &ArchKind::ALL, |&arch| {
+    let results = map_jobs(host_jobs(), &ArchKind::ALL, |&arch| {
         let mut cfg = MachineConfig::new(arch, cpu);
         tweak(&mut cfg);
-        // The config digest covers the post-tweak `Debug` form, so two
-        // figures sharing a journal can never cross-resume each other's
-        // rows unless their machines really are identical.
-        let key = JournalKey::digest(
-            "cmpsim-figure-v1",
-            &format!("{cfg:?}"),
-            &format!("{workload}|{scale:?}"),
-        );
-        if let Some(j) = &journal {
-            let hit = j.lock().expect("journal lock").get(key).map(<[u8]>::to_vec);
-            if let Some(bytes) = hit {
-                let summary = decode_summary(&bytes).unwrap_or_else(|e| {
-                    panic!("{workload} on {arch}: resume journal row undecodable: {e}")
-                });
-                return ArchResult {
-                    arch,
-                    breakdown: Breakdown::from_summary(&summary),
-                    miss_rates: MissRates::from_mem(&summary.mem),
-                    summary,
-                };
-            }
-        }
         let w = build_by_name(workload, 4, scale)
             .unwrap_or_else(|e| panic!("building {workload}: {e}"));
         let summary =
             run_workload(&cfg, &w, BUDGET).unwrap_or_else(|e| panic!("{workload} on {arch}: {e}"));
-        if let Some(j) = &journal {
-            // A summary with sentinel violations refuses to encode; such
-            // a run should fail loudly downstream, never resume silently.
-            if let Some(bytes) = encode_summary(&summary) {
-                j.lock()
-                    .expect("journal lock")
-                    .put(key, &bytes)
-                    .unwrap_or_else(|e| panic!("journaling {workload} on {arch}: {e}"));
-            }
-        }
         ArchResult {
             arch,
             breakdown: Breakdown::from_summary(&summary),

@@ -8,18 +8,24 @@
 //!
 //! * **Regression pinning** — simulator optimizations must change host time
 //!   only, so the digest of every case must be identical before and after.
-//! * **Parallel-harness determinism** — the same matrix run with
-//!   `CMPSIM_BENCH_JOBS=1` and `=8` must produce byte-identical lines
-//!   (`jobs` only changes which thread runs a case, never its result).
+//! * **Parallel-harness determinism** — the same matrix run on 1 and 8
+//!   workers must produce byte-identical lines (`jobs` only changes which
+//!   thread runs a case, never its result).
 
 use cmpsim_core::{capture_run, run_workload, ArchKind, CpuKind, MachineConfig, RunSummary};
 use cmpsim_engine::journal::{Journal, JournalKey};
 use cmpsim_engine::pool::map_jobs;
 use cmpsim_engine::supervise::{map_jobs_supervised, Quarantine};
-use cmpsim_kernels::{build_by_name, ALL_WORKLOADS};
+use cmpsim_kernels::{build_by_name, BuiltWorkload, ALL_WORKLOADS};
+use cmpsim_mem::{MemorySystem, SentinelSpec};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// FNV-1a 64-bit hash — a stable, dependency-free fingerprint. The
+/// engine's one copy, under the name the digest readers (`perf/`)
+/// import.
+pub use cmpsim_engine::journal::fnv1a64 as fnv1a;
 
 /// Cycle budget for matrix runs (small scales finish far below this).
 pub const MATRIX_BUDGET: u64 = 10_000_000_000;
@@ -109,16 +115,6 @@ pub fn extended_matrix(scale: f64) -> Vec<MatrixCase> {
     cases.push(geo(ArchKind::Mesh, CpuKind::Mipsy, 8, None));
     cases.push(geo(ArchKind::Mesh, CpuKind::Mipsy, 16, None));
     cases
-}
-
-/// FNV-1a 64-bit hash — a stable, dependency-free fingerprint.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One value in a JSON line.
@@ -226,37 +222,37 @@ pub fn summary_json(case: &MatrixCase, s: &RunSummary) -> String {
     json_line(&fields)
 }
 
-/// Runs one matrix case at the default machine configuration. The
-/// coherence sentinel follows the environment (`CMPSIM_SENTINEL`), so a
-/// sentinel verification pass is just the normal matrix run with the knob
-/// set.
-///
-/// # Panics
-///
-/// Panics if the workload fails to build, times out, fails validation, or
-/// (sentinel on) reports any invariant violation — the matrix pins
-/// known-good configurations.
-pub fn run_case(case: &MatrixCase) -> RunSummary {
-    run_case_with_sentinel(case, None)
-}
-
-/// Like [`run_case`] but pinning the sentinel spec instead of resolving it
-/// from the environment (digest-equivalence tests need both modes in one
-/// process without racing on env vars).
-///
-/// # Panics
-///
-/// As [`run_case`].
-pub fn run_case_with_sentinel(
-    case: &MatrixCase,
-    sentinel: Option<cmpsim_mem::SentinelSpec>,
-) -> RunSummary {
+/// Builds a case's workload and its default machine configuration with
+/// `sentinel`.
+fn case_setup(case: &MatrixCase, sentinel: SentinelSpec) -> (BuiltWorkload, MachineConfig) {
     let w = build_by_name(case.workload, case.n_cpus, case.scale)
         .unwrap_or_else(|e| panic!("building {}: {e}", case.workload));
     let mut cfg = MachineConfig::new(case.arch, case.cpu);
     cfg.n_cpus = case.n_cpus;
     cfg.cpus_per_cluster = case.cpus_per_cluster;
-    cfg.sentinel = sentinel;
+    cfg.sentinel = Some(sentinel);
+    (w, cfg)
+}
+
+/// Runs one matrix case at the default machine configuration, sentinel
+/// off.
+///
+/// # Panics
+///
+/// Panics if the workload fails to build, times out or fails validation
+/// — the matrix pins known-good configurations.
+pub fn run_case(case: &MatrixCase) -> RunSummary {
+    run_case_with_sentinel(case, SentinelSpec::off())
+}
+
+/// Like [`run_case`] but running under `sentinel`, the verification
+/// pass's mode.
+///
+/// # Panics
+///
+/// As [`run_case`], and also on any sentinel invariant violation.
+pub fn run_case_with_sentinel(case: &MatrixCase, sentinel: SentinelSpec) -> RunSummary {
+    let (w, cfg) = case_setup(case, sentinel);
     let s = run_workload(&cfg, &w, MATRIX_BUDGET)
         .unwrap_or_else(|e| panic!("{} on {}: {e}", case.workload, case.arch));
     assert!(
@@ -281,11 +277,6 @@ pub fn matrix_json_lines(cases: &[MatrixCase], jobs: usize) -> Vec<String> {
 /// The matching case panics instead of running; the supervised sweep
 /// must quarantine it without losing any other row.
 pub const ENV_MATRIX_PANIC: &str = "CMPSIM_MATRIX_PANIC";
-
-/// Env knob `SIGKILL`ing the process right after the n-th row is
-/// journaled — the kill-and-resume gate's fault injection. Only
-/// meaningful together with a resume journal (`CMPSIM_RESUME`).
-pub const ENV_KILL_AFTER: &str = "CMPSIM_KILL_AFTER";
 
 /// The resume-journal key of one matrix case, built through the shared
 /// [`JournalKey::digest`] helper: the config half covers the namespaced
@@ -317,27 +308,25 @@ pub struct MatrixOutcome {
     pub resumed: usize,
 }
 
-/// [`matrix_json_lines`] under the supervised execution layer: each case
-/// runs once in panic isolation, and — when `journal` is supplied — each
-/// completed row is journaled crash-safely and resumed verbatim on
-/// restart. When nothing fails and no journal row pre-exists, the
-/// surviving lines are byte-identical to the unsupervised sweep's
-/// (test-asserted).
+/// [`matrix_json_lines`] under the supervised execution layer, every
+/// case run under `sentinel`: each case runs once in panic isolation,
+/// and — when `journal` is supplied — each completed row is journaled
+/// crash-safely and resumed verbatim on restart. When nothing fails and
+/// no journal row pre-exists, the surviving lines are byte-identical to
+/// the unsupervised sweep's (test-asserted).
 ///
-/// Honors [`ENV_MATRIX_PANIC`] (poison one case) and [`ENV_KILL_AFTER`]
-/// (self-`SIGKILL` after the n-th journal append) for the verify.sh
-/// fault-injection gates.
+/// Honors [`ENV_MATRIX_PANIC`] (poison one case) for the verify.sh
+/// quarantine gate. The journal's own kill hook
+/// ([`cmpsim_engine::journal::ENV_KILL_AFTER`]) fires inside `put`, while
+/// this sweep holds the journal lock, so exactly n rows are journaled.
 pub fn matrix_json_lines_supervised(
     cases: &[MatrixCase],
     jobs: usize,
     journal: Option<&Mutex<Journal>>,
+    sentinel: SentinelSpec,
 ) -> MatrixOutcome {
     let poison = std::env::var(ENV_MATRIX_PANIC).ok();
-    let kill_after: Option<usize> = std::env::var(ENV_KILL_AFTER)
-        .ok()
-        .and_then(|s| s.trim().parse().ok());
     let resumed = AtomicUsize::new(0);
-    let journaled = AtomicUsize::new(0);
     let (vals, quarantined) = map_jobs_supervised(jobs, cases, |case| {
         let key = case_key(case);
         if let Some(j) = journal {
@@ -361,24 +350,12 @@ pub fn matrix_json_lines_supervised(
             poison.as_deref() != Some(label.as_str()),
             "injected matrix fault: {label} poisoned via {ENV_MATRIX_PANIC}"
         );
-        let line = summary_json(case, &run_case(case));
+        let line = summary_json(case, &run_case_with_sentinel(case, sentinel));
         if let Some(j) = journal {
-            let mut guard = j.lock().expect("journal lock");
-            guard
+            j.lock()
+                .expect("journal lock")
                 .put(key, line.as_bytes())
                 .unwrap_or_else(|e| panic!("journaling {label}: {e}"));
-            let n = journaled.fetch_add(1, Ordering::Relaxed) + 1;
-            if kill_after == Some(n) {
-                // The kill-and-resume gate: die the hard way, mid-sweep,
-                // exactly as a crashed host would. Dying while still
-                // holding the journal lock pins the row count at exactly
-                // `n` — no other worker can append while we wait for the
-                // signal to land.
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", &std::process::id().to_string()])
-                    .status();
-                unreachable!("SIGKILL delivery");
-            }
         }
         line
     });
@@ -389,40 +366,31 @@ pub fn matrix_json_lines_supervised(
     }
 }
 
-/// Runs one matrix case with reference-trace capture on, then replays the
-/// capture into a freshly built identical memory system and asserts the
-/// replayed `MemStats` and port utilization are bit-identical to the
-/// captured run's. Returns the captured run's summary, so a matrix of
-/// these renders the same JSON lines as [`run_case`] — which is the
-/// other half of the contract: capture must not perturb the run.
-///
-/// The replay runs through the batched [`cmpsim_trace::replay_matrix`]
-/// driver at `CMPSIM_REPLAY_JOBS` ([`cmpsim_trace::replay_jobs`]), so the
-/// verify.sh 56-case gate pins the job-pool path, not just the serial
-/// one.
+/// Runs one matrix case under `sentinel` with reference-trace capture
+/// on, then replays the capture into a freshly built identical memory
+/// system and asserts the replayed `MemStats` and port utilization are
+/// bit-identical to the captured run's. Returns the captured run's
+/// summary, so a matrix of these renders the same JSON lines as
+/// [`run_case`] — which is the other half of the contract: capture must
+/// not perturb the run.
 ///
 /// # Panics
 ///
 /// As [`run_case`]; additionally panics if the trace fails to decode or
 /// the replayed statistics differ.
-pub fn run_case_replay_checked(case: &MatrixCase) -> RunSummary {
-    let w = build_by_name(case.workload, case.n_cpus, case.scale)
-        .unwrap_or_else(|e| panic!("building {}: {e}", case.workload));
-    let mut cfg = MachineConfig::new(case.arch, case.cpu);
-    cfg.n_cpus = case.n_cpus;
-    cfg.cpus_per_cluster = case.cpus_per_cluster;
+pub fn run_case_replay_checked(case: &MatrixCase, sentinel: SentinelSpec) -> RunSummary {
+    let (w, cfg) = case_setup(case, sentinel);
     let (s, bytes) = capture_run(&cfg, &w, MATRIX_BUDGET)
         .unwrap_or_else(|e| panic!("{} on {}: {e}", case.workload, case.arch));
-    let jobs = cmpsim_trace::replay_jobs();
     let records = cmpsim_trace::decode(&bytes)
         .unwrap_or_else(|e| panic!("{} on {}: decode failed: {e}", case.workload, case.arch));
-    let sc = cfg.system_config();
-    let replayed = cmpsim_trace::replay_matrix(&records, 1, jobs, |_| {
-        cfg.arch.try_build(&sc).unwrap_or_else(|e| panic!("{e}"))
-    });
-    let fresh = &replayed[0];
+    let mut fresh = cfg
+        .arch
+        .try_build(&cfg.system_config())
+        .unwrap_or_else(|e| panic!("{e}"));
+    cmpsim_trace::replay_records(&records, fresh.as_mut());
     assert_eq!(
-        format!("{:?}", fresh.stats),
+        format!("{:?}", fresh.stats()),
         format!("{:?}", s.mem),
         "{} on {} ({}): replayed MemStats differ from the captured run's",
         case.workload,
@@ -430,7 +398,7 @@ pub fn run_case_replay_checked(case: &MatrixCase) -> RunSummary {
         cpu_label(case.cpu),
     );
     assert_eq!(
-        format!("{:?}", fresh.ports),
+        format!("{:?}", fresh.port_utilization()),
         format!("{:?}", s.port_util),
         "{} on {} ({}): replayed port utilization differs",
         case.workload,
@@ -445,9 +413,13 @@ pub fn run_case_replay_checked(case: &MatrixCase) -> RunSummary {
 /// capture/replay equivalence assertions. Byte-identical output to the
 /// plain matrix proves both that the capture hook does not perturb
 /// results and that replay reproduces them.
-pub fn matrix_json_lines_replay_checked(cases: &[MatrixCase], jobs: usize) -> Vec<String> {
+pub fn matrix_json_lines_replay_checked(
+    cases: &[MatrixCase],
+    jobs: usize,
+    sentinel: SentinelSpec,
+) -> Vec<String> {
     map_jobs(jobs, cases, |case| {
-        summary_json(case, &run_case_replay_checked(case))
+        summary_json(case, &run_case_replay_checked(case, sentinel))
     })
 }
 
@@ -479,21 +451,14 @@ mod tests {
     /// on and off (the checker only probes, never mutates).
     #[test]
     fn sentinel_on_digests_are_bit_identical() {
-        use cmpsim_mem::SentinelSpec;
         let cases: Vec<MatrixCase> = default_matrix(0.02)
             .into_iter()
             .filter(|c| c.cpu == CpuKind::Mipsy && c.workload == "eqntott")
             .collect();
         assert_eq!(cases.len(), 4, "one per architecture");
         for case in &cases {
-            let off = summary_json(
-                case,
-                &run_case_with_sentinel(case, Some(SentinelSpec::off())),
-            );
-            let on = summary_json(
-                case,
-                &run_case_with_sentinel(case, Some(SentinelSpec::on())),
-            );
+            let off = summary_json(case, &run_case_with_sentinel(case, SentinelSpec::off()));
+            let on = summary_json(case, &run_case_with_sentinel(case, SentinelSpec::on()));
             assert_eq!(
                 off, on,
                 "{} on {}: sentinel changed results",
@@ -514,7 +479,7 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 4 * 2 + 4);
         let plain = matrix_json_lines(&cases, 4);
-        let checked = matrix_json_lines_replay_checked(&cases, 4);
+        let checked = matrix_json_lines_replay_checked(&cases, 4, SentinelSpec::off());
         assert_eq!(plain, checked);
     }
 
@@ -577,7 +542,7 @@ mod tests {
         assert_eq!(cases.len(), 4);
         let plain = matrix_json_lines(&cases, 4);
         for jobs in [1usize, 4] {
-            let out = matrix_json_lines_supervised(&cases, jobs, None);
+            let out = matrix_json_lines_supervised(&cases, jobs, None, SentinelSpec::off());
             assert!(out.quarantined.is_empty());
             assert_eq!(out.resumed, 0);
             assert_eq!(
@@ -603,7 +568,7 @@ mod tests {
 
         // First pass journals only a prefix — the "killed mid-sweep" state.
         let j = Mutex::new(Journal::open(&path).expect("opens"));
-        let partial = matrix_json_lines_supervised(&cases[..2], 2, Some(&j));
+        let partial = matrix_json_lines_supervised(&cases[..2], 2, Some(&j), SentinelSpec::off());
         assert_eq!(partial.resumed, 0);
         drop(j);
 
@@ -611,7 +576,7 @@ mod tests {
         // and stdout is byte-identical to an uninterrupted run.
         let j = Mutex::new(Journal::open(&path).expect("reopens"));
         assert_eq!(j.lock().unwrap().recovered(), 2);
-        let resumed = matrix_json_lines_supervised(&cases, 2, Some(&j));
+        let resumed = matrix_json_lines_supervised(&cases, 2, Some(&j), SentinelSpec::off());
         assert_eq!(resumed.resumed, 2, "the journaled prefix is not re-run");
         assert!(resumed.quarantined.is_empty());
         assert_eq!(resumed.lines, matrix_json_lines(&cases, 2));
@@ -655,13 +620,5 @@ mod tests {
     fn non_finite_floats_become_null() {
         let line = json_line(&[("rate", f64::INFINITY.into())]);
         assert_eq!(line, r#"{"rate":null}"#);
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 }

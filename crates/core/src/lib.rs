@@ -31,13 +31,11 @@
 pub mod machine;
 pub mod probe;
 pub mod report;
-pub mod snapshot;
 
 pub use cmpsim_cpu::MxsConfig;
 pub use machine::{
     run_workload, ArchKind, CpuDiag, CpuKind, Machine, MachineConfig, RunError, RunSummary,
-    Watchdog, WatchdogReport, ENV_STALL_CYCLES, ENV_TRACE_IN, ENV_TRACE_OUT,
+    Watchdog, WatchdogReport,
 };
 pub use probe::{capture_run, probe_latencies, ProbeResult};
 pub use report::{Breakdown, IpcBreakdown, MissRates, TraceProfile};
-pub use snapshot::{decode_summary, encode_summary};

@@ -8,20 +8,10 @@ use cmpsim_mem::{
     AddrSpace, ClusteredSystem, ConfigError, MemStats, MemorySystem, MeshSystem, PhysMem,
     SentinelSpec, SentinelViolation, SharedL1System, SharedL2System, SharedMemSystem, SystemConfig,
 };
-use cmpsim_trace::{sink_to, sink_to_path, SinkHandle, TracingSystem};
+use cmpsim_trace::{sink_to, SinkHandle, SinkOut, TracingSystem};
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
 use std::rc::Rc;
-
-/// Where [`Machine::try_new_inner`] sends the reference trace: a path
-/// (from `CMPSIM_TRACE_OUT`) captured crash-safely through an atomic
-/// temp-file rename, or a caller-supplied writer (programmatic capture)
-/// streamed as-is.
-enum TraceDest {
-    Path(String),
-    Writer(Box<dyn Write>),
-}
 
 /// Which of the paper's three architectures to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,13 +146,11 @@ pub struct MachineConfig {
     /// `None` keeps the near-square default; rows × cols must equal
     /// `n_cpus` or the build fails validation.
     pub mesh_dims: Option<(usize, usize)>,
-    /// Coherence-sentinel specification. `None` resolves from the
-    /// environment (`CMPSIM_SENTINEL`, `CMPSIM_FAULT_RATE`,
-    /// `CMPSIM_FAULT_SEED`); `Some` pins it regardless of the environment.
+    /// Coherence-sentinel specification. `None` means off, the same as
+    /// `Some(SentinelSpec::off())`.
     pub sentinel: Option<SentinelSpec>,
     /// Forward-progress watchdog: flag a CPU that graduates nothing for
-    /// this many cycles. `None` resolves from `CMPSIM_STALL_CYCLES`
-    /// (unset means the watchdog is off).
+    /// this many cycles. `None` means the watchdog is off.
     pub stall_cycles: Option<u64>,
     /// Retired: every run is one serial loop (DESIGN.md §12 says why there
     /// is no intra-run parallelism). `None` and `Some(1)` are accepted;
@@ -171,19 +159,6 @@ pub struct MachineConfig {
     /// callers that pin `Some(1)` keep compiling.
     pub shards: Option<usize>,
 }
-
-/// Environment knob naming the forward-progress watchdog limit in cycles.
-pub const ENV_STALL_CYCLES: &str = "CMPSIM_STALL_CYCLES";
-
-/// Environment knob naming a file path to capture the reference trace to.
-/// Unset (the default) means no capture and exactly zero overhead: the
-/// machine runs the raw memory system with no wrapper installed.
-pub const ENV_TRACE_OUT: &str = "CMPSIM_TRACE_OUT";
-
-/// Environment knob naming a trace file for replay-driven runs (read by
-/// the `cmpsim replay` subcommand and the analysis example, not by
-/// [`Machine`] itself).
-pub const ENV_TRACE_IN: &str = "CMPSIM_TRACE_IN";
 
 impl MachineConfig {
     /// A 4-CPU paper-default machine.
@@ -206,33 +181,6 @@ impl MachineConfig {
             stall_cycles: None,
             shards: None,
         }
-    }
-
-    /// The sentinel spec this machine will run with: the explicit override
-    /// if set, otherwise whatever the environment asks for.
-    pub fn resolved_sentinel(&self) -> SentinelSpec {
-        self.sentinel.unwrap_or_else(SentinelSpec::from_env)
-    }
-
-    /// The watchdog stall limit: the explicit override if set, otherwise
-    /// `CMPSIM_STALL_CYCLES` from the environment.
-    pub fn resolved_stall_cycles(&self) -> Option<u64> {
-        self.stall_cycles.or_else(|| {
-            std::env::var(ENV_STALL_CYCLES)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-        })
-    }
-
-    /// The trace-capture destination from the environment, if any.
-    /// `MachineConfig` is `Copy`, so the path lives in `CMPSIM_TRACE_OUT`
-    /// rather than in the config; programmatic capture goes through
-    /// [`Machine::try_new_capturing`] instead.
-    pub fn resolved_trace_out(&self) -> Option<String> {
-        std::env::var(ENV_TRACE_OUT)
-            .ok()
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
     }
 
     /// Resolved memory-system configuration.
@@ -269,7 +217,7 @@ impl MachineConfig {
             self.cpu.is_mipsy() && matches!(self.arch, ArchKind::SharedL1 | ArchKind::Clustered)
         });
         sc.with_ideal_shared_l1(ideal)
-            .with_sentinel(self.resolved_sentinel())
+            .with_sentinel(self.sentinel.unwrap_or_default())
     }
 }
 
@@ -528,56 +476,45 @@ impl Machine {
 
     /// Fallible constructor: rejects a workload built for a different CPU
     /// count, a shard count other than 1 ([`MachineConfig::shards`] is
-    /// retired), invalid system configurations and a capture of more CPUs
-    /// than a trace can carry. Honors `CMPSIM_TRACE_OUT`:
-    /// when set, the machine captures its reference trace to that path
-    /// crash-safely — bytes land at `<path>.tmp` and rename onto the path
-    /// only when the footer has been written, so a killed run never
-    /// leaves a torn file where a finished trace is expected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `CMPSIM_TRACE_OUT` names a path whose temp file cannot
-    /// be created — an environment-knob misuse with no typed-error path.
+    /// retired) and invalid system configurations. The machine runs the
+    /// raw memory system: it never captures a trace.
     pub fn try_new(cfg: &MachineConfig, workload: &BuiltWorkload) -> Result<Machine, ConfigError> {
-        let dest = cfg.resolved_trace_out().map(TraceDest::Path);
-        Machine::try_new_inner(cfg, workload, dest)
+        Machine::try_new_inner(cfg, workload, None)
     }
 
-    /// Builds a machine that captures its reference trace into `out`
-    /// (ignoring `CMPSIM_TRACE_OUT`), panicking on invalid configurations.
+    /// Builds a machine that captures its reference trace into `out`,
+    /// panicking on invalid configurations.
     ///
     /// # Panics
     ///
     /// As [`Machine::new`].
-    pub fn new_capturing(
-        cfg: &MachineConfig,
-        workload: &BuiltWorkload,
-        out: Box<dyn Write>,
-    ) -> Machine {
+    pub fn new_capturing(cfg: &MachineConfig, workload: &BuiltWorkload, out: SinkOut) -> Machine {
         Machine::try_new_capturing(cfg, workload, out).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Machine::new_capturing`]: the programmatic capture entry
-    /// point — every memory access the CPUs issue is appended to `out` in
-    /// the `cmpsim-trace` binary format, and the trace is finished when
-    /// the run completes.
+    /// Fallible [`Machine::new_capturing`]: the capture entry point.
+    /// Every memory access the CPUs issue is appended to `out` in the
+    /// `cmpsim-trace` binary format, and the trace is finished when the
+    /// run completes. A [`SinkOut::Atomic`] destination is renamed onto
+    /// its path only then, so a killed run never leaves a torn file where
+    /// a finished trace is expected.
     ///
     /// # Errors
     ///
-    /// As [`Machine::try_new`].
+    /// As [`Machine::try_new`], plus a capture of more CPUs than a trace
+    /// record can name.
     pub fn try_new_capturing(
         cfg: &MachineConfig,
         workload: &BuiltWorkload,
-        out: Box<dyn Write>,
+        out: SinkOut,
     ) -> Result<Machine, ConfigError> {
-        Machine::try_new_inner(cfg, workload, Some(TraceDest::Writer(out)))
+        Machine::try_new_inner(cfg, workload, Some(out))
     }
 
     fn try_new_inner(
         cfg: &MachineConfig,
         workload: &BuiltWorkload,
-        trace_out: Option<TraceDest>,
+        trace_out: Option<SinkOut>,
     ) -> Result<Machine, ConfigError> {
         if workload.entries.len() != cfg.n_cpus {
             return Err(ConfigError::WorkloadCpuMismatch {
@@ -605,13 +542,9 @@ impl Machine {
         // forwards everything unchanged (a traced run is bit-identical to
         // an untraced one), and its absence means zero overhead.
         let (mem, trace): (Box<dyn MemorySystem>, Option<SinkHandle>) = match trace_out {
-            Some(dest) => {
-                let sink = match dest {
-                    TraceDest::Path(path) => sink_to_path(&path, cfg.n_cpus, mem.line_bytes())
-                        .unwrap_or_else(|e| panic!("{ENV_TRACE_OUT}={path}: {e}")),
-                    TraceDest::Writer(out) => sink_to(out, cfg.n_cpus, mem.line_bytes())
-                        .unwrap_or_else(|e| panic!("trace capture failed: {e}")),
-                };
+            Some(out) => {
+                let sink = sink_to(out, cfg.n_cpus, mem.line_bytes())
+                    .unwrap_or_else(|e| panic!("trace capture failed: {e}"));
                 (
                     Box::new(TracingSystem::new(mem, Rc::clone(&sink))),
                     Some(sink),
@@ -662,7 +595,7 @@ impl Machine {
             phases: Vec::new(),
             workload_name: workload.name,
             sentinel_on: sc.sentinel.enabled,
-            stall_limit: cfg.resolved_stall_cycles(),
+            stall_limit: cfg.stall_cycles,
             trace,
         })
     }
@@ -823,6 +756,15 @@ impl Machine {
                 v.extend(self.phys.violations());
                 v
             },
+        }
+    }
+
+    /// Turns off every CPU's decoded-instruction cache before a run. The
+    /// cache is a pure host-speed optimization: results are identical
+    /// either way, which `tests/decode_cache.rs` proves with this switch.
+    pub fn disable_decode_cache(&mut self) {
+        for cpu in &mut self.cpus {
+            cpu.disable_decode_cache();
         }
     }
 
@@ -1009,7 +951,7 @@ mod tests {
         let w = build_by_name("eqntott", 128, 0.02).expect("builds");
         let mut cfg = MachineConfig::new(ArchKind::Mesh, CpuKind::Mipsy);
         cfg.n_cpus = 128;
-        let err = Machine::try_new_capturing(&cfg, &w, Box::new(std::io::sink()))
+        let err = Machine::try_new_capturing(&cfg, &w, SinkOut::Plain(Box::new(std::io::sink())))
             .expect_err("128 CPUs exceed the trace tag field");
         assert_eq!(
             err,
@@ -1102,6 +1044,7 @@ mod tests {
             self.space
         }
         fn flush(&mut self) {}
+        fn disable_decode_cache(&mut self) {}
         fn halted(&self) -> bool {
             self.halted
         }

@@ -9,7 +9,7 @@ use crate::machine::{ArchKind, Machine, MachineConfig, RunError, RunSummary};
 use cmpsim_engine::Cycle;
 use cmpsim_kernels::BuiltWorkload;
 use cmpsim_mem::{MemRequest, MemorySystem};
-use cmpsim_trace::SharedBuf;
+use cmpsim_trace::{SharedBuf, SinkOut};
 
 /// Measured latencies (in cycles) for one architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,8 +117,8 @@ pub fn probe_latencies(arch: ArchKind, ideal_shared_l1: bool) -> ProbeResult {
 
 /// Runs `workload` to completion with reference-trace capture on,
 /// returning the run summary together with the encoded trace bytes — the
-/// in-process analogue of setting `CMPSIM_TRACE_OUT`, used by the replay
-/// benches, the equivalence gate and the examples.
+/// in-memory analogue of `cmpsim run --trace-out`, used by explore, the
+/// replay equivalence gate and the examples.
 ///
 /// # Errors
 ///
@@ -129,7 +129,7 @@ pub fn capture_run(
     max_cycles: u64,
 ) -> Result<(RunSummary, Vec<u8>), RunError> {
     let buf = SharedBuf::new();
-    let mut m = Machine::new_capturing(cfg, workload, Box::new(buf.clone()));
+    let mut m = Machine::new_capturing(cfg, workload, SinkOut::Plain(Box::new(buf.clone())));
     let summary = m.run(max_cycles)?;
     (workload.check)(m.phys()).map_err(RunError::CheckFailed)?;
     Ok((summary, buf.take()))

@@ -17,10 +17,10 @@
 //!   `flush()`/`set_space()`, so context switches (multiprogramming) and
 //!   address-space changes can never serve stale decodes even if a process
 //!   image were overwritten in place.
-//! * Setting the `CMPSIM_NO_DECODE_CACHE` environment variable (to anything
-//!   but `0`) disables memoization entirely: every fetch decodes fresh from
-//!   memory. Simulated results are identical either way — the knob exists so
-//!   tests can prove it.
+//! * [`DecodeCache::new_with`]`(false)` disables memoization entirely:
+//!   every fetch decodes fresh from memory. Simulated results are
+//!   identical either way — the switch exists so tests can prove it
+//!   (`Machine::disable_decode_cache`).
 //!
 //! [`PhysMem`]: cmpsim_mem::PhysMem
 
@@ -58,17 +58,12 @@ impl Default for DecodeCache {
 }
 
 impl DecodeCache {
-    /// Creates an empty cache; memoization is on unless the
-    /// `CMPSIM_NO_DECODE_CACHE` environment variable disables it.
+    /// Creates an empty cache with memoization on.
     pub fn new() -> DecodeCache {
-        let disabled = std::env::var("CMPSIM_NO_DECODE_CACHE")
-            .map(|v| !v.trim().is_empty() && v.trim() != "0")
-            .unwrap_or(false);
-        DecodeCache::new_with(!disabled)
+        DecodeCache::new_with(true)
     }
 
-    /// Creates an empty cache with memoization explicitly on or off
-    /// (bypassing the environment knob).
+    /// Creates an empty cache with memoization on or off.
     pub fn new_with(enabled: bool) -> DecodeCache {
         DecodeCache {
             enabled,

@@ -148,6 +148,11 @@ pub trait CpuModel {
     /// Drains/flushes any pipeline state (no-op for Mipsy).
     fn flush(&mut self);
 
+    /// Turns the decoded-instruction memo off, so every fetch decodes
+    /// fresh from memory. Results are identical either way; tests use
+    /// this to prove it.
+    fn disable_decode_cache(&mut self);
+
     /// Whether the CPU has executed `HALT`.
     fn halted(&self) -> bool;
 

@@ -195,6 +195,10 @@ impl CpuModel for MipsyCpu {
         self.decode.clear();
     }
 
+    fn disable_decode_cache(&mut self) {
+        self.decode = DecodeCache::new_with(false);
+    }
+
     fn halted(&self) -> bool {
         self.halted
     }

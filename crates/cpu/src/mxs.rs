@@ -1213,6 +1213,10 @@ impl CpuModel for MxsCpu {
         self.decode.clear();
     }
 
+    fn disable_decode_cache(&mut self) {
+        self.decode = DecodeCache::new_with(false);
+    }
+
     fn halted(&self) -> bool {
         self.halted
     }

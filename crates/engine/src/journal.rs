@@ -1,6 +1,6 @@
 //! Append-only resume journal for batch sweeps.
 //!
-//! A sweep driver (matrix bench, figure runner, replay driver) journals
+//! A sweep driver (the digest matrix, the explore result cache) journals
 //! each completed row as a CRC-framed record keyed by `(config digest,
 //! workload digest)`. After a crash — including `kill -9` mid-write —
 //! reopening the same path recovers every fully written record, the
@@ -24,27 +24,32 @@
 //! crc: u64       # fnv1a64 over the key bytes ++ payload bytes
 //! config: u64    # JournalKey.config
 //! workload: u64  # JournalKey.workload
-//! payload        # caller-defined bytes (a JSON line, a snapshot, ...)
+//! payload        # caller-defined bytes (a JSON line, an encoded point)
 //! ```
 //!
-//! Duplicate keys are legal (a retried row re-journals); the last frame
-//! wins, matching "latest completion is authoritative".
+//! Duplicate keys are legal (a recomputed row re-journals); the last
+//! frame wins, matching "latest completion is authoritative".
+//!
+//! The kill-and-resume gates prove this story with a real `SIGKILL`:
+//! [`ENV_KILL_AFTER`] makes the process kill itself right after a
+//! journal's n-th [`Journal::put`].
 
 use crate::hash::FastMap;
 use std::fs::OpenOptions;
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Environment knob: path of the resume journal. When set, sweep
-/// drivers journal completed rows there and skip keys already present.
-pub const ENV_RESUME: &str = "CMPSIM_RESUME";
+/// Test hook: `SIGKILL` the process right after a journal's n-th
+/// append (the kill-and-resume gates). Read once per [`Journal::open`];
+/// a value that is not a positive integer fails the open.
+pub const ENV_KILL_AFTER: &str = "CMPSIM_KILL_AFTER";
 
 /// File magic for journal files (version 1).
 pub const JOURNAL_MAGIC: [u8; 8] = *b"CMPJRNL1";
 
-/// FNV-1a 64-bit over `bytes` — the frame checksum. Same function as the
-/// trace codec's chunk checksum; duplicated here because the engine sits
-/// below the trace crate in the dependency order.
+/// FNV-1a 64-bit over `bytes`: the frame checksum, and the workspace's
+/// one byte-wise FNV-1a (the digest matrix re-exports it as
+/// `cmpsim_bench::matrix::fnv1a`).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -84,9 +89,32 @@ impl JournalKey {
 #[derive(Debug)]
 pub struct Journal {
     file: std::fs::File,
-    path: PathBuf,
     rows: FastMap<(u64, u64), Vec<u8>>,
     recovered: usize,
+    kill_after: Option<usize>,
+    puts: usize,
+}
+
+/// Parses the [`ENV_KILL_AFTER`] lookup result: unset means no kill, and
+/// anything but a positive integer is an error naming the knob.
+fn parse_kill_after(raw: Result<String, std::env::VarError>) -> io::Result<Option<usize>> {
+    let raw = match raw {
+        Ok(raw) => raw,
+        Err(std::env::VarError::NotPresent) => return Ok(None),
+        Err(e) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{ENV_KILL_AFTER}: {e}"),
+            ))
+        }
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{ENV_KILL_AFTER}={raw:?}: expected a positive row count"),
+        )),
+    }
 }
 
 impl Journal {
@@ -95,13 +123,19 @@ impl Journal {
     /// killed writer — is truncated away so this generation's appends
     /// land on a clean frame boundary and stay recoverable; rows lost to
     /// the tear are simply recomputed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures; `InvalidData` for a file that is not a
+    /// journal, `InvalidInput` for a malformed [`ENV_KILL_AFTER`].
     pub fn open(path: impl AsRef<Path>) -> io::Result<Journal> {
-        let path = path.as_ref().to_path_buf();
+        let kill_after = parse_kill_after(std::env::var(ENV_KILL_AFTER))?;
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
-            .open(&path)?;
+            .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let mut rows: FastMap<(u64, u64), Vec<u8>> = FastMap::default();
@@ -140,18 +174,11 @@ impl Journal {
         let recovered = rows.len();
         Ok(Journal {
             file,
-            path,
             rows,
             recovered,
+            kill_after,
+            puts: 0,
         })
-    }
-
-    /// Opens a journal iff `CMPSIM_RESUME` is set; `None` otherwise.
-    pub fn from_env() -> io::Result<Option<Journal>> {
-        match std::env::var(ENV_RESUME) {
-            Ok(path) if !path.trim().is_empty() => Journal::open(path.trim()).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// The payload journaled for `key`, if any.
@@ -159,11 +186,6 @@ impl Journal {
         self.rows
             .get(&(key.config, key.workload))
             .map(Vec::as_slice)
-    }
-
-    /// Whether `key` has a journaled payload.
-    pub fn contains(&self, key: JournalKey) -> bool {
-        self.rows.contains_key(&(key.config, key.workload))
     }
 
     /// Number of distinct keys currently recorded.
@@ -182,13 +204,13 @@ impl Journal {
         self.recovered
     }
 
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one completed row: a single `O_APPEND` write of the whole
-    /// frame, flushed, then recorded in memory (last write wins).
+    /// frame, flushed, then recorded in memory (last write wins). The
+    /// [`ENV_KILL_AFTER`]-th put of this journal never returns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write failure.
     pub fn put(&mut self, key: JournalKey, payload: &[u8]) -> io::Result<()> {
         let len = 16 + payload.len();
         assert!(len <= u32::MAX as usize, "journal payload too large");
@@ -204,6 +226,16 @@ impl Journal {
         self.file.flush()?;
         self.rows
             .insert((key.config, key.workload), payload.to_vec());
+        self.puts += 1;
+        if self.kill_after == Some(self.puts) {
+            // Die the hard way, exactly as a crashed host would, with the
+            // frame freshly flushed. A caller that holds a lock around
+            // `put` pins the journaled row count at exactly n.
+            let _ = std::process::Command::new("kill")
+                .args(["-9", &std::process::id().to_string()])
+                .status();
+            unreachable!("SIGKILL delivery");
+        }
         Ok(())
     }
 }
@@ -211,6 +243,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -252,10 +285,12 @@ mod tests {
         assert_eq!(j.recovered(), 2);
         assert_eq!(j.get(k1), Some(&b"row one v2"[..]));
         assert_eq!(j.get(k2), Some(&b"row two"[..]));
-        assert!(!j.contains(JournalKey {
-            config: 9,
-            workload: 9
-        }));
+        assert!(j
+            .get(JournalKey {
+                config: 9,
+                workload: 9
+            })
+            .is_none());
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -283,7 +318,7 @@ mod tests {
             let mut j = Journal::open(&path).expect("reopen torn");
             assert_eq!(j.recovered(), 1, "only the intact frame survives");
             assert_eq!(j.get(k1), Some(&b"intact"[..]));
-            assert!(!j.contains(k2));
+            assert!(j.get(k2).is_none());
             j.put(k2, b"recomputed").expect("re-put");
         }
         // The torn bytes were truncated on open, so the recomputed row
@@ -322,5 +357,89 @@ mod tests {
         let err = Journal::open(&path).expect_err("must reject");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn kill_after_accepts_only_a_positive_row_count() {
+        use std::env::VarError;
+        assert_eq!(parse_kill_after(Err(VarError::NotPresent)).unwrap(), None);
+        assert_eq!(parse_kill_after(Ok(" 28 ".into())).unwrap(), Some(28));
+        for bad in ["x", "", "0", "-3", "2.5"] {
+            let err = parse_kill_after(Ok(bad.into())).expect_err(bad);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(ENV_KILL_AFTER) && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
+    }
+
+    /// The reader is total: a valid journal with flipped bytes and a cut
+    /// tail either fails with `InvalidData` (exactly when the magic is
+    /// damaged) or recovers the rows of some prefix of the frames
+    /// written. It never panics, and the recovered rows survive a
+    /// following append and reopen.
+    #[test]
+    fn prop_mutated_journal_recovers_a_frame_prefix() {
+        use std::collections::BTreeMap;
+        type Rows = BTreeMap<(u64, u64), Vec<u8>>;
+        let rows_of =
+            |j: &Journal| -> Rows { j.rows.iter().map(|(k, v)| (*k, v.clone())).collect() };
+        let path = temp_path("prop");
+        crate::prop::check("journal-mutation", |src| {
+            let frames: Vec<(JournalKey, Vec<u8>)> = src.vec(0..6, |s| {
+                let key = JournalKey {
+                    config: s.u64(0..3),
+                    workload: 7,
+                };
+                (key, s.vec(0..24, |s| s.u32(0..256) as u8))
+            });
+            let _ = std::fs::remove_file(&path);
+            let mut j = Journal::open(&path).expect("open");
+            for (k, p) in &frames {
+                j.put(*k, p).expect("put");
+            }
+            drop(j);
+            let mut bytes = std::fs::read(&path).expect("read");
+            for _ in 0..src.usize(0..3) {
+                let at = src.index(bytes.len());
+                bytes[at] ^= src.u32(1..256) as u8;
+            }
+            bytes.truncate(src.usize(0..bytes.len() + 1));
+            std::fs::write(&path, &bytes).expect("write");
+            let bad_magic = !bytes.is_empty() && !bytes.starts_with(&JOURNAL_MAGIC);
+            let mut j = match Journal::open(&path) {
+                Err(e) => {
+                    assert!(bad_magic, "intact magic rejected: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    return;
+                }
+                Ok(j) => j,
+            };
+            assert!(!bad_magic, "a damaged magic was accepted");
+            let got = rows_of(&j);
+            assert_eq!(j.recovered(), got.len());
+            let prefix = |n: usize| -> Rows {
+                frames[..n]
+                    .iter()
+                    .map(|(k, p)| ((k.config, k.workload), p.clone()))
+                    .collect()
+            };
+            assert!(
+                (0..=frames.len()).any(|n| prefix(n) == got),
+                "recovered rows are no frame prefix: {got:?}"
+            );
+            let fresh = JournalKey {
+                config: 99,
+                workload: 1,
+            };
+            j.put(fresh, b"appended").expect("put after recovery");
+            drop(j);
+            let mut want = got;
+            want.insert((99, 1), b"appended".to_vec());
+            assert_eq!(rows_of(&Journal::open(&path).expect("reopen")), want);
+        });
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,21 +12,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker count from the environment variable `var`: a positive integer
-/// is taken literally, a zero/unparsable value means "run serially", and
-/// an unset variable falls back to the host's available parallelism.
-/// Shared by the bench harness (`CMPSIM_BENCH_JOBS`) and the explore
-/// drivers so every fan-out answers the same knob the same way.
-pub fn env_jobs(var: &str) -> usize {
-    match std::env::var(var) {
-        Ok(s) => s
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+/// The host's available parallelism (1 when it cannot be determined):
+/// the default worker count of every job-pool fan-out. Entry points with
+/// a `--jobs` flag override it.
+pub fn host_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Runs `f(0..n)` on up to `jobs` scoped threads and returns the results in

@@ -73,23 +73,41 @@ impl Default for Config {
 
 impl Config {
     /// Applies `CMPSIM_PROP_SEED` / `CMPSIM_PROP_CASES` on top of `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed value, naming the knob and the value: a
+    /// seed that fell back to the default would silently not reproduce
+    /// the failure it was copied from.
     #[must_use]
     pub fn with_env(self) -> Config {
         self.with_lookup(|key| std::env::var(key).ok())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Config::with_env`] but reading from an arbitrary lookup —
-    /// this is the testable core of the env handling. Unparsable values
-    /// are ignored. Seeds accept decimal or `0x` hex.
-    #[must_use]
-    pub fn with_lookup(mut self, lookup: impl Fn(&str) -> Option<String>) -> Config {
-        if let Some(seed) = lookup(ENV_SEED).as_deref().and_then(parse_u64) {
-            self.seed = seed;
+    /// this is the testable core of the env handling. Seeds accept
+    /// decimal or `0x` hex.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the knob and the value when a set value does not
+    /// parse.
+    pub fn with_lookup(
+        mut self,
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<Config, String> {
+        if let Some(raw) = lookup(ENV_SEED) {
+            self.seed = parse_u64(&raw)
+                .ok_or_else(|| format!("{ENV_SEED}={raw:?}: expected a decimal or 0x-hex u64"))?;
         }
-        if let Some(cases) = lookup(ENV_CASES).and_then(|v| v.trim().parse().ok()) {
-            self.cases = cases;
+        if let Some(raw) = lookup(ENV_CASES) {
+            self.cases = raw
+                .trim()
+                .parse()
+                .map_err(|_| format!("{ENV_CASES}={raw:?}: expected a case count"))?;
         }
-        self
+        Ok(self)
     }
 
     /// The default configuration with env overrides applied.

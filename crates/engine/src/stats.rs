@@ -183,32 +183,10 @@ impl Histogram {
         self.max = 0;
     }
 
-    /// Raw accumulator state `(bounds, counts, total, sum, max)`, for
-    /// serializing a histogram into a resume snapshot.
+    /// Raw accumulator state `(bounds, counts, total, sum, max)`; explore
+    /// reads the latency sum from it.
     pub fn raw_parts(&self) -> (&[u64], &[u64], u64, u64, u64) {
         (&self.bounds, &self.counts, self.total, self.sum, self.max)
-    }
-
-    /// Restores accumulator state captured by [`Histogram::raw_parts`]
-    /// into a histogram built with the same bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` does not match this histogram's bucket count
-    /// (bounds drifted between snapshot and restore).
-    pub fn restore(&mut self, counts: &[u64], total: u64, sum: u64, max: u64) {
-        assert_eq!(
-            counts.len(),
-            self.counts.len(),
-            "histogram '{}': snapshot has {} buckets, layout has {}",
-            self.name,
-            counts.len(),
-            self.counts.len()
-        );
-        self.counts.copy_from_slice(counts);
-        self.total = total;
-        self.sum = sum;
-        self.max = max;
     }
 }
 
@@ -275,19 +253,7 @@ mod tests {
         h.record(400);
         let (bounds, counts, total, sum, max) = h.raw_parts();
         assert_eq!(bounds, &[10, 100]);
-        let (counts, total, sum, max) = (counts.to_vec(), total, sum, max);
-        let mut fresh = Histogram::new("h", &[10, 100]);
-        fresh.restore(&counts, total, sum, max);
-        assert_eq!(fresh.counts(), h.counts());
-        assert_eq!(fresh.total(), 3);
-        assert_eq!(fresh.mean(), h.mean());
-        assert_eq!(fresh.max(), 400);
-    }
-
-    #[test]
-    #[should_panic(expected = "buckets")]
-    fn restore_rejects_bucket_drift() {
-        let mut h = Histogram::new("h", &[10, 100]);
-        h.restore(&[1, 2], 3, 4, 5);
+        assert_eq!(counts, h.counts());
+        assert_eq!((total, sum, max), (3, 464, 400));
     }
 }

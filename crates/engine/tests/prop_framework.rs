@@ -97,21 +97,31 @@ fn reported_seed_reproduces_as_case_zero() {
 #[test]
 fn env_overrides_respected_via_lookup() {
     let base = Config::default();
-    let over = base.clone().with_lookup(|key| match key {
-        "CMPSIM_PROP_SEED" => Some("0xDEAD".to_string()),
-        "CMPSIM_PROP_CASES" => Some("17".to_string()),
-        _ => None,
-    });
+    let over = base
+        .clone()
+        .with_lookup(|key| match key {
+            "CMPSIM_PROP_SEED" => Some("0xDEAD".to_string()),
+            "CMPSIM_PROP_CASES" => Some("17".to_string()),
+            _ => None,
+        })
+        .expect("valid overrides");
     assert_eq!(over.seed, 0xDEAD);
     assert_eq!(over.cases, 17);
 
-    // Absent / malformed values leave the defaults untouched.
-    let keep = base.clone().with_lookup(|_| None);
+    // Absent values leave the defaults untouched.
+    let keep = base.clone().with_lookup(|_| None).expect("nothing set");
     assert_eq!(keep.seed, base.seed);
     assert_eq!(keep.cases, base.cases);
-    let bad = base.clone().with_lookup(|_| Some("not-a-number".into()));
-    assert_eq!(bad.seed, base.seed);
-    assert_eq!(bad.cases, base.cases);
+
+    // A malformed value is an error naming the knob and the value, never
+    // a silent fallback to the default seed.
+    for (knob, raw) in [("CMPSIM_PROP_SEED", "0xZZ"), ("CMPSIM_PROP_CASES", "ten")] {
+        let err = base
+            .clone()
+            .with_lookup(|key| (key == knob).then(|| raw.to_string()))
+            .expect_err(raw);
+        assert!(err.contains(knob) && err.contains(raw), "{err}");
+    }
 }
 
 /// The real process environment reaches `Config::from_env`. Kept in this
@@ -140,7 +150,8 @@ fn env_overrides_respected_from_process_env() {
 #[test]
 fn suite_specific_case_default() {
     let cfg = Config::from_env_or_cases(48)
-        .with_lookup(|key| (key == "CMPSIM_PROP_CASES").then(|| "96".to_string()));
+        .with_lookup(|key| (key == "CMPSIM_PROP_CASES").then(|| "96".to_string()))
+        .expect("valid override");
     assert_eq!(cfg.cases, 96);
 }
 

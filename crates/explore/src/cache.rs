@@ -15,11 +15,6 @@ use crate::ExploreError;
 use cmpsim_engine::journal::{Journal, JournalKey};
 use std::path::Path;
 
-/// Env knob `SIGKILL`ing the process right after the n-th result is
-/// cached — the explore kill-and-resume gate's fault injection, the
-/// same shape as the matrix driver's `CMPSIM_KILL_AFTER`.
-pub const ENV_EXPLORE_KILL_AFTER: &str = "CMPSIM_EXPLORE_KILL_AFTER";
-
 /// Payload version tag; bump on layout changes so stale rows are
 /// recomputed instead of misdecoded.
 const PAYLOAD_VERSION: u8 = 1;
@@ -29,8 +24,6 @@ const PAYLOAD_VERSION: u8 = 1;
 pub struct ResultCache {
     journal: Journal,
     hits: usize,
-    stores: usize,
-    kill_after: Option<usize>,
 }
 
 impl ResultCache {
@@ -40,15 +33,11 @@ impl ResultCache {
     /// # Errors
     ///
     /// [`ExploreError::Io`] when the file cannot be opened or is not a
-    /// cmpsim journal.
+    /// cmpsim journal (or the journal's kill hook is malformed).
     pub fn open(path: &Path) -> Result<ResultCache, ExploreError> {
         Ok(ResultCache {
             journal: Journal::open(path)?,
             hits: 0,
-            stores: 0,
-            kill_after: std::env::var(ENV_EXPLORE_KILL_AFTER)
-                .ok()
-                .and_then(|s| s.trim().parse().ok()),
         })
     }
 
@@ -69,11 +58,6 @@ impl ResultCache {
         self.hits
     }
 
-    /// Points stored into the cache so far (this process).
-    pub fn stores(&self) -> usize {
-        self.stores
-    }
-
     /// Looks up a point; a decodable row counts as a hit. An
     /// undecodable row (stale version, torn payload) is treated as a
     /// miss and will be overwritten by the recomputed result.
@@ -85,23 +69,13 @@ impl ResultCache {
         m
     }
 
-    /// Stores one result, honoring the kill-after fault hook.
+    /// Stores one result (the journal's kill-after hook may fire here).
     ///
     /// # Errors
     ///
     /// [`ExploreError::Io`] when the journal append fails.
     pub fn put(&mut self, key: JournalKey, m: &PointMetrics) -> Result<(), ExploreError> {
         self.journal.put(key, &encode_metrics(m))?;
-        self.stores += 1;
-        if self.kill_after == Some(self.stores) {
-            // Die the hard way, exactly as a crashed host would, while
-            // the journal write is freshly flushed — the resume gate
-            // then proves the torn run completes byte-identically.
-            let _ = std::process::Command::new("kill")
-                .args(["-9", &std::process::id().to_string()])
-                .status();
-            unreachable!("SIGKILL delivery");
-        }
         Ok(())
     }
 }
@@ -207,5 +181,17 @@ mod tests {
         let mut badpath = encode_metrics(&m);
         badpath[1] = 9;
         assert!(decode_metrics(&badpath).is_none(), "unknown eval path");
+        // The decoder is total over arbitrary bytes: it never panics,
+        // and whatever it accepts re-encodes to the same bytes.
+        cmpsim_engine::prop::check("explore-payload-arbitrary-bytes", |src| {
+            let len = if src.bool() { 66 } else { src.usize(0..80) };
+            let mut bytes = src.vec(len..len + 1, |s| s.u32(0..256) as u8);
+            if len >= 2 && src.bool() {
+                bytes[..2].copy_from_slice(&[PAYLOAD_VERSION, 1]);
+            }
+            if let Some(m) = decode_metrics(&bytes) {
+                assert_eq!(encode_metrics(&m), bytes);
+            }
+        });
     }
 }

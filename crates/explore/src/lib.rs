@@ -29,7 +29,7 @@ pub mod report;
 pub mod search;
 pub mod space;
 
-pub use cache::{ResultCache, ENV_EXPLORE_KILL_AFTER};
+pub use cache::ResultCache;
 pub use eval::{EvalMode, EvalSpec, Evaluator, PointMetrics};
 pub use pareto::frontier;
 pub use report::render_lines;

@@ -366,8 +366,7 @@ pub struct SystemConfig {
     /// architecture on a CPU model with no latency hiding.
     pub ideal_shared_l1: bool,
     /// Coherence-sentinel configuration (invariant checker + fault
-    /// injector). Off by default; see [`SentinelSpec::from_env`] for the
-    /// `CMPSIM_SENTINEL` / `CMPSIM_FAULT_*` knobs.
+    /// injector). Off by default.
     pub sentinel: SentinelSpec,
 }
 

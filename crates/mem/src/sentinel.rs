@@ -21,24 +21,14 @@
 //!   write-backs and plants spurious directory/line states, so tests can
 //!   prove the checker actually detects each fault class.
 //!
-//! Everything is off by default and gated behind [`SentinelSpec`]; the
-//! environment knobs are `CMPSIM_SENTINEL`, `CMPSIM_FAULT_SEED` and
-//! `CMPSIM_FAULT_RATE` (see [`SentinelSpec::from_env`]).
+//! Everything is off by default and gated behind [`SentinelSpec`], which
+//! the caller sets on the machine configuration.
 
 use crate::Addr;
 use cmpsim_engine::Rng64;
 use std::fmt;
 
-/// Environment knob enabling the invariant checker (any non-empty value
-/// other than `0`).
-pub const ENV_SENTINEL: &str = "CMPSIM_SENTINEL";
-/// Environment knob for the fault-injection probability (a float in
-/// `[0, 1]`; any value above zero also enables the sentinel).
-pub const ENV_FAULT_RATE: &str = "CMPSIM_FAULT_RATE";
-/// Environment knob for the fault injector's seed (a `u64`).
-pub const ENV_FAULT_SEED: &str = "CMPSIM_FAULT_SEED";
-
-/// Default fault-injector seed when `CMPSIM_FAULT_SEED` is unset.
+/// Fault-injector seed of [`SentinelSpec::off`] and [`SentinelSpec::on`].
 pub const DEFAULT_FAULT_SEED: u64 = 0xFA17_5EED_2026_0003;
 
 /// The classes of protocol fault the injector can introduce.
@@ -157,42 +147,6 @@ impl SentinelSpec {
     /// Whether the injector is armed.
     pub fn faults_armed(&self) -> bool {
         self.enabled && self.fault_rate_ppm > 0 && self.fault_classes != FaultClassSet::NONE
-    }
-
-    /// Reads `CMPSIM_SENTINEL`, `CMPSIM_FAULT_RATE` and
-    /// `CMPSIM_FAULT_SEED` from the environment. A positive fault rate
-    /// implies the sentinel itself (faults without a checker would just be
-    /// silent corruption).
-    pub fn from_env() -> SentinelSpec {
-        Self::from_lookup(|key| std::env::var(key).ok())
-    }
-
-    /// Like [`SentinelSpec::from_env`] but reading from an arbitrary
-    /// lookup, so tests can exercise the parsing without touching the
-    /// process environment (which is racy under a multithreaded test
-    /// runner).
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> SentinelSpec {
-        let mut spec = SentinelSpec::off();
-        if let Some(v) = lookup(ENV_SENTINEL) {
-            let v = v.trim();
-            spec.enabled = !v.is_empty() && v != "0";
-        }
-        if let Some(v) = lookup(ENV_FAULT_SEED) {
-            if let Ok(seed) = v.trim().parse::<u64>() {
-                spec.fault_seed = seed;
-            }
-        }
-        if let Some(v) = lookup(ENV_FAULT_RATE) {
-            if let Ok(rate) = v.trim().parse::<f64>() {
-                let rate = rate.clamp(0.0, 1.0);
-                spec.fault_rate_ppm = (rate * 1_000_000.0).round() as u32;
-                if spec.fault_rate_ppm > 0 {
-                    spec.enabled = true;
-                    spec.fault_classes = FaultClassSet::all();
-                }
-            }
-        }
-        spec
     }
 }
 
@@ -385,34 +339,6 @@ mod tests {
         assert!(!s.enabled);
         assert!(!s.faults_armed());
         assert_eq!(s, SentinelSpec::off());
-    }
-
-    #[test]
-    fn env_parsing_enables_and_arms() {
-        let lookup = |pairs: &'static [(&'static str, &'static str)]| {
-            move |key: &str| {
-                pairs
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, v)| (*v).to_string())
-            }
-        };
-        let s = SentinelSpec::from_lookup(lookup(&[(ENV_SENTINEL, "1")]));
-        assert!(s.enabled);
-        assert!(!s.faults_armed());
-
-        let s = SentinelSpec::from_lookup(lookup(&[(ENV_SENTINEL, "0")]));
-        assert!(!s.enabled);
-
-        let s =
-            SentinelSpec::from_lookup(lookup(&[(ENV_FAULT_RATE, "0.25"), (ENV_FAULT_SEED, "42")]));
-        assert!(s.enabled, "a positive fault rate implies the sentinel");
-        assert_eq!(s.fault_rate_ppm, 250_000);
-        assert_eq!(s.fault_seed, 42);
-        assert!(s.faults_armed());
-
-        let s = SentinelSpec::from_lookup(lookup(&[(ENV_FAULT_RATE, "not-a-number")]));
-        assert!(!s.enabled, "garbage rate is ignored");
     }
 
     #[test]

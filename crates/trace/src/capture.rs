@@ -131,31 +131,12 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// Starts a sink writing the trace header for an `n_cpus`-CPU machine
-    /// with `line_bytes`-byte cache lines.
+    /// with `line_bytes`-byte cache lines into `out`.
     ///
     /// # Errors
     ///
     /// Propagates header-write failures.
-    pub fn new(out: Box<dyn Write>, n_cpus: usize, line_bytes: u32) -> io::Result<TraceSink> {
-        Ok(TraceSink {
-            writer: TraceWriter::new(SinkOut::Plain(out), n_cpus, line_bytes)?,
-        })
-    }
-
-    /// Starts a sink capturing to `path` through an [`AtomicFile`]: the
-    /// trace lands at `<path>.tmp` and renames onto `path` only when
-    /// [`TraceSink::finish`] has written the footer, so a killed run
-    /// never leaves a torn file at the published path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates temp-file creation and header-write failures.
-    pub fn new_atomic(
-        path: impl Into<PathBuf>,
-        n_cpus: usize,
-        line_bytes: u32,
-    ) -> io::Result<TraceSink> {
-        let out = SinkOut::Atomic(AtomicFile::create(path)?);
+    pub fn new(out: SinkOut, n_cpus: usize, line_bytes: u32) -> io::Result<TraceSink> {
         Ok(TraceSink {
             writer: TraceWriter::new(out, n_cpus, line_bytes)?,
         })
@@ -335,25 +316,9 @@ impl Write for SharedBuf {
 /// # Errors
 ///
 /// Propagates header-write failures.
-pub fn sink_to(out: Box<dyn Write>, n_cpus: usize, line_bytes: u32) -> io::Result<SinkHandle> {
+pub fn sink_to(out: SinkOut, n_cpus: usize, line_bytes: u32) -> io::Result<SinkHandle> {
     Ok(Rc::new(RefCell::new(TraceSink::new(
         out, n_cpus, line_bytes,
-    )?)))
-}
-
-/// Builds a sink/handle pair capturing crash-safely to `path` (see
-/// [`TraceSink::new_atomic`]).
-///
-/// # Errors
-///
-/// Propagates temp-file creation and header-write failures.
-pub fn sink_to_path(
-    path: impl Into<PathBuf>,
-    n_cpus: usize,
-    line_bytes: u32,
-) -> io::Result<SinkHandle> {
-    Ok(Rc::new(RefCell::new(TraceSink::new_atomic(
-        path, n_cpus, line_bytes,
     )?)))
 }
 
@@ -367,7 +332,7 @@ mod tests {
     fn wrapper_is_transparent_and_records_in_issue_order() {
         let cfg = SystemConfig::paper_shared_mem(4);
         let buf = SharedBuf::new();
-        let sink = sink_to(Box::new(buf.clone()), 4, 32).expect("header writes");
+        let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 4, 32).expect("header writes");
         let mut traced = TracingSystem::new(Box::new(SharedMemSystem::new(&cfg)), Rc::clone(&sink));
         let mut plain = SharedMemSystem::new(&cfg);
 
@@ -403,7 +368,8 @@ mod tests {
     #[test]
     fn sink_finish_is_idempotent_and_counts_bytes() {
         let buf = SharedBuf::new();
-        let mut sink = TraceSink::new(Box::new(buf.clone()), 2, 32).expect("header");
+        let mut sink =
+            TraceSink::new(SinkOut::Plain(Box::new(buf.clone())), 2, 32).expect("header");
         sink.record_access(Cycle(5), &MemRequest::load(1, 0x40));
         sink.record_reset(6);
         sink.finish().expect("first finish");

@@ -6,9 +6,10 @@
 //!   [`MemorySystem`](cmpsim_mem::MemorySystem) at the CPU → memory
 //!   boundary and streams every issued request into a [`TraceSink`].
 //!   Nothing installed ⇒ exactly zero overhead. File capture is
-//!   crash-safe: [`sink_to_path`] writes through an [`AtomicFile`] that
-//!   renames onto the destination only after the footer lands, and
-//!   [`salvage`] recovers every intact chunk from a torn `.tmp`.
+//!   crash-safe: a [`SinkOut::Atomic`] destination writes through an
+//!   [`AtomicFile`] that renames onto the destination only after the
+//!   footer lands, and [`salvage`] recovers every intact chunk from a
+//!   torn `.tmp`.
 //! - **Codec** ([`codec`]): a chunked binary format — delta-encoded
 //!   cycles/addresses as zigzag LEB128 varints, FNV-1a checksummed
 //!   chunks, a footer that doubles as a truncation detector. Every chunk
@@ -21,8 +22,8 @@
 //!   statistics; replay into a different one is the classic fixed-stream
 //!   approximation for fast hierarchy sweeps. [`replay_matrix`] batches
 //!   that: decode once, replay N configurations from the shared record
-//!   arena across `CMPSIM_REPLAY_JOBS` threads, each point bit-identical
-//!   to its single-config replay.
+//!   arena across the caller's job count, each point bit-identical to
+//!   its single-config replay.
 //! - **Analysis** ([`analyze()`]): footprint, per-line sharing degree,
 //!   producer→consumer communication matrix and reuse-distance profile
 //!   computed from the trace alone.
@@ -33,14 +34,9 @@ pub mod codec;
 pub mod replay;
 
 pub use analyze::{analyze, analyze_bytes, comm_matrix, TraceAnalysis};
-pub use capture::{
-    sink_to, sink_to_path, AtomicFile, SharedBuf, SinkHandle, SinkOut, TraceSink, TracingSystem,
-};
+pub use capture::{sink_to, AtomicFile, SharedBuf, SinkHandle, SinkOut, TraceSink, TracingSystem};
 pub use codec::{
     decode, decode_chunk, decode_with_header, encode, salvage, scan_chunks, ChunkFrame, Salvage,
     TraceError, TraceHeader, TraceKind, TraceRecord, TraceWriter, VERSION,
 };
-pub use replay::{
-    replay_bytes, replay_jobs, replay_matrix, replay_records, ConfigReplay, ReplayStats,
-    ENV_REPLAY_JOBS,
-};
+pub use replay::{replay_bytes, replay_matrix, replay_records, ConfigReplay, ReplayStats};

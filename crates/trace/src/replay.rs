@@ -15,21 +15,6 @@ use crate::codec::{TraceError, TraceRecord};
 use cmpsim_engine::Cycle;
 use cmpsim_mem::{MemRequest, MemStats, MemorySystem, PortUtil};
 
-/// Environment knob: thread count for batched replay
-/// ([`replay_matrix`]) in the `cmpsim` binary. Unset ⇒ host parallelism.
-pub const ENV_REPLAY_JOBS: &str = "CMPSIM_REPLAY_JOBS";
-
-/// Resolves [`ENV_REPLAY_JOBS`]: the explicit setting, else the host's
-/// available parallelism, else 1.
-pub fn replay_jobs() -> usize {
-    match std::env::var(ENV_REPLAY_JOBS) {
-        Ok(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
 /// What a replay pushed through the target system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
@@ -122,9 +107,8 @@ pub struct ConfigReplay {
 /// neither `Send` nor `Sync`. Each configuration's replay is the exact
 /// serial [`replay_records`] call, and results come back in config-index
 /// order, so every [`ConfigReplay`] is bit-identical to a single-config
-/// replay of the same configuration at any job count (the
-/// `CMPSIM_REPLAY_JOBS` gate in verify.sh holds this across the 56-case
-/// matrix).
+/// replay of the same configuration at any job count (verify.sh diffs a
+/// two-configuration `cmpsim replay` at `--jobs 1` and `--jobs 4`).
 pub fn replay_matrix<S, F>(
     records: &[TraceRecord],
     n_configs: usize,
@@ -150,7 +134,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{sink_to, SharedBuf, TracingSystem};
+    use crate::capture::{sink_to, SharedBuf, SinkOut, TracingSystem};
     use crate::codec::TraceKind;
     use cmpsim_mem::{SharedL2System, SystemConfig};
     use std::rc::Rc;
@@ -163,7 +147,7 @@ mod tests {
     fn replay_reproduces_identical_stats() {
         let cfg = SystemConfig::paper_shared_l2(4);
         let buf = SharedBuf::new();
-        let sink = sink_to(Box::new(buf.clone()), 4, 32).expect("header");
+        let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 4, 32).expect("header");
         let mut traced = TracingSystem::new(Box::new(SharedL2System::new(&cfg)), Rc::clone(&sink));
         for i in 0..5_000u64 {
             let addr = ((i * 97) as u32).wrapping_mul(2_654_435_761) & 0xf_ffff;

@@ -5,7 +5,7 @@
 use cmpsim_trace::codec::{
     decode, encode, fnv1a, salvage, scan_chunks, TraceError, TraceKind, TraceRecord, CHUNK_RECORDS,
 };
-use cmpsim_trace::{sink_to_path, TraceSink};
+use cmpsim_trace::{AtomicFile, SinkOut, TraceSink};
 use std::io::Write as _;
 
 /// A deterministic stream long enough for several chunks: cycles strictly
@@ -170,7 +170,8 @@ fn atomic_capture_surfaces_only_after_finish() {
     let _ = std::fs::remove_file(&dest);
     let _ = std::fs::remove_file(&tmp);
 
-    let mut sink = TraceSink::new_atomic(&dest, 4, 32).expect("creates temp");
+    let out = SinkOut::Atomic(AtomicFile::create(&dest).expect("creates temp"));
+    let mut sink = TraceSink::new(out, 4, 32).expect("writes the header");
     for rec in stream(CHUNK_RECORDS + 10) {
         let req = cmpsim_mem::MemRequest {
             cpu: rec.cpu as usize,
@@ -204,8 +205,8 @@ fn killed_capture_leaves_a_salvageable_temp_and_no_destination() {
     let _ = std::fs::remove_file(&tmp);
 
     {
-        let sink = sink_to_path(&dest, 4, 32).expect("creates temp");
-        let mut sink = sink.borrow_mut();
+        let out = SinkOut::Atomic(AtomicFile::create(&dest).expect("creates temp"));
+        let mut sink = TraceSink::new(out, 4, 32).expect("writes the header");
         for rec in stream(2 * CHUNK_RECORDS) {
             let req = cmpsim_mem::MemRequest {
                 cpu: rec.cpu as usize,

@@ -4,8 +4,8 @@
 //!
 //! ```sh
 //! cargo run --release --example trace_analyze
-//! # or analyze a trace captured earlier with CMPSIM_TRACE_OUT:
-//! CMPSIM_TRACE_IN=/tmp/run.trace cargo run --release --example trace_analyze
+//! # or analyze a trace captured earlier with `cmpsim run --trace-out`:
+//! cargo run --release --example trace_analyze -- /tmp/run.trace
 //! ```
 //!
 //! For each workload this captures the reference stream once, then
@@ -15,7 +15,7 @@
 //! exchanges make over a third of its data lines shared, while multiprog's
 //! independent processes share almost nothing.
 
-use cmpsim_core::{capture_run, ArchKind, CpuKind, MachineConfig, TraceProfile, ENV_TRACE_IN};
+use cmpsim_core::{capture_run, ArchKind, CpuKind, MachineConfig, TraceProfile};
 use cmpsim_kernels::build_by_name;
 use cmpsim_trace::{analyze_bytes, comm_matrix, TraceAnalysis};
 
@@ -32,8 +32,8 @@ fn show(name: &str, bytes: &[u8]) -> TraceAnalysis {
 }
 
 fn main() {
-    if let Ok(path) = std::env::var(ENV_TRACE_IN) {
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{ENV_TRACE_IN}={path}: {e}"));
+    if let Some(path) = std::env::args().nth(1) {
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         show(&path, &bytes);
         return;
     }

@@ -17,7 +17,7 @@ use cmpsim_engine::Cycle;
 use cmpsim_isa::disasm::listing;
 use cmpsim_isa::{Asm, Reg};
 use cmpsim_mem::{AddrSpace, MemorySystem, PhysMem, SharedMemSystem, SystemConfig};
-use cmpsim_trace::{decode, replay_bytes, sink_to, SharedBuf, TracingSystem};
+use cmpsim_trace::{decode, replay_bytes, sink_to, SharedBuf, SinkOut, TracingSystem};
 use std::rc::Rc;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
     let mut phys = PhysMem::new(1);
     phys.load_words(prog.base, &prog.words);
     let buf = SharedBuf::new();
-    let sink = sink_to(Box::new(buf.clone()), 1, cfg.l1d.line_bytes).expect("sink");
+    let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 1, cfg.l1d.line_bytes).expect("sink");
     let mut mem = TracingSystem::new(Box::new(SharedMemSystem::new(&cfg)), Rc::clone(&sink));
     let mut cpu = MipsyCpu::new(0, prog.base, AddrSpace::identity());
     let mut now = Cycle(0);

@@ -23,12 +23,9 @@
 # 8. Replay equivalence: the quick digest matrix runs again with
 #    CMPSIM_MATRIX_REPLAY=1 — every case captured to a reference trace
 #    and replayed through a fresh memory system — and must produce
-#    byte-identical lines to the execution-driven run, at
-#    CMPSIM_REPLAY_JOBS=1 and =4. The replay-checked matrix replays
-#    through the batched replay_matrix driver, so this gate pins the
-#    job-pool replay path to the execution-driven digests. This is the
+#    byte-identical lines to the execution-driven run. This is the
 #    capture/replay fidelity contract: a trace carries everything the
-#    memory system ever sees, at any job count.
+#    memory system ever sees. (Gate 8d covers replay at two job counts.)
 # 6b. Kill-and-resume: the quick matrix runs with CMPSIM_RESUME pointing
 #    at a fresh journal and CMPSIM_KILL_AFTER=28 — the sweep SIGKILLs
 #    itself after journaling its 28th row. A second run with only
@@ -43,19 +40,22 @@
 #    — one poisoned job never takes the sweep down with it.
 # 8b. (Retired together with trace format v1; gates 8c and 8d keep
 #    their numbers.)
-# 8c. Trace salvage: an eqntott capture is truncated at 60%, 85% and
-#    99% of its length. Strict replay must reject every torn file;
+# 8c. Trace salvage: an eqntott capture (`cmpsim run --trace-out`) is
+#    truncated at 60%, 85% and 99% of its length. Strict replay must
+#    reject every torn file;
 #    `cmpsim replay --salvage` must recover every intact chunk, and
 #    replaying the salvaged records must match `--salvage --head N` on
 #    the intact file (N = the salvaged record count) byte for byte — a
 #    torn capture degrades to a clean prefix, never to wrong results.
 # 8d. Mesh replay smoke: a 16-CPU mesh fft run captured to a trace
 #    must replay through a fresh mesh system (same grid) with the
-#    replayed reference count and per-link port rows intact, and the
-#    replay report must be byte-identical at CMPSIM_REPLAY_JOBS=1 and
-#    =4 — the mesh topology rides the same capture/replay contract as
-#    the crossbar machines. (The mesh rows of the extended matrix also
-#    pass through gate 8's digest-equality replay check.)
+#    replayed reference count and per-link port rows intact. It replays
+#    into two configurations (mesh and shared-L2), so the report must be
+#    byte-identical at --jobs 1 and --jobs 4 with the job pool really
+#    running two workers — the mesh topology rides the same
+#    capture/replay contract as the crossbar machines. (The mesh rows of
+#    the extended matrix also pass through gate 8's digest-equality
+#    replay check.)
 # 9. (Retired together with the sharded run loop, DESIGN.md §12; gates
 #    10 and 11 keep their numbers.)
 # 10. Host-speed benchmark, quick mode: `cmpsim-perf --quick` (perf/,
@@ -70,8 +70,9 @@
 #    --jobs 1 and --jobs 4, (b) report replayed points > 0 on stderr
 #    (memory-only sweeps route through the trace-replay fast path),
 #    (c) re-emit byte-identical JSON from a 100%-cached rerun, and
-#    (d) survive a CMPSIM_EXPLORE_KILL_AFTER SIGKILL mid-run — the
-#    resumed search completes from the torn cache with clean diffs.
+#    (d) survive a CMPSIM_KILL_AFTER SIGKILL mid-run (the cache journal
+#    kills the process after its 20th append) — the resumed search
+#    completes from the torn cache with clean diffs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -173,19 +174,17 @@ fi
 echo "ok: poisoned case quarantined, every other row byte-identical"
 
 echo "== replay equivalence: quick matrix, trace replay vs execution =="
-for replay_jobs in 1 4; do
-    matrix_replay=$(CMPSIM_REPLAY_JOBS=$replay_jobs CMPSIM_MATRIX_REPLAY=1 CMPSIM_MATRIX_SCALE=0.02 cargo bench -q -p cmpsim-bench --bench summary_matrix 2>/dev/null | grep '^{')
-    if [ "$matrix_off" != "$matrix_replay" ]; then
-        echo "ERROR: trace-replay digest matrix (CMPSIM_REPLAY_JOBS=$replay_jobs) differs from execution-driven:" >&2
-        diff <(printf '%s\n' "$matrix_off") <(printf '%s\n' "$matrix_replay") >&2 || true
-        exit 1
-    fi
-    echo "ok: trace-replay matrix is bit-identical to execution-driven (CMPSIM_REPLAY_JOBS=$replay_jobs)"
-done
+matrix_replay=$(CMPSIM_MATRIX_REPLAY=1 CMPSIM_MATRIX_SCALE=0.02 cargo bench -q -p cmpsim-bench --bench summary_matrix 2>/dev/null | grep '^{')
+if [ "$matrix_off" != "$matrix_replay" ]; then
+    echo "ERROR: trace-replay digest matrix differs from execution-driven:" >&2
+    diff <(printf '%s\n' "$matrix_off") <(printf '%s\n' "$matrix_replay") >&2 || true
+    exit 1
+fi
+echo "ok: trace-replay matrix is bit-identical to execution-driven"
 
 echo "== trace salvage: torn capture recovers every intact chunk =="
-CMPSIM_TRACE_OUT="$tmpdir/eqntott.trace" \
-    target/release/cmpsim run --workload eqntott --scale 0.05 >/dev/null
+target/release/cmpsim run --workload eqntott --scale 0.05 \
+    --trace-out "$tmpdir/eqntott.trace" >/dev/null
 tracesize=$(wc -c < "$tmpdir/eqntott.trace")
 for pct in 60 85 99; do
     head -c $(( tracesize * pct / 100 )) "$tmpdir/eqntott.trace" > "$tmpdir/torn.trace"
@@ -214,22 +213,27 @@ for pct in 60 85 99; do
 done
 
 echo "== mesh replay smoke: 16-CPU mesh capture -> byte-identical replay =="
-CMPSIM_TRACE_OUT="$tmpdir/mesh.trace" \
-    target/release/cmpsim run --arch mesh --workload fft --cpus 16 --scale 0.05 >/dev/null
-CMPSIM_REPLAY_JOBS=1 target/release/cmpsim replay --file "$tmpdir/mesh.trace" \
-    --arch mesh --cpus 16 > "$tmpdir/mesh_replay_j1.txt"
-CMPSIM_REPLAY_JOBS=4 target/release/cmpsim replay --file "$tmpdir/mesh.trace" \
-    --arch mesh --cpus 16 > "$tmpdir/mesh_replay_j4.txt"
+target/release/cmpsim run --arch mesh --workload fft --cpus 16 --scale 0.05 \
+    --trace-out "$tmpdir/mesh.trace" >/dev/null
+for replay_jobs in 1 4; do
+    target/release/cmpsim replay --file "$tmpdir/mesh.trace" --arch mesh --arch shared-l2 \
+        --cpus 16 --jobs "$replay_jobs" > "$tmpdir/mesh_replay_j$replay_jobs.txt"
+done
 if ! grep -q '^port mesh-link' "$tmpdir/mesh_replay_j1.txt"; then
     echo "ERROR: mesh replay report lost the mesh-link port row:" >&2
     cat "$tmpdir/mesh_replay_j1.txt" >&2
     exit 1
 fi
-if ! diff "$tmpdir/mesh_replay_j1.txt" "$tmpdir/mesh_replay_j4.txt"; then
-    echo "ERROR: mesh replay differs between CMPSIM_REPLAY_JOBS=1 and =4" >&2
+if [ "$(grep -c '^system' "$tmpdir/mesh_replay_j1.txt")" -ne 2 ]; then
+    echo "ERROR: two-configuration mesh replay did not report two blocks:" >&2
+    cat "$tmpdir/mesh_replay_j1.txt" >&2
     exit 1
 fi
-echo "ok: mesh trace replays byte-identically (jobs 1 vs 4, link stats intact)"
+if ! diff "$tmpdir/mesh_replay_j1.txt" "$tmpdir/mesh_replay_j4.txt"; then
+    echo "ERROR: mesh replay differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+echo "ok: mesh trace replays byte-identically into two configurations (jobs 1 vs 4, link stats intact)"
 
 echo "== explore smoke: seeded 64-point search, jobs/cache/kill invariance =="
 explore_args=(explore --workload eqntott --scale 0.02 --seed 7 --points 64
@@ -260,12 +264,12 @@ if ! grep -q '0 exec runs, 0 replayed, 64 cached' "$tmpdir/explore_cached.err"; 
     exit 1
 fi
 set +e
-CMPSIM_EXPLORE_KILL_AFTER=20 target/release/cmpsim "${explore_args[@]}" --jobs 4 \
+CMPSIM_KILL_AFTER=20 target/release/cmpsim "${explore_args[@]}" --jobs 4 \
     --cache "$tmpdir/exploreK.jrnl" > /dev/null 2>&1
 explore_killed_rc=$?
 set -e
 if [ "$explore_killed_rc" -eq 0 ]; then
-    echo "ERROR: CMPSIM_EXPLORE_KILL_AFTER=20 search exited cleanly instead of dying" >&2
+    echo "ERROR: CMPSIM_KILL_AFTER=20 search exited cleanly instead of dying" >&2
     exit 1
 fi
 target/release/cmpsim "${explore_args[@]}" --jobs 4 --cache "$tmpdir/exploreK.jrnl" \

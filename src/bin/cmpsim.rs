@@ -12,12 +12,11 @@ use cmpsim::core::machine::run_workload;
 use cmpsim::core::report::IpcBreakdown;
 use cmpsim::core::{
     probe_latencies, ArchKind, Breakdown, CpuKind, Machine, MachineConfig, MissRates, RunError,
-    RunSummary, TraceProfile, ENV_TRACE_IN,
+    RunSummary, TraceProfile,
 };
-use cmpsim::engine::journal::{Journal, JournalKey};
-use cmpsim::trace::codec::fnv1a;
+use cmpsim::engine::pool::host_jobs;
 use cmpsim::trace::{
-    analyze, decode_with_header, replay_jobs, replay_matrix, salvage, ConfigReplay,
+    analyze, decode_with_header, replay_matrix, salvage, AtomicFile, ConfigReplay, SinkOut,
 };
 use cmpsim_kernels::synth::{build as build_synth, SynthParams};
 use cmpsim_kernels::{build_by_name, ALL_WORKLOADS};
@@ -30,24 +29,30 @@ USAGE:
     cmpsim run   --workload <NAME> [--arch <ARCH>] [--cpu <MODEL>]
                  [--scale <F>] [--cpus <N>] [--l2-assoc <N>]
                  [--l1-latency <N>] [--l1-banks <N>] [--budget <CYCLES>]
-                 [--mesh-rows <N> --mesh-cols <N>]
+                 [--mesh-rows <N> --mesh-cols <N>] [--trace-out <PATH>]
+                                 --trace-out captures the run's reference
+                                 trace crash-safely: bytes land at
+                                 <PATH>.tmp and rename onto <PATH> once
+                                 the footer is written
     cmpsim sweep --workload <NAME> [--cpu <MODEL>] [--scale <F>]
     cmpsim synth [--rounds N] [--grain N] [--ws KB] [--stores PCT]
                  [--shared PCT] [--shared-kb KB] [--cpu <MODEL>]
                                  sweep a parameterized synthetic workload
                                  across all three architectures
-    cmpsim replay [--file <TRACE>] [--arch <ARCH>]... [--cpus <N>]
+    cmpsim replay --file <TRACE> [--arch <ARCH>]... [--cpus <N>]
                  [--l2-assoc <N>] [--l1-latency <N>] [--l1-banks <N>]
-                 [--mesh-rows <N> --mesh-cols <N>]
+                 [--mesh-rows <N> --mesh-cols <N>] [--jobs <N>]
                  [--salvage] [--head <N>]
                                  replay a captured reference trace into
                                  freshly built memory systems (no CPU
                                  model); repeat --arch to batch several
-                                 architectures over one decode,
-                                 --salvage to recover every intact chunk
-                                 of a torn/corrupted trace instead of
-                                 rejecting it, --head N to replay only
-                                 the first N records
+                                 architectures over one decode, fanned
+                                 across --jobs threads (default: host
+                                 parallelism; output is identical at any
+                                 value); --salvage to recover every
+                                 intact chunk of a torn/corrupted trace
+                                 instead of rejecting it, --head N to
+                                 replay only the first N records
     cmpsim explore --workload <NAME> [--scale <F>] [--budget <CYCLES>]
                  [--driver exhaustive|random|hill|evolve] [--seed <N>]
                  [--dim <name>=<v1,v2,...>]... [--points <N>]
@@ -75,13 +80,7 @@ NAME:   eqntott mp3d ocean volpack ear fft multiprog
 The mesh architecture tiles the CPUs on a near-square 2D grid by default;
 --mesh-rows/--mesh-cols pin the grid (rows x cols must equal --cpus).
 
-Set CMPSIM_TRACE_OUT=<path> on any `run` to capture its reference trace
-crash-safely (bytes land at <path>.tmp and rename onto <path> when the
-footer is written); `replay` reads --file or CMPSIM_TRACE_IN and fans a
-multi-arch batch across CMPSIM_REPLAY_JOBS threads (default: host
-parallelism). CMPSIM_RESUME=<path> journals each replayed
-configuration's block so an interrupted multi-arch replay restarts where
-it died with identical output.
+cmpsim reads no environment variables: every setting is a flag.
 ";
 
 #[derive(Debug)]
@@ -97,6 +96,7 @@ struct Args {
     mesh_rows: Option<usize>,
     mesh_cols: Option<usize>,
     budget: u64,
+    trace_out: Option<String>,
 }
 
 /// Resolves the `--mesh-rows`/`--mesh-cols` pair: both or neither.
@@ -143,6 +143,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         mesh_rows: None,
         mesh_cols: None,
         budget: 40_000_000_000,
+        trace_out: None,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -175,6 +176,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.mesh_cols = Some(val()?.parse().map_err(|e| format!("bad cols: {e}"))?)
             }
             "--budget" => args.budget = val()?.parse().map_err(|e| format!("bad budget: {e}"))?,
+            "--trace-out" => args.trace_out = Some(val()?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -232,30 +234,21 @@ fn print_summary(cpu: CpuKind, s: &RunSummary) {
     }
 }
 
-/// Renders one replayed configuration's report block — built as a string
-/// (rather than printed directly) so the replay journal can store and
-/// re-emit it byte-identically on resume.
-fn render_replay_block(cr: &ConfigReplay, cpus: usize) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "system       : {} ({cpus} CPUs)", cr.name).expect("string write");
-    writeln!(
-        out,
+/// Prints one replayed configuration's report block.
+fn print_replay_block(cr: &ConfigReplay, cpus: usize) {
+    println!("system       : {} ({cpus} CPUs)", cr.name);
+    println!(
         "replayed     : {} accesses, {} ROI resets",
         cr.replay.accesses, cr.replay.resets
-    )
-    .expect("string write");
-    writeln!(out, "miss rates   : {}", MissRates::from_mem(&cr.stats)).expect("string write");
-    writeln!(out, "access lat.  : {}", cr.stats.latency).expect("string write");
+    );
+    println!("miss rates   : {}", MissRates::from_mem(&cr.stats));
+    println!("access lat.  : {}", cr.stats.latency);
     for u in &cr.ports {
-        writeln!(
-            out,
+        println!(
             "port {:<12}: {:>9} grants, {:>9} busy cyc, {:>9} wait cyc",
             u.name, u.grants, u.busy_cycles, u.wait_cycles
-        )
-        .expect("string write");
+        );
     }
-    out
 }
 
 fn run_one(a: &Args, arch: ArchKind) -> Result<RunSummary, String> {
@@ -266,9 +259,20 @@ fn run_one(a: &Args, arch: ArchKind) -> Result<RunSummary, String> {
     cfg.l1_latency = a.l1_latency;
     cfg.l1_banks = a.l1_banks;
     cfg.mesh_dims = mesh_dims_of(a.mesh_rows, a.mesh_cols)?;
-    // Build fallibly so a bad geometry, or a capture the trace format
-    // cannot carry, is a CLI error rather than a panic out of the builder.
-    let mut m = Machine::try_new(&cfg, &w).map_err(|e| e.to_string())?;
+    // Build fallibly so a bad geometry, a capture the trace format cannot
+    // carry, or a trace path that cannot be created is a CLI error rather
+    // than a panic out of the builder.
+    let mut m = match &a.trace_out {
+        None => Machine::try_new(&cfg, &w).map_err(|e| e.to_string())?,
+        Some(path) => {
+            let file = AtomicFile::create(path).map_err(|e| format!("{path}: {e}"))?;
+            let tmp = file.tmp_path().to_path_buf();
+            Machine::try_new_capturing(&cfg, &w, SinkOut::Atomic(file)).map_err(|e| {
+                let _ = std::fs::remove_file(&tmp);
+                e.to_string()
+            })?
+        }
+    };
     let s = m.run(a.budget).map_err(|e| e.to_string())?;
     (w.check)(m.phys()).map_err(|e| RunError::CheckFailed(e).to_string())?;
     Ok(s)
@@ -298,7 +302,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     let mut cache: Option<std::path::PathBuf> = None;
     let mut exec = false;
     let mut dry = false;
-    let mut jobs = cmpsim::engine::pool::env_jobs("CMPSIM_EXPLORE_JOBS");
+    let mut jobs = host_jobs();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut val = || {
@@ -440,6 +444,9 @@ fn main() -> ExitCode {
             Ok(())
         }),
         "sweep" => parse_args(rest).and_then(|a| {
+            if a.trace_out.is_some() {
+                return Err("--trace-out applies to `run`, not `sweep`".into());
+            }
             let mut base = None;
             println!(
                 "{:<14} {:>12} {:>8}  breakdown",
@@ -463,7 +470,7 @@ fn main() -> ExitCode {
             Ok(())
         }),
         "replay" => (|| {
-            let mut file = std::env::var(ENV_TRACE_IN).ok();
+            let mut file = None;
             let mut archs: Vec<ArchKind> = Vec::new();
             let mut cpus = 4usize;
             let mut l2_assoc = None;
@@ -473,6 +480,7 @@ fn main() -> ExitCode {
             let mut mesh_cols = None;
             let mut do_salvage = false;
             let mut head: Option<usize> = None;
+            let mut jobs = host_jobs();
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
                 let mut val = || {
@@ -503,16 +511,21 @@ fn main() -> ExitCode {
                     }
                     "--salvage" => do_salvage = true,
                     "--head" => head = Some(val()?.parse().map_err(|e| format!("bad head: {e}"))?),
+                    "--jobs" | "-j" => {
+                        jobs = val()?.parse().map_err(|e| format!("bad jobs: {e}"))?
+                    }
                     other => return Err(format!("unknown flag `{other}`")),
                 }
             }
             if archs.is_empty() {
                 archs.push(ArchKind::SharedMem);
             }
+            if jobs == 0 {
+                return Err("--jobs must be at least 1".into());
+            }
             let mesh_dims = mesh_dims_of(mesh_rows, mesh_cols)?;
-            let path = file.ok_or(format!("--file or {ENV_TRACE_IN} is required"))?;
+            let path: String = file.ok_or("--file is required")?;
             let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
-            let jobs = replay_jobs();
             // Decode once; every configuration replays from this arena.
             // Strict mode rejects any framing or payload fault; --salvage
             // walks leniently and keeps every chunk that verifies.
@@ -549,63 +562,12 @@ fn main() -> ExitCode {
                 })
                 .collect::<Result<_, _>>()
                 .map_err(|e| e.to_string())?;
-            // With CMPSIM_RESUME set, each configuration's rendered block
-            // is journaled under (config digest, record-stream digest);
-            // a restarted replay re-emits journaled blocks verbatim and
-            // only replays the configurations that are missing.
-            let mut journal = Journal::from_env().map_err(|e| e.to_string())?;
-            let stream = format!(
-                "cmpsim-replay-trace-v1|{:016x}|{}",
-                fnv1a(&bytes),
-                replayed.len()
-            );
-            // v3: keys now come from the shared JournalKey::digest helper
-            // (journal-side FNV), so rows journaled by older binaries are
-            // recomputed rather than misread.
-            let keys: Vec<JournalKey> = cfgs
-                .iter()
-                .map(|&(arch, _)| {
-                    JournalKey::digest(
-                        "cmpsim-replay-row-v3",
-                        &format!(
-                            "{}|{cpus}|{l2_assoc:?}|{l1_latency:?}|{l1_banks:?}|{mesh_dims:?}",
-                            arch.name()
-                        ),
-                        &stream,
-                    )
-                })
-                .collect();
-            let todo: Vec<usize> = (0..cfgs.len())
-                .filter(|&i| journal.as_ref().is_none_or(|j| !j.contains(keys[i])))
-                .collect();
-            if let Some(j) = &journal {
-                let hits = cfgs.len() - todo.len();
-                if hits > 0 {
-                    eprintln!("replay: resumed {hits} rows from {}", j.path().display());
-                }
-            }
-            let results = replay_matrix(replayed, todo.len(), jobs, |i| {
-                let (arch, ref sc) = cfgs[todo[i]];
+            let results = replay_matrix(replayed, cfgs.len(), jobs, |i| {
+                let (arch, ref sc) = cfgs[i];
                 arch.try_build(sc).expect("configuration validated above")
             });
-            let mut fresh = results.iter();
-            for (i, key) in keys.iter().enumerate() {
-                let block = if todo.contains(&i) {
-                    let cr = fresh.next().expect("one result per missing row");
-                    let block = render_replay_block(cr, cpus);
-                    if let Some(j) = journal.as_mut() {
-                        j.put(*key, block.as_bytes())
-                            .map_err(|e| format!("journaling replay row: {e}"))?;
-                    }
-                    block
-                } else {
-                    let j = journal
-                        .as_ref()
-                        .expect("todo excludes rows only when journaled");
-                    String::from_utf8(j.get(*key).expect("checked above").to_vec())
-                        .map_err(|e| format!("journaled replay row not UTF-8: {e}"))?
-                };
-                print!("{block}");
+            for cr in &results {
+                print_replay_block(cr, cpus);
             }
             // The stream profile covers the whole file, whatever --head
             // replayed. It has no meaning for a torn --salvage input; there

@@ -8,9 +8,13 @@
 //! the same check `scripts/verify.sh` performs via `cargo metadata`,
 //! here as a manifest scan so it runs inside `cargo test` without
 //! invoking cargo recursively.
+//!
+//! A second scan keeps the simulator free of ambient configuration: only
+//! a few entry-point and test-hook files may read the process
+//! environment.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Dependency-table headers whose entries must all be path/workspace
 /// deps. `[workspace.dependencies]` is included: it is where a registry
@@ -152,4 +156,91 @@ fn removed_external_crates_stay_removed() {
             );
         }
     }
+}
+
+/// The only files that may read the process environment: the digest
+/// matrix's entry point and its poison hook, the journal's kill hook, and
+/// the property framework's seed and case count.
+const ENV_READERS: [&str; 4] = [
+    "crates/bench/benches/summary_matrix.rs",
+    "crates/bench/src/matrix.rs",
+    "crates/engine/src/journal.rs",
+    "crates/engine/src/prop/mod.rs",
+];
+
+/// 1-based lines of `text` that call `env::var`, `env::var_os` or
+/// `env::vars`; comment lines are skipped.
+fn env_reads(text: &str) -> Vec<usize> {
+    let calls = ["env::var(", "env::var_os(", "env::vars("];
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| {
+            let code = line.trim_start();
+            !code.starts_with("//") && calls.iter().any(|c| code.contains(c))
+        })
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The library crates, the `cmpsim` binary and the examples take every
+/// setting as a typed value from their caller, so one shell variable can
+/// never reach every machine a process builds.
+#[test]
+fn only_entry_points_read_the_environment() {
+    assert_eq!(
+        env_reads("// std::env::var(\"X\")\nlet y = std::env::var_os(\"Y\");\n"),
+        vec![2],
+        "the scanner skips comments and flags calls"
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    rust_files(&root.join("examples"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let krate = krate.expect("dir entry").path();
+        rust_files(&krate.join("src"), &mut files);
+        rust_files(&krate.join("benches"), &mut files);
+    }
+    let rel: Vec<String> = files
+        .iter()
+        .map(|f| {
+            let r = f.strip_prefix(root).expect("under the root");
+            r.to_string_lossy().replace('\\', "/")
+        })
+        .collect();
+    for exempt in ENV_READERS {
+        assert!(
+            rel.iter().any(|r| r == exempt),
+            "{exempt} is exempt but was not scanned"
+        );
+    }
+    let mut report = String::new();
+    for (file, rel) in files.iter().zip(&rel) {
+        if ENV_READERS.contains(&rel.as_str()) {
+            continue;
+        }
+        let text = std::fs::read_to_string(file).expect("readable");
+        for line in env_reads(&text) {
+            let _ = writeln!(report, "  {rel}:{line}");
+        }
+    }
+    assert!(
+        report.is_empty(),
+        "environment reads outside the entry points (parse the knob at an \
+         entry point and pass it down as a typed value):\n{report}"
+    );
 }
