@@ -1,7 +1,7 @@
 //! Machine assembly and the simulation run loop.
 
 use cmpsim_cpu::{ArchState, CpuCounters, CpuModel, MipsyCpu, MxsConfig, MxsCpu, StepEvent};
-use cmpsim_engine::{Cycle, ReadyHeap};
+use cmpsim_engine::Cycle;
 use cmpsim_isa::HcallNo;
 use cmpsim_kernels::BuiltWorkload;
 use cmpsim_mem::{
@@ -600,15 +600,16 @@ impl Machine {
         })
     }
 
-    /// A [`ReadyHeap`] seeded with every not-done CPU at its ready cycle.
-    fn ready_heap(&self) -> ReadyHeap {
-        let mut heap = ReadyHeap::new(self.cpus.len());
-        for c in 0..self.cpus.len() {
-            if !self.done[c] {
-                heap.set(c, self.ready[c]);
+    /// The earliest not-done CPU as `(ready cycle, index)`, ties to the
+    /// lowest index; `None` once every CPU is done.
+    fn earliest_ready(&self) -> Option<(Cycle, usize)> {
+        let mut best: Option<(Cycle, usize)> = None;
+        for (c, (&r, &done)) in self.ready.iter().zip(&self.done).enumerate() {
+            if !done && best.is_none_or(|(t, _)| r < t) {
+                best = Some((r, c));
             }
         }
-        heap
+        best
     }
 
     /// Runs until every CPU finishes or `max_cycles` elapses: steps the
@@ -620,8 +621,8 @@ impl Machine {
     /// [`RunError::Stalled`] if the forward-progress watchdog fires.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, RunError> {
         let mut watchdog = self.stall_limit.map(|l| Watchdog::new(l, self.cpus.len()));
-        let mut heap = self.ready_heap();
-        while let Some((now, c)) = heap.peek() {
+        let mut pick = self.earliest_ready();
+        while let Some((now, c)) = pick {
             if now.0 > max_cycles {
                 let report = self.diagnose(now.0, watchdog.as_ref());
                 return Err(RunError::Timeout {
@@ -633,6 +634,7 @@ impl Machine {
                 self.phys.sentinel_context(c, now.0);
             }
             let (next, ev) = self.cpus[c].step(now, self.mem.as_mut(), &mut self.phys);
+            debug_assert!(next >= now, "cpu {c} stepped back in time");
             if self.sentinel_on {
                 self.phys.sentinel_heal();
             }
@@ -659,11 +661,19 @@ impl Machine {
                     });
                 }
             }
-            if self.done[c] {
-                heap.remove(c);
-            } else {
-                heap.set(c, next);
-            }
+            // A step moves only the stepped CPU's ready cycle: hcalls
+            // switch processes on `c` or mark it done, and never move
+            // another CPU's. Every CPU below `c` is ready after `now`
+            // (ties went to the lowest index), so the next CPU is the
+            // lowest not-done index from `c` upward still ready at `now`.
+            // Only when there is none has time advanced, and a full scan
+            // finds the earliest.
+            pick = self.ready[c..]
+                .iter()
+                .zip(&self.done[c..])
+                .position(|(&r, &done)| r == now && !done)
+                .map(|i| (now, c + i))
+                .or_else(|| self.earliest_ready());
         }
         Ok(self.summary())
     }
@@ -776,14 +786,6 @@ impl Machine {
     /// The machine's configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// Capture progress when tracing is on: `(records, encoded bytes)`.
-    pub fn trace_progress(&self) -> Option<(u64, u64)> {
-        self.trace.as_ref().map(|t| {
-            let t = t.borrow();
-            (t.records(), t.bytes_written())
-        })
     }
 }
 
@@ -1010,26 +1012,45 @@ mod tests {
         );
     }
 
-    /// A CPU model whose one and only step consumes a long stretch of
-    /// simulated time and halts without graduating anything — the shape
-    /// that used to trip the watchdog: observing *before* handling
-    /// [`StepEvent::Halted`] reported the halting CPU as stalled.
-    struct StubCpu {
+    /// The `(cpu, now)` of every step a machine of [`ScriptedCpu`]s took.
+    type StepLog = Rc<std::cell::RefCell<Vec<(usize, u64)>>>;
+
+    /// A CPU model that follows a script: step `i` takes `latencies[i]`
+    /// cycles and graduates nothing, and the last step halts (or, with
+    /// `exit`, exits its only process). Every step appends `(cpu, now)` to
+    /// the shared log.
+    struct ScriptedCpu {
+        id: usize,
+        latencies: Vec<u64>,
+        exit: bool,
+        steps: usize,
+        log: StepLog,
         arch: ArchState,
         space: AddrSpace,
         counters: CpuCounters,
-        halted: bool,
     }
 
-    impl CpuModel for StubCpu {
+    impl CpuModel for ScriptedCpu {
         fn step(
             &mut self,
             now: Cycle,
             _mem: &mut dyn MemorySystem,
             _phys: &mut PhysMem,
         ) -> (Cycle, StepEvent) {
-            self.halted = true;
-            (now + 10_000, StepEvent::Halted)
+            let latency = *self
+                .latencies
+                .get(self.steps)
+                .unwrap_or_else(|| panic!("cpu {} stepped after it finished", self.id));
+            self.steps += 1;
+            self.log.borrow_mut().push((self.id, now.0));
+            let ev = if self.steps < self.latencies.len() {
+                StepEvent::None
+            } else if self.exit {
+                StepEvent::Hcall(HcallNo::Exit)
+            } else {
+                StepEvent::Halted
+            };
+            (now + latency, ev)
         }
         fn arch(&self) -> &ArchState {
             &self.arch
@@ -1046,7 +1067,7 @@ mod tests {
         fn flush(&mut self) {}
         fn disable_decode_cache(&mut self) {}
         fn halted(&self) -> bool {
-            self.halted
+            self.steps == self.latencies.len()
         }
         fn counters(&self) -> &CpuCounters {
             &self.counters
@@ -1056,36 +1077,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn watchdog_does_not_flag_a_halting_step() {
+    /// A machine of one [`ScriptedCpu`] per `(latencies, exit)` script and
+    /// no extra processes, with the log its CPUs share.
+    fn scripted_machine(
+        scripts: Vec<(Vec<u64>, bool)>,
+        stall_limit: Option<u64>,
+    ) -> (Machine, StepLog) {
+        let n = scripts.len();
+        let log = StepLog::default();
+        let cpus = scripts
+            .into_iter()
+            .enumerate()
+            .map(|(id, (latencies, exit))| -> Box<dyn CpuModel> {
+                Box::new(ScriptedCpu {
+                    id,
+                    latencies,
+                    exit,
+                    steps: 0,
+                    log: Rc::clone(&log),
+                    arch: ArchState::new(0x1000),
+                    space: AddrSpace::identity(),
+                    counters: CpuCounters::new(),
+                })
+            })
+            .collect();
         let cfg = MachineConfig::new(ArchKind::SharedMem, CpuKind::Mipsy);
-        let sc = cfg.system_config();
-        let mut m = Machine {
+        let m = Machine {
             cfg,
-            cpus: vec![Box::new(StubCpu {
-                arch: ArchState::new(0x1000),
-                space: AddrSpace::identity(),
-                counters: CpuCounters::new(),
-                halted: false,
-            })],
-            mem: Box::new(SharedMemSystem::new(&sc)),
-            phys: PhysMem::new(1),
-            ready: vec![Cycle::ZERO],
-            done: vec![false],
-            queues: vec![VecDeque::new()],
+            cpus,
+            mem: Box::new(SharedMemSystem::new(&cfg.system_config())),
+            phys: PhysMem::new(n),
+            ready: vec![Cycle::ZERO; n],
+            done: vec![false; n],
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
             roi_start: Cycle::ZERO,
             phases: Vec::new(),
-            workload_name: "stub",
+            workload_name: "scripted",
             sentinel_on: false,
-            // Far below the stub's 10_000-cycle final step: the old
-            // observe-before-event order reported this run as Stalled.
-            stall_limit: Some(100),
+            stall_limit,
             trace: None,
         };
+        (m, log)
+    }
+
+    /// One step that consumes a long stretch of simulated time and halts
+    /// without graduating anything: the shape that used to trip the
+    /// watchdog, because observing *before* handling
+    /// [`StepEvent::Halted`] reported the halting CPU as stalled.
+    #[test]
+    fn watchdog_does_not_flag_a_halting_step() {
+        // A limit far below the 10_000-cycle final step: the old
+        // observe-before-event order reported this run as Stalled.
+        let (mut m, _) = scripted_machine(vec![(vec![10_000], false)], Some(100));
         let s = m
             .run(1_000_000)
             .expect("a halting step must never be reported as stalled");
         assert_eq!(s.total.instructions, 0);
+    }
+
+    /// The run loop steps CPUs in the order of a linear scan for the
+    /// minimum `(ready cycle, index)` over the CPUs not yet done, and ends
+    /// at the same wall cycle.
+    #[test]
+    fn run_loop_steps_the_earliest_ready_cpu_lowest_index_first() {
+        const LATENCIES: [u64; 6] = [0, 1, 2, 3, 50, 10_000];
+        cmpsim_engine::prop::check("run_loop_pick_order", |src| {
+            let n = src.usize(1..131);
+            let scripts: Vec<(Vec<u64>, bool)> = (0..n)
+                .map(|_| (src.vec(1..22, |s| s.choice(&LATENCIES)), src.bool()))
+                .collect();
+
+            // Reference: pick the minimum (ready, index) by linear scan.
+            let mut ready = vec![0u64; n];
+            let mut taken = vec![0usize; n];
+            let mut want = Vec::new();
+            while let Some(c) = (0..n)
+                .filter(|&c| taken[c] < scripts[c].0.len())
+                .min_by_key(|&c| (ready[c], c))
+            {
+                want.push((c, ready[c]));
+                ready[c] += scripts[c].0[taken[c]];
+                taken[c] += 1;
+            }
+
+            let (mut m, log) = scripted_machine(scripts, None);
+            let s = m.run(u64::MAX).expect("a scripted run completes");
+            assert_eq!(*log.borrow(), want, "step order");
+            assert_eq!(s.wall_cycles, ready.into_iter().max().unwrap_or(0));
+        });
     }
 
     #[test]

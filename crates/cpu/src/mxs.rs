@@ -1125,17 +1125,6 @@ impl MxsCpu {
             f.was_icache_miss = was_miss;
         }
     }
-
-    /// Number of in-flight instructions (fetch buffer + window), for tests.
-    pub fn in_flight(&self) -> usize {
-        self.fbuf.len() + self.rob.len()
-    }
-
-    /// The oldest un-graduated instruction's pc (or the fetch pc if the
-    /// window is empty) — diagnostics only.
-    pub fn head_pc(&self) -> u32 {
-        self.rob.front().map_or(self.fetch_pc, |e| e.pc)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]

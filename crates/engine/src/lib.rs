@@ -6,9 +6,6 @@
 //! * [`Cycle`] — a strongly typed simulated-time stamp.
 //! * [`Port`] and [`BankedResource`] — occupancy-based contention models for
 //!   cache ports, buses and DRAM banks.
-//! * [`EventQueue`] — a deterministic time-ordered event queue.
-//! * [`ReadyHeap`] — an indexed min-heap over `(Cycle, index)` keys, the
-//!   earliest-ready order the machine run loop uses.
 //! * [`pool`] — scoped-thread fan-out: the index-ordered job pool that
 //!   runs independent simulations in parallel.
 //! * [`hash`] — deterministic fixed-function hashing ([`FastMap`],
@@ -44,8 +41,6 @@ pub mod hash;
 pub mod journal;
 pub mod pool;
 pub mod prop;
-pub mod queue;
-pub mod ready;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -54,15 +49,12 @@ pub mod supervise;
 pub use hash::{BuildFastHasher, FastHasher, FastMap, FastSet};
 pub use journal::{Journal, JournalKey};
 pub use pool::{map_jobs, run_indexed};
-pub use queue::EventQueue;
-pub use ready::ReadyHeap;
 pub use resource::{BankedResource, Port};
 pub use rng::Rng64;
 pub use stats::{Counter, Histogram};
 pub use supervise::{map_jobs_supervised, run_indexed_supervised, Quarantine};
 
 use std::fmt;
-use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, measured in CPU clock cycles.
@@ -87,18 +79,6 @@ impl Cycle {
 
     /// The latest representable time; used as "never".
     pub const MAX: Cycle = Cycle(u64::MAX);
-
-    /// Returns the later of two timestamps.
-    #[must_use]
-    pub fn max(self, other: Cycle) -> Cycle {
-        Cycle(self.0.max(other.0))
-    }
-
-    /// Returns the earlier of two timestamps.
-    #[must_use]
-    pub fn min(self, other: Cycle) -> Cycle {
-        Cycle(self.0.min(other.0))
-    }
 
     /// Number of cycles from `earlier` to `self`, saturating at zero.
     #[must_use]
@@ -130,12 +110,6 @@ impl Sub<Cycle> for Cycle {
 impl fmt::Display for Cycle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-impl Sum<u64> for Cycle {
-    fn sum<I: Iterator<Item = u64>>(iter: I) -> Cycle {
-        Cycle(iter.sum())
     }
 }
 

@@ -39,11 +39,6 @@ impl Rng64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, n)`.
     ///
     /// # Panics

@@ -1,30 +1,7 @@
 //! Property tests for the simulation core, running on the engine's own
 //! deterministic `prop` framework.
 
-use cmpsim_engine::{prop, Cycle, EventQueue, Port, Rng64};
-
-/// Events pop in nondecreasing time order, FIFO within a cycle.
-#[test]
-fn event_queue_is_stable_priority() {
-    prop::check("event_queue_is_stable_priority", |src| {
-        let times = src.vec(1..200, |s| s.u64(0..100));
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Cycle(t), (t, i));
-        }
-        let mut popped = Vec::new();
-        while let Some(e) = q.pop_due(Cycle(u64::MAX)) {
-            popped.push(e);
-        }
-        assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            assert!(w[0].0 <= w[1].0, "time order");
-            if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "FIFO within a cycle");
-            }
-        }
-    });
-}
+use cmpsim_engine::{prop, Cycle, Port, Rng64};
 
 /// A port never grants before the request arrives, never overlaps grants,
 /// and accumulates wait exactly as grant - arrival.

@@ -15,7 +15,9 @@
 //!   replayed `MemStats` are exact for the fixed stream; IPC is the
 //!   blocking-model estimate `ifetches / (Σ access latency / n_cpus)`,
 //!   a consistent fitness proxy rather than a cycle-accurate number
-//!   (DESIGN.md §15 quantifies the approximation).
+//!   (DESIGN.md §15 quantifies the approximation). A point with more
+//!   CPUs than a trace record can name (64) runs execution-driven
+//!   instead ([`EvalSpec::replays`]).
 //! * **Execution mode** (`--exec`): every point runs the full machine —
 //!   exact IPC, at execution speed.
 //!
@@ -52,7 +54,8 @@ impl EvalMode {
 }
 
 /// Which path produced a stored result (in replay mode the capture runs
-/// are not points, so every point's metrics carry `Replay`).
+/// are not points, so a point's metrics carry `Replay` unless
+/// [`EvalSpec::replays`] sent it to execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalPath {
     /// Execution-driven: exact machine IPC.
@@ -89,6 +92,15 @@ impl EvalSpec {
             self.budget,
             self.mode.tag()
         )
+    }
+
+    /// Whether `p` is evaluated by trace replay: in replay mode, and only
+    /// when a trace can carry the point's CPU count. Every other point
+    /// runs execution-driven. [`Evaluator::eval_batch`] and
+    /// [`crate::dry_run`] both route points through this one rule.
+    pub fn replays(&self, p: &Point) -> bool {
+        self.mode == EvalMode::Replay
+            && p.cfg.n_cpus <= usize::from(cmpsim_trace::codec::MAX_CPU) + 1
     }
 }
 
@@ -259,13 +271,14 @@ impl Evaluator {
         if todo.is_empty() {
             return Ok(());
         }
-        let results = match self.spec.mode {
-            EvalMode::Exec => self.exec_batch(&todo),
-            EvalMode::Replay => self.replay_batch(&todo)?,
-        };
-        // Store in todo order: deterministic journal append order, so
-        // the kill-after hook severs the same run prefix every time.
-        for (p, m) in todo.iter().zip(results) {
+        let (replayed, executed): (Vec<Point>, Vec<Point>) =
+            todo.into_iter().partition(|p| self.spec.replays(p));
+        let mut results = self.exec_batch(&executed);
+        results.extend(self.replay_batch(&replayed)?);
+        // Store executed points, then replayed ones, each in batch order:
+        // a deterministic journal append order, so the kill-after hook
+        // severs the same run prefix every time.
+        for (p, m) in executed.iter().chain(&replayed).zip(results) {
             let Some(m) = m else { continue };
             if let Some(cache) = &mut self.cache {
                 cache.put(ResultCache::key(&tag, &format!("{:?}", p.cfg)), &m)?;

@@ -312,12 +312,11 @@ pub fn dry_run(
                 continue;
             }
         }
-        match spec.mode {
-            crate::eval::EvalMode::Exec => exec += 1,
-            crate::eval::EvalMode::Replay => {
-                replay += 1;
-                groups.insert(p.group_sig());
-            }
+        if spec.replays(&p) {
+            replay += 1;
+            groups.insert(p.group_sig());
+        } else {
+            exec += 1;
         }
     }
     Ok(DryRun {

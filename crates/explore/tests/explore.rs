@@ -326,3 +326,33 @@ fn replay_and_exec_agree_on_miss_rates() {
         e.l1d_miss_pct
     );
 }
+
+/// A trace record names at most 64 CPUs, so in replay mode a point above
+/// that runs execution-driven: the plan counts it as an exec run, and the
+/// search completes with its row marked `exec`. mp3d is the cheapest
+/// workload at 128 CPUs.
+#[test]
+fn replay_mode_runs_points_above_64_cpus_execution_driven() {
+    let mut space = DesignSpace::paper();
+    space.set_dim("arch", "shared-l2").unwrap();
+    space.set_dim("cpus", "4,128").unwrap();
+    let sp = EvalSpec {
+        workload: "mp3d".to_string(),
+        scale: 0.005,
+        ..spec(1, EvalMode::Replay)
+    };
+    let plan = dry_run(&space, &sp, Driver::Exhaustive, 1, None).expect("plans");
+    assert_eq!(plan.planned, 2);
+    assert_eq!(plan.exec_captures, 2, "one 4-CPU capture, one 128-CPU run");
+    assert_eq!(plan.replay_points, 1);
+    let outcome = run_search(&space, sp.clone(), Driver::Exhaustive, 1, None).expect("searches");
+    assert_eq!(outcome.points.len(), 2);
+    assert_eq!(outcome.exec_runs, 2);
+    assert_eq!(outcome.replay_points, 1);
+    let lines = render_lines(&space, &sp, Driver::Exhaustive, 1, &outcome).unwrap();
+    // Lines 1 and 2 are the points in code order.
+    for (line, cpus, path) in [(&lines[1], 4, "replay"), (&lines[2], 128, "exec")] {
+        assert!(line.contains(&format!("\"cpus\":{cpus},")), "{line}");
+        assert!(line.contains(&format!("\"path\":\"{path}\"")), "{line}");
+    }
+}

@@ -52,11 +52,6 @@ impl AtomicFile {
         &self.tmp
     }
 
-    /// Where [`AtomicFile::commit`] will publish the file.
-    pub fn dest_path(&self) -> &Path {
-        &self.dest
-    }
-
     /// Durably publishes the file: flush, sync, rename onto `dest`.
     ///
     /// # Errors

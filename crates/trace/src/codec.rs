@@ -27,12 +27,13 @@
 //!
 //! Every reader is a loop over the same two steps — a frame walker that
 //! reads one chunk header or the footer, and a chunk decoder that verifies
-//! the checksum, reads the preamble and appends the chunk's records — and
-//! the readers differ only in what they do with an error. The footer
-//! doubles as the truncation sentinel: a reader that reaches end of file
-//! without having consumed a footer reports [`TraceError::Truncated`], and
-//! a footer whose record count disagrees with the records actually decoded
-//! reports [`TraceError::CountMismatch`].
+//! the checksum, reads the preamble, checks every record's CPU against
+//! the header and appends the chunk's records — and the readers differ
+//! only in what they do with an error. The footer doubles as the
+//! truncation sentinel: a reader that reaches end of file without having
+//! consumed a footer reports [`TraceError::Truncated`], and a footer
+//! whose record count disagrees with the records actually decoded reports
+//! [`TraceError::CountMismatch`].
 
 use std::fmt;
 use std::io::{self, Write};
@@ -189,6 +190,17 @@ pub enum TraceError {
     },
     /// Bytes follow the footer.
     TrailingData,
+    /// A chunk holds a record whose CPU is not below the header's CPU
+    /// count. Capture never writes one, and replaying it would index past
+    /// the replay system's CPUs.
+    CpuOutOfRange {
+        /// Zero-based chunk index.
+        chunk: u64,
+        /// Highest CPU a record of the chunk names.
+        cpu: u8,
+        /// CPU count the header declares.
+        n_cpus: u8,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -228,6 +240,10 @@ impl fmt::Display for TraceError {
                 "footer claims {expected} records but {found} were decoded"
             ),
             TraceError::TrailingData => write!(f, "bytes follow the trace footer"),
+            TraceError::CpuOutOfRange { chunk, cpu, n_cpus } => write!(
+                f,
+                "chunk {chunk} names CPU {cpu}, but the header declares {n_cpus} CPUs"
+            ),
         }
     }
 }
@@ -631,12 +647,14 @@ fn check_footer(total: u64, counted: u64, at_end: bool) -> Result<(), TraceError
 }
 
 /// The chunk decoder: verifies `payload` against `checksum`, reads its
-/// restart preamble and appends exactly `n_records` records to `out`. On
-/// error `out` is left as it was; `chunk` only labels the error.
+/// restart preamble and appends exactly `n_records` records, each naming
+/// a CPU below `n_cpus`, to `out`. On error `out` is left as it was;
+/// `chunk` only labels the error.
 fn decode_chunk_into(
     payload: &[u8],
     checksum: u64,
     n_records: u32,
+    n_cpus: u8,
     chunk: u64,
     out: &mut Vec<TraceRecord>,
 ) -> Result<(), TraceError> {
@@ -658,15 +676,27 @@ fn decode_chunk_into(
     }
     let start = out.len();
     out.reserve(n_records as usize);
+    let mut max_cpu = 0u8;
     for _ in 0..n_records {
         match state.decode(payload, &mut pos) {
-            Some(rec) => out.push(rec),
+            Some(rec) => {
+                max_cpu = max_cpu.max(rec.cpu);
+                out.push(rec);
+            }
             None => break,
         }
     }
     if out.len() - start != n_records as usize || pos != payload.len() {
         out.truncate(start);
         return Err(TraceError::ChunkOverrun { chunk });
+    }
+    if max_cpu >= n_cpus {
+        out.truncate(start);
+        return Err(TraceError::CpuOutOfRange {
+            chunk,
+            cpu: max_cpu,
+            n_cpus,
+        });
     }
     Ok(())
 }
@@ -741,18 +771,23 @@ pub fn scan_chunks(bytes: &[u8]) -> Result<(TraceHeader, Vec<ChunkFrame>), Trace
 
 /// Decodes one chunk independently of every other: verifies its checksum,
 /// initializes the delta state from its restart preamble, and decodes
-/// exactly its declared records. `bytes` must be the same slice `frame`
-/// was scanned from.
+/// exactly its declared records. `bytes` and `header` must come from the
+/// same [`scan_chunks`] call as `frame`.
 ///
 /// # Errors
 ///
-/// `ChecksumMismatch`, `BadRestart`, or `ChunkOverrun`.
-pub fn decode_chunk(bytes: &[u8], frame: &ChunkFrame) -> Result<Vec<TraceRecord>, TraceError> {
+/// `ChecksumMismatch`, `BadRestart`, `ChunkOverrun`, or `CpuOutOfRange`.
+pub fn decode_chunk(
+    bytes: &[u8],
+    header: &TraceHeader,
+    frame: &ChunkFrame,
+) -> Result<Vec<TraceRecord>, TraceError> {
     let mut out = Vec::new();
     decode_chunk_into(
         &bytes[frame.payload.clone()],
         frame.checksum,
         frame.n_records,
+        header.n_cpus,
         frame.index,
         &mut out,
     )?;
@@ -771,7 +806,8 @@ pub struct Salvage {
     /// Chunks whose payload verified and decoded.
     pub chunks_recovered: u64,
     /// Chunks whose framing was intact but whose payload failed its
-    /// checksum, restart preamble, or decode.
+    /// checksum, restart preamble, or decode, or named a CPU the header
+    /// does not declare.
     pub chunks_skipped: u64,
     /// Bytes abandoned at the tail: a torn chunk header, a partial
     /// payload, a missing footer, or trailing garbage after it.
@@ -830,6 +866,7 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, TraceError> {
                     &bytes[payload],
                     checksum,
                     n_records,
+                    header.n_cpus,
                     chunk,
                     &mut out.records,
                 ) {
@@ -870,7 +907,7 @@ pub fn decode_with_header(bytes: &[u8]) -> Result<(TraceHeader, Vec<TraceRecord>
                 payload,
             } => {
                 let payload = bytes.get(payload).ok_or(TraceError::Truncated)?;
-                decode_chunk_into(payload, checksum, n_records, chunk, &mut out)?;
+                decode_chunk_into(payload, checksum, n_records, header.n_cpus, chunk, &mut out)?;
                 chunk += 1;
             }
         }
@@ -995,7 +1032,7 @@ mod tests {
         );
         // Decode in reverse order: restartable chunks do not care.
         for frame in frames.iter().rev() {
-            let got = decode_chunk(&bytes, frame).expect("decodes");
+            let got = decode_chunk(&bytes, &header, frame).expect("decodes");
             let lo = frame.first_record as usize;
             assert_eq!(got, records[lo..lo + frame.n_records as usize]);
         }
@@ -1012,9 +1049,9 @@ mod tests {
             decode(&bad).expect_err("corrupt restart"),
             TraceError::ChecksumMismatch { chunk: 1, .. }
         ));
-        let (_, bad_frames) = scan_chunks(&bad).expect("framing is intact");
+        let (header, bad_frames) = scan_chunks(&bad).expect("framing is intact");
         assert!(matches!(
-            decode_chunk(&bad, &bad_frames[1]).expect_err("corrupt restart"),
+            decode_chunk(&bad, &header, &bad_frames[1]).expect_err("corrupt restart"),
             TraceError::ChecksumMismatch { chunk: 1, .. }
         ));
     }
@@ -1135,9 +1172,9 @@ mod tests {
             decode(&bytes).expect_err("overrun"),
             TraceError::ChunkOverrun { chunk: 0 }
         ));
-        let (_, frames) = scan_chunks(&bytes).expect("framing is intact");
+        let (header, frames) = scan_chunks(&bytes).expect("framing is intact");
         assert!(matches!(
-            decode_chunk(&bytes, &frames[0]).expect_err("overrun"),
+            decode_chunk(&bytes, &header, &frames[0]).expect_err("overrun"),
             TraceError::ChunkOverrun { chunk: 0 }
         ));
         let s = salvage(&bytes).expect("header is intact");

@@ -12,8 +12,9 @@ use cmpsim_trace::{
 
 /// Draws a record stream with the shapes capture actually produces:
 /// mostly forward cycle jumps with occasional backward steps (the run
-/// loop's CPU interleave), clustered and wild addresses, all four kinds.
-fn gen_records(src: &mut Source) -> Vec<TraceRecord> {
+/// loop's CPU interleave), clustered and wild addresses, all four kinds,
+/// and CPUs below the header's `n_cpus`.
+fn gen_records(src: &mut Source, n_cpus: u8) -> Vec<TraceRecord> {
     let mut cycle = src.u64(0..1_000_000);
     let base_addr = src.u32(0..0x1000_0000) & !0x3;
     src.vec(1..200, |s| {
@@ -25,7 +26,7 @@ fn gen_records(src: &mut Source) -> Vec<TraceRecord> {
         };
         TraceRecord {
             cycle,
-            cpu: s.u8(0..64),
+            cpu: s.u8(0..n_cpus),
             kind: s.choice(&[
                 TraceKind::IFetch,
                 TraceKind::Load,
@@ -40,11 +41,11 @@ fn gen_records(src: &mut Source) -> Vec<TraceRecord> {
 #[test]
 fn prop_encode_decode_is_identity() {
     prop::check("trace codec round-trip", |src| {
-        let records = gen_records(src);
-        let n_cpus = src.usize(1..65);
-        let bytes = encode(&records, n_cpus, 32).expect("encodes");
+        let n_cpus = src.u8(1..65);
+        let records = gen_records(src, n_cpus);
+        let bytes = encode(&records, usize::from(n_cpus), 32).expect("encodes");
         let (header, decoded) = decode_with_header(&bytes).expect("decodes");
-        assert_eq!(usize::from(header.n_cpus), n_cpus);
+        assert_eq!(header.n_cpus, n_cpus);
         assert_eq!(header.line_bytes, 32);
         assert_eq!(decoded, records);
     });
@@ -53,7 +54,7 @@ fn prop_encode_decode_is_identity() {
 #[test]
 fn prop_truncation_is_always_detected() {
     prop::check("trace codec truncation", |src| {
-        let records = gen_records(src);
+        let records = gen_records(src, 4);
         let bytes = encode(&records, 4, 32).expect("encodes");
         // Any strict prefix must fail to decode: the footer doubles as the
         // end-of-stream marker, so a cut stream can never look complete.
@@ -69,7 +70,7 @@ fn prop_truncation_is_always_detected() {
 #[test]
 fn prop_corruption_is_always_detected() {
     prop::check("trace codec corruption", |src| {
-        let records = gen_records(src);
+        let records = gen_records(src, 4);
         let bytes = encode(&records, 4, 32).expect("encodes");
         // Flip one bit anywhere past the (unchecksummed) 8-byte file
         // header and before the 12-byte footer: chunk headers and payloads
@@ -111,9 +112,9 @@ fn prop_decoder_never_panics_on_arbitrary_bytes() {
         let _ = decode(&bytes);
         let _ = analyze_bytes(&bytes);
         let _ = salvage(&bytes);
-        if let Ok((_, frames)) = scan_chunks(&bytes) {
+        if let Ok((header, frames)) = scan_chunks(&bytes) {
             for frame in &frames {
-                let _ = decode_chunk(&bytes, frame);
+                let _ = decode_chunk(&bytes, &header, frame);
             }
         }
     });
@@ -141,10 +142,10 @@ fn prop_any_chunk_subset_decodes_in_any_order() {
                 addr: s.u32_any(),
             }
         });
-        let bytes = encode(&records, 4, 32).expect("encodes");
+        let bytes = encode(&records, 64, 32).expect("encodes");
         let serial = decode(&bytes).expect("decodes");
         assert_eq!(serial, records);
-        let (_, frames) = scan_chunks(&bytes).expect("scans");
+        let (header, frames) = scan_chunks(&bytes).expect("scans");
         // Draw a permutation (Fisher-Yates off the choice stream), then a
         // subset of it: any prefix of a random permutation is a random
         // subset in random order.
@@ -155,7 +156,7 @@ fn prop_any_chunk_subset_decodes_in_any_order() {
         let keep = src.usize(1..order.len() + 1);
         for &fi in &order[..keep] {
             let frame = &frames[fi];
-            let got = decode_chunk(&bytes, frame).expect("chunk decodes");
+            let got = decode_chunk(&bytes, &header, frame).expect("chunk decodes");
             let lo = frame.first_record as usize;
             assert_eq!(
                 got,
@@ -177,14 +178,14 @@ fn shrinking_reduces_to_a_single_record_stream() {
         ..Config::default()
     };
     let failure = prop::check_result(&cfg, "streams never store", |src| {
-        let records = gen_records(src);
+        let records = gen_records(src, 4);
         let bytes = encode(&records, 4, 32).expect("encodes");
         let decoded = decode(&bytes).expect("decodes");
         assert!(decoded.iter().all(|r| r.kind != TraceKind::Store));
     })
     .expect_err("the generator emits stores");
 
-    let minimal = gen_records(&mut Source::replay(failure.choices.clone()));
+    let minimal = gen_records(&mut Source::replay(failure.choices.clone()), 4);
     assert_eq!(
         minimal.len(),
         1,

@@ -114,6 +114,31 @@ fn bad_restart_preamble_skips_the_chunk() {
     assert!(!s.clean_eof);
 }
 
+/// A record naming a CPU the header does not declare fails strict decode
+/// with a typed error, and salvage skips only its chunk. The capture path
+/// never writes one; `encode` writes whatever it is given.
+#[test]
+fn a_record_beyond_the_header_cpus_fails_only_its_chunk() {
+    let mut records = stream(2 * CHUNK_RECORDS + 10);
+    for r in &mut records {
+        r.cpu %= 2;
+    }
+    records[CHUNK_RECORDS + 5].cpu = 3;
+    let bytes = encode(&records, 2, 32).expect("encodes");
+    let err = decode(&bytes).expect_err("CPU 3 in a 2-CPU trace");
+    assert_eq!(
+        err.to_string(),
+        "chunk 1 names CPU 3, but the header declares 2 CPUs"
+    );
+    let s = salvage(&bytes).expect("header is intact");
+    assert_eq!(s.chunks_recovered, 2);
+    assert_eq!(s.chunks_skipped, 1);
+    assert!(s.clean_eof);
+    let mut want = records[..CHUNK_RECORDS].to_vec();
+    want.extend_from_slice(&records[2 * CHUNK_RECORDS..]);
+    assert_eq!(s.records, want);
+}
+
 #[test]
 fn trailing_garbage_after_the_footer_is_counted_dropped() {
     let records = stream(100);

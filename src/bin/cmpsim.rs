@@ -15,12 +15,16 @@ use cmpsim::core::{
     RunSummary, TraceProfile,
 };
 use cmpsim::engine::pool::host_jobs;
+use cmpsim::mem::{MemStats, PortUtil};
 use cmpsim::trace::{
     analyze, decode_with_header, replay_matrix, salvage, AtomicFile, ConfigReplay, SinkOut,
+    TraceHeader,
 };
 use cmpsim_kernels::synth::{build as build_synth, SynthParams};
 use cmpsim_kernels::{build_by_name, ALL_WORKLOADS};
+use std::fmt;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const USAGE: &str = "\
 cmpsim — ISCA'96 multiprocessor-microprocessor design-space simulator
@@ -87,28 +91,76 @@ cmpsim reads no environment variables: every setting is a flag.
 struct Args {
     workload: String,
     arch: ArchKind,
-    cpu: CpuKind,
+    /// CPU model, count and cache overrides; `arch` is set per run.
+    machine: MachineConfig,
     scale: f64,
-    cpus: usize,
-    l2_assoc: Option<usize>,
-    l1_latency: Option<u64>,
-    l1_banks: Option<usize>,
-    mesh_rows: Option<usize>,
-    mesh_cols: Option<usize>,
     budget: u64,
     trace_out: Option<String>,
 }
 
-/// Resolves the `--mesh-rows`/`--mesh-cols` pair: both or neither.
-fn mesh_dims_of(
-    rows: Option<usize>,
-    cols: Option<usize>,
-) -> Result<Option<(usize, usize)>, String> {
-    match (rows, cols) {
-        (Some(r), Some(c)) => Ok(Some((r, c))),
-        (None, None) => Ok(None),
-        _ => Err("--mesh-rows and --mesh-cols must be given together".into()),
+/// The machine flags `run`, `sweep` and `replay` share, parsed into the
+/// [`MachineConfig`] each of them builds.
+struct MachineFlags {
+    cfg: MachineConfig,
+    mesh_rows: Option<usize>,
+    mesh_cols: Option<usize>,
+}
+
+impl MachineFlags {
+    fn new() -> MachineFlags {
+        MachineFlags {
+            cfg: MachineConfig::new(ArchKind::SharedMem, CpuKind::Mipsy),
+            mesh_rows: None,
+            mesh_cols: None,
+        }
     }
+
+    /// Parses `flag` with the value `val` yields if it is a machine flag.
+    /// Returns `Ok(false)` for any other flag.
+    fn parse(
+        &mut self,
+        flag: &str,
+        val: &mut dyn FnMut() -> Result<String, String>,
+    ) -> Result<bool, String> {
+        let cfg = &mut self.cfg;
+        match flag {
+            "--cpus" | "-n" => cfg.n_cpus = num(val()?, "cpus")?,
+            "--l2-assoc" => cfg.l2_assoc = Some(num(val()?, "assoc")?),
+            "--l1-latency" => cfg.l1_latency = Some(num(val()?, "latency")?),
+            "--l1-banks" => cfg.l1_banks = Some(num(val()?, "banks")?),
+            "--mesh-rows" => self.mesh_rows = Some(num(val()?, "rows")?),
+            "--mesh-cols" => self.mesh_cols = Some(num(val()?, "cols")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The parsed configuration, once the flags agree with each other.
+    fn finish(self) -> Result<MachineConfig, String> {
+        // Per-workload CPU-count constraints (power-of-two FFT grids, …)
+        // are reported by the workload builders; the memory system
+        // validates its own ceiling. Here only reject the degenerate zero.
+        if self.cfg.n_cpus == 0 {
+            return Err("--cpus must be at least 1".into());
+        }
+        let mesh_dims = match (self.mesh_rows, self.mesh_cols) {
+            (Some(r), Some(c)) => Some((r, c)),
+            (None, None) => None,
+            _ => return Err("--mesh-rows and --mesh-cols must be given together".into()),
+        };
+        Ok(MachineConfig {
+            mesh_dims,
+            ..self.cfg
+        })
+    }
+}
+
+/// Parses a flag's value, naming `what` in the error.
+fn num<T: FromStr>(v: String, what: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    v.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
 fn parse_arch(s: &str) -> Result<ArchKind, String> {
@@ -131,20 +183,12 @@ fn parse_cpu(s: &str) -> Result<CpuKind, String> {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        workload: String::new(),
-        arch: ArchKind::SharedMem,
-        cpu: CpuKind::Mipsy,
-        scale: 1.0,
-        cpus: 4,
-        l2_assoc: None,
-        l1_latency: None,
-        l1_banks: None,
-        mesh_rows: None,
-        mesh_cols: None,
-        budget: 40_000_000_000,
-        trace_out: None,
-    };
+    let mut workload = String::new();
+    let mut arch = ArchKind::SharedMem;
+    let mut machine = MachineFlags::new();
+    let mut scale = 1.0;
+    let mut budget = 40_000_000_000;
+    let mut trace_out = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut val = || {
@@ -152,45 +196,30 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .cloned()
                 .ok_or_else(|| format!("flag {flag} needs a value"))
         };
+        if machine.parse(flag, &mut val)? {
+            continue;
+        }
         match flag.as_str() {
-            "--workload" | "-w" => args.workload = val()?,
-            "--arch" | "-a" => args.arch = parse_arch(&val()?)?,
-            "--cpu" | "-c" => args.cpu = parse_cpu(&val()?)?,
-            "--scale" | "-s" => {
-                args.scale = val()?.parse().map_err(|e| format!("bad scale: {e}"))?
-            }
-            "--cpus" | "-n" => args.cpus = val()?.parse().map_err(|e| format!("bad cpus: {e}"))?,
-            "--l2-assoc" => {
-                args.l2_assoc = Some(val()?.parse().map_err(|e| format!("bad assoc: {e}"))?)
-            }
-            "--l1-latency" => {
-                args.l1_latency = Some(val()?.parse().map_err(|e| format!("bad latency: {e}"))?)
-            }
-            "--l1-banks" => {
-                args.l1_banks = Some(val()?.parse().map_err(|e| format!("bad banks: {e}"))?)
-            }
-            "--mesh-rows" => {
-                args.mesh_rows = Some(val()?.parse().map_err(|e| format!("bad rows: {e}"))?)
-            }
-            "--mesh-cols" => {
-                args.mesh_cols = Some(val()?.parse().map_err(|e| format!("bad cols: {e}"))?)
-            }
-            "--budget" => args.budget = val()?.parse().map_err(|e| format!("bad budget: {e}"))?,
-            "--trace-out" => args.trace_out = Some(val()?),
+            "--workload" | "-w" => workload = val()?,
+            "--arch" | "-a" => arch = parse_arch(&val()?)?,
+            "--cpu" | "-c" => machine.cfg.cpu = parse_cpu(&val()?)?,
+            "--scale" | "-s" => scale = num(val()?, "scale")?,
+            "--budget" => budget = num(val()?, "budget")?,
+            "--trace-out" => trace_out = Some(val()?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.workload.is_empty() {
+    if workload.is_empty() {
         return Err("--workload is required".into());
     }
-    // Per-workload CPU-count constraints (power-of-two FFT grids, …) are
-    // reported by the workload builders; the memory system validates its
-    // own ceiling. Here only reject the degenerate zero.
-    if args.cpus == 0 {
-        return Err("--cpus must be at least 1".into());
-    }
-    mesh_dims_of(args.mesh_rows, args.mesh_cols)?;
-    Ok(args)
+    Ok(Args {
+        workload,
+        arch,
+        machine: machine.finish()?,
+        scale,
+        budget,
+        trace_out,
+    })
 }
 
 fn print_summary(cpu: CpuKind, s: &RunSummary) {
@@ -215,16 +244,7 @@ fn print_summary(cpu: CpuKind, s: &RunSummary) {
             );
         }
     }
-    println!("miss rates   : {}", MissRates::from_mem(&s.mem));
-    println!("access lat.  : {}", s.mem.latency);
-    for u in &s.port_util {
-        // busy_cycles aggregates over a group's banks, so it can exceed
-        // the wall clock; report raw cycle counts.
-        println!(
-            "port {:<12}: {:>9} grants, {:>9} busy cyc, {:>9} wait cyc",
-            u.name, u.grants, u.busy_cycles, u.wait_cycles
-        );
-    }
+    print_mem(&s.mem, &s.port_util);
     if !s.violations.is_empty() {
         println!(
             "sentinel     : {} violations detected; first: {}",
@@ -241,9 +261,17 @@ fn print_replay_block(cr: &ConfigReplay, cpus: usize) {
         "replayed     : {} accesses, {} ROI resets",
         cr.replay.accesses, cr.replay.resets
     );
-    println!("miss rates   : {}", MissRates::from_mem(&cr.stats));
-    println!("access lat.  : {}", cr.stats.latency);
-    for u in &cr.ports {
+    print_mem(&cr.stats, &cr.ports);
+}
+
+/// Prints the memory-system lines of a `run` or `replay` report: miss
+/// rates, access latency and one row per port.
+fn print_mem(mem: &MemStats, ports: &[PortUtil]) {
+    println!("miss rates   : {}", MissRates::from_mem(mem));
+    println!("access lat.  : {}", mem.latency);
+    for u in ports {
+        // busy_cycles aggregates over a group's banks, so it can exceed
+        // the wall clock; report raw cycle counts.
         println!(
             "port {:<12}: {:>9} grants, {:>9} busy cyc, {:>9} wait cyc",
             u.name, u.grants, u.busy_cycles, u.wait_cycles
@@ -251,14 +279,39 @@ fn print_replay_block(cr: &ConfigReplay, cpus: usize) {
     }
 }
 
+/// Runs `run` on each of the paper's architectures and prints the table
+/// of `sweep` and `synth`: cycles, cycles relative to the first
+/// architecture, and the breakdown.
+fn print_sweep(
+    cpu: CpuKind,
+    mut run: impl FnMut(ArchKind) -> Result<RunSummary, String>,
+) -> Result<(), String> {
+    println!(
+        "{:<14} {:>12} {:>8}  breakdown",
+        "architecture", "cycles", "norm"
+    );
+    let mut base = None;
+    for arch in ArchKind::ALL {
+        let s = run(arch)?;
+        let b = *base.get_or_insert(s.wall_cycles);
+        let detail = match cpu {
+            CpuKind::Mipsy => Breakdown::from_summary(&s).to_string(),
+            _ => IpcBreakdown::from_summary(&s).to_string(),
+        };
+        println!(
+            "{:<14} {:>12} {:>8.3}  {}",
+            arch.name(),
+            s.wall_cycles,
+            s.wall_cycles as f64 / b as f64,
+            detail
+        );
+    }
+    Ok(())
+}
+
 fn run_one(a: &Args, arch: ArchKind) -> Result<RunSummary, String> {
-    let w = build_by_name(&a.workload, a.cpus, a.scale)?;
-    let mut cfg = MachineConfig::new(arch, a.cpu);
-    cfg.n_cpus = a.cpus;
-    cfg.l2_assoc = a.l2_assoc;
-    cfg.l1_latency = a.l1_latency;
-    cfg.l1_banks = a.l1_banks;
-    cfg.mesh_dims = mesh_dims_of(a.mesh_rows, a.mesh_cols)?;
+    let cfg = MachineConfig { arch, ..a.machine };
+    let w = build_by_name(&a.workload, cfg.n_cpus, a.scale)?;
     // Build fallibly so a bad geometry, a capture the trace format cannot
     // carry, or a trace path that cannot be created is a CLI error rather
     // than a panic out of the builder.
@@ -312,16 +365,16 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
         };
         match flag.as_str() {
             "--workload" | "-w" => workload = Some(val()?),
-            "--scale" | "-s" => scale = val()?.parse().map_err(|e| format!("bad scale: {e}"))?,
-            "--budget" => budget = val()?.parse().map_err(|e| format!("bad budget: {e}"))?,
-            "--seed" => seed = val()?.parse().map_err(|e| format!("bad seed: {e}"))?,
+            "--scale" | "-s" => scale = num(val()?, "scale")?,
+            "--budget" => budget = num(val()?, "budget")?,
+            "--seed" => seed = num(val()?, "seed")?,
             "--driver" => driver_name = val()?,
-            "--points" => points = val()?.parse().map_err(|e| format!("bad points: {e}"))?,
-            "--starts" => starts = val()?.parse().map_err(|e| format!("bad starts: {e}"))?,
-            "--steps" => steps = val()?.parse().map_err(|e| format!("bad steps: {e}"))?,
-            "--pop" => pop = val()?.parse().map_err(|e| format!("bad pop: {e}"))?,
-            "--gens" => gens = val()?.parse().map_err(|e| format!("bad gens: {e}"))?,
-            "--jobs" | "-j" => jobs = val()?.parse().map_err(|e| format!("bad jobs: {e}"))?,
+            "--points" => points = num(val()?, "points")?,
+            "--starts" => starts = num(val()?, "starts")?,
+            "--steps" => steps = num(val()?, "steps")?,
+            "--pop" => pop = num(val()?, "pop")?,
+            "--gens" => gens = num(val()?, "gens")?,
+            "--jobs" | "-j" => jobs = num(val()?, "jobs")?,
             "--cache" => cache = Some(val()?.into()),
             "--exec" => exec = true,
             "--dry-run" => dry = true,
@@ -440,44 +493,19 @@ fn main() -> ExitCode {
         }
         "run" => parse_args(rest).and_then(|a| {
             let s = run_one(&a, a.arch)?;
-            print_summary(a.cpu, &s);
+            print_summary(a.machine.cpu, &s);
             Ok(())
         }),
         "sweep" => parse_args(rest).and_then(|a| {
             if a.trace_out.is_some() {
                 return Err("--trace-out applies to `run`, not `sweep`".into());
             }
-            let mut base = None;
-            println!(
-                "{:<14} {:>12} {:>8}  breakdown",
-                "architecture", "cycles", "norm"
-            );
-            for arch in ArchKind::ALL {
-                let s = run_one(&a, arch)?;
-                let b = *base.get_or_insert(s.wall_cycles);
-                let detail = match a.cpu {
-                    CpuKind::Mipsy => Breakdown::from_summary(&s).to_string(),
-                    _ => IpcBreakdown::from_summary(&s).to_string(),
-                };
-                println!(
-                    "{:<14} {:>12} {:>8.3}  {}",
-                    arch.name(),
-                    s.wall_cycles,
-                    s.wall_cycles as f64 / b as f64,
-                    detail
-                );
-            }
-            Ok(())
+            print_sweep(a.machine.cpu, |arch| run_one(&a, arch))
         }),
         "replay" => (|| {
             let mut file = None;
             let mut archs: Vec<ArchKind> = Vec::new();
-            let mut cpus = 4usize;
-            let mut l2_assoc = None;
-            let mut l1_latency = None;
-            let mut l1_banks = None;
-            let mut mesh_rows = None;
-            let mut mesh_cols = None;
+            let mut machine = MachineFlags::new();
             let mut do_salvage = false;
             let mut head: Option<usize> = None;
             let mut jobs = host_jobs();
@@ -488,32 +516,15 @@ fn main() -> ExitCode {
                         .cloned()
                         .ok_or_else(|| format!("flag {flag} needs a value"))
                 };
+                if machine.parse(flag, &mut val)? {
+                    continue;
+                }
                 match flag.as_str() {
                     "--file" | "-f" => file = Some(val()?),
                     "--arch" | "-a" => archs.push(parse_arch(&val()?)?),
-                    "--cpus" | "-n" => {
-                        cpus = val()?.parse().map_err(|e| format!("bad cpus: {e}"))?
-                    }
-                    "--l2-assoc" => {
-                        l2_assoc = Some(val()?.parse().map_err(|e| format!("bad assoc: {e}"))?)
-                    }
-                    "--l1-latency" => {
-                        l1_latency = Some(val()?.parse().map_err(|e| format!("bad latency: {e}"))?)
-                    }
-                    "--l1-banks" => {
-                        l1_banks = Some(val()?.parse().map_err(|e| format!("bad banks: {e}"))?)
-                    }
-                    "--mesh-rows" => {
-                        mesh_rows = Some(val()?.parse().map_err(|e| format!("bad rows: {e}"))?)
-                    }
-                    "--mesh-cols" => {
-                        mesh_cols = Some(val()?.parse().map_err(|e| format!("bad cols: {e}"))?)
-                    }
                     "--salvage" => do_salvage = true,
-                    "--head" => head = Some(val()?.parse().map_err(|e| format!("bad head: {e}"))?),
-                    "--jobs" | "-j" => {
-                        jobs = val()?.parse().map_err(|e| format!("bad jobs: {e}"))?
-                    }
+                    "--head" => head = Some(num(val()?, "head")?),
+                    "--jobs" | "-j" => jobs = num(val()?, "jobs")?,
                     other => return Err(format!("unknown flag `{other}`")),
                 }
             }
@@ -523,14 +534,27 @@ fn main() -> ExitCode {
             if jobs == 0 {
                 return Err("--jobs must be at least 1".into());
             }
-            let mesh_dims = mesh_dims_of(mesh_rows, mesh_cols)?;
+            let machine = machine.finish()?;
             let path: String = file.ok_or("--file is required")?;
             let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
+            // Every record names a CPU below the header's count (the
+            // decoder checks), and the replay system needs each of them.
+            let fits = |header: &TraceHeader| {
+                let n = usize::from(header.n_cpus);
+                if machine.n_cpus < n {
+                    return Err(format!(
+                        "the trace carries {n} CPUs, more than --cpus {} (pass --cpus {n} or more)",
+                        machine.n_cpus
+                    ));
+                }
+                Ok(())
+            };
             // Decode once; every configuration replays from this arena.
             // Strict mode rejects any framing or payload fault; --salvage
             // walks leniently and keeps every chunk that verifies.
             let (records, header) = if do_salvage {
                 let s = salvage(&bytes).map_err(|e| e.to_string())?;
+                fits(&s.header)?;
                 println!(
                     "salvaged     : {} chunks ({} records), {} skipped, {} bytes dropped, {}",
                     s.chunks_recovered,
@@ -542,6 +566,7 @@ fn main() -> ExitCode {
                 (s.records, None)
             } else {
                 let (header, records) = decode_with_header(&bytes).map_err(|e| e.to_string())?;
+                fits(&header)?;
                 (records, Some(header))
             };
             let replayed = &records[..head.map_or(records.len(), |n| n.min(records.len()))];
@@ -551,13 +576,7 @@ fn main() -> ExitCode {
             let cfgs: Vec<_> = archs
                 .iter()
                 .map(|&arch| {
-                    let mut cfg = MachineConfig::new(arch, CpuKind::Mipsy);
-                    cfg.n_cpus = cpus;
-                    cfg.l2_assoc = l2_assoc;
-                    cfg.l1_latency = l1_latency;
-                    cfg.l1_banks = l1_banks;
-                    cfg.mesh_dims = mesh_dims;
-                    let sc = cfg.system_config();
+                    let sc = MachineConfig { arch, ..machine }.system_config();
                     arch.try_build(&sc).map(|_| (arch, sc))
                 })
                 .collect::<Result<_, _>>()
@@ -567,7 +586,7 @@ fn main() -> ExitCode {
                 arch.try_build(sc).expect("configuration validated above")
             });
             for cr in &results {
-                print_replay_block(cr, cpus);
+                print_replay_block(cr, machine.n_cpus);
             }
             // The stream profile covers the whole file, whatever --head
             // replayed. It has no meaning for a torn --salvage input; there
@@ -616,30 +635,12 @@ fn main() -> ExitCode {
                 return Err("--stores/--shared are percentages (0-100)".into());
             }
             println!("synth: {p:?}\n");
-            println!(
-                "{:<14} {:>12} {:>8}  breakdown",
-                "architecture", "cycles", "norm"
-            );
-            let mut base = None;
-            for arch in ArchKind::ALL {
+            print_sweep(cpu, |arch| {
                 let w = build_synth(&p).map_err(|e| e.to_string())?;
                 let mut cfg = MachineConfig::new(arch, cpu);
                 cfg.n_cpus = p.n_cpus;
-                let s = run_workload(&cfg, &w, 40_000_000_000).map_err(|e| e.to_string())?;
-                let b = *base.get_or_insert(s.wall_cycles);
-                let detail = match cpu {
-                    CpuKind::Mipsy => Breakdown::from_summary(&s).to_string(),
-                    _ => IpcBreakdown::from_summary(&s).to_string(),
-                };
-                println!(
-                    "{:<14} {:>12} {:>8.3}  {}",
-                    arch.name(),
-                    s.wall_cycles,
-                    s.wall_cycles as f64 / b as f64,
-                    detail
-                );
-            }
-            Ok(())
+                run_workload(&cfg, &w, 40_000_000_000).map_err(|e| e.to_string())
+            })
         })(),
         "explore" => cmd_explore(rest),
         "--help" | "-h" | "help" => {

@@ -1,0 +1,45 @@
+//! The `cmpsim` binary end to end: `replay` refuses a replay system with
+//! fewer CPUs than the trace carries, and `--cpus 0`, with an `error:`
+//! line and exit status 1 instead of a panic.
+
+use std::process::{Command, Output};
+
+fn cmpsim(args: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cmpsim"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("cmpsim starts")
+}
+
+#[test]
+fn replay_needs_a_cpu_for_every_cpu_in_the_trace() {
+    let dir = std::env::temp_dir().join(format!("cmpsim-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("fft16.trace");
+    let trace = trace.to_str().expect("utf-8 path");
+    let out = cmpsim(&format!(
+        "run --arch mesh --workload fft --cpus 16 --scale 0.02 --trace-out {trace}"
+    ));
+    assert!(out.status.success(), "{out:?}");
+
+    for (flags, want) in [
+        // The default of 4 CPUs is below the trace's 16.
+        ("--arch shared-l2", "carries 16 CPUs, more than --cpus 4"),
+        ("--cpus 8 --salvage", "carries 16 CPUs, more than --cpus 8"),
+        ("--cpus 0", "--cpus must be at least 1"),
+    ] {
+        let out = cmpsim(&format!("replay --file {trace} {flags}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(want),
+            "{stderr}"
+        );
+    }
+
+    let out = cmpsim(&format!("replay --file {trace} --arch shared-l2 --cpus 16"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.contains("shared-L2 (16 CPUs)"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
