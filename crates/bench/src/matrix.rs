@@ -13,14 +13,9 @@
 //!   thread runs a case, never its result).
 
 use cmpsim_core::{capture_run, run_workload, ArchKind, CpuKind, MachineConfig, RunSummary};
-use cmpsim_engine::journal::{Journal, JournalKey};
 use cmpsim_engine::pool::map_jobs;
-use cmpsim_engine::supervise::{map_jobs_supervised, Quarantine};
 use cmpsim_kernels::{build_by_name, BuiltWorkload, ALL_WORKLOADS};
 use cmpsim_mem::{MemorySystem, SentinelSpec};
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// FNV-1a 64-bit hash — a stable, dependency-free fingerprint. The
 /// engine's one copy, under the name the digest readers (`perf/`)
@@ -46,6 +41,19 @@ pub struct MatrixCase {
     /// Cluster geometry override (clustered architecture); `None` keeps
     /// the default of 2 CPUs per cluster.
     pub cpus_per_cluster: Option<usize>,
+}
+
+/// Names the case in failure messages, e.g. `mp3d on shared-L2 (mipsy,
+/// 4 CPUs)`.
+impl std::fmt::Display for MatrixCase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (workload, arch, cpu) = (self.workload, self.arch, cpu_label(self.cpu));
+        write!(f, "{workload} on {arch} ({cpu}, {} CPUs", self.n_cpus)?;
+        if let Some(k) = self.cpus_per_cluster {
+            write!(f, ", {k} per cluster")?;
+        }
+        f.write_str(")")
+    }
 }
 
 /// Short label for a CPU model in JSON output.
@@ -117,77 +125,6 @@ pub fn extended_matrix(scale: f64) -> Vec<MatrixCase> {
     cases
 }
 
-/// One value in a JSON line.
-#[derive(Debug)]
-enum JsonVal {
-    Str(String),
-    U64(u64),
-    F64(f64),
-}
-
-impl From<&str> for JsonVal {
-    fn from(s: &str) -> JsonVal {
-        JsonVal::Str(s.to_string())
-    }
-}
-impl From<u64> for JsonVal {
-    fn from(v: u64) -> JsonVal {
-        JsonVal::U64(v)
-    }
-}
-impl From<f64> for JsonVal {
-    fn from(v: f64) -> JsonVal {
-        JsonVal::F64(v)
-    }
-}
-
-/// Formats one `{"k":v,...}` JSON object line from ordered pairs.
-/// Strings are escaped; floats print with enough digits to round-trip.
-fn json_line(pairs: &[(&str, JsonVal)]) -> String {
-    let mut out = String::from("{");
-    for (i, (key, val)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:", json_str(key));
-        match val {
-            JsonVal::Str(s) => out.push_str(&json_str(s)),
-            JsonVal::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            JsonVal::F64(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-        }
-    }
-    out.push('}');
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders one case's result as its canonical JSON line.
 pub fn summary_json(case: &MatrixCase, s: &RunSummary) -> String {
     // The fingerprint covers everything the acceptance criteria pin:
@@ -200,33 +137,32 @@ pub fn summary_json(case: &MatrixCase, s: &RunSummary) -> String {
         )
         .as_bytes(),
     );
-    let mut fields: Vec<(&str, JsonVal)> = vec![
-        ("workload", case.workload.into()),
-        ("arch", case.arch.name().into()),
-        ("cpu", cpu_label(case.cpu).into()),
-        ("scale", case.scale.into()),
-    ];
     // Geometry keys appear only on non-default rows so the default
     // matrix's lines stay byte-identical to their historical form.
+    let mut geometry = String::new();
     if case.n_cpus != 4 {
-        fields.push(("n_cpus", (case.n_cpus as u64).into()));
+        geometry += &format!(",\"n_cpus\":{}", case.n_cpus);
     }
     if let Some(k) = case.cpus_per_cluster {
-        fields.push(("cpus_per_cluster", (k as u64).into()));
+        geometry += &format!(",\"cpus_per_cluster\":{k}");
     }
-    fields.extend([
-        ("wall_cycles", s.wall_cycles.into()),
-        ("instructions", s.total.instructions.into()),
-        ("summary_fnv1a", JsonVal::Str(format!("{digest:016x}"))),
-    ]);
-    json_line(&fields)
+    format!(
+        "{{\"workload\":\"{}\",\"arch\":\"{}\",\"cpu\":\"{}\",\"scale\":{}{geometry},\
+         \"wall_cycles\":{},\"instructions\":{},\"summary_fnv1a\":\"{digest:016x}\"}}",
+        case.workload,
+        case.arch.name(),
+        cpu_label(case.cpu),
+        case.scale,
+        s.wall_cycles,
+        s.total.instructions,
+    )
 }
 
 /// Builds a case's workload and its default machine configuration with
 /// `sentinel`.
 fn case_setup(case: &MatrixCase, sentinel: SentinelSpec) -> (BuiltWorkload, MachineConfig) {
     let w = build_by_name(case.workload, case.n_cpus, case.scale)
-        .unwrap_or_else(|e| panic!("building {}: {e}", case.workload));
+        .unwrap_or_else(|e| panic!("building {case}: {e}"));
     let mut cfg = MachineConfig::new(case.arch, case.cpu);
     cfg.n_cpus = case.n_cpus;
     cfg.cpus_per_cluster = case.cpus_per_cluster;
@@ -234,136 +170,38 @@ fn case_setup(case: &MatrixCase, sentinel: SentinelSpec) -> (BuiltWorkload, Mach
     (w, cfg)
 }
 
-/// Runs one matrix case at the default machine configuration, sentinel
-/// off.
+/// Runs one matrix case at the default machine configuration under
+/// `sentinel`.
 ///
 /// # Panics
 ///
-/// Panics if the workload fails to build, times out or fails validation
-/// — the matrix pins known-good configurations.
-pub fn run_case(case: &MatrixCase) -> RunSummary {
-    run_case_with_sentinel(case, SentinelSpec::off())
-}
-
-/// Like [`run_case`] but running under `sentinel`, the verification
-/// pass's mode.
-///
-/// # Panics
-///
-/// As [`run_case`], and also on any sentinel invariant violation.
-pub fn run_case_with_sentinel(case: &MatrixCase, sentinel: SentinelSpec) -> RunSummary {
+/// Panics if the workload fails to build, times out, fails validation or
+/// reports a sentinel violation — the matrix pins known-good
+/// configurations.
+pub fn run_case(case: &MatrixCase, sentinel: SentinelSpec) -> RunSummary {
     let (w, cfg) = case_setup(case, sentinel);
-    let s = run_workload(&cfg, &w, MATRIX_BUDGET)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", case.workload, case.arch));
+    let s = run_workload(&cfg, &w, MATRIX_BUDGET).unwrap_or_else(|e| panic!("{case}: {e}"));
     assert!(
         s.violations.is_empty(),
-        "{} on {}: {} sentinel violations in a pinned-good configuration; first: {}",
-        case.workload,
-        case.arch,
+        "{case}: {} sentinel violations in a pinned-good configuration; first: {}",
         s.violations.len(),
         s.violations[0]
     );
     s
 }
 
-/// Runs the whole matrix on `jobs` worker threads and returns one JSON line
-/// per case, in matrix order — byte-identical for any `jobs` value.
-pub fn matrix_json_lines(cases: &[MatrixCase], jobs: usize) -> Vec<String> {
-    map_jobs(jobs, cases, |case| summary_json(case, &run_case(case)))
-}
-
-/// Env knob poisoning one matrix case for the quarantine gate, spelled
-/// `<workload>:<arch-name>:<cpu-label>` (e.g. `mp3d:shared-L2:mipsy`).
-/// The matching case panics instead of running; the supervised sweep
-/// must quarantine it without losing any other row.
-pub const ENV_MATRIX_PANIC: &str = "CMPSIM_MATRIX_PANIC";
-
-/// The resume-journal key of one matrix case, built through the shared
-/// [`JournalKey::digest`] helper: the config half covers the namespaced
-/// machine geometry (versioned so a future layout change cannot silently
-/// match stale journal rows), the workload half the name and scale.
-pub fn case_key(case: &MatrixCase) -> JournalKey {
-    JournalKey::digest(
-        "cmpsim-matrix-row-v1",
-        &format!(
-            "{}|{}|{}|{:?}",
-            case.arch.name(),
-            cpu_label(case.cpu),
-            case.n_cpus,
-            case.cpus_per_cluster,
-        ),
-        &format!("{}|{:?}", case.workload, case.scale),
-    )
-}
-
-/// What a supervised matrix sweep produced.
-#[derive(Debug)]
-pub struct MatrixOutcome {
-    /// One JSON line per surviving case, in matrix order; quarantined
-    /// cases are simply absent (their slot is dropped, never reordered).
-    pub lines: Vec<String>,
-    /// Quarantine records for the cases that panicked, in matrix order.
-    pub quarantined: Vec<Quarantine>,
-    /// Rows answered verbatim from the resume journal instead of re-run.
-    pub resumed: usize,
-}
-
-/// [`matrix_json_lines`] under the supervised execution layer, every
-/// case run under `sentinel`: each case runs once in panic isolation,
-/// and — when `journal` is supplied — each completed row is journaled
-/// crash-safely and resumed verbatim on restart. When nothing fails and
-/// no journal row pre-exists, the surviving lines are byte-identical to
-/// the unsupervised sweep's (test-asserted).
+/// Runs the whole matrix under `sentinel` on `jobs` worker threads and
+/// returns one JSON line per case, in matrix order — byte-identical for
+/// any `jobs` value.
 ///
-/// Honors [`ENV_MATRIX_PANIC`] (poison one case) for the verify.sh
-/// quarantine gate. The journal's own kill hook
-/// ([`cmpsim_engine::journal::ENV_KILL_AFTER`]) fires inside `put`, while
-/// this sweep holds the journal lock, so exactly n rows are journaled.
-pub fn matrix_json_lines_supervised(
-    cases: &[MatrixCase],
-    jobs: usize,
-    journal: Option<&Mutex<Journal>>,
-    sentinel: SentinelSpec,
-) -> MatrixOutcome {
-    let poison = std::env::var(ENV_MATRIX_PANIC).ok();
-    let resumed = AtomicUsize::new(0);
-    let (vals, quarantined) = map_jobs_supervised(jobs, cases, |case| {
-        let key = case_key(case);
-        if let Some(j) = journal {
-            let stored = j
-                .lock()
-                .expect("journal lock")
-                .get(key)
-                .map(|b| String::from_utf8(b.to_vec()).expect("journaled rows are JSON lines"));
-            if let Some(line) = stored {
-                resumed.fetch_add(1, Ordering::Relaxed);
-                return line;
-            }
-        }
-        let label = format!(
-            "{}:{}:{}",
-            case.workload,
-            case.arch.name(),
-            cpu_label(case.cpu)
-        );
-        assert!(
-            poison.as_deref() != Some(label.as_str()),
-            "injected matrix fault: {label} poisoned via {ENV_MATRIX_PANIC}"
-        );
-        let line = summary_json(case, &run_case_with_sentinel(case, sentinel));
-        if let Some(j) = journal {
-            j.lock()
-                .expect("journal lock")
-                .put(key, line.as_bytes())
-                .unwrap_or_else(|e| panic!("journaling {label}: {e}"));
-        }
-        line
-    });
-    MatrixOutcome {
-        lines: vals.into_iter().flatten().collect(),
-        quarantined,
-        resumed: resumed.into_inner(),
-    }
+/// # Panics
+///
+/// As [`run_case`]: a failing case stops the sweep, and the worker's
+/// panic message names it.
+pub fn matrix_json_lines(cases: &[MatrixCase], jobs: usize, sentinel: SentinelSpec) -> Vec<String> {
+    map_jobs(jobs, cases, |case| {
+        summary_json(case, &run_case(case, sentinel))
+    })
 }
 
 /// Runs one matrix case under `sentinel` with reference-trace capture
@@ -380,10 +218,9 @@ pub fn matrix_json_lines_supervised(
 /// the replayed statistics differ.
 pub fn run_case_replay_checked(case: &MatrixCase, sentinel: SentinelSpec) -> RunSummary {
     let (w, cfg) = case_setup(case, sentinel);
-    let (s, bytes) = capture_run(&cfg, &w, MATRIX_BUDGET)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", case.workload, case.arch));
-    let records = cmpsim_trace::decode(&bytes)
-        .unwrap_or_else(|e| panic!("{} on {}: decode failed: {e}", case.workload, case.arch));
+    let (s, bytes) = capture_run(&cfg, &w, MATRIX_BUDGET).unwrap_or_else(|e| panic!("{case}: {e}"));
+    let records =
+        cmpsim_trace::decode(&bytes).unwrap_or_else(|e| panic!("{case}: decode failed: {e}"));
     let mut fresh = cfg
         .arch
         .try_build(&cfg.system_config())
@@ -392,18 +229,12 @@ pub fn run_case_replay_checked(case: &MatrixCase, sentinel: SentinelSpec) -> Run
     assert_eq!(
         format!("{:?}", fresh.stats()),
         format!("{:?}", s.mem),
-        "{} on {} ({}): replayed MemStats differ from the captured run's",
-        case.workload,
-        case.arch,
-        cpu_label(case.cpu),
+        "{case}: replayed MemStats differ from the captured run's"
     );
     assert_eq!(
         format!("{:?}", fresh.port_utilization()),
         format!("{:?}", s.port_util),
-        "{} on {} ({}): replayed port utilization differs",
-        case.workload,
-        case.arch,
-        cpu_label(case.cpu),
+        "{case}: replayed port utilization differs"
     );
     s
 }
@@ -440,8 +271,8 @@ mod tests {
             })
             .collect();
         assert_eq!(cases.len(), 6);
-        let serial = matrix_json_lines(&cases, 1);
-        let parallel = matrix_json_lines(&cases, 8);
+        let serial = matrix_json_lines(&cases, 1, SentinelSpec::off());
+        let parallel = matrix_json_lines(&cases, 8, SentinelSpec::off());
         assert_eq!(serial, parallel, "jobs count must never change results");
         assert!(serial.iter().all(|l| l.contains("\"summary_fnv1a\":")));
     }
@@ -457,8 +288,8 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 4, "one per architecture");
         for case in &cases {
-            let off = summary_json(case, &run_case_with_sentinel(case, SentinelSpec::off()));
-            let on = summary_json(case, &run_case_with_sentinel(case, SentinelSpec::on()));
+            let off = summary_json(case, &run_case(case, SentinelSpec::off()));
+            let on = summary_json(case, &run_case(case, SentinelSpec::on()));
             assert_eq!(
                 off, on,
                 "{} on {}: sentinel changed results",
@@ -478,7 +309,7 @@ mod tests {
             .filter(|c| c.workload == "eqntott" || (c.workload == "fft" && c.cpu == CpuKind::Mipsy))
             .collect();
         assert_eq!(cases.len(), 4 * 2 + 4);
-        let plain = matrix_json_lines(&cases, 4);
+        let plain = matrix_json_lines(&cases, 4, SentinelSpec::off());
         let checked = matrix_json_lines_replay_checked(&cases, 4, SentinelSpec::off());
         assert_eq!(plain, checked);
     }
@@ -522,103 +353,13 @@ mod tests {
             .iter()
             .find(|c| c.n_cpus == 8 && c.cpus_per_cluster == Some(4))
             .unwrap();
-        let line = summary_json(case, &run_case(case));
-        assert!(line.contains("\"n_cpus\":8"), "{line}");
-        assert!(line.contains("\"cpus_per_cluster\":4"), "{line}");
+        let line = summary_json(case, &run_case(case, SentinelSpec::off()));
+        assert!(
+            line.contains("\"scale\":0.02,\"n_cpus\":8,\"cpus_per_cluster\":4,\"wall_cycles\":"),
+            "{line}"
+        );
         // And a default row never does.
-        let line = summary_json(&def[0], &run_case(&def[0]));
+        let line = summary_json(&def[0], &run_case(&def[0], SentinelSpec::off()));
         assert!(!line.contains("n_cpus"), "{line}");
-    }
-
-    /// Tentpole: when nothing fails, the supervised sweep's merged output
-    /// is byte-identical to the unsupervised one — supervision is pure
-    /// scheduling, never results.
-    #[test]
-    fn supervised_matrix_matches_plain_when_clean() {
-        let cases: Vec<MatrixCase> = default_matrix(0.02)
-            .into_iter()
-            .filter(|c| c.cpu == CpuKind::Mipsy && c.workload == "eqntott")
-            .collect();
-        assert_eq!(cases.len(), 4);
-        let plain = matrix_json_lines(&cases, 4);
-        for jobs in [1usize, 4] {
-            let out = matrix_json_lines_supervised(&cases, jobs, None, SentinelSpec::off());
-            assert!(out.quarantined.is_empty());
-            assert_eq!(out.resumed, 0);
-            assert_eq!(
-                out.lines.join("\n").into_bytes(),
-                plain.join("\n").into_bytes(),
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    /// Tentpole: rows answered from the resume journal are emitted
-    /// verbatim — a resumed sweep's stdout is byte-identical to an
-    /// uninterrupted one, and completed cases are not re-run.
-    #[test]
-    fn journal_resume_reemits_identical_lines_without_rerunning() {
-        let cases: Vec<MatrixCase> = default_matrix(0.02)
-            .into_iter()
-            .filter(|c| c.cpu == CpuKind::Mipsy && c.workload == "eqntott")
-            .collect();
-        let path =
-            std::env::temp_dir().join(format!("cmpsim-matrix-resume-{}.jrnl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        // First pass journals only a prefix — the "killed mid-sweep" state.
-        let j = Mutex::new(Journal::open(&path).expect("opens"));
-        let partial = matrix_json_lines_supervised(&cases[..2], 2, Some(&j), SentinelSpec::off());
-        assert_eq!(partial.resumed, 0);
-        drop(j);
-
-        // Restart: the journal recovers the prefix, the sweep completes,
-        // and stdout is byte-identical to an uninterrupted run.
-        let j = Mutex::new(Journal::open(&path).expect("reopens"));
-        assert_eq!(j.lock().unwrap().recovered(), 2);
-        let resumed = matrix_json_lines_supervised(&cases, 2, Some(&j), SentinelSpec::off());
-        assert_eq!(resumed.resumed, 2, "the journaled prefix is not re-run");
-        assert!(resumed.quarantined.is_empty());
-        assert_eq!(resumed.lines, matrix_json_lines(&cases, 2));
-        std::fs::remove_file(&path).expect("cleanup");
-    }
-
-    /// The resume-journal key must separate every distinct case: a digest
-    /// collision would silently resume the wrong row.
-    #[test]
-    fn case_keys_are_unique_across_the_extended_matrix() {
-        let cases = extended_matrix(0.05);
-        let mut seen = std::collections::HashSet::new();
-        for case in &cases {
-            let k = case_key(case);
-            assert!(
-                seen.insert((k.config, k.workload)),
-                "duplicate journal key for {} on {} ({})",
-                case.workload,
-                case.arch,
-                cpu_label(case.cpu)
-            );
-        }
-        // Scale is part of the workload digest: the same case at another
-        // scale must never resume this one's row.
-        let mut other = cases[0];
-        other.scale = 0.07;
-        assert_ne!(case_key(&cases[0]), case_key(&other));
-    }
-
-    #[test]
-    fn json_line_formats_and_escapes() {
-        let line = json_line(&[
-            ("bench", "sim\"x\"".into()),
-            ("count", 3u64.into()),
-            ("rate", 1.5f64.into()),
-        ]);
-        assert_eq!(line, r#"{"bench":"sim\"x\"","count":3,"rate":1.5}"#);
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        let line = json_line(&[("rate", f64::INFINITY.into())]);
-        assert_eq!(line, r#"{"rate":null}"#);
     }
 }

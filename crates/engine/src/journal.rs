@@ -1,11 +1,11 @@
 //! Append-only resume journal for batch sweeps.
 //!
-//! A sweep driver (the digest matrix, the explore result cache) journals
-//! each completed row as a CRC-framed record keyed by `(config digest,
-//! workload digest)`. After a crash — including `kill -9` mid-write —
-//! reopening the same path recovers every fully written record, the
-//! driver skips completed keys, and the final artifact comes out
-//! byte-identical to an uninterrupted run.
+//! A sweep driver (the explore result cache) journals each completed row
+//! as a CRC-framed record keyed by `(config digest, workload digest)`.
+//! After a crash — including `kill -9` mid-write — reopening the same
+//! path recovers every fully written record, the driver skips completed
+//! keys, and the final artifact comes out byte-identical to an
+//! uninterrupted run.
 //!
 //! Crash-consistency argument: the file is opened `O_APPEND` and every
 //! record is a single `write_all` of one contiguous frame, so concurrent
@@ -30,7 +30,7 @@
 //! Duplicate keys are legal (a recomputed row re-journals); the last
 //! frame wins, matching "latest completion is authoritative".
 //!
-//! The kill-and-resume gates prove this story with a real `SIGKILL`:
+//! The kill-and-resume gate proves this story with a real `SIGKILL`:
 //! [`ENV_KILL_AFTER`] makes the process kill itself right after a
 //! journal's n-th [`Journal::put`].
 
@@ -40,7 +40,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// Test hook: `SIGKILL` the process right after a journal's n-th
-/// append (the kill-and-resume gates). Read once per [`Journal::open`];
+/// append (the kill-and-resume gate). Read once per [`Journal::open`];
 /// a value that is not a positive integer fails the open.
 pub const ENV_KILL_AFTER: &str = "CMPSIM_KILL_AFTER";
 

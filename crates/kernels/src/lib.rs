@@ -41,8 +41,15 @@ pub use workload::{BuiltWorkload, ProcessInit, WorkloadParams};
 ///
 /// # Errors
 ///
-/// Returns an error string for an unknown name or if assembly fails.
+/// Returns an error string for a scale that is not finite and positive,
+/// an unknown name, a CPU count the workload cannot lay out, or if
+/// assembly fails.
 pub fn build_by_name(name: &str, n_cpus: usize, scale: f64) -> Result<BuiltWorkload, String> {
+    // `WorkloadParams::scaled` would saturate an infinite scale to
+    // `usize::MAX` and floor zero, negative or NaN to the minimum size.
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("scale {scale} is not a finite positive number"));
+    }
     let params = WorkloadParams { n_cpus, scale };
     match name {
         "eqntott" => eqntott::build(&params).map_err(|e| e.to_string()),
@@ -66,3 +73,29 @@ pub const ALL_WORKLOADS: [&str; 7] = [
     "fft",
     "multiprog",
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::build_by_name;
+
+    #[test]
+    fn rejects_a_scale_that_is_not_finite_and_positive() {
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let Err(err) = build_by_name("eqntott", 4, scale) else {
+                panic!("scale {scale} built");
+            };
+            assert!(err.contains(&format!("scale {scale}")), "{err}");
+        }
+    }
+
+    /// Each multiprog CPU runs two processes, and 95 CPUs' 190 address
+    /// spaces no longer fit below the kernel.
+    #[test]
+    fn multiprog_rejects_cpu_counts_whose_address_spaces_overlap_the_kernel() {
+        let Err(err) = build_by_name("multiprog", 95, 0.01) else {
+            panic!("95 CPUs built");
+        };
+        assert!(err.contains("overlaps kernel space"), "{err}");
+        assert!(build_by_name("multiprog", 94, 0.01).is_ok());
+    }
+}

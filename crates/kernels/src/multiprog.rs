@@ -214,22 +214,25 @@ fn emit_kernel() -> Result<Vec<u32>, AsmError> {
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
+/// Returns [`cmpsim_mem::ConfigError::KernelOverlap`] when the CPU count
+/// needs more address spaces than fit below the kernel (two per CPU, so
+/// 95 CPUs and more), and an assembly error if the generated program is
+/// malformed (a bug).
+pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n_cpus = params.n_cpus;
     let n_procs = 2 * n_cpus;
     let n_files = params.scaled(3, 1);
     let n_funcs = params.scaled(28, 6);
     let ops_per_func = 100;
 
+    let spaces = (0..n_procs as u32)
+        .map(|asid| AddrSpace::try_new(asid, PRIV_BYTES))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut rng = Rng64::new(42);
     let funcs = gen_funcs(&mut rng, n_funcs, ops_per_func);
     let user = emit_user_program(&funcs, n_files)?;
     let kernel = emit_kernel()?;
 
-    let spaces: Vec<AddrSpace> = (0..n_procs as u32)
-        .map(|asid| AddrSpace::new(asid, PRIV_BYTES))
-        .collect();
     let mut image = vec![(KERNEL_BASE, kernel)];
     for s in &spaces {
         image.push((s.translate(CODE_VA), user.clone()));

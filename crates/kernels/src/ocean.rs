@@ -92,12 +92,14 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
         assert!((y - x) % 0x8000 != 0, "buffers are set-aligned");
     }
     let rows_per_cpu = n / n_cpus;
-    // Each CPU starts its sweep a quarter of the way into its band: the
-    // four row bands are ~33 KB (≈ one shared-L1 set stride) apart, so
-    // without the phase shift all four CPUs touch the same sets in
-    // lockstep — an artificial conflict pattern the real application's
-    // square subgrids do not have.
-    let phase = rows_per_cpu / 4;
+    // CPU c starts its sweep c phases into its band: the four row bands
+    // are ~33 KB (≈ one shared-L1 set stride) apart, so without the phase
+    // shift all four CPUs touch the same sets in lockstep — an artificial
+    // conflict pattern the real application's square subgrids do not
+    // have. Dividing by at least the CPU count keeps the last CPU's
+    // offset inside its own band; on larger machines a wider phase wraps
+    // into the next CPU's rows and the grid's bottom border.
+    let phase = rows_per_cpu / n_cpus.max(4);
 
     let mut rt = Runtime::new();
     let mut a = Asm::new(Layout::CODE);
@@ -281,5 +283,17 @@ mod tests {
         })
         .expect("builds");
         run_workload_mipsy(&w).expect("two-cpu run validates");
+    }
+
+    /// A phase of a quarter band used to carry the upper CPUs of 8- and
+    /// 16-CPU machines past their own band, into the next CPU's rows and
+    /// over the fixed bottom border, and the checksum came out wrong.
+    #[test]
+    fn validates_on_eight_and_sixteen_cpus() {
+        for (n_cpus, scale) in [(8, 0.25), (16, 0.5)] {
+            let w = build(&WorkloadParams { n_cpus, scale }).expect("builds");
+            run_workload_mipsy(&w)
+                .unwrap_or_else(|e| panic!("{n_cpus} CPUs at scale {scale}: {e}"));
+        }
     }
 }

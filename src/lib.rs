@@ -6,11 +6,12 @@
 //! results. The sub-crates:
 //!
 //! * [`engine`] — discrete-event core (cycles, ports,
-//!   queues, statistics).
+//!   statistics, the job pool).
 //! * [`isa`] — the MIPS-like instruction set, assembler and
 //!   disassembler.
-//! * [`mem`] — physical memory, caches, and the four memory
-//!   systems (the paper's three plus the clustered extension).
+//! * [`mem`] — physical memory, caches, and the five memory
+//!   systems (the paper's three plus the clustered and mesh
+//!   extensions).
 //! * [`cpu`] — the functional core and the Mipsy / MXS timing
 //!   models.
 //! * [`kernels`] — the synchronization runtime and the
@@ -20,6 +21,8 @@
 //!   sharing/reuse analysis passes.
 //! * [`core`] — machine assembly, the experiment runner and
 //!   the paper's metrics.
+//! * [`explore`] — design-space search over machine
+//!   configurations, with a Pareto frontier and a result cache.
 //!
 //! # Examples
 //!

@@ -1,6 +1,8 @@
 //! The `cmpsim` binary end to end: `replay` refuses a replay system with
-//! fewer CPUs than the trace carries, and `--cpus 0`, with an `error:`
-//! line and exit status 1 instead of a panic.
+//! fewer CPUs than the trace carries, and `--cpus 0`, and `run` refuses a
+//! scale that is not finite and positive and a multiprog machine too
+//! large for its address spaces, each with an `error:` line and exit
+//! status 1 instead of a panic or a hang.
 
 use std::process::{Command, Output};
 
@@ -42,4 +44,28 @@ fn replay_needs_a_cpu_for_every_cpu_in_the_trace() {
     assert!(out.status.success(), "{out:?}");
     assert!(stdout.contains("shared-L2 (16 CPUs)"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_rejects_workload_parameters_it_cannot_build() {
+    for (args, want) in [
+        // An infinite scale used to saturate the problem size and never
+        // finish; the others silently ran the minimum size.
+        ("-w eqntott --scale inf", "scale inf is not"),
+        ("-w eqntott --scale 0", "scale 0 is not"),
+        ("-w eqntott --scale -1", "scale -1 is not"),
+        ("-w eqntott --scale NaN", "scale NaN is not"),
+        (
+            "-w multiprog --cpus 95 --scale 0.01",
+            "asid 189 private region overlaps kernel space",
+        ),
+    ] {
+        let out = cmpsim(&format!("run {args}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(want),
+            "{args}: {stderr}"
+        );
+    }
 }
