@@ -369,6 +369,8 @@ pub enum RunError {
     },
     /// The workload self-check failed after completion.
     CheckFailed(String),
+    /// The machine could not be built from its configuration.
+    Config(ConfigError),
 }
 
 impl fmt::Display for RunError {
@@ -384,6 +386,7 @@ impl fmt::Display for RunError {
                 )
             }
             RunError::CheckFailed(msg) => write!(f, "workload validation failed: {msg}"),
+            RunError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -442,8 +445,6 @@ pub struct Machine {
     roi_start: Cycle,
     phases: Vec<(u64, usize, u8)>,
     workload_name: &'static str,
-    /// Cached `spec.enabled` so the run loop pays one branch when off.
-    sentinel_on: bool,
     /// Resolved watchdog limit (None = watchdog off).
     stall_limit: Option<u64>,
     /// Reference-trace sink when capture is on; the other end is held by
@@ -482,17 +483,7 @@ impl Machine {
         Machine::try_new_inner(cfg, workload, None)
     }
 
-    /// Builds a machine that captures its reference trace into `out`,
-    /// panicking on invalid configurations.
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::new`].
-    pub fn new_capturing(cfg: &MachineConfig, workload: &BuiltWorkload, out: SinkOut) -> Machine {
-        Machine::try_new_capturing(cfg, workload, out).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Machine::new_capturing`]: the capture entry point.
+    /// Builds a machine that captures its reference trace into `out`.
     /// Every memory access the CPUs issue is appended to `out` in the
     /// `cmpsim-trace` binary format, and the trace is finished when the
     /// run completes. A [`SinkOut::Atomic`] destination is renamed onto
@@ -554,9 +545,6 @@ impl Machine {
         };
         let mut phys = PhysMem::new(cfg.n_cpus);
         workload.install(&mut phys);
-        // Arm the oracle only after the image is installed so the initial
-        // contents are snapshotted.
-        phys.enable_sentinel(&sc.sentinel);
         let cpus: Vec<Box<dyn CpuModel>> = workload
             .entries
             .iter()
@@ -594,7 +582,6 @@ impl Machine {
             roi_start: Cycle::ZERO,
             phases: Vec::new(),
             workload_name: workload.name,
-            sentinel_on: sc.sentinel.enabled,
             stall_limit: cfg.stall_cycles,
             trace,
         })
@@ -630,14 +617,8 @@ impl Machine {
                     report: Box::new(report),
                 });
             }
-            if self.sentinel_on {
-                self.phys.sentinel_context(c, now.0);
-            }
             let (next, ev) = self.cpus[c].step(now, self.mem.as_mut(), &mut self.phys);
             debug_assert!(next >= now, "cpu {c} stepped back in time");
-            if self.sentinel_on {
-                self.phys.sentinel_heal();
-            }
             self.ready[c] = next;
             // Handle the event before consulting the watchdog: a step that
             // halts (or exits the last process) must never be reported as
@@ -693,7 +674,7 @@ impl Machine {
             .collect();
         WatchdogReport {
             cpus,
-            violations: self.mem.violations().len() + self.phys.violations().len(),
+            violations: self.mem.violations().len(),
         }
     }
 
@@ -761,11 +742,7 @@ impl Machine {
             // machine is finished; a second summary() would start a fresh
             // (empty) list.
             phases: std::mem::take(&mut self.phases),
-            violations: {
-                let mut v = self.mem.violations().to_vec();
-                v.extend(self.phys.violations());
-                v
-            },
+            violations: self.mem.violations().to_vec(),
         }
     }
 
@@ -805,13 +782,15 @@ fn switch_ctx(cpu: &mut dyn CpuModel, next: ProcessCtx) -> ProcessCtx {
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Timeout`] or [`RunError::CheckFailed`].
+/// Returns [`RunError::Config`] for a configuration [`Machine::try_new`]
+/// rejects, [`RunError::Timeout`] or [`RunError::Stalled`] for a run that
+/// does not finish, and [`RunError::CheckFailed`] for a failed self-check.
 pub fn run_workload(
     cfg: &MachineConfig,
     workload: &BuiltWorkload,
     max_cycles: u64,
 ) -> Result<RunSummary, RunError> {
-    let mut m = Machine::new(cfg, workload);
+    let mut m = Machine::try_new(cfg, workload).map_err(RunError::Config)?;
     let summary = m.run(max_cycles)?;
     (workload.check)(m.phys()).map_err(RunError::CheckFailed)?;
     Ok(summary)
@@ -923,6 +902,13 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("different CPU count"));
+        assert_eq!(
+            run_workload(&cfg, &w, 1_000).expect_err("does not build"),
+            RunError::Config(cmpsim_mem::ConfigError::WorkloadCpuMismatch {
+                workload: 4,
+                machine: 2
+            })
+        );
     }
 
     /// `shards` is retired: only `None` and `Some(1)` build, and any other
@@ -955,13 +941,13 @@ mod tests {
         cfg.n_cpus = 128;
         let err = Machine::try_new_capturing(&cfg, &w, SinkOut::Plain(Box::new(std::io::sink())))
             .expect_err("128 CPUs exceed the trace tag field");
-        assert_eq!(
-            err,
-            cmpsim_mem::ConfigError::CaptureTooManyCpus {
-                n_cpus: 128,
-                max: 64
-            }
-        );
+        let want = cmpsim_mem::ConfigError::CaptureTooManyCpus {
+            n_cpus: 128,
+            max: 64,
+        };
+        assert_eq!(err, want);
+        let err = crate::probe::capture_run(&cfg, &w, 1_000).expect_err("does not build");
+        assert_eq!(err, RunError::Config(want));
     }
 
     #[test]
@@ -1113,7 +1099,6 @@ mod tests {
             roi_start: Cycle::ZERO,
             phases: Vec::new(),
             workload_name: "scripted",
-            sentinel_on: false,
             stall_limit,
             trace: None,
         };
@@ -1196,55 +1181,14 @@ mod tests {
         }
     }
 
-    /// A stalled run's error text (what lands in a supervised sweep's
-    /// quarantine record via `Display`) carries the full watchdog report.
+    /// A stalled run's error text (what a dropped explore point prints)
+    /// carries the full watchdog report.
     #[test]
     fn double_stall_surfaces_the_watchdog_report() {
         let msg = stalled_error().to_string();
         assert!(msg.contains("watchdog"), "{msg}");
         assert!(msg.contains("pc 0x1234"), "{msg}");
         assert!(msg.contains("no progress for 2000 cycles"), "{msg}");
-    }
-
-    /// End of the follow-through chain: a sweep job whose run stalls
-    /// panics with the error text, and the supervisor's quarantine record
-    /// carries the full watchdog report — stuck PC and stall age included
-    /// — so the sweep's stderr names the broken configuration's
-    /// diagnosis, not just its index.
-    #[test]
-    fn stalled_job_quarantine_record_carries_the_watchdog_report() {
-        use cmpsim_engine::supervise::run_indexed_supervised;
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let default = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let quiet = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|p| p.contains("[stall-fixture]"));
-                if !quiet {
-                    default(info);
-                }
-            }));
-        });
-        let (vals, quarantined) = run_indexed_supervised(2, 3, |i| {
-            if i == 1 {
-                let err = stalled_error();
-                panic!("[stall-fixture] case mp3d/shared-L2: {err}");
-            }
-            i as u64
-        });
-        assert_eq!(quarantined.len(), 1);
-        let q = &quarantined[0];
-        assert_eq!(q.job_id, 1);
-        assert!(q.reason.contains("watchdog"), "{}", q.reason);
-        assert!(q.reason.contains("pc 0x1234"), "{}", q.reason);
-        assert!(
-            q.reason.contains("no progress for 2000 cycles"),
-            "{}",
-            q.reason
-        );
-        assert_eq!(vals, vec![Some(0), None, Some(2)]);
     }
 }
 

@@ -122,14 +122,16 @@ pub fn probe_latencies(arch: ArchKind, ideal_shared_l1: bool) -> ProbeResult {
 ///
 /// # Errors
 ///
-/// As [`crate::machine::run_workload`].
+/// As [`crate::machine::run_workload`]; [`RunError::Config`] also covers
+/// a capture of more CPUs than a trace record can name.
 pub fn capture_run(
     cfg: &MachineConfig,
     workload: &BuiltWorkload,
     max_cycles: u64,
 ) -> Result<(RunSummary, Vec<u8>), RunError> {
     let buf = SharedBuf::new();
-    let mut m = Machine::new_capturing(cfg, workload, SinkOut::Plain(Box::new(buf.clone())));
+    let mut m = Machine::try_new_capturing(cfg, workload, SinkOut::Plain(Box::new(buf.clone())))
+        .map_err(RunError::Config)?;
     let summary = m.run(max_cycles)?;
     (workload.check)(m.phys()).map_err(RunError::CheckFailed)?;
     Ok((summary, buf.take()))

@@ -29,20 +29,11 @@
 //!
 //! Duplicate keys are legal (a recomputed row re-journals); the last
 //! frame wins, matching "latest completion is authoritative".
-//!
-//! The kill-and-resume gate proves this story with a real `SIGKILL`:
-//! [`ENV_KILL_AFTER`] makes the process kill itself right after a
-//! journal's n-th [`Journal::put`].
 
 use crate::hash::FastMap;
 use std::fs::OpenOptions;
 use std::io::{self, Read, Write};
 use std::path::Path;
-
-/// Test hook: `SIGKILL` the process right after a journal's n-th
-/// append (the kill-and-resume gate). Read once per [`Journal::open`];
-/// a value that is not a positive integer fails the open.
-pub const ENV_KILL_AFTER: &str = "CMPSIM_KILL_AFTER";
 
 /// File magic for journal files (version 1).
 pub const JOURNAL_MAGIC: [u8; 8] = *b"CMPJRNL1";
@@ -91,30 +82,6 @@ pub struct Journal {
     file: std::fs::File,
     rows: FastMap<(u64, u64), Vec<u8>>,
     recovered: usize,
-    kill_after: Option<usize>,
-    puts: usize,
-}
-
-/// Parses the [`ENV_KILL_AFTER`] lookup result: unset means no kill, and
-/// anything but a positive integer is an error naming the knob.
-fn parse_kill_after(raw: Result<String, std::env::VarError>) -> io::Result<Option<usize>> {
-    let raw = match raw {
-        Ok(raw) => raw,
-        Err(std::env::VarError::NotPresent) => return Ok(None),
-        Err(e) => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{ENV_KILL_AFTER}: {e}"),
-            ))
-        }
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("{ENV_KILL_AFTER}={raw:?}: expected a positive row count"),
-        )),
-    }
 }
 
 impl Journal {
@@ -127,9 +94,8 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates I/O failures; `InvalidData` for a file that is not a
-    /// journal, `InvalidInput` for a malformed [`ENV_KILL_AFTER`].
+    /// journal.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Journal> {
-        let kill_after = parse_kill_after(std::env::var(ENV_KILL_AFTER))?;
         let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
@@ -176,8 +142,6 @@ impl Journal {
             file,
             rows,
             recovered,
-            kill_after,
-            puts: 0,
         })
     }
 
@@ -205,8 +169,7 @@ impl Journal {
     }
 
     /// Appends one completed row: a single `O_APPEND` write of the whole
-    /// frame, flushed, then recorded in memory (last write wins). The
-    /// [`ENV_KILL_AFTER`]-th put of this journal never returns.
+    /// frame, flushed, then recorded in memory (last write wins).
     ///
     /// # Errors
     ///
@@ -226,16 +189,6 @@ impl Journal {
         self.file.flush()?;
         self.rows
             .insert((key.config, key.workload), payload.to_vec());
-        self.puts += 1;
-        if self.kill_after == Some(self.puts) {
-            // Die the hard way, exactly as a crashed host would, with the
-            // frame freshly flushed. A caller that holds a lock around
-            // `put` pins the journaled row count at exactly n.
-            let _ = std::process::Command::new("kill")
-                .args(["-9", &std::process::id().to_string()])
-                .status();
-            unreachable!("SIGKILL delivery");
-        }
         Ok(())
     }
 }
@@ -357,22 +310,6 @@ mod tests {
         let err = Journal::open(&path).expect_err("must reject");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).expect("cleanup");
-    }
-
-    #[test]
-    fn kill_after_accepts_only_a_positive_row_count() {
-        use std::env::VarError;
-        assert_eq!(parse_kill_after(Err(VarError::NotPresent)).unwrap(), None);
-        assert_eq!(parse_kill_after(Ok(" 28 ".into())).unwrap(), Some(28));
-        for bad in ["x", "", "0", "-3", "2.5"] {
-            let err = parse_kill_after(Ok(bad.into())).expect_err(bad);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-            let msg = err.to_string();
-            assert!(
-                msg.contains(ENV_KILL_AFTER) && msg.contains(&format!("{bad:?}")),
-                "{msg}"
-            );
-        }
     }
 
     /// The reader is total: a valid journal with flipped bytes and a cut

@@ -17,9 +17,6 @@
 //! * [`prop`] — a deterministic property-testing framework built on
 //!   [`Rng64`], so the whole workspace tests itself without any external
 //!   dependency.
-//! * [`supervise`] — panic isolation over the [`pool`] fan-out: one
-//!   attempt per job, with a quarantine list instead of sweep-killing
-//!   panics.
 //! * [`journal`] — an append-only, crash-tolerant resume journal so
 //!   interrupted sweeps skip completed rows on restart.
 //!
@@ -44,7 +41,6 @@ pub mod prop;
 pub mod resource;
 pub mod rng;
 pub mod stats;
-pub mod supervise;
 
 pub use hash::{BuildFastHasher, FastHasher, FastMap, FastSet};
 pub use journal::{Journal, JournalKey};
@@ -52,7 +48,6 @@ pub use pool::{map_jobs, run_indexed};
 pub use resource::{BankedResource, Port};
 pub use rng::Rng64;
 pub use stats::{Counter, Histogram};
-pub use supervise::{map_jobs_supervised, run_indexed_supervised, Quarantine};
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -1,5 +1,5 @@
 //! Scoped-thread job pool shared by the bench harness, trace decode and
-//! replay, and (through [`crate::supervise`]) the explore driver.
+//! replay, and the explore driver.
 //!
 //! [`run_indexed`] / [`map_jobs`] are an atomic-cursor job pool for
 //! independent work items, built on `std::thread::scope` with zero

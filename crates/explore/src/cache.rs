@@ -33,7 +33,7 @@ impl ResultCache {
     /// # Errors
     ///
     /// [`ExploreError::Io`] when the file cannot be opened or is not a
-    /// cmpsim journal (or the journal's kill hook is malformed).
+    /// cmpsim journal.
     pub fn open(path: &Path) -> Result<ResultCache, ExploreError> {
         Ok(ResultCache {
             journal: Journal::open(path)?,
@@ -69,7 +69,7 @@ impl ResultCache {
         m
     }
 
-    /// Stores one result (the journal's kill-after hook may fire here).
+    /// Stores one result.
     ///
     /// # Errors
     ///

@@ -21,14 +21,19 @@
 //! * **Execution mode** (`--exec`): every point runs the full machine —
 //!   exact IPC, at execution speed.
 //!
-//! Both paths fan out through the supervised job pool (panic isolation
-//! and quarantine) and land results in the persistent cache.
+//! Both paths fan out through the job pool and land results in the
+//! persistent cache. Errors stay values: a workload that cannot be built
+//! or a canonical capture that fails stops the search with a typed
+//! [`ExploreError`], while an execution-mode point whose run fails (a
+//! cycle budget, the watchdog, a failed self-check) is dropped and its
+//! error kept in [`Evaluator::dropped`]. A panic is a simulator bug and
+//! stops the process.
 
 use crate::cache::ResultCache;
 use crate::space::{DesignSpace, Point};
 use crate::ExploreError;
 use cmpsim_core::{capture_run, run_workload, ArchKind, MachineConfig, RunSummary};
-use cmpsim_engine::supervise::map_jobs_supervised;
+use cmpsim_engine::pool::map_jobs;
 use cmpsim_kernels::build_by_name;
 use cmpsim_mem::{LevelStats, MemStats, SentinelSpec};
 use cmpsim_trace::TraceRecord;
@@ -197,9 +202,9 @@ pub struct Evaluator {
     pub exec_runs: usize,
     /// Points evaluated through trace replay.
     pub replay_points: usize,
-    /// Points whose run panicked and was quarantined (exec mode only;
-    /// replay-mode capture failures are typed errors).
-    pub quarantined: usize,
+    /// Execution-mode points whose run failed, with the run's error
+    /// text, in evaluation order. A dropped point has no metrics.
+    pub dropped: Vec<(u64, String)>,
 }
 
 impl Evaluator {
@@ -213,7 +218,7 @@ impl Evaluator {
             traces: BTreeMap::new(),
             exec_runs: 0,
             replay_points: 0,
-            quarantined: 0,
+            dropped: Vec::new(),
         }
     }
 
@@ -249,8 +254,9 @@ impl Evaluator {
     ///
     /// [`ExploreError::InvalidEmbedding`]/[`ExploreError::Config`] when
     /// a driver submits a code outside the space,
-    /// [`ExploreError::Workload`] when a canonical capture fails, and
-    /// [`ExploreError::Io`] on cache append failure.
+    /// [`ExploreError::Workload`] when the workload cannot be built or a
+    /// canonical capture fails, and [`ExploreError::Io`] on cache append
+    /// failure.
     pub fn eval_batch(&mut self, space: &DesignSpace, codes: &[u64]) -> Result<(), ExploreError> {
         let tag = self.spec.workload_tag();
         let mut todo: Vec<Point> = Vec::new();
@@ -273,11 +279,11 @@ impl Evaluator {
         }
         let (replayed, executed): (Vec<Point>, Vec<Point>) =
             todo.into_iter().partition(|p| self.spec.replays(p));
-        let mut results = self.exec_batch(&executed);
+        let mut results = self.exec_batch(&executed)?;
         results.extend(self.replay_batch(&replayed)?);
         // Store executed points, then replayed ones, each in batch order:
-        // a deterministic journal append order, so the kill-after hook
-        // severs the same run prefix every time.
+        // a deterministic journal append order, so a cache cut at a given
+        // byte holds the same rows every time.
         for (p, m) in executed.iter().chain(&replayed).zip(results) {
             let Some(m) = m else { continue };
             if let Some(cache) = &mut self.cache {
@@ -288,19 +294,29 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Execution mode: every point through the full machine, supervised.
-    fn exec_batch(&mut self, todo: &[Point]) -> Vec<Option<PointMetrics>> {
+    /// Execution mode: every point through the full machine. A point
+    /// whose run fails is dropped (`None`) and its error recorded.
+    fn exec_batch(&mut self, todo: &[Point]) -> Result<Vec<Option<PointMetrics>>, ExploreError> {
         let spec = &self.spec;
-        let (vals, quarantined) = map_jobs_supervised(spec.jobs, todo, |p| {
+        let runs = map_jobs(spec.jobs, todo, |p| -> Result<_, ExploreError> {
             let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
-                .unwrap_or_else(|e| panic!("building {}: {e}", spec.workload));
-            let s = run_workload(&p.cfg, &w, spec.budget)
-                .unwrap_or_else(|e| panic!("explore point {}: {e}", p.code));
-            exec_metrics(p, &s)
+                .map_err(ExploreError::Workload)?;
+            Ok(run_workload(&p.cfg, &w, spec.budget).map(|s| exec_metrics(p, &s)))
         });
-        self.quarantined += quarantined.len();
-        self.exec_runs += vals.iter().flatten().count();
-        vals
+        let mut out = Vec::with_capacity(todo.len());
+        for (p, run) in todo.iter().zip(runs) {
+            match run? {
+                Ok(m) => {
+                    self.exec_runs += 1;
+                    out.push(Some(m));
+                }
+                Err(e) => {
+                    self.dropped.push((p.code, e.to_string()));
+                    out.push(None);
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Replay mode: one canonical capture per CPU-side signature, then
@@ -317,25 +333,22 @@ impl Evaluator {
             .filter(|(sig, _)| !self.traces.contains_key(*sig))
             .map(|(sig, idxs)| (sig.clone(), todo[idxs[0]]))
             .collect();
-        if !missing.is_empty() {
-            let spec = &self.spec;
-            let (vals, _) = map_jobs_supervised(spec.jobs, &missing, |(_, p)| {
-                let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
-                    .unwrap_or_else(|e| panic!("building {}: {e}", spec.workload));
-                let (_, bytes) = capture_run(&capture_config(p), &w, spec.budget)
-                    .unwrap_or_else(|e| panic!("capture for group {}: {e}", p.group_sig()));
-                cmpsim_trace::decode(&bytes)
-                    .unwrap_or_else(|e| panic!("decoding group {} trace: {e}", p.group_sig()))
-            });
-            for ((sig, _), records) in missing.iter().zip(vals) {
-                let records = records.ok_or_else(|| {
-                    ExploreError::Workload(format!(
-                        "canonical capture for CPU-side signature {sig} failed (see quarantine diagnostics on stderr)"
-                    ))
-                })?;
-                self.traces.insert(sig.clone(), records);
-                self.exec_runs += 1;
-            }
+        let spec = &self.spec;
+        let captured = map_jobs(spec.jobs, &missing, |(sig, p)| {
+            let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
+                .map_err(ExploreError::Workload)?;
+            let failed = |e: &dyn std::fmt::Display| {
+                ExploreError::Workload(format!(
+                    "canonical capture for CPU-side signature {sig} failed: {e}"
+                ))
+            };
+            let (_, bytes) =
+                capture_run(&capture_config(p), &w, spec.budget).map_err(|e| failed(&e))?;
+            cmpsim_trace::decode(&bytes).map_err(|e| failed(&e))
+        });
+        for ((sig, _), records) in missing.iter().zip(captured) {
+            self.traces.insert(sig.clone(), records?);
+            self.exec_runs += 1;
         }
         // Stage B: batched replay, group by group in signature order.
         let mut out: Vec<Option<PointMetrics>> = vec![None; todo.len()];

@@ -9,7 +9,7 @@
 //!   integer with validated decode, enumeration and neighborhood
 //!   generation.
 //! * [`search`] — exhaustive, seeded-random, hill-climb and evolutionary
-//!   drivers, each batch fanned through the supervised job pool.
+//!   drivers, each batch fanned through the job pool.
 //! * [`eval`] — the batch evaluator: memory-system-only points route
 //!   through the trace-replay fast path ([`cmpsim_trace::replay_matrix`],
 //!   one execution-driven capture per CPU-side signature), execution

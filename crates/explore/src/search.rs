@@ -73,7 +73,10 @@ pub struct SearchOutcome {
     pub cache_hits: usize,
     /// Cache rows recovered from disk at open.
     pub cache_recovered: usize,
-    /// Points dropped because their run panicked (quarantined).
+    /// Execution-mode points dropped because their run failed, with the
+    /// run's error text, in evaluation order.
+    pub dropped: Vec<(u64, String)>,
+    /// `dropped.len()`.
     pub quarantined: usize,
 }
 
@@ -171,10 +174,8 @@ fn open_cache(path: Option<&Path>) -> Result<Option<ResultCache>, ExploreError> 
 ///
 /// # Errors
 ///
-/// Any [`ExploreError`]: invalid space, failed canonical capture, cache
-/// I/O. An empty sample (a space whose every code is invalid) surfaces
-/// as [`ExploreError::EmptyDimension`]-style `Workload` diagnostics from
-/// the evaluator; drivers themselves tolerate short samples.
+/// Any [`ExploreError`]: invalid space, a workload that cannot be built,
+/// failed canonical capture, cache I/O. Drivers tolerate short samples.
 pub fn run_search(
     space: &DesignSpace,
     spec: EvalSpec,
@@ -262,7 +263,8 @@ pub fn run_search(
         replay_points: ev.replay_points,
         cache_hits: ev.cache_hits(),
         cache_recovered: ev.cache_recovered(),
-        quarantined: ev.quarantined,
+        quarantined: ev.dropped.len(),
+        dropped: ev.dropped,
         points,
     })
 }

@@ -1,6 +1,7 @@
 //! End-to-end exploration tests: embedding round-trips, canonicality
 //! rejection, driver determinism across job counts, cache-hit byte
-//! identity and the execution path.
+//! identity, recovery from a torn cache, the execution path and its
+//! failure rules.
 
 use cmpsim_explore::search::dry_run;
 use cmpsim_explore::space::{CpuSel, NDIMS};
@@ -259,6 +260,40 @@ fn cache_hit_rerun_is_byte_identical_and_fully_cached() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A search killed mid-append leaves its cache cut at some byte. Cut a
+/// finished 12-point search's cache at nothing, at the end of the magic,
+/// at a third, at a half and one byte short of the end: each rerun must
+/// print the uninterrupted run's lines byte for byte, answering from the
+/// cache exactly the rows that survived the cut.
+#[test]
+fn search_resumed_from_a_torn_cache_is_byte_identical() {
+    let space = mem_space();
+    let driver = Driver::Random { points: 12 };
+    let sp = spec(2, EvalMode::Replay);
+    let full = tmp("torn-full");
+    let torn = tmp("torn-cut");
+    let _ = std::fs::remove_file(&full);
+    let clean = run_search(&space, sp.clone(), driver, 5, Some(&full)).expect("clean run");
+    assert_eq!(clean.points.len(), 12);
+    let want = render_lines(&space, &sp, driver, 5, &clean).unwrap();
+    let bytes = std::fs::read(&full).expect("cache written");
+    let len = bytes.len();
+    for cut in [0, 8, len / 3, len / 2, len - 1] {
+        std::fs::write(&torn, &bytes[..cut]).expect("cut cache");
+        let resumed = run_search(&space, sp.clone(), driver, 5, Some(&torn))
+            .unwrap_or_else(|e| panic!("cut at {cut} of {len}: {e}"));
+        assert_eq!(
+            render_lines(&space, &sp, driver, 5, &resumed).unwrap(),
+            want,
+            "cut at {cut} of {len}"
+        );
+        assert_eq!(resumed.cache_hits, resumed.cache_recovered, "cut at {cut}");
+        assert!(resumed.cache_recovered < 12, "cut at {cut} lost no row");
+    }
+    let _ = std::fs::remove_file(&full);
+    let _ = std::fs::remove_file(&torn);
+}
+
 #[test]
 fn dry_run_plans_without_touching_disk() {
     let space = mem_space();
@@ -299,6 +334,46 @@ fn exec_mode_runs_the_full_machine() {
     }
     let lines = render_lines(&space, &sp, Driver::Exhaustive, 1, &outcome).unwrap();
     assert!(lines[1].contains("\"path\":\"exec\""));
+}
+
+/// A workload that cannot be built stops the search in both modes.
+#[test]
+fn an_unbuildable_workload_stops_the_search() {
+    let mut space = DesignSpace::paper();
+    space.set_dim("arch", "shared-l2").unwrap();
+    space.set_dim("cpus", "2").unwrap();
+    for mode in [EvalMode::Replay, EvalMode::Exec] {
+        let sp = EvalSpec {
+            workload: "nope".to_string(),
+            ..spec(2, mode)
+        };
+        match run_search(&space, sp, Driver::Exhaustive, 1, None) {
+            Err(ExploreError::Workload(e)) => assert!(e.contains("`nope`"), "{mode:?}: {e}"),
+            other => panic!("{mode:?}: expected a workload error, got {other:?}"),
+        }
+    }
+}
+
+/// An execution-mode point whose run fails is dropped with its error
+/// text, and the search goes on.
+#[test]
+fn exec_points_that_fail_are_dropped_with_their_error() {
+    let mut space = DesignSpace::paper();
+    space.set_dim("arch", "shared-l2,shared-mem").unwrap();
+    space.set_dim("cpus", "2").unwrap();
+    let sp = EvalSpec {
+        budget: 1_000,
+        ..spec(2, EvalMode::Exec)
+    };
+    let outcome = run_search(&space, sp, Driver::Exhaustive, 1, None).expect("search runs");
+    assert!(outcome.points.is_empty());
+    assert_eq!(outcome.exec_runs, 0);
+    assert_eq!(outcome.quarantined, 2);
+    let codes: Vec<u64> = outcome.dropped.iter().map(|(c, _)| *c).collect();
+    assert_eq!(codes, space.enumerate(), "evaluation order");
+    for (code, e) in &outcome.dropped {
+        assert!(e.contains("1000-cycle budget"), "point {code}: {e}");
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@
 use crate::layout::Layout;
 use crate::runtime::Runtime;
 use crate::workload::{BuiltWorkload, ProcessInit, WorkloadParams};
-use cmpsim_isa::{Asm, AsmError, Reg};
+use cmpsim_isa::{Asm, Reg};
 use cmpsim_mem::AddrSpace;
 
 const LUT_BASE: u32 = Layout::DATA;
@@ -25,6 +25,9 @@ const VOX_BASE: u32 = Layout::DATA + 0x2_0000;
 /// Voxels per task: four 128-voxel scanlines.
 const TASK_VOXELS: u32 = 512;
 const OUT_BASE: u32 = Layout::DATA + 0x12_0000;
+/// Tasks whose voxels fit below `OUT_BASE`: a larger volume's voxels
+/// would overlap the output, which the render overwrites before reading.
+const MAX_TASKS: usize = ((OUT_BASE - VOX_BASE) / (TASK_VOXELS * 4)) as usize;
 /// Output words per task (one per 4 voxels).
 const OUT_WORDS: u32 = TASK_VOXELS / 4;
 const RESULT_BASE: u32 = Layout::DATA + 0x1A_0000;
@@ -58,10 +61,20 @@ fn reference(n_tasks: u32) -> u32 {
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
+/// Returns an error naming the limit when the scale asks for more than
+/// 512 tasks (above scale 10.67), and an assembly error if the
+/// generated program is malformed (a bug).
+pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n = params.n_cpus;
-    let n_tasks = params.scaled(48, 8) as u32;
+    let n_tasks = params.scaled(48, 8);
+    if n_tasks > MAX_TASKS {
+        return Err(format!(
+            "volpack scale {:?} needs {n_tasks} tasks; the voxel volume holds at most {MAX_TASKS}",
+            params.scale
+        )
+        .into());
+    }
+    let n_tasks = n_tasks as u32;
     let next_task = Layout::sync_word(2);
 
     let mut rt = Runtime::new();
@@ -209,6 +222,21 @@ mod tests {
     fn reference_is_deterministic() {
         assert_eq!(reference(8), reference(8));
         assert_ne!(reference(8), reference(9));
+    }
+
+    /// 48 tasks per unit of scale: 10.67 asks for 512, the most whose
+    /// voxels fit below the output, and 10.6875 for 513.
+    #[test]
+    fn rejects_more_tasks_than_the_voxel_volume_holds() {
+        let at = |scale| WorkloadParams { n_cpus: 4, scale };
+        assert_eq!(MAX_TASKS, 512);
+        for scale in [10.6875, 16.0, 1e30] {
+            let Err(err) = build(&at(scale)) else {
+                panic!("scale {scale} built");
+            };
+            assert!(err.to_string().contains("at most 512"), "{err}");
+        }
+        build(&at(10.67)).expect("512 tasks build");
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! [`KERNEL_BASE`] maps identically in every process (shared kernel code and
 //! data, as in IRIX).
 
-use crate::sentinel::{FaultInjector, FaultKind, SentinelSpec, SentinelViolation, ViolationKind};
 use crate::{Addr, CpuId};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
@@ -53,51 +52,6 @@ pub struct PhysMem {
     /// Per-CPU link register: line address of an outstanding LL.
     links: Vec<Option<Addr>>,
     line_mask: Addr,
-    /// Flat-memory oracle (sentinel mode only): shadows every store and
-    /// cross-checks every load. `None` in normal runs, so the hot paths
-    /// pay one predictable branch.
-    oracle: Option<Box<OracleMem>>,
-}
-
-/// The sentinel's flat-memory shadow: a second page array kept in slot
-/// lockstep with [`PhysMem::pages`]. Stores mirror into it; loads compare
-/// against it. On a divergence the *shadow* (true) value is returned to the
-/// program — so an injected corruption is detected, reported and contained
-/// rather than cascading — and the main copy is queued for healing, which
-/// [`PhysMem::sentinel_heal`] applies at the next safe (`&mut`) point.
-#[derive(Debug, Clone)]
-struct OracleMem {
-    shadow: Vec<Box<[u8; PAGE_BYTES]>>,
-    /// (cpu, cycle) attribution for the next detected mismatch, set by the
-    /// run loop before each CPU step.
-    ctx: Cell<(usize, u64)>,
-    violations: RefCell<Vec<SentinelViolation>>,
-    /// Corrupted spans awaiting restoration: (slot, offset, length).
-    pending_heal: RefCell<Vec<(usize, usize, usize)>>,
-    /// Stale-write-back fault injector (None unless that class is armed).
-    injector: Option<FaultInjector>,
-}
-
-impl OracleMem {
-    fn report_mismatch(
-        &self,
-        addr: Addr,
-        got: u64,
-        want: u64,
-        slot: usize,
-        off: usize,
-        len: usize,
-    ) {
-        let (cpu, cycle) = self.ctx.get();
-        self.violations.borrow_mut().push(SentinelViolation {
-            cycle,
-            cpu,
-            addr,
-            kind: ViolationKind::OracleMismatch,
-            detail: format!("load returned {got:#x} but the flat-memory oracle holds {want:#x}"),
-        });
-        self.pending_heal.borrow_mut().push((slot, off, len));
-    }
 }
 
 impl PhysMem {
@@ -110,7 +64,6 @@ impl PhysMem {
             last: Cell::new(0),
             links: vec![None; n_cpus],
             line_mask: !31,
-            oracle: None,
         }
     }
 
@@ -133,38 +86,23 @@ impl PhysMem {
         Some(slot as usize)
     }
 
-    /// Resolves or allocates the frame slot for `page`. The oracle's
-    /// shadow pages grow in lockstep so slots always pair up.
+    /// Resolves or allocates the frame slot for `page`.
     fn slot_or_alloc(&mut self, page: u32) -> usize {
         if let Some(s) = self.slot_of(page) {
             return s;
         }
         let slot = self.pages.len() as u32;
         self.pages.push(Box::new([0u8; PAGE_BYTES]));
-        if let Some(o) = &mut self.oracle {
-            o.shadow.push(Box::new([0u8; PAGE_BYTES]));
-        }
         self.index.insert(page, slot);
         self.last.set(Self::pack_last(page, slot));
         slot as usize
     }
 
-    /// Reads one byte; unmapped memory reads as zero. In sentinel mode the
-    /// byte is cross-checked against the oracle's shadow copy.
+    /// Reads one byte; unmapped memory reads as zero.
     pub fn read_u8(&self, addr: Addr) -> u8 {
         let (page, off) = Self::page_of(addr);
         match self.slot_of(page) {
-            Some(s) => {
-                let v = self.pages[s][off];
-                if let Some(o) = &self.oracle {
-                    let want = o.shadow[s][off];
-                    if want != v {
-                        o.report_mismatch(addr, u64::from(v), u64::from(want), s, off, 1);
-                        return want;
-                    }
-                }
-                v
-            }
+            Some(s) => self.pages[s][off],
             None => 0,
         }
     }
@@ -173,44 +111,19 @@ impl PhysMem {
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
         let (page, off) = Self::page_of(addr);
         let slot = self.slot_or_alloc(page);
-        let mut stored = value;
-        if let Some(o) = &mut self.oracle {
-            o.shadow[slot][off] = value;
-            if let Some(inj) = &mut o.injector {
-                if inj.roll(FaultKind::StaleWriteback, addr) {
-                    stored = value ^ 0xA5;
-                }
-            }
-        }
-        self.pages[slot][off] = stored;
+        self.pages[slot][off] = value;
     }
 
     /// Reads a little-endian `u32`. Works for unaligned addresses (byte-wise).
-    /// In sentinel mode the word is cross-checked against the oracle.
     pub fn read_u32(&self, addr: Addr) -> u32 {
         let (page, off) = Self::page_of(addr);
         if off + 4 <= PAGE_BYTES {
             match self.slot_of(page) {
-                Some(s) => {
-                    let p = &self.pages[s];
-                    let v = u32::from_le_bytes(
-                        p[off..off + 4]
-                            .try_into()
-                            .expect("4-byte span: bounds checked against PAGE_BYTES above"),
-                    );
-                    if let Some(o) = &self.oracle {
-                        let want = u32::from_le_bytes(
-                            o.shadow[s][off..off + 4]
-                                .try_into()
-                                .expect("shadow pages mirror main page geometry"),
-                        );
-                        if want != v {
-                            o.report_mismatch(addr, u64::from(v), u64::from(want), s, off, 4);
-                            return want;
-                        }
-                    }
-                    v
-                }
+                Some(s) => u32::from_le_bytes(
+                    self.pages[s][off..off + 4]
+                        .try_into()
+                        .expect("4-byte span: bounds checked against PAGE_BYTES above"),
+                ),
                 None => 0,
             }
         } else {
@@ -227,16 +140,7 @@ impl PhysMem {
         let (page, off) = Self::page_of(addr);
         if off + 4 <= PAGE_BYTES {
             let slot = self.slot_or_alloc(page);
-            let mut stored = value;
-            if let Some(o) = &mut self.oracle {
-                o.shadow[slot][off..off + 4].copy_from_slice(&value.to_le_bytes());
-                if let Some(inj) = &mut o.injector {
-                    if inj.roll(FaultKind::StaleWriteback, addr) {
-                        stored = value ^ 0xA5A5_A5A5;
-                    }
-                }
-            }
-            self.pages[slot][off..off + 4].copy_from_slice(&stored.to_le_bytes());
+            self.pages[slot][off..off + 4].copy_from_slice(&value.to_le_bytes());
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u32), *b);
@@ -321,65 +225,6 @@ impl PhysMem {
     /// CPU `cpu`'s outstanding LL reservation, if any (watchdog diagnostics).
     pub fn link(&self, cpu: CpuId) -> Option<Addr> {
         self.links.get(cpu).copied().flatten()
-    }
-
-    /// Arms the flat-memory oracle: every byte currently resident is
-    /// snapshotted into a shadow page array, subsequent stores mirror into
-    /// it, and every load is cross-checked. The stale-write-back fault
-    /// injector is armed only when `spec` requests that class.
-    pub fn enable_sentinel(&mut self, spec: &SentinelSpec) {
-        if !spec.enabled {
-            return;
-        }
-        let injector = FaultInjector::from_spec(spec)
-            .filter(|_| spec.fault_classes.contains(FaultKind::StaleWriteback));
-        self.oracle = Some(Box::new(OracleMem {
-            shadow: self.pages.clone(),
-            ctx: Cell::new((0, 0)),
-            violations: RefCell::new(Vec::new()),
-            pending_heal: RefCell::new(Vec::new()),
-            injector,
-        }));
-    }
-
-    /// Whether the oracle is armed.
-    pub fn sentinel_enabled(&self) -> bool {
-        self.oracle.is_some()
-    }
-
-    /// Sets the (cpu, cycle) attribution the oracle stamps onto the next
-    /// detected mismatch. The run loop calls this before stepping each CPU.
-    pub fn sentinel_context(&self, cpu: CpuId, cycle: u64) {
-        if let Some(o) = &self.oracle {
-            o.ctx.set((cpu, cycle));
-        }
-    }
-
-    /// Restores any corrupted spans the oracle detected since the last call
-    /// by copying the shadow (true) bytes back over the main copy. Returns
-    /// the number of spans healed.
-    pub fn sentinel_heal(&mut self) -> usize {
-        let Some(o) = &mut self.oracle else { return 0 };
-        let pending: Vec<(usize, usize, usize)> = o.pending_heal.borrow_mut().drain(..).collect();
-        for &(slot, off, len) in &pending {
-            self.pages[slot][off..off + len].copy_from_slice(&o.shadow[slot][off..off + len]);
-        }
-        pending.len()
-    }
-
-    /// Oracle-detected violations so far (empty when the oracle is off).
-    pub fn violations(&self) -> Vec<SentinelViolation> {
-        self.oracle
-            .as_ref()
-            .map_or_else(Vec::new, |o| o.violations.borrow().clone())
-    }
-
-    /// Stale-write-back faults the oracle's injector introduced so far.
-    pub fn injected_faults(&self) -> Vec<(FaultKind, Addr)> {
-        self.oracle
-            .as_ref()
-            .and_then(|o| o.injector.as_ref())
-            .map_or_else(Vec::new, |inj| inj.injected().to_vec())
     }
 }
 
@@ -554,56 +399,8 @@ mod tests {
     }
 
     #[test]
-    fn oracle_mirrors_and_agrees_on_clean_runs() {
-        let mut m = PhysMem::new(2);
-        m.write_u32(0x100, 7); // pre-sentinel contents are snapshotted
-        m.enable_sentinel(&SentinelSpec::on());
-        assert!(m.sentinel_enabled());
-        m.write_u32(0x200, 0xabcd_ef01);
-        m.write_u8(0x5000, 0x3c); // fresh page: shadow grows in lockstep
-        assert_eq!(m.read_u32(0x100), 7);
-        assert_eq!(m.read_u32(0x200), 0xabcd_ef01);
-        assert_eq!(m.read_u8(0x5000), 0x3c);
-        assert!(m.violations().is_empty());
-        assert_eq!(m.sentinel_heal(), 0);
-    }
-
-    #[test]
-    fn oracle_detects_and_heals_stale_writebacks() {
-        use crate::sentinel::FaultClassSet;
-        let spec = SentinelSpec::with_faults(
-            42,
-            1_000_000, // every store corrupts
-            FaultClassSet::only(FaultKind::StaleWriteback),
-        );
+    fn link_reports_the_reserved_line() {
         let mut m = PhysMem::new(1);
-        m.enable_sentinel(&spec);
-        m.sentinel_context(0, 123);
-        m.write_u32(0x100, 0x1111_2222);
-        // The main copy is corrupted but the oracle returns the true value.
-        assert_eq!(m.read_u32(0x100), 0x1111_2222);
-        let v = m.violations();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::OracleMismatch);
-        assert_eq!(v[0].cycle, 123);
-        assert_eq!(v[0].cpu, 0);
-        assert_eq!(v[0].addr, 0x100);
-        assert!(!m.injected_faults().is_empty());
-        // Healing restores the main copy; no new violation on re-read.
-        assert_eq!(m.sentinel_heal(), 1);
-        assert_eq!(m.read_u32(0x100), 0x1111_2222);
-        assert_eq!(m.violations().len(), 1);
-    }
-
-    #[test]
-    fn oracle_off_is_invisible() {
-        let mut m = PhysMem::new(1);
-        assert!(!m.sentinel_enabled());
-        m.enable_sentinel(&SentinelSpec::off());
-        assert!(!m.sentinel_enabled());
-        m.write_u32(0x100, 5);
-        assert!(m.violations().is_empty());
-        assert!(m.injected_faults().is_empty());
         assert!(m.link(0).is_none());
         m.set_link(0, 0x104);
         assert_eq!(m.link(0), Some(0x100));

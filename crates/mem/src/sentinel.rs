@@ -4,7 +4,7 @@
 //! The paper's three architectures differ exactly in their coherence
 //! machinery, so a silent protocol bug would corrupt workload results (or
 //! hang a run) without any diagnostic. The sentinel closes that gap in
-//! three parts:
+//! two parts:
 //!
 //! * **Invariant checker** — after every access, the owning system checks
 //!   the protocol invariants for the touched line: directory presence bits
@@ -13,13 +13,14 @@
 //!   under the snooping bus, and write-through L1s must never hold dirty
 //!   lines. Violations are recorded as structured [`SentinelViolation`]s,
 //!   never panics, so a run can report every divergence it saw.
-//! * **Flat-memory oracle** — [`crate::PhysMem`] shadows every store in a
-//!   parallel page array and cross-checks every load; a divergence is an
-//!   [`ViolationKind::OracleMismatch`]. See `PhysMem::enable_sentinel`.
 //! * **Fault injector** — a deterministic [`Rng64`]-seeded perturbation
-//!   source ([`FaultInjector`]) that drops invalidations, corrupts
-//!   write-backs and plants spurious directory/line states, so tests can
-//!   prove the checker actually detects each fault class.
+//!   source ([`FaultInjector`]) that drops invalidations and plants
+//!   spurious directory/line states, so tests can prove the checker
+//!   actually detects each fault class.
+//!
+//! The checker covers coherence state only: the caches carry tags and
+//! states but no data, and every data byte lives in one copy, in
+//! [`crate::PhysMem`].
 //!
 //! Everything is off by default and gated behind [`SentinelSpec`], which
 //! the caller sets on the machine configuration.
@@ -41,24 +42,16 @@ pub enum FaultKind {
     /// produces (spurious presence bit; Modified instead of Shared after a
     /// downgrade).
     SpuriousState,
-    /// A store's data is corrupted on its way to memory: the oracle's
-    /// shadow keeps the true value while main memory holds garbage.
-    StaleWriteback,
 }
 
 impl FaultKind {
     /// Every fault class, in taxonomy order.
-    pub const ALL: [FaultKind; 3] = [
-        FaultKind::DroppedInvalidation,
-        FaultKind::SpuriousState,
-        FaultKind::StaleWriteback,
-    ];
+    pub const ALL: [FaultKind; 2] = [FaultKind::DroppedInvalidation, FaultKind::SpuriousState];
 
     fn bit(self) -> u8 {
         match self {
             FaultKind::DroppedInvalidation => 1,
             FaultKind::SpuriousState => 2,
-            FaultKind::StaleWriteback => 4,
         }
     }
 }
@@ -68,7 +61,6 @@ impl fmt::Display for FaultKind {
         let s = match self {
             FaultKind::DroppedInvalidation => "dropped-invalidation",
             FaultKind::SpuriousState => "spurious-state",
-            FaultKind::StaleWriteback => "stale-writeback",
         };
         f.write_str(s)
     }
@@ -103,7 +95,7 @@ impl FaultClassSet {
 /// the same source of truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SentinelSpec {
-    /// Run the invariant checker (and the [`crate::PhysMem`] oracle).
+    /// Run the invariant checker.
     pub enabled: bool,
     /// Seed for the deterministic fault injector.
     pub fault_seed: u64,
@@ -173,8 +165,6 @@ pub enum ViolationKind {
     WriteThroughDirty,
     /// The same line is resident in two ways of one set.
     DuplicateResidency,
-    /// A load returned a value different from the flat-memory oracle.
-    OracleMismatch,
 }
 
 impl fmt::Display for ViolationKind {
@@ -187,7 +177,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::InclusionViolation => "inclusion-violation",
             ViolationKind::WriteThroughDirty => "write-through-dirty",
             ViolationKind::DuplicateResidency => "duplicate-residency",
-            ViolationKind::OracleMismatch => "oracle-mismatch",
         };
         f.write_str(s)
     }
@@ -200,7 +189,7 @@ pub struct SentinelViolation {
     pub cycle: u64,
     /// CPU whose access exposed it.
     pub cpu: usize,
-    /// Line-aligned (or byte, for oracle mismatches) address involved.
+    /// Line-aligned address involved.
     pub addr: Addr,
     /// Invariant class.
     pub kind: ViolationKind,
@@ -351,7 +340,7 @@ mod tests {
         assert!(
             !FaultClassSet::only(FaultKind::SpuriousState).contains(FaultKind::DroppedInvalidation)
         );
-        assert!(!FaultClassSet::NONE.contains(FaultKind::StaleWriteback));
+        assert!(!FaultClassSet::NONE.contains(FaultKind::SpuriousState));
     }
 
     #[test]

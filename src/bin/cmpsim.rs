@@ -448,11 +448,8 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
             outcome.cache_recovered
         );
     }
-    if outcome.quarantined > 0 {
-        eprintln!(
-            "explore: {} points quarantined and dropped",
-            outcome.quarantined
-        );
+    for (code, e) in &outcome.dropped {
+        eprintln!("explore: dropped point {code}: {e}");
     }
     Ok(())
 }

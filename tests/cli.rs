@@ -1,8 +1,10 @@
 //! The `cmpsim` binary end to end: `replay` refuses a replay system with
-//! fewer CPUs than the trace carries, and `--cpus 0`, and `run` refuses a
+//! fewer CPUs than the trace carries, and `--cpus 0`, `run` refuses a
 //! scale that is not finite and positive and a multiprog machine too
-//! large for its address spaces, each with an `error:` line and exit
-//! status 1 instead of a panic or a hang.
+//! large for its address spaces, and `explore` refuses a workload it
+//! cannot build, each with an `error:` line and exit status 1 instead of
+//! a panic or a hang. An `explore --exec` point whose run fails is
+//! dropped with one line naming its error.
 
 use std::process::{Command, Output};
 
@@ -68,4 +70,37 @@ fn run_rejects_workload_parameters_it_cannot_build() {
             "{args}: {stderr}"
         );
     }
+}
+
+#[test]
+fn explore_stops_on_a_workload_it_cannot_build() {
+    for mode in ["", "--exec"] {
+        let out = cmpsim(&format!(
+            "explore -w nope --dim arch=shared-l2 --dim cpus=2 {mode}"
+        ));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode}: {stderr}");
+        assert!(
+            stderr.starts_with("error: workload failed to build: unknown workload `nope`"),
+            "{mode}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn explore_exec_prints_one_line_per_dropped_point() {
+    let out = cmpsim(
+        "explore -w eqntott --scale 0.02 --dim arch=shared-l2 --dim cpus=2 --exec --budget 1000",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let dropped: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("explore: dropped point"))
+        .collect();
+    assert_eq!(dropped.len(), 1, "{stderr}");
+    assert!(
+        dropped[0].starts_with("explore: dropped point 0: run exceeded the 1000-cycle budget"),
+        "{stderr}"
+    );
 }

@@ -159,11 +159,10 @@ fn removed_external_crates_stay_removed() {
 }
 
 /// The only files that may read the process environment: the digest
-/// matrix's entry point, the journal's kill hook, and the property
-/// framework's seed and case count.
-const ENV_READERS: [&str; 3] = [
+/// matrix's entry point and the property framework's seed and case
+/// count.
+const ENV_READERS: [&str; 2] = [
     "crates/bench/benches/summary_matrix.rs",
-    "crates/engine/src/journal.rs",
     "crates/engine/src/prop/mod.rs",
 ];
 
