@@ -8,7 +8,9 @@
 //!
 //! * **Regression pinning** — simulator optimizations must change host time
 //!   only, so the digest of every case must be identical before and after.
-//! * **Parallel-harness determinism** — the same matrix run on 1 and 8
+//!   `tests/golden_matrix.rs` pins all 68 lines of `extended_matrix(0.02)`
+//!   to `golden/matrix_scale0.02.txt`.
+//! * **Parallel-harness determinism** — the same matrix run on 1 and 4
 //!   workers must produce byte-identical lines (`jobs` only changes which
 //!   thread runs a case, never its result).
 
@@ -98,8 +100,7 @@ pub fn default_matrix(scale: f64) -> Vec<MatrixCase> {
 /// extras cover 8×(2), 8×(4) and 4×(4)) and mesh tile grids (2×2 through
 /// 4×4, on their near-square defaults), all running through
 /// `SystemConfig` alone. Default rows come FIRST so the leading lines of
-/// the output stay byte-identical to the default matrix (golden-digest
-/// checks take a prefix).
+/// the output stay byte-identical to the default matrix.
 pub fn extended_matrix(scale: f64) -> Vec<MatrixCase> {
     let mut cases = default_matrix(scale);
     let geo = |arch, cpu, n_cpus, cpus_per_cluster| MatrixCase {
@@ -210,7 +211,8 @@ pub fn matrix_json_lines(cases: &[MatrixCase], jobs: usize, sentinel: SentinelSp
 /// bit-identical to the captured run's. Returns the captured run's
 /// summary, so a matrix of these renders the same JSON lines as
 /// [`run_case`] — which is the other half of the contract: capture must
-/// not perturb the run.
+/// not perturb the run (`tests/golden_matrix.rs` checks both halves on
+/// every case).
 ///
 /// # Panics
 ///
@@ -237,21 +239,6 @@ pub fn run_case_replay_checked(case: &MatrixCase, sentinel: SentinelSpec) -> Run
         "{case}: replayed port utilization differs"
     );
     s
-}
-
-/// [`matrix_json_lines`] with every case run through
-/// [`run_case_replay_checked`]: same lines, plus the per-case
-/// capture/replay equivalence assertions. Byte-identical output to the
-/// plain matrix proves both that the capture hook does not perturb
-/// results and that replay reproduces them.
-pub fn matrix_json_lines_replay_checked(
-    cases: &[MatrixCase],
-    jobs: usize,
-    sentinel: SentinelSpec,
-) -> Vec<String> {
-    map_jobs(jobs, cases, |case| {
-        summary_json(case, &run_case_replay_checked(case, sentinel))
-    })
 }
 
 #[cfg(test)]
@@ -298,10 +285,11 @@ mod tests {
         }
     }
 
-    /// Golden-equivalence, fast subset (the full 56-case gate runs in
-    /// `verify.sh`): the replay-checked matrix must render byte-identical
-    /// JSON lines to the plain matrix — capture perturbs nothing, replay
-    /// reproduces everything. Both CPU models are covered.
+    /// Golden-equivalence, fast subset (`tests/golden_matrix.rs` checks
+    /// all 68 cases): every case run through [`run_case_replay_checked`]
+    /// must render byte-identical JSON lines to the plain matrix — capture
+    /// perturbs nothing, replay reproduces everything. Both CPU models are
+    /// covered.
     #[test]
     fn replay_checked_matrix_matches_plain_matrix() {
         let cases: Vec<MatrixCase> = default_matrix(0.02)
@@ -310,7 +298,9 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 4 * 2 + 4);
         let plain = matrix_json_lines(&cases, 4, SentinelSpec::off());
-        let checked = matrix_json_lines_replay_checked(&cases, 4, SentinelSpec::off());
+        let checked = map_jobs(4, &cases, |case| {
+            summary_json(case, &run_case_replay_checked(case, SentinelSpec::off()))
+        });
         assert_eq!(plain, checked);
     }
 
@@ -323,9 +313,8 @@ mod tests {
         assert!(m.iter().any(|c| c.cpu == CpuKind::Mxs));
     }
 
-    /// Satellite: the extended matrix keeps the default rows first and
-    /// byte-identical (golden prefix), and its geometry rows carry the
-    /// extra JSON keys.
+    /// The extended matrix keeps the default rows first and
+    /// byte-identical, and its geometry rows carry the extra JSON keys.
     #[test]
     fn extended_matrix_is_default_prefix_plus_geometry_rows() {
         let def = default_matrix(0.02);

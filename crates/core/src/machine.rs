@@ -93,6 +93,23 @@ impl fmt::Display for ArchKind {
     }
 }
 
+/// Parses any [`ArchKind::name`] or one of the CLI aliases `l1`, `l2`,
+/// `mem` and `shared-mem`, ignoring case.
+impl std::str::FromStr for ArchKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ArchKind, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "shared-l1" | "l1" => Ok(ArchKind::SharedL1),
+            "shared-l2" | "l2" => Ok(ArchKind::SharedL2),
+            "shared-memory" | "shared-mem" | "mem" => Ok(ArchKind::SharedMem),
+            "clustered" => Ok(ArchKind::Clustered),
+            "mesh" => Ok(ArchKind::Mesh),
+            _ => Err(format!("unknown architecture `{s}`")),
+        }
+    }
+}
+
 /// Which CPU timing model to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuKind {
@@ -800,6 +817,23 @@ pub fn run_workload(
 mod tests {
     use super::*;
     use cmpsim_kernels::build_by_name;
+
+    #[test]
+    fn arch_names_and_aliases_parse_in_any_case() {
+        use ArchKind::*;
+        for arch in [SharedL1, SharedL2, SharedMem, Clustered, Mesh] {
+            assert_eq!(arch.name().parse(), Ok(arch));
+            assert_eq!(arch.name().to_uppercase().parse(), Ok(arch));
+        }
+        for (alias, arch) in [("l1", SharedL1), ("L2", SharedL2), ("mem", SharedMem)] {
+            assert_eq!(alias.parse(), Ok(arch));
+        }
+        assert_eq!("Shared-Mem".parse(), Ok(SharedMem));
+        assert_eq!(
+            "bus".parse::<ArchKind>(),
+            Err("unknown architecture `bus`".to_string())
+        );
+    }
 
     #[test]
     fn runs_a_parallel_workload_on_all_architectures() {

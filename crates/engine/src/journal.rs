@@ -62,20 +62,6 @@ pub struct JournalKey {
     pub workload: u64,
 }
 
-impl JournalKey {
-    /// Builds a key the way every sweep driver does: the config digest is
-    /// FNV-1a over `"{namespace}|{config}"` — the namespace versions the
-    /// row format, so two drivers can never collide even when their
-    /// config strings happen to match — and the workload digest is FNV-1a
-    /// over the workload string alone.
-    pub fn digest(namespace: &str, config: &str, workload: &str) -> JournalKey {
-        JournalKey {
-            config: fnv1a64(format!("{namespace}|{config}").as_bytes()),
-            workload: fnv1a64(workload.as_bytes()),
-        }
-    }
-}
-
 /// An append-only, crash-tolerant results journal.
 #[derive(Debug)]
 pub struct Journal {

@@ -1,18 +1,18 @@
 //! The persistent result cache: the resume journal keyed per point.
 //!
 //! Every evaluated point journals its [`PointMetrics`] under a
-//! `(config digest, workload digest)` key built through the shared
-//! [`JournalKey::digest`] helper — the config half covers the point's
-//! fully resolved `MachineConfig` (so two searches over overlapping
-//! spaces share rows), the workload half covers the workload name,
-//! scale, cycle budget and evaluation mode (so execution-driven and
-//! replay-estimated results can never answer for each other). Payloads
-//! are a fixed-width binary encoding with `f64::to_bits` round-tripping,
-//! so a cached rerun re-emits byte-identical JSON.
+//! `(config digest, workload digest)` key ([`ResultCache::key`]) — the
+//! config half covers the point's fully resolved `MachineConfig` (so two
+//! searches over overlapping spaces share rows), the workload half covers
+//! the workload name, scale, cycle budget and evaluation mode (so
+//! execution-driven and replay-estimated results can never answer for
+//! each other). Payloads are a fixed-width binary encoding with
+//! `f64::to_bits` round-tripping, so a cached rerun re-emits
+//! byte-identical JSON.
 
 use crate::eval::{EvalPath, PointMetrics};
 use crate::ExploreError;
-use cmpsim_engine::journal::{Journal, JournalKey};
+use cmpsim_engine::journal::{fnv1a64, Journal, JournalKey};
 use std::path::Path;
 
 /// Payload version tag; bump on layout changes so stale rows are
@@ -43,9 +43,14 @@ impl ResultCache {
 
     /// The cache key of one evaluated point: `workload_tag` names the
     /// evaluation contract (workload, scale, budget, mode), the config
-    /// string is the point's fully resolved `MachineConfig`.
+    /// string is the point's fully resolved `MachineConfig`. Each half is
+    /// FNV-1a over its string; the config's `v1` prefix versions the row
+    /// format.
     pub fn key(workload_tag: &str, cfg_debug: &str) -> JournalKey {
-        JournalKey::digest("cmpsim-explore-point-v1", cfg_debug, workload_tag)
+        JournalKey {
+            config: fnv1a64(format!("cmpsim-explore-point-v1|{cfg_debug}").as_bytes()),
+            workload: fnv1a64(workload_tag.as_bytes()),
+        }
     }
 
     /// Rows recovered from disk at open time.
@@ -131,6 +136,19 @@ fn decode_metrics(bytes: &[u8]) -> Option<PointMetrics> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The key bytes are pinned: any change turns every row of an
+    /// existing cache into a miss.
+    #[test]
+    fn key_is_pinned() {
+        assert_eq!(
+            ResultCache::key("eqntott@0.02", "cfg"),
+            JournalKey {
+                config: 0x7a85a12c640b4ad9,
+                workload: 0x7930eaa88313c50a,
+            }
+        );
+    }
 
     #[test]
     fn payload_roundtrips_exactly() {

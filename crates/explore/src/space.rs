@@ -137,18 +137,13 @@ impl DesignSpace {
             "arch" => {
                 self.archs = values
                     .split(',')
-                    .map(|v| match v.trim().to_ascii_lowercase().as_str() {
-                        "shared-l1" => Ok(ArchKind::SharedL1),
-                        "shared-l2" => Ok(ArchKind::SharedL2),
-                        "shared-memory" | "shared-mem" => Ok(ArchKind::SharedMem),
-                        "clustered" => Ok(ArchKind::Clustered),
-                        "mesh" => Ok(ArchKind::Mesh),
-                        other => Err(ExploreError::BadLevel {
+                    .map(|v| {
+                        v.trim().parse().map_err(|_| ExploreError::BadLevel {
                             dim: "arch",
-                            value: other.to_string(),
+                            value: v.trim().to_string(),
                             why: "expected shared-L1, shared-L2, shared-memory, clustered or mesh"
                                 .to_string(),
-                        }),
+                        })
                     })
                     .collect::<Result<_, _>>()?;
             }

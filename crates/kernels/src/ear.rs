@@ -16,8 +16,8 @@
 use crate::layout::Layout;
 use crate::runtime::Runtime;
 use crate::workload::{BuiltWorkload, ProcessInit, WorkloadParams};
-use cmpsim_isa::{Asm, AsmError, FReg, Reg};
-use cmpsim_mem::AddrSpace;
+use cmpsim_isa::{Asm, FReg, Reg};
+use cmpsim_mem::{AddrSpace, KERNEL_BASE};
 
 const STAGE_BASE: u32 = Layout::DATA;
 const COEFF_A: u32 = Layout::DATA - 0x100;
@@ -55,12 +55,23 @@ fn reference(n_cpus: usize, stages: usize, samples: usize) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
+/// Returns an error naming the limit when the scale asks for more stages
+/// than fit between `DATA` and kernel space, and an assembly error if the
+/// generated program is malformed (a bug).
+pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n_cpus = params.n_cpus;
     assert!(n_cpus.is_power_of_two(), "ear rotates chunks modulo n_cpus");
     let n = n_cpus * CHUNK;
-    let stages = params.scaled(12, 4);
+    // One stage is `n` f32s. At the stage limit (scale 4.2 million on
+    // one CPU, less on more) the sample count still fits its 32-bit
+    // counter.
+    let stages = params.at_most(
+        "ear",
+        params.scaled(12, 4),
+        (KERNEL_BASE - STAGE_BASE) as usize / (n * 4),
+        "stages",
+        "the data area below kernel space",
+    )?;
     let samples = params.scaled(250, 6);
 
     let mut rt = Runtime::new();

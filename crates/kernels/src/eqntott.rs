@@ -16,12 +16,14 @@
 use crate::layout::Layout;
 use crate::runtime::Runtime;
 use crate::workload::{BuiltWorkload, ProcessInit, WorkloadParams};
-use cmpsim_isa::{Asm, AsmError, Reg};
+use cmpsim_isa::{Asm, Reg};
 use cmpsim_mem::AddrSpace;
 
 const A_BASE: u32 = Layout::DATA;
 const B_BASE: u32 = Layout::DATA + 0x8000;
 const RESULT_BASE: u32 = Layout::DATA + 0x1_0000;
+/// Words per vector: A must end where B begins.
+const MAX_VLEN: usize = ((B_BASE - A_BASE) / 4) as usize;
 
 fn lcm(a: usize, b: usize) -> usize {
     fn gcd(a: usize, b: usize) -> usize {
@@ -62,8 +64,10 @@ fn reference_total(vlen: usize, iters: u32) -> u32 {
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
+/// Returns an error naming the limit when the scale asks for vectors
+/// longer than 8192 words (above scale 16 on a power-of-two CPU count),
+/// and an assembly error if the generated program is malformed (a bug).
+pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n = params.n_cpus;
     // Vector length in words: paper-scale 256 words (1 KB vectors: small
     // working set, fine grain), rounded up so both the master's
@@ -71,10 +75,17 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
     // power-of-two CPU counts this is the historical power-of-two length
     // unchanged.
     let vlen = {
-        let base = params.scaled(512, 16).next_power_of_two();
+        let base = params.scaled(512, 16).checked_next_power_of_two();
         let step = lcm(16, n);
-        base.div_ceil(step) * step
+        base.map_or(usize::MAX, |b| b.div_ceil(step).saturating_mul(step))
     };
+    let vlen = params.at_most(
+        "eqntott",
+        vlen,
+        MAX_VLEN,
+        "words per vector",
+        "each vector's area",
+    )?;
     let iters = params.scaled(300, 4) as u32;
     let quarter = vlen / n;
 

@@ -15,12 +15,16 @@
 use crate::layout::Layout;
 use crate::runtime::Runtime;
 use crate::workload::{BuiltWorkload, ProcessInit, WorkloadParams};
-use cmpsim_isa::{Asm, AsmError, FReg, Reg};
-use cmpsim_mem::AddrSpace;
+use cmpsim_isa::{Asm, FReg, Reg};
+use cmpsim_mem::{AddrSpace, KERNEL_BASE};
 
 const SRC_BASE: u32 = Layout::DATA;
 const W_RE_ADDR: u32 = Layout::DATA - 0x100;
 const W_IM_ADDR: u32 = Layout::DATA - 0xf8;
+/// Points whose source and staggered destination buffers, 16 bytes per
+/// point each, fit below kernel space.
+const MAX_POINTS: usize = 1 << 26;
+const _: () = assert!(SRC_BASE as usize + 32 * MAX_POINTS + 0x1040 <= KERNEL_BASE as usize);
 
 /// Fixed twiddle factor (|w| = 1 keeps magnitudes polynomial).
 const W_RE: f64 = 0.8;
@@ -61,12 +65,22 @@ fn reference(n: usize) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
+/// Returns an error naming the limit when the scale asks for more than
+/// 2^26 points (above scale 32768), and an assembly error if the
+/// generated program is malformed (a bug).
+pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n_cpus = params.n_cpus;
     // 2048 complex doubles (64 KB total): per-CPU chunks re-fit the caches,
     // giving the low L1 miss rates the paper reports for FFT.
-    let n = params.scaled(2048, 256).next_power_of_two();
+    let n = params
+        .at_most(
+            "fft",
+            params.scaled(2048, 256),
+            MAX_POINTS,
+            "points",
+            "the data area below kernel space",
+        )?
+        .next_power_of_two();
     let passes = n.trailing_zeros() as usize;
     let chunk = n / n_cpus;
     // The destination buffer is staggered by one line-aligned non-power-of

@@ -41,9 +41,10 @@ pub use workload::{BuiltWorkload, ProcessInit, WorkloadParams};
 ///
 /// # Errors
 ///
-/// Returns an error string for a scale that is not finite and positive,
-/// an unknown name, a CPU count the workload cannot lay out, or if
-/// assembly fails.
+/// Returns an error string for a scale that is not finite and positive
+/// or larger than the workload's layout or loop counters hold, an
+/// unknown name, a CPU count the workload cannot lay out, or if assembly
+/// fails.
 pub fn build_by_name(name: &str, n_cpus: usize, scale: f64) -> Result<BuiltWorkload, String> {
     // `WorkloadParams::scaled` would saturate an infinite scale to
     // `usize::MAX` and floor zero, negative or NaN to the minimum size.
@@ -76,7 +77,7 @@ pub const ALL_WORKLOADS: [&str; 7] = [
 
 #[cfg(test)]
 mod tests {
-    use super::build_by_name;
+    use super::{build_by_name, ALL_WORKLOADS};
 
     #[test]
     fn rejects_a_scale_that_is_not_finite_and_positive() {
@@ -85,6 +86,21 @@ mod tests {
                 panic!("scale {scale} built");
             };
             assert!(err.contains(&format!("scale {scale}")), "{err}");
+        }
+    }
+
+    /// A scale that a workload's layout or loop counters cannot hold is
+    /// refused before anything is sized by it, with the limit named.
+    #[test]
+    fn every_workload_refuses_a_scale_it_cannot_hold() {
+        for name in ALL_WORKLOADS {
+            let Err(err) = build_by_name(name, 4, 1e30) else {
+                panic!("{name} built at scale 1e30");
+            };
+            assert!(
+                err.starts_with(&format!("{name} scale 1e30 needs ")) && err.contains("at most"),
+                "{err}"
+            );
         }
     }
 

@@ -24,7 +24,7 @@
 use crate::layout::Layout;
 use crate::runtime::Runtime;
 use crate::workload::{BuiltWorkload, ProcessInit, WorkloadParams};
-use cmpsim_isa::{Asm, AsmError, Reg};
+use cmpsim_isa::{Asm, Reg};
 use cmpsim_mem::AddrSpace;
 
 const PART_BASE: u32 = Layout::DATA;
@@ -65,13 +65,21 @@ fn advance(x: u32, vx: u32) -> (u32, u32) {
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
+/// Returns an error naming the limit when the scale asks for more time
+/// steps than the 32-bit step counter holds, and an assembly error if the
+/// generated program is malformed (a bug).
+pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n = params.n_cpus;
     // Capped so the particle array never reaches the cell array at
     // `DATA + 0x8_0000`.
     let npart = params.scaled(6144, 256).min(16 * 1024) as u32;
-    let steps = params.scaled(6, 2) as u32;
+    let steps = params.at_most(
+        "mp3d",
+        params.scaled(6, 2),
+        u32::MAX as usize,
+        "time steps",
+        "the step counter",
+    )? as u32;
     assert!(npart * 32 <= 0x8_0000, "particles overrun the cell array");
 
     let mut rt = Runtime::new();

@@ -50,6 +50,15 @@ const KLOCK: u32 = KERNEL_BASE + 0x1F_8000;
 /// Iterations of the kernel bookkeeping loop (tuned for ~16% kernel time).
 const KPAD: i64 = 40;
 
+/// Ops in each generated function's body.
+const OPS_PER_FUNC: usize = 100;
+/// Code words one generated function can take: up to two per op, its
+/// loop counter, loop branch and return, and the main loop's two calls.
+const FUNC_WORDS: usize = 2 * OPS_PER_FUNC + 6;
+/// Functions whose code fits between `CODE_VA` and `DATA_VA`, keeping
+/// one function's worth of words for the main loop.
+const MAX_FUNCS: usize = (DATA_VA - CODE_VA) as usize / 4 / FUNC_WORDS - 1;
+
 /// Times each generated function's body loops over its op sequence —
 /// models gcc's internal loops and gives the instruction stream the reuse a
 /// real compiler has.
@@ -216,20 +225,26 @@ fn emit_kernel() -> Result<Vec<u32>, AsmError> {
 ///
 /// Returns [`cmpsim_mem::ConfigError::KernelOverlap`] when the CPU count
 /// needs more address spaces than fit below the kernel (two per CPU, so
-/// 95 CPUs and more), and an assembly error if the generated program is
-/// malformed (a bug).
+/// 95 CPUs and more), an error naming the limit when the scale asks for
+/// more than 2464 functions (above scale 88), and an assembly error if
+/// the generated program is malformed (a bug).
 pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n_cpus = params.n_cpus;
     let n_procs = 2 * n_cpus;
     let n_files = params.scaled(3, 1);
-    let n_funcs = params.scaled(28, 6);
-    let ops_per_func = 100;
+    let n_funcs = params.at_most(
+        "multiprog",
+        params.scaled(28, 6),
+        MAX_FUNCS,
+        "functions",
+        "the code area",
+    )?;
 
     let spaces = (0..n_procs as u32)
         .map(|asid| AddrSpace::try_new(asid, PRIV_BYTES))
         .collect::<Result<Vec<_>, _>>()?;
     let mut rng = Rng64::new(42);
-    let funcs = gen_funcs(&mut rng, n_funcs, ops_per_func);
+    let funcs = gen_funcs(&mut rng, n_funcs, OPS_PER_FUNC);
     let user = emit_user_program(&funcs, n_files)?;
     let kernel = emit_kernel()?;
 
@@ -291,6 +306,19 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::erro
 mod tests {
     use super::*;
     use crate::testharness::run_workload_mipsy;
+
+    /// `MAX_FUNCS` rests on two bounds: the main loop fits in one
+    /// function's words, and each function adds at most `FUNC_WORDS`.
+    #[test]
+    fn user_code_stays_within_its_word_bounds() {
+        let mut rng = Rng64::new(42);
+        for n_funcs in [0, 28] {
+            let funcs = gen_funcs(&mut rng, n_funcs, OPS_PER_FUNC);
+            let words = emit_user_program(&funcs, 3).expect("assembles").len();
+            assert!(words <= (n_funcs + 1) * FUNC_WORDS, "{n_funcs}: {words}");
+        }
+        assert_eq!(MAX_FUNCS, 2464);
+    }
 
     #[test]
     fn builds_with_large_instruction_footprint() {

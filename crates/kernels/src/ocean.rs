@@ -16,7 +16,7 @@
 use crate::layout::Layout;
 use crate::runtime::Runtime;
 use crate::workload::{BuiltWorkload, ProcessInit, WorkloadParams};
-use cmpsim_isa::{Asm, AsmError, FReg, Reg};
+use cmpsim_isa::{Asm, FReg, Reg};
 use cmpsim_mem::AddrSpace;
 
 const GRID_A: u32 = Layout::DATA;
@@ -61,8 +61,10 @@ fn reference(n: usize, iters: usize) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
+/// Returns an error naming the limit when the scale asks for more sweeps
+/// than the 32-bit sweep counter holds, and an assembly error if the
+/// generated program is malformed (a bug).
+pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n_cpus = params.n_cpus;
     // Interior size; paper uses 130x130 points => n = 128 interior. Capped
     // at 140 so the grid fits the fixed buffer layout (the B buffer starts
@@ -73,7 +75,13 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, AsmError> {
     let dim = n + 2;
     let stride = (dim * 8) as u32;
     assert!(stride < 32768 / 2, "row stride must fit branch offsets");
-    let iters = params.scaled(12, 3);
+    let iters = params.at_most(
+        "ocean",
+        params.scaled(12, 3),
+        u32::MAX as usize,
+        "sweeps",
+        "the sweep counter",
+    )?;
     // The second buffer sits at a fixed 160 KB offset: not a multiple of
     // any cache's set stride, so dst never aliases src.
     // Staggered bases: the three buffers must not be congruent modulo any

@@ -66,15 +66,13 @@ fn reference(n_tasks: u32) -> u32 {
 /// generated program is malformed (a bug).
 pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n = params.n_cpus;
-    let n_tasks = params.scaled(48, 8);
-    if n_tasks > MAX_TASKS {
-        return Err(format!(
-            "volpack scale {:?} needs {n_tasks} tasks; the voxel volume holds at most {MAX_TASKS}",
-            params.scale
-        )
-        .into());
-    }
-    let n_tasks = n_tasks as u32;
+    let n_tasks = params.at_most(
+        "volpack",
+        params.scaled(48, 8),
+        MAX_TASKS,
+        "tasks",
+        "the voxel volume",
+    )? as u32;
     let next_task = Layout::sync_word(2);
 
     let mut rt = Runtime::new();

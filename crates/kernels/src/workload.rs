@@ -11,7 +11,8 @@ pub struct WorkloadParams {
     pub n_cpus: usize,
     /// Problem-size scale: 1.0 reproduces the paper-equivalent
     /// configuration; tests use ~0.05–0.2 for speed. Each generator maps
-    /// the scale onto its own dimensions and clamps to sane minimums.
+    /// the scale onto its own dimensions, clamps to sane minimums and
+    /// refuses a scale its layout or loop counters cannot hold.
     pub scale: f64,
 }
 
@@ -19,6 +20,26 @@ impl WorkloadParams {
     /// Scales `base` by the configured factor with a floor of `min`.
     pub fn scaled(&self, base: usize, min: usize) -> usize {
         ((base as f64 * self.scale) as usize).max(min)
+    }
+
+    /// Refuses a scale that asks for `need` of `what` when `holder`, a
+    /// layout area or a 32-bit loop counter, holds at most `max`; the
+    /// error names the limit.
+    pub(crate) fn at_most(
+        &self,
+        workload: &str,
+        need: usize,
+        max: usize,
+        what: &str,
+        holder: &str,
+    ) -> Result<usize, String> {
+        if need > max {
+            return Err(format!(
+                "{workload} scale {:?} needs {need} {what}; {holder} holds at most {max}",
+                self.scale
+            ));
+        }
+        Ok(need)
     }
 }
 

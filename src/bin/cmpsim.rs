@@ -163,17 +163,6 @@ where
     v.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
-fn parse_arch(s: &str) -> Result<ArchKind, String> {
-    match s {
-        "shared-l1" | "l1" => Ok(ArchKind::SharedL1),
-        "shared-l2" | "l2" => Ok(ArchKind::SharedL2),
-        "shared-mem" | "shared-memory" | "mem" => Ok(ArchKind::SharedMem),
-        "clustered" => Ok(ArchKind::Clustered),
-        "mesh" => Ok(ArchKind::Mesh),
-        other => Err(format!("unknown architecture `{other}`")),
-    }
-}
-
 fn parse_cpu(s: &str) -> Result<CpuKind, String> {
     match s {
         "mipsy" => Ok(CpuKind::Mipsy),
@@ -201,7 +190,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         match flag.as_str() {
             "--workload" | "-w" => workload = val()?,
-            "--arch" | "-a" => arch = parse_arch(&val()?)?,
+            "--arch" | "-a" => arch = val()?.parse()?,
             "--cpu" | "-c" => machine.cfg.cpu = parse_cpu(&val()?)?,
             "--scale" | "-s" => scale = num(val()?, "scale")?,
             "--budget" => budget = num(val()?, "budget")?,
@@ -518,7 +507,7 @@ fn main() -> ExitCode {
                 }
                 match flag.as_str() {
                     "--file" | "-f" => file = Some(val()?),
-                    "--arch" | "-a" => archs.push(parse_arch(&val()?)?),
+                    "--arch" | "-a" => archs.push(val()?.parse()?),
                     "--salvage" => do_salvage = true,
                     "--head" => head = Some(num(val()?, "head")?),
                     "--jobs" | "-j" => jobs = num(val()?, "jobs")?,

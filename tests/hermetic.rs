@@ -9,10 +9,11 @@
 //! here as a manifest scan so it runs inside `cargo test` without
 //! invoking cargo recursively.
 //!
-//! A second scan keeps the simulator free of ambient configuration: only
-//! a few entry-point and test-hook files may read the process
-//! environment.
+//! Two more scans keep the simulator free of ambient configuration: only
+//! the property framework may read the process environment, and it reads
+//! only its two knobs.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -158,13 +159,9 @@ fn removed_external_crates_stay_removed() {
     }
 }
 
-/// The only files that may read the process environment: the digest
-/// matrix's entry point and the property framework's seed and case
-/// count.
-const ENV_READERS: [&str; 2] = [
-    "crates/bench/benches/summary_matrix.rs",
-    "crates/engine/src/prop/mod.rs",
-];
+/// The only files that may read the process environment: the property
+/// framework's seed and case count.
+const ENV_READERS: [&str; 1] = ["crates/engine/src/prop/mod.rs"];
 
 /// 1-based lines of `text` that call `env::var`, `env::var_os` or
 /// `env::vars`; comment lines are skipped.
@@ -245,5 +242,43 @@ fn only_entry_points_read_the_environment() {
         "environment reads outside the entry points (parse the knob at an \
          entry point and pass it down as a typed value), or stale \
          exemptions in ENV_READERS:\n{report}"
+    );
+}
+
+/// The `CMPSIM_*` names quoted in string literals of `text`.
+fn knob_literals(text: &str) -> BTreeSet<String> {
+    text.match_indices("\"CMPSIM_")
+        .map(|(i, _)| {
+            text[i + 1..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect()
+        })
+        .collect()
+}
+
+/// The knob set is pinned: a new `CMPSIM_*` knob fails tier-1 here, so
+/// adding one is a decision recorded in this test and the README's
+/// table.
+#[test]
+fn the_only_knobs_are_the_property_frameworks_seed_and_case_count() {
+    assert_eq!(
+        knob_literals("// \"CMPSIM_X\"\nlet v = \"CMPSIM_Y=1\";"),
+        BTreeSet::from(["CMPSIM_X".to_string(), "CMPSIM_Y".to_string()]),
+        "the scanner takes the name up to the first non-name character"
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut knobs = BTreeSet::new();
+    for file in ENV_READERS {
+        knobs.extend(knob_literals(
+            &std::fs::read_to_string(root.join(file)).expect("readable"),
+        ));
+    }
+    assert_eq!(
+        knobs,
+        BTreeSet::from([
+            "CMPSIM_PROP_CASES".to_string(),
+            "CMPSIM_PROP_SEED".to_string()
+        ])
     );
 }
