@@ -73,10 +73,12 @@ impl ArchKind {
         self.try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible builder: surfaces architecture-specific configuration
-    /// errors (partial clusters, unrepresentable pooled L1 geometries) as
-    /// typed errors instead of panics.
+    /// Fallible builder: surfaces every configuration error
+    /// ([`SystemConfig::validate`], then the architecture's own: partial
+    /// clusters, unrepresentable pooled L1 geometries) as a typed error
+    /// instead of a panic.
     pub fn try_build(self, cfg: &SystemConfig) -> Result<Box<dyn MemorySystem>, ConfigError> {
+        cfg.validate()?;
         Ok(match self {
             ArchKind::SharedL1 => Box::new(SharedL1System::new(cfg)),
             ArchKind::SharedL2 => Box::new(SharedL2System::new(cfg)),

@@ -25,7 +25,7 @@ pub mod ocean;
 pub mod runtime;
 pub mod synth;
 #[cfg(test)]
-pub mod testharness;
+mod testharness;
 pub mod volpack;
 pub mod workload;
 

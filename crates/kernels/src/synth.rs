@@ -13,32 +13,45 @@
 use crate::layout::Layout;
 use crate::runtime::Runtime;
 use crate::workload::{BuiltWorkload, ProcessInit};
-use cmpsim_isa::{Asm, AsmError, Reg};
-use cmpsim_mem::AddrSpace;
+use cmpsim_isa::{Asm, Reg};
+use cmpsim_mem::{AddrSpace, KERNEL_BASE};
 
 const PRIV_BASE: u32 = Layout::DATA;
 /// Per-CPU private regions sit 256 KB apart (not set-aligned anywhere).
 const PRIV_STRIDE: u32 = 0x4_1040;
 const SHARED_BASE: u32 = Layout::DATA + 0x18_0000;
+/// Largest CPU count: four private regions fit below `SHARED_BASE`.
+const MAX_CPUS: usize = 4;
+/// Largest private working set: the power of two within `PRIV_STRIDE`.
+const MAX_WS_KB: usize = 256;
+/// Largest shared region: the power of two that ends below the kernel.
+const MAX_SHARED_KB: usize = 2 * 1024 * 1024;
+const _: () = assert!(
+    MAX_WS_KB * 1024 <= PRIV_STRIDE as usize
+        && PRIV_BASE as usize + MAX_CPUS * PRIV_STRIDE as usize <= SHARED_BASE as usize
+        && SHARED_BASE as usize + MAX_SHARED_KB * 1024 <= KERNEL_BASE as usize
+);
 const HASH_K: u32 = 2654435761;
 const DONE_MAGIC: u32 = 0x51D0_0D0E;
 
-/// Parameters of the synthetic workload.
+/// Parameters of the synthetic workload. [`build`] refuses a value
+/// outside the limits given here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynthParams {
     /// CPUs (1–4).
     pub n_cpus: usize,
-    /// Barrier rounds.
+    /// Barrier rounds (at least 1).
     pub rounds: usize,
-    /// Accesses per CPU between barriers (the grain).
+    /// Accesses per CPU between barriers (the grain; at least 1, and
+    /// `rounds * grain` fits the 32-bit access counter).
     pub grain: usize,
-    /// Per-CPU private working set in KB (power of two).
+    /// Per-CPU private working set in KB (power of two, at most 256).
     pub working_set_kb: usize,
     /// Percent of accesses that are stores (0–100).
     pub store_pct: u8,
     /// Percent of accesses that touch the shared region (0–100).
     pub shared_pct: u8,
-    /// Shared region size in KB (power of two).
+    /// Shared region size in KB (power of two, at most 2 GB).
     pub shared_kb: usize,
 }
 
@@ -89,26 +102,57 @@ fn store_value(cpu: u32, k: u32) -> u32 {
     k.wrapping_mul(HASH_K) ^ cpu
 }
 
+/// Checks every limit [`SynthParams`] documents, naming the one a value
+/// breaks.
+fn check(p: &SynthParams) -> Result<(), String> {
+    if !(1..=MAX_CPUS).contains(&p.n_cpus) {
+        return Err(format!("synth runs on 1-{MAX_CPUS} CPUs, not {}", p.n_cpus));
+    }
+    for (pct, what) in [(p.store_pct, "store"), (p.shared_pct, "shared")] {
+        if pct > 100 {
+            return Err(format!("synth {what} percentage {pct} exceeds 100"));
+        }
+    }
+    for (kb, what, max) in [
+        (p.working_set_kb, "working set", MAX_WS_KB),
+        (p.shared_kb, "shared region", MAX_SHARED_KB),
+    ] {
+        if !kb.is_power_of_two() {
+            return Err(format!(
+                "synth {what} {kb} KB is not a power-of-two KB count"
+            ));
+        }
+        if kb > max {
+            return Err(format!("synth {what} {kb} KB exceeds its {max} KB limit"));
+        }
+    }
+    if p.rounds == 0 || p.grain == 0 {
+        return Err(format!(
+            "synth needs at least 1 round of at least 1 access (rounds {}, grain {})",
+            p.rounds, p.grain
+        ));
+    }
+    match p.rounds.checked_mul(p.grain) {
+        Some(n) if n <= u32::MAX as usize => Ok(()),
+        _ => Err(format!(
+            "synth rounds {} x grain {} needs more accesses per CPU than \
+             the 32-bit access counter holds ({})",
+            p.rounds,
+            p.grain,
+            u32::MAX
+        )),
+    }
+}
+
 /// Builds the synthetic workload.
 ///
 /// # Errors
 ///
-/// Returns an assembly error if the generated program is malformed (a bug).
-///
-/// # Panics
-///
-/// Panics if sizes are not powers of two or `n_cpus` is not in 1..=4.
-pub fn build(p: &SynthParams) -> Result<BuiltWorkload, AsmError> {
-    assert!((1..=4).contains(&p.n_cpus), "synth supports 1-4 CPUs");
-    assert!(
-        (p.working_set_kb * 1024).is_power_of_two() && p.working_set_kb >= 1,
-        "working set must be a power-of-two KB count"
-    );
-    assert!(
-        (p.shared_kb * 1024).is_power_of_two() && p.shared_kb >= 1,
-        "shared region must be a power-of-two KB count"
-    );
-    assert!(p.store_pct <= 100 && p.shared_pct <= 100);
+/// Returns an error naming the limit when a parameter breaks one of
+/// [`SynthParams`]'s limits, and an assembly error if the generated
+/// program is malformed (a bug).
+pub fn build(p: &SynthParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
+    check(p)?;
     let p = *p;
 
     let mut rt = Runtime::new();
@@ -301,6 +345,8 @@ mod tests {
             working_set_kb: 3,
             ..SynthParams::default()
         };
-        let _ = build(&p);
+        if let Err(e) = build(&p) {
+            panic!("{e}");
+        }
     }
 }

@@ -23,6 +23,12 @@ pub enum ConfigError {
     },
     /// Associativity of zero.
     ZeroAssociativity,
+    /// A bank count or hit latency of zero.
+    Zero {
+        /// Which parameter ("L1 bank count", "L2 bank count", "L1 hit
+        /// latency").
+        what: &'static str,
+    },
     /// Capacity below one full set (`assoc * line_bytes`).
     CacheTooSmall {
         /// Requested capacity in bytes.
@@ -118,6 +124,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroAssociativity => {
                 write!(f, "associativity must be at least 1")
             }
+            ConfigError::Zero { what } => write!(f, "{what} must be at least 1"),
             ConfigError::CacheTooSmall {
                 size_bytes,
                 assoc,
@@ -363,7 +370,9 @@ pub struct SystemConfig {
     pub mesh_cols: usize,
     /// Idealize the shared L1 (1-cycle hit, no bank contention) — the
     /// paper's Mipsy runs do this to avoid penalizing the shared-L1
-    /// architecture on a CPU model with no latency hiding.
+    /// architecture on a CPU model with no latency hiding. It applies to
+    /// the L1s several CPUs share (shared-L1, clustered); private L1s
+    /// ignore it.
     pub ideal_shared_l1: bool,
     /// Coherence-sentinel configuration (invariant checker + fault
     /// injector). Off by default.
@@ -442,9 +451,11 @@ impl SystemConfig {
     }
 
     /// Overrides the L2 associativity (the paper's MP3D ablation uses 4).
+    /// [`SystemConfig::validate`] checks the resulting geometry, as it
+    /// checks every override.
     #[must_use]
     pub fn with_l2_assoc(mut self, assoc: usize) -> SystemConfig {
-        self.l2 = CacheSpec::new(self.l2.size_bytes, assoc, self.l2.line_bytes);
+        self.l2.assoc = assoc;
         self
     }
 
@@ -454,7 +465,7 @@ impl SystemConfig {
     /// field itself.
     #[must_use]
     pub fn with_l2_size(mut self, bytes: u32) -> SystemConfig {
-        self.l2 = CacheSpec::new(bytes, self.l2.assoc, self.l2.line_bytes);
+        self.l2.size_bytes = bytes;
         self
     }
 
@@ -498,8 +509,8 @@ impl SystemConfig {
     /// associativity and line size are preserved).
     #[must_use]
     pub fn with_l1_size(mut self, bytes: u32) -> SystemConfig {
-        self.l1i = CacheSpec::new(bytes, self.l1i.assoc, self.l1i.line_bytes);
-        self.l1d = CacheSpec::new(bytes, self.l1d.assoc, self.l1d.line_bytes);
+        self.l1i.size_bytes = bytes;
+        self.l1d.size_bytes = bytes;
         self
     }
 
@@ -528,13 +539,15 @@ impl SystemConfig {
         self
     }
 
-    /// Validates cross-field constraints the `CacheSpec`s cannot see.
+    /// Validates the whole configuration: the one place the `with_*`
+    /// overrides are checked, so every system builder can rely on it.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the CPU count is zero or exceeds the
-    /// [`CpuSet::MAX_CPUS`] sanity ceiling, or the mesh tile grid does not
-    /// cover the CPUs exactly.
+    /// [`CpuSet::MAX_CPUS`] sanity ceiling, a cache geometry fails
+    /// [`CacheSpec::try_new`], a bank count or the L1 hit latency is zero,
+    /// or the mesh tile grid does not cover the CPUs exactly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_cpus == 0 {
             return Err(ConfigError::NoCpus);
@@ -545,7 +558,19 @@ impl SystemConfig {
                 max: CpuSet::MAX_CPUS,
             });
         }
-        if self.mesh_rows * self.mesh_cols != self.n_cpus {
+        for c in [self.l1i, self.l1d, self.l2] {
+            CacheSpec::try_new(c.size_bytes, c.assoc, c.line_bytes)?;
+        }
+        for (value, what) in [
+            (self.l1_banks as u64, "L1 bank count"),
+            (self.l2_banks as u64, "L2 bank count"),
+            (self.lat.l1_lat, "L1 hit latency"),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::Zero { what });
+            }
+        }
+        if self.mesh_rows.checked_mul(self.mesh_cols) != Some(self.n_cpus) {
             return Err(ConfigError::MeshGeometry {
                 n_cpus: self.n_cpus,
                 rows: self.mesh_rows,

@@ -1,24 +1,23 @@
-//! The directory/invalidation engine and the directory topology family.
+//! The directory/invalidation engine and the one directory access walk.
 //!
 //! [`Directory`] keeps per-line presence bitmaps over the *nodes* of a
 //! topology — per-CPU L1s in the shared-L2 architecture, per-cluster L1s in
-//! the clustered extension. [`DirectoryTopo`] is the complete
-//! write-through-L1-over-shared-L2 access walk both architectures share;
-//! the [`NodeScheme`] marker picks the reported name and the noun used in
-//! sentinel violation details.
+//! the clustered extension, per-tile L1s in the mesh extension.
+//! [`DirectoryTopo`] is the complete write-through-L1-over-shared-L2 access
+//! walk all three share; its [`NodeScheme`] maps CPUs onto nodes,
+//! arbitrates the node's L1, carries misses and stores across the
+//! interconnect, and names the architecture and the noun used in sentinel
+//! violation details.
 
 use super::backside::SharedL2Back;
-use super::frontend::NodeMap;
-use super::{util_of_banks, util_of_port, HierarchyCore, Topology};
+use super::{util_of_banks, util_of_port, HierarchyCore, HierarchySystem, Topology};
 use crate::cache::{AccessOutcome, CacheArray, LineState, MissKind};
 use crate::config::{CacheSpec, SystemConfig};
 use crate::cpuset::CpuSet;
 use crate::sentinel::{FaultKind, Sentinel, ViolationKind};
 use crate::stats::MemStats;
 use crate::{AccessKind, Addr, CpuId, MemRequest, MemResult, PortUtil, ServiceLevel};
-use cmpsim_engine::{BankedResource, Cycle};
-
-use std::marker::PhantomData;
+use cmpsim_engine::Cycle;
 
 /// Per-line presence bitmaps over the nodes of a directory topology, with
 /// the invalidation plumbing and fault-injection hooks that maintain them.
@@ -205,8 +204,8 @@ impl Directory {
     /// Sentinel invariant check scoped to one line: presence bits must
     /// agree with actual L1 residency, every L1 copy must be backed by a
     /// valid L2 line (inclusion), and the write-through L1s must never hold
-    /// dirty data. `noun` names the node kind ("cpu", "cluster") in
-    /// violation details.
+    /// dirty data. `noun` names the node kind ("cpu", "cluster", "tile")
+    /// in violation details.
     #[allow(clippy::too_many_arguments)]
     pub fn check_line(
         &self,
@@ -262,38 +261,56 @@ impl Directory {
     }
 }
 
-/// Node granularity of a [`DirectoryTopo`]: picks the architecture name
-/// and the noun used in sentinel violation details.
-pub trait NodeScheme: std::fmt::Debug + 'static {
+/// What distinguishes one [`DirectoryTopo`] from another: how CPUs map
+/// onto directory nodes, how a node's L1 arbitrates its accesses, and the
+/// interconnect stage between the L1s and the shared L2 banks. The
+/// defaults describe private L1s on a crossbar; a scheme overrides only
+/// the steps its hardware adds, and the defaults compile away.
+pub trait NodeScheme: std::fmt::Debug {
     /// Architecture name ([`crate::MemorySystem::name`]).
     const NAME: &'static str;
     /// What one node is called in diagnostics.
     const NOUN: &'static str;
-}
 
-/// Shared-L2 scheme: every CPU is its own node with a private L1.
-#[derive(Debug)]
-pub enum PerCpu {}
+    /// The node whose L1 serves `cpu`: the CPU's own, by default.
+    #[inline]
+    fn node_of(&self, cpu: CpuId) -> usize {
+        cpu
+    }
 
-impl NodeScheme for PerCpu {
-    const NAME: &'static str = "shared-L2";
-    const NOUN: &'static str = "cpu";
-}
+    /// Front-end arbitration for an access `node`'s L1 sees at `now`:
+    /// the grant cycle and the hit latency from it. A private L1 grants
+    /// at once and hits in `lat.l1_lat`.
+    #[inline]
+    fn arbitrate(
+        &mut self,
+        core: &mut HierarchyCore,
+        _node: usize,
+        _addr: Addr,
+        now: Cycle,
+    ) -> (Cycle, u64) {
+        (now, core.cfg.lat.l1_lat)
+    }
 
-/// Clustered scheme: CPUs pool into cluster nodes sharing an L1.
-#[derive(Debug)]
-pub enum PerCluster {}
+    /// The interconnect stage of a miss or store leaving `node` at `at`:
+    /// the cycle it reaches the L2 bank holding `addr`, and the latency
+    /// the response adds on its way back. A crossbar's crossing is part
+    /// of `lat.l2_lat`, so by default it costs nothing here.
+    #[inline]
+    fn to_l2(&mut self, _node: usize, _addr: Addr, at: Cycle) -> (Cycle, u64) {
+        (at, 0)
+    }
 
-impl NodeScheme for PerCluster {
-    const NAME: &'static str = "clustered";
-    const NOUN: &'static str = "cluster";
+    /// Appends the scheme's own contended resources, reported ahead of
+    /// the L2 banks.
+    fn push_port_util(&self, _out: &mut Vec<PortUtil>) {}
 }
 
 /// Geometry of a directory topology's L1 front end.
 #[derive(Debug, Clone, Copy)]
 pub struct DirectoryLayout {
-    /// CPUs sharing each node's L1 (1 = private L1s).
-    pub cpus_per_node: usize,
+    /// Directory nodes, one L1 pair each.
+    pub n_nodes: usize,
     /// Per-node instruction-cache geometry.
     pub l1i_spec: CacheSpec,
     /// Per-node data-cache geometry.
@@ -302,77 +319,57 @@ pub struct DirectoryLayout {
     pub l1i_name: &'static str,
     /// Data-cache label.
     pub l1d_name: &'static str,
-    /// Intra-node crossbar, for nodes shared by several CPUs:
-    /// (bank-group label, banks per node, crossbar hit latency). `None`
-    /// means direct private L1s hitting in `lat.l1_lat`.
-    pub node_xbar: Option<(&'static str, usize, u64)>,
+}
+
+impl DirectoryLayout {
+    /// One private `l1i`/`l1d` pair per CPU, as the configuration sizes
+    /// them.
+    pub(crate) fn private(cfg: &SystemConfig) -> DirectoryLayout {
+        DirectoryLayout {
+            n_nodes: cfg.n_cpus,
+            l1i_spec: cfg.l1i,
+            l1d_spec: cfg.l1d,
+            l1i_name: "l1i",
+            l1d_name: "l1d",
+        }
+    }
 }
 
 /// Write-through L1s over a banked shared L2 with a per-line directory —
-/// the topology family covering the shared-L2 architecture (one CPU per
-/// node) and the clustered extension (several CPUs per node).
+/// the one access walk of the shared-L2 architecture, the clustered
+/// extension and the mesh extension, which differ only in their
+/// [`NodeScheme`].
 #[derive(Debug)]
-pub struct DirectoryTopo<S: NodeScheme> {
-    nodes: NodeMap,
+pub struct DirectoryTopo<S> {
+    scheme: S,
     l1i: Vec<CacheArray>,
     l1d: Vec<CacheArray>,
-    /// Per-node intra-node crossbar banks (empty for private L1s).
-    l1_banks: Vec<BankedResource>,
-    /// Hit latency through the front end when a crossbar is present.
-    xbar_lat: u64,
     dir: Directory,
     back: SharedL2Back,
-    _scheme: PhantomData<S>,
 }
 
 impl<S: NodeScheme> DirectoryTopo<S> {
-    /// Builds the topology from a configuration and a front-end layout.
-    pub fn build(cfg: &SystemConfig, layout: &DirectoryLayout) -> DirectoryTopo<S> {
-        let nodes = NodeMap::new(cfg.n_cpus, layout.cpus_per_node);
-        let n = nodes.n_nodes();
+    /// Builds the topology from a configuration, a front-end layout and
+    /// the scheme's own state.
+    pub fn build(cfg: &SystemConfig, layout: &DirectoryLayout, scheme: S) -> DirectoryTopo<S> {
+        let n = layout.n_nodes;
         let back = SharedL2Back::new(cfg);
         DirectoryTopo {
-            nodes,
+            scheme,
             l1i: (0..n)
                 .map(|_| CacheArray::new(layout.l1i_name, layout.l1i_spec))
                 .collect(),
             l1d: (0..n)
                 .map(|_| CacheArray::new(layout.l1d_name, layout.l1d_spec))
                 .collect(),
-            l1_banks: match layout.node_xbar {
-                Some((label, banks, _)) => (0..n)
-                    .map(|_| {
-                        BankedResource::new(label, banks, u64::from(layout.l1d_spec.line_bytes))
-                    })
-                    .collect(),
-                None => Vec::new(),
-            },
-            xbar_lat: layout.node_xbar.map_or(cfg.lat.l1_lat, |(_, _, lat)| lat),
             dir: Directory::new(n, back.l2.n_slots()),
             back,
-            _scheme: PhantomData,
         }
     }
 
-    /// CPU→node mapping.
-    pub fn nodes(&self) -> &NodeMap {
-        &self.nodes
-    }
-
-    /// Read-only view of one node's L1 data cache (tests, probes).
-    pub fn l1d_at(&self, node: usize) -> &CacheArray {
-        &self.l1d[node]
-    }
-
-    /// Read-only view of the shared L2 (tests, probes).
-    pub fn l2(&self) -> &CacheArray {
-        &self.back.l2
-    }
-
-    /// Full-state directory consistency check (see
-    /// [`Directory::consistent`]).
-    pub fn directory_consistent(&self) -> bool {
-        self.dir.consistent(&self.l1d, &self.l1i, &self.back.l2)
+    /// The scheme's own state (grid, crossbar banks).
+    pub(crate) fn scheme(&self) -> &S {
+        &self.scheme
     }
 
     /// A load or ifetch that missed the node's L1: cross to the shared L2
@@ -393,6 +390,7 @@ impl<S: NodeScheme> DirectoryTopo<S> {
         } else {
             core.stats.l1d.miss(kind);
         }
+        let (arrive, back_lat) = self.scheme.to_l2(node, addr, at);
         let (finish, level) = self.back.read(
             &mut core.stats,
             &mut self.dir,
@@ -400,7 +398,7 @@ impl<S: NodeScheme> DirectoryTopo<S> {
             &mut self.l1i,
             &core.cfg.lat,
             addr,
-            at,
+            arrive,
         );
         let cache = if ifetch {
             &mut self.l1i[node]
@@ -419,7 +417,7 @@ impl<S: NodeScheme> DirectoryTopo<S> {
             victim,
         );
         MemResult {
-            finish,
+            finish: finish + back_lat,
             serviced_by: level,
             l1_miss: true,
             l1_extra,
@@ -439,6 +437,7 @@ impl<S: NodeScheme> DirectoryTopo<S> {
         l1_extra: u64,
     ) -> MemResult {
         self.l1d[node].touch(addr);
+        let (arrive, back_lat) = self.scheme.to_l2(node, addr, grant);
         let line = self.back.line(addr);
         self.dir.invalidate_sharers(
             &mut core.sentinel,
@@ -457,10 +456,10 @@ impl<S: NodeScheme> DirectoryTopo<S> {
             &mut self.l1i,
             &core.cfg.lat,
             addr,
-            grant,
+            arrive,
         );
         MemResult {
-            finish,
+            finish: finish + back_lat,
             serviced_by: level,
             l1_miss: false,
             l1_extra,
@@ -473,23 +472,11 @@ impl<S: NodeScheme> Topology for DirectoryTopo<S> {
 
     #[inline]
     fn access(&mut self, core: &mut HierarchyCore, now: Cycle, req: MemRequest) -> MemResult {
-        let node = self.nodes.node_of(req.cpu);
+        let node = self.scheme.node_of(req.cpu);
         let addr = req.addr;
         let ifetch = req.kind == AccessKind::IFetch;
-
-        // Front-end arbitration: the intra-node crossbar when the node is
-        // shared by several CPUs (unless idealized, like the shared L1),
-        // or a direct private-L1 access.
-        let (grant, l1_lat) = if core.cfg.ideal_shared_l1 {
-            (now, 1)
-        } else if self.l1_banks.is_empty() {
-            (now, core.cfg.lat.l1_lat)
-        } else {
-            let g = self.l1_banks[node].reserve(u64::from(addr), now, core.cfg.lat.l1_occ);
-            (g, self.xbar_lat)
-        };
+        let (grant, l1_lat) = self.scheme.arbitrate(core, node, addr, now);
         let l1_extra = (grant - now) + (l1_lat - 1);
-        core.stats.l1_bank_wait += grant - now;
 
         match req.kind {
             AccessKind::IFetch | AccessKind::Load => {
@@ -536,12 +523,35 @@ impl<S: NodeScheme> Topology for DirectoryTopo<S> {
     }
 
     fn load_would_hit_l1(&self, cpu: CpuId, addr: Addr) -> bool {
-        self.l1d[self.nodes.node_of(cpu)].probe(addr).is_valid()
+        self.l1d[self.scheme.node_of(cpu)].probe(addr).is_valid()
     }
 
     fn push_port_util(&self, out: &mut Vec<PortUtil>) {
-        out.extend(self.l1_banks.iter().map(util_of_banks));
+        self.scheme.push_port_util(out);
         out.push(util_of_banks(&self.back.banks));
         out.push(util_of_port(&self.back.mem));
+    }
+}
+
+/// Probes every directory system shares: the shared-L2, clustered and
+/// mesh machines.
+impl<S: NodeScheme> HierarchySystem<DirectoryTopo<S>> {
+    /// Read-only view of one node's L1 data cache — a CPU's, a cluster's
+    /// or a tile's (tests, probes).
+    pub fn l1d(&self, node: usize) -> &CacheArray {
+        &self.topo().l1d[node]
+    }
+
+    /// Read-only view of the shared L2 (tests, probes).
+    pub fn l2(&self) -> &CacheArray {
+        &self.topo().back.l2
+    }
+
+    /// Checks the directory invariant: every valid L1 line has its presence
+    /// bit set, and every presence bit points at a valid L1 line backed by
+    /// a valid L2 line (inclusion). Diagnostics / property tests.
+    pub fn directory_consistent(&self) -> bool {
+        let t = self.topo();
+        t.dir.consistent(&t.l1d, &t.l1i, &t.back.l2)
     }
 }

@@ -1,55 +1,14 @@
-//! Per-node L1 front-end helpers.
+//! The write-back L1 fill helper.
 //!
 //! A *node* is whatever owns one L1 in a topology: a single CPU
-//! (shared-L2, shared-memory), a cluster of CPUs (clustered), or the whole
-//! machine (shared-L1). [`NodeMap`] maps CPUs onto nodes; the fill helpers
-//! implement the victim handling every write-back L1 shares.
+//! (shared-L2, mesh, shared-memory), a cluster of CPUs (clustered), or the
+//! whole machine (shared-L1). [`fill_writeback_l1`] implements the victim
+//! handling every write-back L1 shares.
 
 use crate::cache::{CacheArray, LineState};
 use crate::stats::MemStats;
-use crate::{Addr, CpuId};
+use crate::Addr;
 use cmpsim_engine::{Cycle, Port};
-
-/// Maps CPUs onto the L1 nodes of a topology.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeMap {
-    n_nodes: usize,
-    cpus_per_node: usize,
-}
-
-impl NodeMap {
-    /// `n_cpus` CPUs grouped `cpus_per_node` at a time. The caller
-    /// validates divisibility (see `ClusteredSystem::try_new`).
-    pub fn new(n_cpus: usize, cpus_per_node: usize) -> NodeMap {
-        debug_assert!(cpus_per_node > 0 && n_cpus.is_multiple_of(cpus_per_node));
-        NodeMap {
-            n_nodes: n_cpus / cpus_per_node,
-            cpus_per_node,
-        }
-    }
-
-    /// The node servicing `cpu`'s accesses. Private-L1 topologies
-    /// (`cpus_per_node == 1`, the common case) skip the division — this
-    /// sits on every access's fast path.
-    #[inline]
-    pub fn node_of(&self, cpu: CpuId) -> usize {
-        if self.cpus_per_node == 1 {
-            cpu
-        } else {
-            cpu / self.cpus_per_node
-        }
-    }
-
-    /// Number of nodes (L1s) in the topology.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// CPUs sharing each node's L1.
-    pub fn cpus_per_node(&self) -> usize {
-        self.cpus_per_node
-    }
-}
 
 /// Fills a write-back L1 with `addr` in `state` and retires the victim:
 /// a dirty victim writes back into the local L2 (reserving `l2_port` at

@@ -1,10 +1,10 @@
-//! The shared coherent-hierarchy core behind the four memory systems.
+//! The shared coherent-hierarchy core behind the five memory systems.
 //!
-//! The paper's three architectures (plus the clustered extension) differ
-//! only in *where* the CPUs interconnect; everything else — the L1 hit fast
-//! path, fill/victim handling, directory bookkeeping, snoop arbitration,
-//! sentinel hooks, statistics — is common machinery. This module owns that
-//! machinery once:
+//! The paper's three architectures (plus the clustered and mesh
+//! extensions) differ only in *where* the CPUs interconnect; everything
+//! else — the L1 hit fast path, fill/victim handling, directory
+//! bookkeeping, snoop arbitration, sentinel hooks, statistics — is common
+//! machinery. This module owns that machinery once:
 //!
 //! * [`HierarchyCore`] — configuration, statistics and the coherence
 //!   sentinel, shared by every topology.
@@ -12,13 +12,16 @@
 //!   resources sit on the miss path and in what order. A topology only
 //!   writes its access walk; [`HierarchySystem`] supplies the entire
 //!   [`MemorySystem`] surface (latency histogram, sentinel dispatch,
-//!   accessor boilerplate) on top.
-//! * [`frontend`] — CPU→node mapping ([`NodeMap`]) and the write-back L1
-//!   fill/victim helper shared by the shared-L1 and shared-memory designs.
+//!   accessor boilerplate) on top. There are three walks: the shared L1,
+//!   the snooping bus, and the directory.
+//! * [`frontend`] — the write-back L1 fill/victim helper shared by the
+//!   shared-L1 and shared-memory designs.
 //! * [`directory`] — the presence-bitmap [`Directory`] engine and
-//!   [`DirectoryTopo`], the write-through-L1-over-shared-L2 family that
-//!   covers both the shared-L2 architecture (one CPU per node) and the
-//!   clustered extension (several CPUs per node), generic over geometry.
+//!   [`DirectoryTopo`], the one write-through-L1-over-shared-L2 walk. Its
+//!   [`NodeScheme`] is the only part that varies: private L1s on a
+//!   crossbar (shared-L2), cluster L1s behind a node crossbar (clustered),
+//!   or tiles whose misses cross a mesh (mesh). An interconnect is a
+//!   stage of this walk, not a walk of its own.
 //! * [`backside`] — what sits below the L1s: a banked shared L2 with a
 //!   memory port ([`SharedL2Back`]) or a uniprocessor-style L2/memory pair
 //!   ([`UniBack`]).
@@ -33,8 +36,7 @@ pub mod frontend;
 pub mod snoop;
 
 pub use backside::{SharedL2Back, UniBack};
-pub use directory::{Directory, DirectoryLayout, DirectoryTopo, NodeScheme, PerCluster, PerCpu};
-pub use frontend::NodeMap;
+pub use directory::{Directory, DirectoryLayout, DirectoryTopo, NodeScheme};
 
 use crate::config::SystemConfig;
 use crate::sentinel::{FaultKind, Sentinel, SentinelViolation};
@@ -93,7 +95,7 @@ pub trait Topology {
 
 /// A complete memory system assembled from the shared [`HierarchyCore`]
 /// plus one topology description. This is the single [`MemorySystem`]
-/// implementation all four architectures share.
+/// implementation all five architectures share.
 #[derive(Debug)]
 pub struct HierarchySystem<T> {
     core: HierarchyCore,

@@ -12,11 +12,13 @@
 //!   blocks (L1 frontend, directory/invalidation engine, MESI snooping,
 //!   sentinel hooks, `MemorySystem` boilerplate) every architecture is
 //!   assembled from.
-//! * The five topologies behind the [`MemorySystem`] trait:
+//! * The five architectures behind the [`MemorySystem`] trait:
 //!   [`SharedL1System`], [`SharedL2System`], [`SharedMemSystem`],
-//!   [`ClusteredSystem`] and [`MeshSystem`] — each a thin geometry
-//!   description over the hierarchy core, generic over `n_cpus` and
-//!   cluster/grid geometry.
+//!   [`ClusteredSystem`] and [`MeshSystem`] — thin geometry descriptions
+//!   over the hierarchy core, generic over `n_cpus` and cluster/grid
+//!   geometry. The last three are one directory walk
+//!   ([`hierarchy::DirectoryTopo`]) whose node schemes differ only in the
+//!   L1 front end and the interconnect stage to the shared L2.
 //! * [`WriteBuffer`] — the per-CPU store buffer both CPU models drain
 //!   stores through.
 //!

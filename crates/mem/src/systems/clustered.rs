@@ -12,18 +12,62 @@
 //!
 //! The entire access walk lives in
 //! [`DirectoryTopo`](crate::hierarchy::DirectoryTopo); this file only
-//! describes the geometry — several CPUs per node, a pooled L1 and a small
+//! names the scheme — several CPUs per node, a pooled L1 and a small
 //! crossbar in front of each node. The cluster geometry comes straight from
 //! [`SystemConfig::cpus_per_cluster`], so 4×2, 2×4, or 8×2 systems need no
 //! new code.
 
-use crate::cache::CacheArray;
 use crate::config::SystemConfig;
-use crate::hierarchy::{DirectoryLayout, DirectoryTopo, HierarchySystem, PerCluster};
+use crate::hierarchy::{
+    util_of_banks, DirectoryLayout, DirectoryTopo, HierarchyCore, HierarchySystem, NodeScheme,
+};
+use crate::{Addr, CpuId, PortUtil};
+use cmpsim_engine::{BankedResource, Cycle};
 
 /// Extra hit latency of the intra-cluster crossbar: smaller than the
 /// 4-way shared-L1 crossbar's 2 extra cycles.
 const CLUSTER_L1_LAT: u64 = 2;
+
+/// Clustered scheme: CPUs pool into cluster nodes, each sharing an L1
+/// through its own banked crossbar.
+#[derive(Debug)]
+pub struct PerCluster {
+    cpus_per_cluster: usize,
+    /// One bank group per cluster, one bank per member CPU.
+    banks: Vec<BankedResource>,
+}
+
+impl NodeScheme for PerCluster {
+    const NAME: &'static str = "clustered";
+    const NOUN: &'static str = "cluster";
+
+    #[inline]
+    fn node_of(&self, cpu: CpuId) -> usize {
+        cpu / self.cpus_per_cluster
+    }
+
+    /// The cluster crossbar: the access waits for its bank (unless the
+    /// shared L1 is idealized) and then hits in `CLUSTER_L1_LAT` cycles.
+    #[inline]
+    fn arbitrate(
+        &mut self,
+        core: &mut HierarchyCore,
+        node: usize,
+        addr: Addr,
+        now: Cycle,
+    ) -> (Cycle, u64) {
+        if core.cfg.ideal_shared_l1 {
+            return (now, 1);
+        }
+        let grant = self.banks[node].reserve(u64::from(addr), now, core.cfg.lat.l1_occ);
+        core.stats.l1_bank_wait += grant - now;
+        (grant, CLUSTER_L1_LAT)
+    }
+
+    fn push_port_util(&self, out: &mut Vec<PortUtil>) {
+        out.extend(self.banks.iter().map(util_of_banks));
+    }
+}
 
 /// The clustered shared-L1-over-shared-L2 memory system.
 pub type ClusteredSystem = HierarchySystem<DirectoryTopo<PerCluster>>;
@@ -42,10 +86,12 @@ impl ClusteredSystem {
         ClusteredSystem::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: rejects CPU counts that leave a partial
+    /// Fallible constructor: rejects a configuration that fails
+    /// [`SystemConfig::validate`], CPU counts that leave a partial
     /// cluster (or a zero-CPU cluster) and pooled L1 geometries the cache
     /// model cannot represent.
     pub fn try_new(cfg: &SystemConfig) -> Result<ClusteredSystem, crate::ConfigError> {
+        cfg.validate()?;
         let k = cfg.cpus_per_cluster;
         if k == 0 || !cfg.n_cpus.is_multiple_of(k) {
             return Err(crate::ConfigError::PartialCluster {
@@ -58,41 +104,32 @@ impl ClusteredSystem {
             cfg.l1d.assoc,
             cfg.l1d.line_bytes,
         )?;
+        let n_clusters = cfg.n_cpus / k;
+        let scheme = PerCluster {
+            cpus_per_cluster: k,
+            banks: (0..n_clusters)
+                .map(|_| BankedResource::new("cluster-l1-bank", k, u64::from(l1_spec.line_bytes)))
+                .collect(),
+        };
         Ok(HierarchySystem::from_parts(
             cfg,
             DirectoryTopo::build(
                 cfg,
                 &DirectoryLayout {
-                    cpus_per_node: k,
+                    n_nodes: n_clusters,
                     l1i_spec: l1_spec,
                     l1d_spec: l1_spec,
                     l1i_name: "cluster-l1i",
                     l1d_name: "cluster-l1d",
-                    node_xbar: Some(("cluster-l1-bank", k, CLUSTER_L1_LAT)),
                 },
+                scheme,
             ),
         ))
     }
 
     /// Number of clusters (`n_cpus / cpus_per_cluster`).
     pub fn n_clusters(&self) -> usize {
-        self.topo().nodes().n_nodes()
-    }
-
-    /// Read-only view of a cluster's L1 data cache (tests).
-    pub fn l1d(&self, cluster: usize) -> &CacheArray {
-        self.topo().l1d_at(cluster)
-    }
-
-    /// Read-only view of the shared L2 (tests, probes).
-    pub fn l2(&self) -> &CacheArray {
-        self.topo().l2()
-    }
-
-    /// Checks the cluster-directory invariant (see
-    /// [`DirectoryTopo::directory_consistent`]).
-    pub fn directory_consistent(&self) -> bool {
-        self.topo().directory_consistent()
+        self.topo().scheme().banks.len()
     }
 }
 

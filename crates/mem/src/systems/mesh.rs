@@ -14,19 +14,18 @@
 //! return network is modeled as contention-free, the usual
 //! separate-virtual-network assumption.
 //!
-//! Coherence is the same per-line directory scheme as the shared-L2
-//! architecture ([`Directory`]): write-through no-write-allocate L1s,
+//! Coherence and the whole access walk are the shared-L2 architecture's
+//! ([`DirectoryTopo`]): write-through no-write-allocate L1s,
 //! invalidations on writes and replacements, handled at the home tile.
-//! Only the interconnect differs — a crossbar reaches any bank in a fixed
-//! 14 cycles, while the mesh pays `l2_lat + 2 * hops * LINK_LAT`, which
-//! is what makes the topology scale past the crossbar's port limits.
+//! Only the interconnect differs, and it is one stage of that walk: the
+//! [`Mesh`] scheme carries each miss and store to its home tile. A
+//! crossbar reaches any bank in a fixed 14 cycles, while the mesh pays
+//! `l2_lat + 2 * hops * LINK_LAT`, which is what makes the topology scale
+//! past the crossbar's port limits.
 
-use crate::cache::{AccessOutcome, CacheArray, LineState, MissKind};
 use crate::config::{ConfigError, SystemConfig};
-use crate::hierarchy::{
-    util_of_banks, util_of_port, Directory, HierarchyCore, HierarchySystem, SharedL2Back, Topology,
-};
-use crate::{AccessKind, Addr, CpuId, MemRequest, MemResult, PortUtil, ServiceLevel};
+use crate::hierarchy::{DirectoryLayout, DirectoryTopo, HierarchySystem, NodeScheme};
+use crate::{Addr, PortUtil};
 use cmpsim_engine::{Cycle, Port};
 
 /// Latency of one router-to-router hop, in cycles.
@@ -41,87 +40,24 @@ const W: usize = 1;
 const S: usize = 2;
 const N: usize = 3;
 
-/// The mesh multiprocessor memory system.
-pub type MeshSystem = HierarchySystem<MeshTopo>;
-
-/// The mesh topology: per-tile L1s, per-tile routers with directed links,
-/// a line-interleaved home-tile map, and the directory-kept shared L2.
+/// Mesh scheme: one tile per CPU, per-tile routers with directed links,
+/// and a line-interleaved home-tile map.
 #[derive(Debug)]
-pub struct MeshTopo {
+pub struct Mesh {
     rows: usize,
     cols: usize,
-    l1i: Vec<CacheArray>,
-    l1d: Vec<CacheArray>,
+    /// Shared-L2 line size: the home-tile interleave unit.
+    line_bytes: u32,
     /// Directed links, `tile * 4 + direction`. Edge tiles keep unused
     /// ports (never reserved) so indexing stays branch-free.
     links: Vec<Port>,
-    dir: Directory,
-    back: SharedL2Back,
 }
 
-impl MeshSystem {
-    /// Builds the system from a configuration (see
-    /// [`SystemConfig::paper_mesh`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration; use [`MeshSystem::try_new`] to
-    /// reject one without unwinding.
-    pub fn new(cfg: &SystemConfig) -> MeshSystem {
-        MeshSystem::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the system, validating the tile grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the configuration fails
-    /// [`SystemConfig::validate`] — in particular when
-    /// `mesh_rows * mesh_cols != n_cpus`.
-    pub fn try_new(cfg: &SystemConfig) -> Result<MeshSystem, ConfigError> {
-        cfg.validate()?;
-        let n = cfg.n_cpus;
-        let back = SharedL2Back::new(cfg);
-        let topo = MeshTopo {
-            rows: cfg.mesh_rows,
-            cols: cfg.mesh_cols,
-            l1i: (0..n).map(|_| CacheArray::new("l1i", cfg.l1i)).collect(),
-            l1d: (0..n).map(|_| CacheArray::new("l1d", cfg.l1d)).collect(),
-            links: (0..n * 4).map(|_| Port::new("mesh-link")).collect(),
-            dir: Directory::new(n, back.l2.n_slots()),
-            back,
-        };
-        Ok(HierarchySystem::from_parts(cfg, topo))
-    }
-
-    /// The tile grid as `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.topo().rows, self.topo().cols)
-    }
-
-    /// Read-only view of one tile's L1 data cache (tests, probes).
-    pub fn l1d(&self, cpu: usize) -> &CacheArray {
-        &self.topo().l1d[cpu]
-    }
-
-    /// Read-only view of the shared L2 (tests, probes).
-    pub fn l2(&self) -> &CacheArray {
-        &self.topo().back.l2
-    }
-
-    /// Full-state directory consistency check (see
-    /// [`Directory::consistent`]).
-    pub fn directory_consistent(&self) -> bool {
-        let t = self.topo();
-        t.dir.consistent(&t.l1d, &t.l1i, &t.back.l2)
-    }
-}
-
-impl MeshTopo {
+impl Mesh {
     /// The tile whose L2 slice is home to `addr`'s line.
     #[inline]
     fn home_of(&self, addr: Addr) -> usize {
-        let line = addr / self.back.l2.spec().line_bytes;
+        let line = addr / self.line_bytes;
         line as usize % (self.rows * self.cols)
     }
 
@@ -150,152 +86,18 @@ impl MeshTopo {
         }
         (t, hops)
     }
-
-    /// A load or ifetch that missed the tile's L1: route to the home
-    /// tile's L2 slice (and memory beyond), then refill the L1 and the
-    /// directory, paying the return trip latency-only.
-    fn read_miss(
-        &mut self,
-        core: &mut HierarchyCore,
-        now: Cycle,
-        tile: usize,
-        addr: Addr,
-        ifetch: bool,
-        kind: MissKind,
-    ) -> MemResult {
-        if ifetch {
-            core.stats.l1i.miss(kind);
-        } else {
-            core.stats.l1d.miss(kind);
-        }
-        let (arrive, hops) = self.route(tile, self.home_of(addr), now);
-        let (finish, level) = self.back.read(
-            &mut core.stats,
-            &mut self.dir,
-            &mut self.l1d,
-            &mut self.l1i,
-            &core.cfg.lat,
-            addr,
-            arrive,
-        );
-        let cache = if ifetch {
-            &mut self.l1i[tile]
-        } else {
-            &mut self.l1d[tile]
-        };
-        // Write-through L1: lines are never dirty.
-        let victim = cache.fill(addr, LineState::Shared).map(|v| v.addr);
-        let line = self.back.line(addr);
-        self.dir.note_fill(
-            &mut core.sentinel,
-            &self.back.l2,
-            tile,
-            line,
-            ifetch,
-            victim,
-        );
-        MemResult {
-            finish: finish + hops * LINK_LAT,
-            serviced_by: level,
-            l1_miss: true,
-            l1_extra: core.cfg.lat.l1_lat - 1,
-        }
-    }
-
-    /// Write-through, no-write-allocate: the word travels the mesh to its
-    /// home tile; the directory there invalidates other sharers.
-    fn store(
-        &mut self,
-        core: &mut HierarchyCore,
-        now: Cycle,
-        tile: usize,
-        addr: Addr,
-    ) -> MemResult {
-        self.l1d[tile].touch(addr);
-        let (arrive, hops) = self.route(tile, self.home_of(addr), now);
-        let line = self.back.line(addr);
-        self.dir.invalidate_sharers(
-            &mut core.sentinel,
-            &mut core.stats,
-            &mut self.l1d,
-            &mut self.l1i,
-            &self.back.l2,
-            tile,
-            line,
-            addr,
-        );
-        let (finish, level) = self.back.store(
-            &mut core.stats,
-            &mut self.dir,
-            &mut self.l1d,
-            &mut self.l1i,
-            &core.cfg.lat,
-            addr,
-            arrive,
-        );
-        MemResult {
-            finish: finish + hops * LINK_LAT,
-            serviced_by: level,
-            l1_miss: false,
-            l1_extra: core.cfg.lat.l1_lat - 1,
-        }
-    }
 }
 
-impl Topology for MeshTopo {
+impl NodeScheme for Mesh {
     const NAME: &'static str = "mesh";
+    const NOUN: &'static str = "tile";
 
+    /// The mesh stage: XY-route to the home tile's L2 slice; the response
+    /// pays the same hops back.
     #[inline]
-    fn access(&mut self, core: &mut HierarchyCore, now: Cycle, req: MemRequest) -> MemResult {
-        let tile = req.cpu;
-        let addr = req.addr;
-        match req.kind {
-            AccessKind::IFetch | AccessKind::Load => {
-                let ifetch = req.kind == AccessKind::IFetch;
-                let outcome = if ifetch {
-                    self.l1i[tile].lookup(addr)
-                } else {
-                    self.l1d[tile].lookup(addr)
-                };
-                match outcome {
-                    AccessOutcome::Hit(_) => {
-                        if ifetch {
-                            core.stats.l1i.hit();
-                        } else {
-                            core.stats.l1d.hit();
-                        }
-                        MemResult {
-                            finish: now + core.cfg.lat.l1_lat,
-                            serviced_by: ServiceLevel::L1,
-                            l1_miss: false,
-                            l1_extra: core.cfg.lat.l1_lat - 1,
-                        }
-                    }
-                    AccessOutcome::Miss(kind) => {
-                        self.read_miss(core, now, tile, addr, ifetch, kind)
-                    }
-                }
-            }
-            AccessKind::Store => self.store(core, now, tile, addr),
-        }
-    }
-
-    fn check_line(&self, core: &mut HierarchyCore, now: Cycle, cpu: CpuId, addr: Addr) {
-        let line = self.back.line(addr);
-        self.dir.check_line(
-            &mut core.sentinel,
-            &self.l1d,
-            &self.l1i,
-            &self.back.l2,
-            "tile",
-            now,
-            cpu,
-            line,
-        );
-    }
-
-    fn load_would_hit_l1(&self, cpu: CpuId, addr: Addr) -> bool {
-        self.l1d[cpu].probe(addr).is_valid()
+    fn to_l2(&mut self, tile: usize, addr: Addr, at: Cycle) -> (Cycle, u64) {
+        let (arrive, hops) = self.route(tile, self.home_of(addr), at);
+        (arrive, hops * LINK_LAT)
     }
 
     fn push_port_util(&self, out: &mut Vec<PortUtil>) {
@@ -311,16 +113,61 @@ impl Topology for MeshTopo {
             mesh.wait_cycles += p.wait_cycles();
         }
         out.push(mesh);
-        out.push(util_of_banks(&self.back.banks));
-        out.push(util_of_port(&self.back.mem));
+    }
+}
+
+/// The mesh multiprocessor memory system.
+pub type MeshSystem = HierarchySystem<DirectoryTopo<Mesh>>;
+
+impl MeshSystem {
+    /// Builds the system from a configuration (see
+    /// [`SystemConfig::paper_mesh`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid configuration; use [`MeshSystem::try_new`] to
+    /// reject one without unwinding.
+    pub fn new(cfg: &SystemConfig) -> MeshSystem {
+        MeshSystem::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the system, validating the tile grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] if the configuration fails
+    /// [`SystemConfig::validate`] — in particular when
+    /// `mesh_rows * mesh_cols != n_cpus`.
+    pub fn try_new(cfg: &SystemConfig) -> Result<MeshSystem, ConfigError> {
+        cfg.validate()?;
+        let mesh = Mesh {
+            rows: cfg.mesh_rows,
+            cols: cfg.mesh_cols,
+            line_bytes: cfg.l2.line_bytes,
+            links: (0..cfg.n_cpus * 4)
+                .map(|_| Port::new("mesh-link"))
+                .collect(),
+        };
+        let layout = DirectoryLayout::private(cfg);
+        Ok(HierarchySystem::from_parts(
+            cfg,
+            DirectoryTopo::build(cfg, &layout, mesh),
+        ))
+    }
+
+    /// The tile grid as `(rows, cols)`.
+    pub fn dims(&self) -> (usize, usize) {
+        let mesh = self.topo().scheme();
+        (mesh.rows, mesh.cols)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::LineState;
     use crate::config::SystemConfig;
-    use crate::MemorySystem;
+    use crate::{MemRequest, MemorySystem, ServiceLevel};
 
     fn sys(n: usize) -> MeshSystem {
         MeshSystem::new(&SystemConfig::paper_mesh(n))

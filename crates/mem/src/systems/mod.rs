@@ -17,10 +17,15 @@
 //!   router each) over the directory-kept shared L2, line-interleaved
 //!   across home tiles with XY-routed, link-contended NoC traffic.
 //!
-//! Each file here only names its topology type and builds its geometry;
-//! the access walks, the directory/invalidation engine, the MESI snooping
-//! steps, and the `MemorySystem` boilerplate all live in
-//! [`crate::hierarchy`].
+//! There are three access walks. The shared-L1 and shared-memory files
+//! each hold their own ([`SharedL1Topo`], [`SharedMemTopo`]). The other
+//! three machines share the one directory walk,
+//! [`DirectoryTopo`](crate::hierarchy::DirectoryTopo), and their files
+//! only name its [`NodeScheme`](crate::hierarchy::NodeScheme) —
+//! [`PerCpu`], [`PerCluster`] or [`Mesh`] — and build the geometry: the
+//! mesh is the shared-L2 walk with a mesh stage where the crossbar was.
+//! The directory/invalidation engine, the MESI snooping steps, and the
+//! `MemorySystem` boilerplate live in [`crate::hierarchy`].
 
 mod clustered;
 mod mesh;
@@ -28,8 +33,8 @@ mod shared_l1;
 mod shared_l2;
 mod shared_mem;
 
-pub use clustered::ClusteredSystem;
-pub use mesh::{MeshSystem, MeshTopo, LINK_LAT, LINK_OCC};
+pub use clustered::{ClusteredSystem, PerCluster};
+pub use mesh::{Mesh, MeshSystem, LINK_LAT, LINK_OCC};
 pub use shared_l1::{SharedL1System, SharedL1Topo};
-pub use shared_l2::SharedL2System;
+pub use shared_l2::{PerCpu, SharedL2System};
 pub use shared_mem::{SharedMemSystem, SharedMemTopo};

@@ -42,7 +42,12 @@ pub type SharedL1System = HierarchySystem<SharedL1Topo>;
 impl SharedL1System {
     /// Builds the system from a configuration (see
     /// [`SystemConfig::paper_shared_l1`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration that fails [`SystemConfig::validate`].
     pub fn new(cfg: &SystemConfig) -> SharedL1System {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         HierarchySystem::from_parts(
             cfg,
             SharedL1Topo {

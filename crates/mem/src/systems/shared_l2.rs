@@ -13,11 +13,21 @@
 //!
 //! The entire access walk lives in
 //! [`DirectoryTopo`](crate::hierarchy::DirectoryTopo); this file only
-//! describes the geometry — one CPU per node, private L1s at the front.
+//! names the scheme — one CPU per node, private L1s on the crossbar, every
+//! step the walk's default.
 
-use crate::cache::CacheArray;
 use crate::config::SystemConfig;
-use crate::hierarchy::{DirectoryLayout, DirectoryTopo, HierarchySystem, PerCpu};
+use crate::hierarchy::{DirectoryLayout, DirectoryTopo, HierarchySystem, NodeScheme};
+
+/// Shared-L2 scheme: every CPU is its own node with a private L1, one
+/// crossbar crossing (inside `l2_lat`) from every L2 bank.
+#[derive(Debug)]
+pub struct PerCpu;
+
+impl NodeScheme for PerCpu {
+    const NAME: &'static str = "shared-L2";
+    const NOUN: &'static str = "cpu";
+}
 
 /// The shared-L2 multiprocessor memory system.
 pub type SharedL2System = HierarchySystem<DirectoryTopo<PerCpu>>;
@@ -25,38 +35,16 @@ pub type SharedL2System = HierarchySystem<DirectoryTopo<PerCpu>>;
 impl SharedL2System {
     /// Builds the system from a configuration (see
     /// [`SystemConfig::paper_shared_l2`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration that fails [`SystemConfig::validate`].
     pub fn new(cfg: &SystemConfig) -> SharedL2System {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         HierarchySystem::from_parts(
             cfg,
-            DirectoryTopo::build(
-                cfg,
-                &DirectoryLayout {
-                    cpus_per_node: 1,
-                    l1i_spec: cfg.l1i,
-                    l1d_spec: cfg.l1d,
-                    l1i_name: "l1i",
-                    l1d_name: "l1d",
-                    node_xbar: None,
-                },
-            ),
+            DirectoryTopo::build(cfg, &DirectoryLayout::private(cfg), PerCpu),
         )
-    }
-
-    /// Read-only view of one CPU's L1 data cache (tests, probes).
-    pub fn l1d(&self, cpu: usize) -> &CacheArray {
-        self.topo().l1d_at(cpu)
-    }
-
-    /// Read-only view of the shared L2 (tests, probes).
-    pub fn l2(&self) -> &CacheArray {
-        self.topo().l2()
-    }
-
-    /// Checks the directory invariant: every valid L1 line has its presence
-    /// bit set, and every presence bit points at a valid L1 line backed by
-    /// a valid L2 line (inclusion). Diagnostics / property tests.
-    pub fn directory_consistent(&self) -> bool {
-        self.topo().directory_consistent()
     }
 }
 

@@ -39,7 +39,12 @@ pub type SharedMemSystem = HierarchySystem<SharedMemTopo>;
 impl SharedMemSystem {
     /// Builds the system from a configuration (see
     /// [`SystemConfig::paper_shared_mem`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration that fails [`SystemConfig::validate`].
     pub fn new(cfg: &SystemConfig) -> SharedMemSystem {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         HierarchySystem::from_parts(
             cfg,
             SharedMemTopo {

@@ -31,6 +31,11 @@
 #    the golden digests in perf/golden. A mismatch exits nonzero. The
 #    gate writes nothing into the tree: perf/ is the one place host
 #    speed is measured, and the BENCH_pr*.json files are frozen history.
+# 12. The benchmark's own tests: `cargo test` on perf/Cargo.toml (a
+#    separate package that the workspace test run does not reach) checks
+#    that a corrupted golden file fails, that the metrics perf/ reports
+#    are the ones BENCHMARK.json declares, and that it refuses to run
+#    with a CMPSIM_* knob set. It writes only under perf/target/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,5 +72,9 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== host-speed benchmark: cmpsim-perf --quick, results checked against perf/golden =="
 cargo run --release -q --offline --manifest-path perf/Cargo.toml -- --quick > "$tmpdir/perf.jsonl"
 echo "ok: cmpsim-perf --quick $(tail -n 1 "$tmpdir/perf.jsonl")"
+
+echo "== benchmark tests: cargo test on perf/Cargo.toml =="
+cargo test -q --offline --manifest-path perf/Cargo.toml
+echo "ok: perf/ tests pass"
 
 echo "verify.sh: all checks passed"

@@ -597,32 +597,21 @@ fn main() -> ExitCode {
                         .cloned()
                         .ok_or_else(|| format!("flag {flag} needs a value"))
                 };
-                let parse = |v: String| v.parse::<usize>().map_err(|e| format!("bad number: {e}"));
                 match flag.as_str() {
-                    "--rounds" => p.rounds = parse(val()?)?,
-                    "--grain" => p.grain = parse(val()?)?,
-                    "--ws" => p.working_set_kb = parse(val()?)?,
-                    "--stores" => p.store_pct = parse(val()?)? as u8,
-                    "--shared" => p.shared_pct = parse(val()?)? as u8,
-                    "--shared-kb" => p.shared_kb = parse(val()?)?,
+                    "--rounds" => p.rounds = num(val()?, "rounds")?,
+                    "--grain" => p.grain = num(val()?, "grain")?,
+                    "--ws" => p.working_set_kb = num(val()?, "ws")?,
+                    "--stores" => p.store_pct = num(val()?, "stores")?,
+                    "--shared" => p.shared_pct = num(val()?, "shared")?,
+                    "--shared-kb" => p.shared_kb = num(val()?, "shared-kb")?,
                     "--cpu" => cpu = parse_cpu(&val()?)?,
                     other => return Err(format!("unknown flag `{other}`")),
                 }
             }
-            // Validate up front so bad knobs produce CLI errors, not the
-            // library's panics.
-            if !(p.working_set_kb * 1024).is_power_of_two() {
-                return Err(format!("--ws {} is not a power of two", p.working_set_kb));
-            }
-            if !(p.shared_kb * 1024).is_power_of_two() {
-                return Err(format!("--shared-kb {} is not a power of two", p.shared_kb));
-            }
-            if p.store_pct > 100 || p.shared_pct > 100 {
-                return Err("--stores/--shared are percentages (0-100)".into());
-            }
+            // The builder checks every limit; build before printing anything.
+            let w = build_synth(&p).map_err(|e| e.to_string())?;
             println!("synth: {p:?}\n");
             print_sweep(cpu, |arch| {
-                let w = build_synth(&p).map_err(|e| e.to_string())?;
                 let mut cfg = MachineConfig::new(arch, cpu);
                 cfg.n_cpus = p.n_cpus;
                 run_workload(&cfg, &w, 40_000_000_000).map_err(|e| e.to_string())

@@ -2,11 +2,13 @@
 //!
 //! * `replay` refuses a replay system with fewer CPUs than the trace
 //!   carries, and `--cpus 0`; `run` refuses a scale that is not finite
-//!   and positive or too large for the workload, and a multiprog machine
-//!   too large for its address spaces; `explore` refuses a workload it
-//!   cannot build. Each exits 1 with an `error:` line instead of a panic
-//!   or a hang, and an `explore --exec` point whose run fails is dropped
-//!   with one line naming its error.
+//!   and positive or too large for the workload, a multiprog machine
+//!   too large for its address spaces, and a cache geometry, bank count,
+//!   L1 latency or mesh grid the memory system cannot build; `synth` refuses
+//!   parameters its layout or counters cannot hold; `explore` refuses a
+//!   workload it cannot build. Each exits 1 with an `error:` line instead
+//!   of a panic or a hang, and an `explore --exec` point whose run fails
+//!   is dropped with one line naming its error.
 //! * A torn capture salvages to a clean prefix, a mesh capture replays
 //!   identically into two configurations at any job count, and an
 //!   explore search prints the same lines at any job count and from a
@@ -14,13 +16,35 @@
 //! * `--arch` and `--dim arch=` take the same names.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn cmpsim(args: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cmpsim"))
         .args(args.split_whitespace())
         .output()
         .expect("cmpsim starts")
+}
+
+/// Runs `cmpsim`, killing it and failing the test if it is still running
+/// after `secs` seconds.
+fn cmpsim_within(args: &str, secs: u64) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cmpsim"))
+        .args(args.split_whitespace())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cmpsim starts");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("cmpsim waits").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cmpsim {args}: still running after {secs} s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("cmpsim output")
 }
 
 /// Runs `cmpsim`, asserts it succeeded and returns its stdout.
@@ -84,8 +108,53 @@ fn run_rejects_workload_parameters_it_cannot_build() {
             "-w ocean --scale 1e30",
             "the sweep counter holds at most 4294967295",
         ),
+        // Each of these machine flags used to panic in a system builder,
+        // or wrap `l1_lat - 1` in the hit path.
+        (
+            "-w eqntott -s 0.02 --l2-assoc 0",
+            "associativity must be at least 1",
+        ),
+        (
+            "-w eqntott -s 0.02 --l2-assoc 1000000",
+            "cache smaller than assoc * line",
+        ),
+        (
+            "-w eqntott -s 0.02 -a shared-l1 --l1-banks 0",
+            "L1 bank count must be at least 1",
+        ),
+        (
+            "-w eqntott -s 0.02 -a shared-l2 --l1-latency 0",
+            "L1 hit latency must be at least 1",
+        ),
+        // rows x cols overflows to 2.
+        (
+            "-w eqntott -s 0.02 -a mesh -n 2 --mesh-rows 9223372036854775809 --mesh-cols 2",
+            "mesh tiles must cover the CPUs exactly",
+        ),
     ] {
         let out = cmpsim(&format!("run {args}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(want),
+            "{args}: {stderr}"
+        );
+    }
+}
+
+/// `synth` checks its parameters before simulating: a percentage is not
+/// truncated to a byte, a working set may not overlap the next CPU's
+/// private region, and a zero grain or round count does not wrap the
+/// loop counter into a four-billion-iteration run.
+#[test]
+fn synth_refuses_parameters_it_cannot_hold() {
+    for (args, want) in [
+        ("--stores 300", "bad stores"),
+        ("--ws 512", "working set 512 KB exceeds its 256 KB limit"),
+        ("--grain 0", "at least 1 round of at least 1 access"),
+        ("--rounds 0", "at least 1 round of at least 1 access"),
+    ] {
+        let out = cmpsim_within(&format!("synth {args}"), 5);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
         assert!(
