@@ -19,9 +19,7 @@
 
 use crate::ExploreError;
 use cmpsim_core::{ArchKind, CpuKind, MachineConfig, MxsConfig};
-use cmpsim_mem::{
-    AreaModel, CacheCopies, CacheSpec, ConfigError, CpuSet, SentinelSpec, SystemConfig,
-};
+use cmpsim_mem::{AreaModel, CacheCopies, CacheSpec, ConfigError, SentinelSpec, SystemConfig};
 
 /// Number of dimensions in the embedding, in [`DIM_NAMES`] order.
 pub const NDIMS: usize = 10;
@@ -237,8 +235,8 @@ impl DesignSpace {
             if n == 0 {
                 return Err(bad("cpus", n, "a machine needs at least one CPU"));
             }
-            if n > CpuSet::MAX_CPUS {
-                return Err(bad("cpus", n, "exceeds the CpuSet validation ceiling"));
+            if n > SystemConfig::MAX_CPUS {
+                return Err(bad("cpus", n, "exceeds the CPU validation ceiling"));
             }
         }
         for &kb in self.l1_kb.iter().chain(&self.l2_kb) {
@@ -402,7 +400,6 @@ impl DesignSpace {
                 .checked_mul(1024)
                 .and_then(|b| b.checked_mul(pool))
                 .ok_or_else(|| noncanon("pooled L1 capacity overflows u32"))?;
-            CacheSpec::try_new(bytes, paper.l1d.assoc, paper.l1d.line_bytes)?;
             if arch == ArchKind::Clustered {
                 // The clustered build pools the per-CPU spec again by
                 // cluster size; reject geometries it would refuse.
@@ -414,23 +411,15 @@ impl DesignSpace {
             }
             cfg.l1_size = Some(bytes);
         }
-        let l2_size = if self.l2_kb.is_empty() {
-            paper.l2.size_bytes
-        } else {
+        if !self.l2_kb.is_empty() {
             let bytes = self.l2_kb[digits[4]]
                 .checked_mul(1024)
                 .ok_or_else(|| noncanon("L2 capacity overflows u32"))?;
             cfg.l2_size = Some(bytes);
-            bytes
-        };
-        let l2_assoc = if self.l2_assoc.is_empty() {
-            paper.l2.assoc
-        } else {
-            let a = self.l2_assoc[digits[5]];
-            cfg.l2_assoc = Some(a);
-            a
-        };
-        CacheSpec::try_new(l2_size, l2_assoc, paper.l2.line_bytes)?;
+        }
+        if !self.l2_assoc.is_empty() {
+            cfg.l2_assoc = Some(self.l2_assoc[digits[5]]);
+        }
         if !self.l2_banks.is_empty() {
             cfg.l2_banks = Some(self.l2_banks[digits[6]]);
         }

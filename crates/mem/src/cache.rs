@@ -141,8 +141,8 @@ impl CacheArray {
     pub fn new(name: &'static str, spec: CacheSpec) -> CacheArray {
         let n_sets = spec.n_sets();
         let n_lines = n_sets * spec.assoc;
-        debug_assert!(
-            spec.line_bytes >= 4,
+        assert!(
+            spec.line_bytes >= CacheSpec::MIN_LINE_BYTES,
             "packed meta needs 2 free low address bits"
         );
         CacheArray {

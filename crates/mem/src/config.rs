@@ -1,6 +1,5 @@
 //! Configuration: cache geometries and the paper's latency/occupancy table.
 
-use crate::cpuset::CpuSet;
 use crate::sentinel::SentinelSpec;
 use crate::Addr;
 use std::fmt;
@@ -38,11 +37,16 @@ pub enum ConfigError {
         /// Requested line size in bytes.
         line_bytes: u32,
     },
-    /// CPU count exceeds the validated [`CpuSet`] ceiling.
+    /// Line size below [`CacheSpec::MIN_LINE_BYTES`].
+    LineTooSmall {
+        /// Requested line size in bytes.
+        line_bytes: u32,
+    },
+    /// CPU count exceeds the validation ceiling.
     TooManyCpus {
         /// Requested CPU count.
         n_cpus: usize,
-        /// Supported maximum ([`CpuSet::MAX_CPUS`]).
+        /// Supported maximum ([`SystemConfig::MAX_CPUS`]).
         max: usize,
     },
     /// Zero CPUs.
@@ -133,10 +137,15 @@ impl fmt::Display for ConfigError {
                 f,
                 "cache smaller than assoc * line ({size_bytes} B < {assoc} x {line_bytes} B)"
             ),
-            ConfigError::TooManyCpus { n_cpus, max } => write!(
+            ConfigError::LineTooSmall { line_bytes } => write!(
                 f,
-                "{n_cpus} CPUs exceed the {max}-CPU CpuSet validation ceiling"
+                "line size must be at least {} B: a cache keeps each line's state \
+                 in its 2 low address bits (got {line_bytes} B)",
+                CacheSpec::MIN_LINE_BYTES
             ),
+            ConfigError::TooManyCpus { n_cpus, max } => {
+                write!(f, "{n_cpus} CPUs exceed the {max}-CPU validation ceiling")
+            }
             ConfigError::NoCpus => write!(f, "a machine needs at least one CPU"),
             ConfigError::MeshGeometry { n_cpus, rows, cols } => write!(
                 f,
@@ -199,6 +208,10 @@ pub struct CacheSpec {
 }
 
 impl CacheSpec {
+    /// Smallest line size: [`crate::CacheArray`] packs each line's state
+    /// into the two low bits of its line address.
+    pub const MIN_LINE_BYTES: u32 = 4;
+
     /// Creates and validates a cache geometry.
     ///
     /// # Panics
@@ -216,7 +229,8 @@ impl CacheSpec {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if either size is not a power of two, the
-    /// associativity is zero, or the capacity is below one full set.
+    /// line is below [`CacheSpec::MIN_LINE_BYTES`], the associativity is
+    /// zero, or the capacity is below one full set.
     pub fn try_new(
         size_bytes: u32,
         assoc: usize,
@@ -233,6 +247,9 @@ impl CacheSpec {
                 what: "line size",
                 value: u64::from(line_bytes),
             });
+        }
+        if line_bytes < CacheSpec::MIN_LINE_BYTES {
+            return Err(ConfigError::LineTooSmall { line_bytes });
         }
         if assoc == 0 {
             return Err(ConfigError::ZeroAssociativity);
@@ -380,6 +397,11 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// Most CPUs a validated configuration may have: a sanity ceiling, so
+    /// a mistyped CPU count fails fast instead of allocating gigabytes of
+    /// cache model.
+    pub const MAX_CPUS: usize = 1024;
+
     /// Shared-primary-cache architecture (Figure 1): 4 CPUs share banked
     /// 64 KB I and D caches through a crossbar; uniprocessor-like L2 and
     /// memory below.
@@ -545,17 +567,17 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the CPU count is zero or exceeds the
-    /// [`CpuSet::MAX_CPUS`] sanity ceiling, a cache geometry fails
+    /// [`SystemConfig::MAX_CPUS`] sanity ceiling, a cache geometry fails
     /// [`CacheSpec::try_new`], a bank count or the L1 hit latency is zero,
     /// or the mesh tile grid does not cover the CPUs exactly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_cpus == 0 {
             return Err(ConfigError::NoCpus);
         }
-        if self.n_cpus > CpuSet::MAX_CPUS {
+        if self.n_cpus > SystemConfig::MAX_CPUS {
             return Err(ConfigError::TooManyCpus {
                 n_cpus: self.n_cpus,
-                max: CpuSet::MAX_CPUS,
+                max: SystemConfig::MAX_CPUS,
             });
         }
         for c in [self.l1i, self.l1d, self.l2] {
@@ -708,6 +730,18 @@ mod tests {
             })
         );
         assert!(CacheSpec::try_new(1024, 2, 32).is_ok());
+        assert!(CacheSpec::try_new(1024, 2, CacheSpec::MIN_LINE_BYTES).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_lines_too_small_for_the_packed_state_bits() {
+        for line_bytes in [1, 2] {
+            let mut c = SystemConfig::paper_shared_l2(4);
+            c.l1d.line_bytes = line_bytes;
+            assert_eq!(c.validate(), Err(ConfigError::LineTooSmall { line_bytes }));
+        }
+        let e = ConfigError::LineTooSmall { line_bytes: 2 };
+        assert!(e.to_string().contains("at least 4 B"), "{e}");
     }
 
     #[test]
@@ -715,18 +749,17 @@ mod tests {
         assert!(SystemConfig::paper_shared_l2(4).validate().is_ok());
         assert!(SystemConfig::paper_shared_l2(8).validate().is_ok());
         assert!(SystemConfig::paper_shared_l2(32).validate().is_ok());
-        // The old 32-CPU presence-bitmap ceiling is gone: any count up to
-        // the CpuSet sanity bound validates.
+        // Any count up to the sanity ceiling validates.
         assert!(SystemConfig::paper_shared_l2(33).validate().is_ok());
         assert!(SystemConfig::paper_shared_l2(64).validate().is_ok());
-        assert!(SystemConfig::paper_shared_l2(CpuSet::MAX_CPUS)
+        assert!(SystemConfig::paper_shared_l2(SystemConfig::MAX_CPUS)
             .validate()
             .is_ok());
         assert_eq!(
-            SystemConfig::paper_shared_l2(CpuSet::MAX_CPUS + 1).validate(),
+            SystemConfig::paper_shared_l2(SystemConfig::MAX_CPUS + 1).validate(),
             Err(ConfigError::TooManyCpus {
-                n_cpus: CpuSet::MAX_CPUS + 1,
-                max: CpuSet::MAX_CPUS
+                n_cpus: SystemConfig::MAX_CPUS + 1,
+                max: SystemConfig::MAX_CPUS
             })
         );
         assert_eq!(

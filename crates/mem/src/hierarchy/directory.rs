@@ -13,7 +13,6 @@ use super::backside::SharedL2Back;
 use super::{util_of_banks, util_of_port, HierarchyCore, HierarchySystem, Topology};
 use crate::cache::{AccessOutcome, CacheArray, LineState, MissKind};
 use crate::config::{CacheSpec, SystemConfig};
-use crate::cpuset::CpuSet;
 use crate::sentinel::{FaultKind, Sentinel, ViolationKind};
 use crate::stats::MemStats;
 use crate::{AccessKind, Addr, CpuId, MemRequest, MemResult, PortUtil, ServiceLevel};
@@ -28,24 +27,66 @@ use cmpsim_engine::Cycle;
 /// L2 way covers every line the directory can ever need, and the store
 /// path's presence lookup rides the L2 set walk it was about to do anyway
 /// instead of hashing into a side map.
+///
+/// The table is one flat word array: each slot holds `words` d-side words
+/// then `words` i-side words, `words = ⌈n_nodes / 64⌉`, with node `k` at
+/// bit `k % 64` of word `k / 64` of its side — 16 B per L2 way up to 64
+/// nodes. It is allocated zeroed and has no per-slot object to build or
+/// drop.
 #[derive(Debug)]
 pub struct Directory {
-    /// Per-L2-way (d-side presence set, i-side presence set), one
-    /// [`CpuSet`] member per node. Empty pairs for ways holding no
-    /// tracked line; invariant: both sets are empty whenever the way is
-    /// invalid.
-    slots: Vec<(CpuSet, CpuSet)>,
+    /// `2 * words` presence words per L2 way slot. Invariant: every word
+    /// of a slot is zero whenever its way is invalid.
+    bits: Vec<u64>,
+    /// Words per side of one slot.
+    words: usize,
     n_nodes: usize,
+}
+
+/// The set bit positions of `w`, lowest first.
+fn bit_positions(mut w: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let b = w.trailing_zeros() as usize;
+            w &= w - 1;
+            b
+        })
+    })
 }
 
 impl Directory {
     /// An empty directory over `n_nodes` nodes, tracking an L2 with
     /// `n_slots` way slots.
     pub fn new(n_nodes: usize, n_slots: usize) -> Directory {
+        let words = n_nodes.div_ceil(64);
         Directory {
-            slots: vec![(CpuSet::EMPTY, CpuSet::EMPTY); n_slots],
+            bits: vec![0; 2 * words * n_slots],
+            words,
             n_nodes,
         }
+    }
+
+    /// `slot`'s d-side words followed by its i-side words.
+    #[inline]
+    fn slot(&self, slot: usize) -> &[u64] {
+        let w = 2 * self.words;
+        &self.bits[slot * w..slot * w + w]
+    }
+
+    /// `slot`'s d-side and i-side words, mutably.
+    #[inline]
+    fn sides_mut(&mut self, slot: usize) -> (&mut [u64], &mut [u64]) {
+        let w = self.words;
+        self.bits[slot * 2 * w..slot * 2 * w + 2 * w].split_at_mut(w)
+    }
+
+    /// Whether `node`'s bit is set in one slot's words `bits`, on the
+    /// d side (`side == 0`) or the i side (`side == 1`). Empty `bits`
+    /// (no slot) hold no bit.
+    #[inline]
+    fn has(&self, bits: &[u64], side: usize, node: usize) -> bool {
+        bits.get(side * self.words + (node >> 6))
+            .is_some_and(|w| w >> (node & 63) & 1 != 0)
     }
 
     /// Records `node`'s new L1 copy of `line` and clears its bit on the
@@ -60,36 +101,39 @@ impl Directory {
         ifetch: bool,
         victim: Option<Addr>,
     ) {
-        let spurious = self.n_nodes > 1 && sentinel.inject(FaultKind::SpuriousState, line);
+        let n_nodes = self.n_nodes;
+        let spurious = n_nodes > 1 && sentinel.inject(FaultKind::SpuriousState, line);
+        let (word, bit) = (node >> 6, 1u64 << (node & 63));
         if let Some(slot) = l2.slot_of(line) {
-            let entry = &mut self.slots[slot];
+            let (d, i) = self.sides_mut(slot);
             if ifetch {
-                entry.1.set(node);
+                i[word] |= bit;
             } else {
-                entry.0.set(node);
+                d[word] |= bit;
             }
             if spurious {
-                let ghost = (node + 1) % self.n_nodes;
-                entry.0.set(ghost);
+                let ghost = (node + 1) % n_nodes;
+                d[ghost >> 6] |= 1 << (ghost & 63);
             }
         }
         if let Some(v) = victim {
             if let Some(slot) = l2.slot_of(v) {
-                let e = &mut self.slots[slot];
+                let (d, i) = self.sides_mut(slot);
                 if ifetch {
-                    e.1.clear(node);
+                    i[word] &= !bit;
                 } else {
-                    e.0.clear(node);
+                    d[word] &= !bit;
                 }
             }
         }
     }
 
     /// Invalidates every other node's L1 copies of `line` after a write by
-    /// `writer` (directory-driven coherence). Fault injection (sentinel):
-    /// may drop the invalidation message to one victim while still clearing
-    /// its directory bit — the stale copy then shows up as a
-    /// copy-without-presence violation.
+    /// `writer` (directory-driven coherence), visiting victims in
+    /// ascending node order, the d side before the i side. Fault injection
+    /// (sentinel): may drop the invalidation message to the first victim
+    /// while still clearing its directory bit — the stale copy then shows
+    /// up as a copy-without-presence violation.
     #[allow(clippy::too_many_arguments)] // disjoint &mut core fields, by design
     pub fn invalidate_sharers(
         &mut self,
@@ -106,33 +150,33 @@ impl Directory {
             // Not L2-resident: inclusion says no L1 holds it either.
             return;
         };
-        let (d, i) = &mut self.slots[slot];
-        if !d.contains_other(writer) && !i.contains_other(writer) {
-            // Common case: only the writer holds the line — one map probe,
-            // no victim walk. (Every store funnels through here.)
+        let (word, bit) = (writer >> 6, 1u64 << (writer & 63));
+        let own = |k: usize| if k == word { bit } else { 0 };
+        let (d, i) = self.sides_mut(slot);
+        let mut words = d.iter().zip(&*i).enumerate();
+        if words.all(|(k, (&dw, &iw))| (dw | iw) & !own(k) == 0) {
+            // Common case: only the writer holds the line — no victim
+            // walk. (Every store funnels through here.)
             return;
         }
-        let d_victims = d.except(writer);
-        let i_victims = i.except(writer);
-        d.subtract(&d_victims);
-        i.subtract(&i_victims);
         let mut drop_one = sentinel.inject(FaultKind::DroppedInvalidation, line);
-        for node in 0..self.n_nodes {
-            if d_victims.contains(node) {
-                if drop_one {
-                    drop_one = false;
-                } else {
-                    l1d[node].invalidate(addr);
+        for (k, (dw, iw)) in d.iter_mut().zip(i).enumerate() {
+            let (d_victims, i_victims) = (*dw & !own(k), *iw & !own(k));
+            *dw &= own(k);
+            *iw &= own(k);
+            for b in bit_positions(d_victims | i_victims) {
+                let node = k << 6 | b;
+                let sides = [(d_victims, &mut l1d[node]), (i_victims, &mut l1i[node])];
+                for (victims, cache) in sides {
+                    if victims >> b & 1 != 0 {
+                        if drop_one {
+                            drop_one = false;
+                        } else {
+                            cache.invalidate(addr);
+                        }
+                        stats.invalidations_sent += 1;
+                    }
                 }
-                stats.invalidations_sent += 1;
-            }
-            if i_victims.contains(node) {
-                if drop_one {
-                    drop_one = false;
-                } else {
-                    l1i[node].invalidate(addr);
-                }
-                stats.invalidations_sent += 1;
             }
         }
     }
@@ -150,16 +194,17 @@ impl Directory {
         slot: usize,
         line: Addr,
     ) {
-        let (d_bits, i_bits) = std::mem::take(&mut self.slots[slot]);
-        if d_bits.is_empty() && i_bits.is_empty() {
-            return;
-        }
-        for node in 0..self.n_nodes {
-            if d_bits.contains(node) {
-                l1d[node].evict(line);
-            }
-            if i_bits.contains(node) {
-                l1i[node].evict(line);
+        let (d, i) = self.sides_mut(slot);
+        for (k, (dw, iw)) in d.iter_mut().zip(i).enumerate() {
+            let (d_bits, i_bits) = (std::mem::take(dw), std::mem::take(iw));
+            for b in bit_positions(d_bits | i_bits) {
+                let node = k << 6 | b;
+                if d_bits >> b & 1 != 0 {
+                    l1d[node].evict(line);
+                }
+                if i_bits >> b & 1 != 0 {
+                    l1i[node].evict(line);
+                }
             }
         }
     }
@@ -169,32 +214,31 @@ impl Directory {
     /// a valid L2 line (inclusion). Diagnostics / property tests.
     pub fn consistent(&self, l1d: &[CacheArray], l1i: &[CacheArray], l2: &CacheArray) -> bool {
         for node in 0..self.n_nodes {
-            for (cache, side) in [(&l1d[node], 0usize), (&l1i[node], 1)] {
+            for (cache, side) in [(&l1d[node], 0), (&l1i[node], 1)] {
                 for line in cache.valid_lines() {
                     let Some(slot) = l2.slot_of(line) else {
                         return false; // inclusion violated
                     };
-                    let (d, i) = &self.slots[slot];
-                    let bits = if side == 0 { d } else { i };
-                    if !bits.contains(node) {
+                    if !self.has(self.slot(slot), side, node) {
                         return false;
                     }
                 }
             }
         }
-        for (slot, (d_bits, i_bits)) in self.slots.iter().enumerate() {
-            if d_bits.is_empty() && i_bits.is_empty() {
+        for slot in 0..l2.n_slots() {
+            let bits = self.slot(slot);
+            if bits.iter().all(|&w| w == 0) {
                 continue;
             }
             let Some(line) = l2.line_at_slot(slot) else {
                 return false; // presence bits on an invalid L2 way
             };
-            for node in 0..self.n_nodes {
-                if d_bits.contains(node) && !l1d[node].probe(line).is_valid() {
-                    return false;
-                }
-                if i_bits.contains(node) && !l1i[node].probe(line).is_valid() {
-                    return false;
+            let (d, i) = bits.split_at(self.words);
+            for (side, caches) in [(d, l1d), (i, l1i)] {
+                for (k, &w) in side.iter().enumerate() {
+                    if bit_positions(w).any(|b| !caches[k << 6 | b].probe(line).is_valid()) {
+                        return false;
+                    }
                 }
             }
         }
@@ -218,39 +262,38 @@ impl Directory {
         cpu: CpuId,
         line: Addr,
     ) {
-        static EMPTY: (CpuSet, CpuSet) = (CpuSet::EMPTY, CpuSet::EMPTY);
         let slot = l2.slot_of(line);
-        let (d_bits, i_bits) = slot.map_or(&EMPTY, |s| &self.slots[s]);
+        let bits = slot.map_or(&[][..], |s| self.slot(s));
         let l2_valid = slot.is_some();
         let mut found: Vec<(ViolationKind, String)> = Vec::new();
         for n in 0..self.n_nodes {
-            for (cache, bits, side) in [(&l1d[n], d_bits, "l1d"), (&l1i[n], i_bits, "l1i")] {
+            for (cache, side, name) in [(&l1d[n], 0, "l1d"), (&l1i[n], 1, "l1i")] {
                 let state = cache.probe(line);
-                let bit = bits.contains(n);
+                let bit = self.has(bits, side, n);
                 if state.is_valid() && !bit {
                     found.push((
                         ViolationKind::CopyWithoutPresence,
-                        format!("{noun} {n} {side} holds the line but its directory bit is clear"),
+                        format!("{noun} {n} {name} holds the line but its directory bit is clear"),
                     ));
                 }
                 if bit && !state.is_valid() {
                     found.push((
                         ViolationKind::PresenceWithoutCopy,
                         format!(
-                            "directory marks {noun} {n} {side} as a sharer but it holds no copy"
+                            "directory marks {noun} {n} {name} as a sharer but it holds no copy"
                         ),
                     ));
                 }
                 if state.is_valid() && !l2_valid {
                     found.push((
                         ViolationKind::InclusionViolation,
-                        format!("{noun} {n} {side} holds the line but the shared L2 does not"),
+                        format!("{noun} {n} {name} holds the line but the shared L2 does not"),
                     ));
                 }
                 if state == LineState::Modified {
                     found.push((
                         ViolationKind::WriteThroughDirty,
-                        format!("write-through {noun} {n} {side} holds the line dirty"),
+                        format!("write-through {noun} {n} {name} holds the line dirty"),
                     ));
                 }
             }
@@ -553,5 +596,60 @@ impl<S: NodeScheme> HierarchySystem<DirectoryTopo<S>> {
     pub fn directory_consistent(&self) -> bool {
         let t = self.topo();
         t.dir.consistent(&t.l1d, &t.l1i, &t.back.l2)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sentinel::{FaultClassSet, SentinelSpec};
+
+    #[test]
+    fn presence_table_holds_one_word_per_side_per_64_nodes() {
+        for (n_nodes, words_per_way) in [(4, 2), (64, 2), (65, 4), (130, 6)] {
+            let dir = Directory::new(n_nodes, 8);
+            assert_eq!(dir.bits.len(), 8 * words_per_way, "{n_nodes} nodes");
+        }
+    }
+
+    /// The dropped-invalidation fault spares the first victim, so the walk
+    /// order decides which stale copy the sentinel reports: ascending
+    /// nodes across words, the d side before the i side at each node.
+    #[test]
+    fn a_dropped_invalidation_spares_the_lowest_node_d_side_first() {
+        let n = 131;
+        let l1 = CacheSpec::new(1024, 2, 32);
+        let mut l1d: Vec<_> = (0..n).map(|_| CacheArray::new("l1d", l1)).collect();
+        let mut l1i: Vec<_> = (0..n).map(|_| CacheArray::new("l1i", l1)).collect();
+        let mut l2 = CacheArray::new("l2", CacheSpec::new(4096, 1, 32));
+        let line = 0x40;
+        l2.fill(line, LineState::Exclusive);
+        let mut dir = Directory::new(n, l2.n_slots());
+        let drop_all = FaultClassSet::only(FaultKind::DroppedInvalidation);
+        let mut sentinel = Sentinel::from_spec(&SentinelSpec::with_faults(1, 1_000_000, drop_all));
+        for (node, ifetch) in [(130, false), (65, true), (65, false)] {
+            let cache = if ifetch {
+                &mut l1i[node]
+            } else {
+                &mut l1d[node]
+            };
+            cache.fill(line, LineState::Shared);
+            dir.note_fill(&mut sentinel, &l2, node, line, ifetch, None);
+        }
+        let mut stats = MemStats::new();
+        dir.invalidate_sharers(
+            &mut sentinel,
+            &mut stats,
+            &mut l1d,
+            &mut l1i,
+            &l2,
+            0,
+            line,
+            line,
+        );
+        assert_eq!(stats.invalidations_sent, 3);
+        assert!(l1d[65].probe(line).is_valid(), "node 65's d side is first");
+        assert!(!l1i[65].probe(line).is_valid());
+        assert!(!l1d[130].probe(line).is_valid());
     }
 }

@@ -11,14 +11,17 @@
 //! * The [`hierarchy`] core — the shared coherent-hierarchy building
 //!   blocks (L1 frontend, directory/invalidation engine, MESI snooping,
 //!   sentinel hooks, `MemorySystem` boilerplate) every architecture is
-//!   assembled from.
+//!   assembled from. The directory keeps its presence bits in one flat
+//!   table of 64-bit words beside the shared L2's ways: 16 B per way up
+//!   to 64 nodes, one more word per side for each further 64.
 //! * The five architectures behind the [`MemorySystem`] trait:
 //!   [`SharedL1System`], [`SharedL2System`], [`SharedMemSystem`],
 //!   [`ClusteredSystem`] and [`MeshSystem`] — thin geometry descriptions
-//!   over the hierarchy core, generic over `n_cpus` and cluster/grid
-//!   geometry. The last three are one directory walk
-//!   ([`hierarchy::DirectoryTopo`]) whose node schemes differ only in the
-//!   L1 front end and the interconnect stage to the shared L2.
+//!   over the hierarchy core, generic over `n_cpus` (up to
+//!   [`SystemConfig::MAX_CPUS`]) and cluster/grid geometry. The last
+//!   three are one directory walk ([`hierarchy::DirectoryTopo`]) whose
+//!   node schemes differ only in the L1 front end and the interconnect
+//!   stage to the shared L2.
 //! * [`WriteBuffer`] — the per-CPU store buffer both CPU models drain
 //!   stores through.
 //!
@@ -43,7 +46,6 @@
 
 pub mod cache;
 pub mod config;
-pub mod cpuset;
 pub mod hierarchy;
 pub mod phys;
 pub mod sentinel;
@@ -53,7 +55,6 @@ pub mod wbuf;
 
 pub use cache::{AccessOutcome, CacheArray, LineState, MissKind, Victim};
 pub use config::{AreaModel, CacheCopies, CacheSpec, ConfigError, LatencySpec, SystemConfig};
-pub use cpuset::CpuSet;
 pub use phys::{AddrSpace, PhysMem, KERNEL_BASE};
 pub use sentinel::{
     FaultClassSet, FaultInjector, FaultKind, Sentinel, SentinelSpec, SentinelViolation,

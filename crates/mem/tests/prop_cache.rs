@@ -199,13 +199,25 @@ fn warm_accesses_never_slower() {
 }
 
 /// The shared-L2 directory and the L1 contents never diverge under any
-/// interleaving of loads, stores and fetches from four CPUs.
+/// interleaving of loads, stores and fetches, at 4, 64, 65 and 130 CPUs:
+/// presence bits in one, one full, two and three words per side.
 #[test]
 fn shared_l2_directory_invariant() {
     prop::check("shared_l2_directory_invariant", |src| {
         use cmpsim_mem::SharedL2System;
-        let ops = src.vec(1..250, |s| (s.usize(0..4), s.u32(0..512), s.u8(0..3)));
-        let mut s = SharedL2System::new(&SystemConfig::paper_shared_l2(4));
+        let n = [4, 64, 65, 130][src.index(4)];
+        // Half the accesses come from four CPUs spread over every word
+        // (first, second, middle, last), so sharers straddle words.
+        let spread = [0, 1, n / 2, n - 1];
+        let ops = src.vec(1..250, |s| {
+            let cpu = if s.bool() {
+                spread[s.index(4)]
+            } else {
+                s.usize(0..n)
+            };
+            (cpu, s.u32(0..512), s.u8(0..3))
+        });
+        let mut s = SharedL2System::new(&SystemConfig::paper_shared_l2(n));
         for (i, &(cpu, line, kind)) in ops.iter().enumerate() {
             // A few lines alias in the direct-mapped 2 MB L2 (every 64K
             // lines); sprinkle large strides so back-invalidation paths run.
