@@ -35,7 +35,7 @@ pub mod report;
 pub use cmpsim_cpu::MxsConfig;
 pub use machine::{
     run_workload, ArchKind, CpuDiag, CpuKind, Machine, MachineConfig, RunError, RunSummary,
-    Watchdog, WatchdogReport,
+    WatchdogReport,
 };
 pub use probe::{capture_run, probe_latencies, ProbeResult};
 pub use report::{Breakdown, IpcBreakdown, MissRates, TraceProfile};

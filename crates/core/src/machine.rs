@@ -168,9 +168,6 @@ pub struct MachineConfig {
     /// Coherence-sentinel specification. `None` means off, the same as
     /// `Some(SentinelSpec::off())`.
     pub sentinel: Option<SentinelSpec>,
-    /// Forward-progress watchdog: flag a CPU that graduates nothing for
-    /// this many cycles. `None` means the watchdog is off.
-    pub stall_cycles: Option<u64>,
     /// Retired: every run is one serial loop (DESIGN.md §12 says why there
     /// is no intra-run parallelism). `None` and `Some(1)` are accepted;
     /// [`Machine::try_new`] rejects any other value with
@@ -197,7 +194,6 @@ impl MachineConfig {
             cpus_per_cluster: None,
             mesh_dims: None,
             sentinel: None,
-            stall_cycles: None,
             shards: None,
         }
     }
@@ -240,9 +236,8 @@ impl MachineConfig {
     }
 }
 
-/// Per-CPU diagnostic snapshot taken when a run fails to make progress —
-/// the payload of the enriched [`RunError::Timeout`] and
-/// [`RunError::Stalled`] reports.
+/// Per-CPU diagnostic snapshot taken when a run exceeds its cycle budget —
+/// the payload of the enriched [`RunError::Timeout`] report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuDiag {
     /// CPU index.
@@ -257,9 +252,6 @@ pub struct CpuDiag {
     pub instructions: u64,
     /// Outstanding LL reservation (line address), if any.
     pub ll_reservation: Option<u32>,
-    /// Cycles since this CPU last graduated an instruction (0 when the
-    /// watchdog is off).
-    pub stalled_for: u64,
 }
 
 impl fmt::Display for CpuDiag {
@@ -278,9 +270,6 @@ impl fmt::Display for CpuDiag {
         )?;
         if let Some(ll) = self.ll_reservation {
             write!(f, ", LL reservation on line {ll:#x}")?;
-        }
-        if self.stalled_for > 0 {
-            write!(f, ", no progress for {} cycles", self.stalled_for)?;
         }
         Ok(())
     }
@@ -325,51 +314,6 @@ impl fmt::Display for WatchdogReport {
     }
 }
 
-/// Forward-progress watchdog: per-CPU graduation counts, with the cycle at
-/// which each last advanced. Factored out of [`Machine::run`] so the
-/// stall-detection arithmetic is unit-testable without building a machine.
-#[derive(Debug, Clone)]
-pub struct Watchdog {
-    limit: u64,
-    last_instructions: Vec<u64>,
-    last_progress: Vec<u64>,
-}
-
-impl Watchdog {
-    /// A watchdog flagging any CPU that graduates nothing for more than
-    /// `limit` cycles.
-    pub fn new(limit: u64, n_cpus: usize) -> Watchdog {
-        Watchdog {
-            limit,
-            last_instructions: vec![0; n_cpus],
-            last_progress: vec![0; n_cpus],
-        }
-    }
-
-    /// The configured stall limit in cycles.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
-    /// Records `cpu`'s graduation count at `cycle`. Returns
-    /// `Some(stalled_for)` when the CPU has gone more than the limit
-    /// without graduating anything.
-    pub fn observe(&mut self, cpu: usize, cycle: u64, instructions: u64) -> Option<u64> {
-        if instructions != self.last_instructions[cpu] {
-            self.last_instructions[cpu] = instructions;
-            self.last_progress[cpu] = cycle;
-            return None;
-        }
-        let stalled = cycle.saturating_sub(self.last_progress[cpu]);
-        (stalled > self.limit).then_some(stalled)
-    }
-
-    /// Cycles since `cpu` last made progress, as of `cycle`.
-    pub fn stalled_for(&self, cpu: usize, cycle: u64) -> u64 {
-        cycle.saturating_sub(self.last_progress[cpu])
-    }
-}
-
 /// Why a run stopped without completing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -378,12 +322,6 @@ pub enum RunError {
     /// LL reservations.
     Timeout {
         budget: u64,
-        report: Box<WatchdogReport>,
-    },
-    /// The forward-progress watchdog caught a CPU graduating nothing for
-    /// more than `limit` cycles (see [`MachineConfig::stall_cycles`]).
-    Stalled {
-        limit: u64,
         report: Box<WatchdogReport>,
     },
     /// The workload self-check failed after completion.
@@ -397,12 +335,6 @@ impl fmt::Display for RunError {
         match self {
             RunError::Timeout { budget, report } => {
                 write!(f, "run exceeded the {budget}-cycle budget; {report}")
-            }
-            RunError::Stalled { limit, report } => {
-                write!(
-                    f,
-                    "forward-progress watchdog fired after {limit} stalled cycles; {report}"
-                )
             }
             RunError::CheckFailed(msg) => write!(f, "workload validation failed: {msg}"),
             RunError::Config(e) => write!(f, "invalid configuration: {e}"),
@@ -464,8 +396,6 @@ pub struct Machine {
     roi_start: Cycle,
     phases: Vec<(u64, usize, u8)>,
     workload_name: &'static str,
-    /// Resolved watchdog limit (None = watchdog off).
-    stall_limit: Option<u64>,
     /// Reference-trace sink when capture is on; the other end is held by
     /// the [`TracingSystem`] wrapped around `mem`. `None` means `mem` is
     /// the raw system — capture off costs exactly zero.
@@ -601,7 +531,6 @@ impl Machine {
             roi_start: Cycle::ZERO,
             phases: Vec::new(),
             workload_name: workload.name,
-            stall_limit: cfg.stall_cycles,
             trace,
         })
     }
@@ -623,14 +552,12 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Timeout`] if the budget expires, or
-    /// [`RunError::Stalled`] if the forward-progress watchdog fires.
+    /// Returns [`RunError::Timeout`] if the budget expires.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, RunError> {
-        let mut watchdog = self.stall_limit.map(|l| Watchdog::new(l, self.cpus.len()));
         let mut pick = self.earliest_ready();
         while let Some((now, c)) = pick {
             if now.0 > max_cycles {
-                let report = self.diagnose(now.0, watchdog.as_ref());
+                let report = self.diagnose();
                 return Err(RunError::Timeout {
                     budget: max_cycles,
                     report: Box::new(report),
@@ -639,27 +566,10 @@ impl Machine {
             let (next, ev) = self.cpus[c].step(now, self.mem.as_mut(), &mut self.phys);
             debug_assert!(next >= now, "cpu {c} stepped back in time");
             self.ready[c] = next;
-            // Handle the event before consulting the watchdog: a step that
-            // halts (or exits the last process) must never be reported as
-            // stalled, even when it graduated nothing — MXS can spend its
-            // final cycles draining without graduation.
             match ev {
                 StepEvent::None => {}
                 StepEvent::Halted => self.done[c] = true,
                 StepEvent::Hcall(no) => self.handle_hcall(c, now, no),
-            }
-            if let Some(w) = &mut watchdog {
-                if !self.done[c]
-                    && w.observe(c, next.0, self.cpus[c].counters().instructions)
-                        .is_some()
-                {
-                    let limit = w.limit();
-                    let report = self.diagnose(next.0, watchdog.as_ref());
-                    return Err(RunError::Stalled {
-                        limit,
-                        report: Box::new(report),
-                    });
-                }
             }
             // A step moves only the stepped CPU's ready cycle: hcalls
             // switch processes on `c` or mark it done, and never move
@@ -679,7 +589,7 @@ impl Machine {
     }
 
     /// Snapshots every CPU for a failure report.
-    fn diagnose(&self, now: u64, watchdog: Option<&Watchdog>) -> WatchdogReport {
+    fn diagnose(&self) -> WatchdogReport {
         let cpus = (0..self.cpus.len())
             .map(|c| CpuDiag {
                 cpu: c,
@@ -688,7 +598,6 @@ impl Machine {
                 ready_cycle: self.ready[c].0,
                 instructions: self.cpus[c].counters().instructions,
                 ll_reservation: self.phys.link(c),
-                stalled_for: watchdog.map_or(0, |w| w.stalled_for(c, now)),
             })
             .collect();
         WatchdogReport {
@@ -802,8 +711,8 @@ fn switch_ctx(cpu: &mut dyn CpuModel, next: ProcessCtx) -> ProcessCtx {
 /// # Errors
 ///
 /// Returns [`RunError::Config`] for a configuration [`Machine::try_new`]
-/// rejects, [`RunError::Timeout`] or [`RunError::Stalled`] for a run that
-/// does not finish, and [`RunError::CheckFailed`] for a failed self-check.
+/// rejects, [`RunError::Timeout`] for a run that does not finish within
+/// `max_cycles`, and [`RunError::CheckFailed`] for a failed self-check.
 pub fn run_workload(
     cfg: &MachineConfig,
     workload: &BuiltWorkload,
@@ -908,20 +817,6 @@ mod tests {
             assert_eq!(report.cpus.len(), 4);
             assert!(report.stuck_cpus().count() > 0);
         }
-    }
-
-    #[test]
-    fn watchdog_flags_a_cpu_that_stops_graduating() {
-        let mut w = Watchdog::new(100, 2);
-        assert_eq!(w.observe(0, 10, 5), None, "progress resets the clock");
-        assert_eq!(w.observe(0, 50, 5), None, "within the limit");
-        assert_eq!(w.observe(1, 400, 0), Some(400), "cpu 1 never graduated");
-        assert_eq!(
-            w.observe(0, 111, 6),
-            None,
-            "new instructions count as progress"
-        );
-        assert_eq!(w.stalled_for(0, 200), 89);
     }
 
     #[test]
@@ -1101,10 +996,7 @@ mod tests {
 
     /// A machine of one [`ScriptedCpu`] per `(latencies, exit)` script and
     /// no extra processes, with the log its CPUs share.
-    fn scripted_machine(
-        scripts: Vec<(Vec<u64>, bool)>,
-        stall_limit: Option<u64>,
-    ) -> (Machine, StepLog) {
+    fn scripted_machine(scripts: Vec<(Vec<u64>, bool)>) -> (Machine, StepLog) {
         let n = scripts.len();
         let log = StepLog::default();
         let cpus = scripts
@@ -1135,25 +1027,80 @@ mod tests {
             roi_start: Cycle::ZERO,
             phases: Vec::new(),
             workload_name: "scripted",
-            stall_limit,
             trace: None,
         };
         (m, log)
     }
 
-    /// One step that consumes a long stretch of simulated time and halts
-    /// without graduating anything: the shape that used to trip the
-    /// watchdog, because observing *before* handling
-    /// [`StepEvent::Halted`] reported the halting CPU as stalled.
+    /// A memory system whose sentinel already holds one violation: what a
+    /// protocol fault leaves behind, as the run loop sees it. The
+    /// scripted CPUs issue no accesses.
+    struct Flagged {
+        stats: MemStats,
+        sentinel: cmpsim_mem::Sentinel,
+    }
+
+    impl MemorySystem for Flagged {
+        fn access(&mut self, _: Cycle, _: cmpsim_mem::MemRequest) -> cmpsim_mem::MemResult {
+            unreachable!("scripted CPUs issue no accesses")
+        }
+        fn load_would_hit_l1(&self, _: usize, _: u32) -> bool {
+            false
+        }
+        fn line_bytes(&self) -> u32 {
+            32
+        }
+        fn n_cpus(&self) -> usize {
+            1
+        }
+        fn stats(&self) -> &MemStats {
+            &self.stats
+        }
+        fn stats_mut(&mut self) -> &mut MemStats {
+            &mut self.stats
+        }
+        fn name(&self) -> &'static str {
+            "flagged"
+        }
+        fn port_utilization(&self) -> Vec<cmpsim_mem::PortUtil> {
+            Vec::new()
+        }
+        fn violations(&self) -> &[SentinelViolation] {
+            self.sentinel.violations()
+        }
+    }
+
+    /// A one-CPU scripted machine (two 10-cycle steps) over [`Flagged`],
+    /// and the violation its sentinel holds.
+    fn flagged_machine() -> (Machine, SentinelViolation) {
+        let mut sentinel = cmpsim_mem::Sentinel::from_spec(&SentinelSpec::on());
+        let kind = cmpsim_mem::ViolationKind::CopyWithoutPresence;
+        sentinel.report(7, 0, 0x1000, kind, "cpu 1 l1d holds the line".into());
+        let planted = sentinel.violations()[0].clone();
+        let (mut m, _) = scripted_machine(vec![(vec![10, 10], false)]);
+        m.mem = Box::new(Flagged {
+            stats: MemStats::new(),
+            sentinel,
+        });
+        (m, planted)
+    }
+
+    /// A violation the memory system recorded reaches the run's summary,
+    /// and its count reaches the report of a run that times out.
     #[test]
-    fn watchdog_does_not_flag_a_halting_step() {
-        // A limit far below the 10_000-cycle final step: the old
-        // observe-before-event order reported this run as Stalled.
-        let (mut m, _) = scripted_machine(vec![(vec![10_000], false)], Some(100));
-        let s = m
-            .run(1_000_000)
-            .expect("a halting step must never be reported as stalled");
-        assert_eq!(s.total.instructions, 0);
+    fn a_recorded_violation_reaches_the_summary_and_the_timeout_report() {
+        let (mut m, planted) = flagged_machine();
+        let s = m.run(1_000).expect("a scripted run completes");
+        assert_eq!(s.violations, [planted]);
+
+        let (mut m, _) = flagged_machine();
+        let err = m.run(5).expect_err("the second step starts at cycle 10");
+        let RunError::Timeout { report, .. } = &err else {
+            panic!("expected a timeout, got {err:?}");
+        };
+        assert_eq!(report.violations, 1);
+        let msg = err.to_string();
+        assert!(msg.contains("(1 sentinel violations recorded)"), "{msg}");
     }
 
     /// The run loop steps CPUs in the order of a linear scan for the
@@ -1181,7 +1128,7 @@ mod tests {
                 taken[c] += 1;
             }
 
-            let (mut m, log) = scripted_machine(scripts, None);
+            let (mut m, log) = scripted_machine(scripts);
             let s = m.run(u64::MAX).expect("a scripted run completes");
             assert_eq!(*log.borrow(), want, "step order");
             assert_eq!(s.wall_cycles, ready.into_iter().max().unwrap_or(0));
@@ -1197,34 +1144,6 @@ mod tests {
         let b = run_workload(&cfg, &w2, 100_000_000).expect("runs");
         assert_eq!(a.wall_cycles, b.wall_cycles, "same seed, same cycles");
         assert_eq!(a.total, b.total);
-    }
-
-    fn stalled_error() -> RunError {
-        RunError::Stalled {
-            limit: 1_000,
-            report: Box::new(WatchdogReport {
-                cpus: vec![CpuDiag {
-                    cpu: 0,
-                    done: false,
-                    pc: 0x1234,
-                    ready_cycle: 5_000,
-                    instructions: 42,
-                    ll_reservation: None,
-                    stalled_for: 2_000,
-                }],
-                violations: 0,
-            }),
-        }
-    }
-
-    /// A stalled run's error text (what a dropped explore point prints)
-    /// carries the full watchdog report.
-    #[test]
-    fn double_stall_surfaces_the_watchdog_report() {
-        let msg = stalled_error().to_string();
-        assert!(msg.contains("watchdog"), "{msg}");
-        assert!(msg.contains("pc 0x1234"), "{msg}");
-        assert!(msg.contains("no progress for 2000 cycles"), "{msg}");
     }
 }
 

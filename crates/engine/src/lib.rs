@@ -8,8 +8,9 @@
 //!   cache ports, buses and DRAM banks.
 //! * [`pool`] — scoped-thread fan-out: the index-ordered job pool that
 //!   runs independent simulations in parallel.
-//! * [`hash`] — deterministic fixed-function hashing ([`FastMap`],
-//!   [`FastSet`]) for the simulators' internal line-address maps.
+//! * [`hash`] — deterministic fixed-function hashing: [`FastSet`] for
+//!   the caches' invalidated-line sets, [`FastMap`] for the journal's
+//!   rows.
 //! * [`stats`] — counters and histograms used for the paper's
 //!   execution-time breakdowns and miss-rate tables.
 //! * [`Rng64`] — a small deterministic PRNG so every simulation is exactly

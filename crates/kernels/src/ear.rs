@@ -55,12 +55,20 @@ fn reference(n_cpus: usize, stages: usize, samples: usize) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns an error naming the limit when the scale asks for more stages
-/// than fit between `DATA` and kernel space, and an assembly error if the
-/// generated program is malformed (a bug).
+/// Returns an error naming the rule when the CPU count is not a power of
+/// two (the partition rotates with a mask), an error naming the limit when
+/// the scale asks for more stages than fit between `DATA` and kernel
+/// space, and an assembly error if the generated program is malformed (a
+/// bug).
 pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n_cpus = params.n_cpus;
-    assert!(n_cpus.is_power_of_two(), "ear rotates chunks modulo n_cpus");
+    if !n_cpus.is_power_of_two() {
+        return Err(format!(
+            "ear rotates its chunks modulo the CPU count with a mask, so it runs on a \
+             power-of-two count of CPUs, not {n_cpus}"
+        )
+        .into());
+    }
     let n = n_cpus * CHUNK;
     // One stage is `n` f32s. At the stage limit (scale 4.2 million on
     // one CPU, less on more) the sample count still fits its 32-bit

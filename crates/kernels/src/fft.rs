@@ -66,8 +66,10 @@ fn reference(n: usize) -> f64 {
 /// # Errors
 ///
 /// Returns an error naming the limit when the scale asks for more than
-/// 2^26 points (above scale 32768), and an assembly error if the
-/// generated program is malformed (a bug).
+/// 2^26 points (above scale 32768), an error naming the rule when the CPU
+/// count does not divide the point count (a power of two, so the count
+/// must be a power of two no larger than it), and an assembly error if
+/// the generated program is malformed (a bug).
 pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::error::Error>> {
     let n_cpus = params.n_cpus;
     // 2048 complex doubles (64 KB total): per-CPU chunks re-fit the caches,
@@ -81,6 +83,13 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::erro
             "the data area below kernel space",
         )?
         .next_power_of_two();
+    if !(n_cpus.is_power_of_two() && n_cpus <= n) {
+        return Err(format!(
+            "fft splits its {n} points into equal per-CPU chunks, so it runs on a \
+             power-of-two count of CPUs up to {n}, not {n_cpus}"
+        )
+        .into());
+    }
     let passes = n.trailing_zeros() as usize;
     let chunk = n / n_cpus;
     // The destination buffer is staggered by one line-aligned non-power-of

@@ -384,16 +384,6 @@ impl CacheArray {
         self.meta.iter().filter(|&&m| m & STATE_BITS != 0).count()
     }
 
-    /// Number of ways in `addr`'s set currently holding `addr`'s line —
-    /// anything above 1 is a duplicate-residency bug. Used by the
-    /// coherence sentinel; does not touch LRU.
-    pub fn ways_holding(&self, addr: Addr) -> usize {
-        let la = self.line_addr(addr);
-        self.set_range(addr)
-            .filter(|&i| self.meta[i] & !STATE_BITS == la && self.meta[i] & STATE_BITS != 0)
-            .count()
-    }
-
     /// Line addresses of every valid resident line (diagnostics and
     /// invariant checks).
     pub fn valid_lines(&self) -> Vec<Addr> {
@@ -519,16 +509,6 @@ mod tests {
         c.fill(0x40, LineState::Shared); // set 0
         c.fill(0x60, LineState::Shared); // set 1
         assert_eq!(c.resident(), 4);
-    }
-
-    #[test]
-    fn ways_holding_counts_duplicates() {
-        let mut c = small();
-        assert_eq!(c.ways_holding(0x00), 0);
-        c.fill(0x00, LineState::Shared);
-        assert_eq!(c.ways_holding(0x1f), 1, "same line, any byte");
-        c.fill(0x40, LineState::Shared);
-        assert_eq!(c.ways_holding(0x00), 1, "other ways do not count");
     }
 
     #[test]

@@ -13,13 +13,13 @@ use super::backside::SharedL2Back;
 use super::{util_of_banks, util_of_port, HierarchyCore, HierarchySystem, Topology};
 use crate::cache::{AccessOutcome, CacheArray, LineState, MissKind};
 use crate::config::{CacheSpec, SystemConfig};
-use crate::sentinel::{FaultKind, Sentinel, ViolationKind};
+use crate::sentinel::ViolationKind;
 use crate::stats::MemStats;
 use crate::{AccessKind, Addr, CpuId, MemRequest, MemResult, PortUtil, ServiceLevel};
 use cmpsim_engine::Cycle;
 
 /// Per-line presence bitmaps over the nodes of a directory topology, with
-/// the invalidation plumbing and fault-injection hooks that maintain them.
+/// the invalidation plumbing that maintains them.
 ///
 /// Presence lives in a table parallel to the shared L2's way slots — the
 /// hardware arrangement, where directory state sits next to the L2 tags.
@@ -90,19 +90,15 @@ impl Directory {
     }
 
     /// Records `node`'s new L1 copy of `line` and clears its bit on the
-    /// victim line the fill displaced. Fault injection (sentinel): may
-    /// record a spurious sharer — a presence bit with no backing L1 copy.
+    /// victim line the fill displaced.
     pub fn note_fill(
         &mut self,
-        sentinel: &mut Sentinel,
         l2: &CacheArray,
         node: usize,
         line: Addr,
         ifetch: bool,
         victim: Option<Addr>,
     ) {
-        let n_nodes = self.n_nodes;
-        let spurious = n_nodes > 1 && sentinel.inject(FaultKind::SpuriousState, line);
         let (word, bit) = (node >> 6, 1u64 << (node & 63));
         if let Some(slot) = l2.slot_of(line) {
             let (d, i) = self.sides_mut(slot);
@@ -110,10 +106,6 @@ impl Directory {
                 i[word] |= bit;
             } else {
                 d[word] |= bit;
-            }
-            if spurious {
-                let ghost = (node + 1) % n_nodes;
-                d[ghost >> 6] |= 1 << (ghost & 63);
             }
         }
         if let Some(v) = victim {
@@ -129,15 +121,10 @@ impl Directory {
     }
 
     /// Invalidates every other node's L1 copies of `line` after a write by
-    /// `writer` (directory-driven coherence), visiting victims in
-    /// ascending node order, the d side before the i side. Fault injection
-    /// (sentinel): may drop the invalidation message to the first victim
-    /// while still clearing its directory bit — the stale copy then shows
-    /// up as a copy-without-presence violation.
+    /// `writer` (directory-driven coherence).
     #[allow(clippy::too_many_arguments)] // disjoint &mut core fields, by design
     pub fn invalidate_sharers(
         &mut self,
-        sentinel: &mut Sentinel,
         stats: &mut MemStats,
         l1d: &mut [CacheArray],
         l1i: &mut [CacheArray],
@@ -159,24 +146,14 @@ impl Directory {
             // walk. (Every store funnels through here.)
             return;
         }
-        let mut drop_one = sentinel.inject(FaultKind::DroppedInvalidation, line);
-        for (k, (dw, iw)) in d.iter_mut().zip(i).enumerate() {
-            let (d_victims, i_victims) = (*dw & !own(k), *iw & !own(k));
-            *dw &= own(k);
-            *iw &= own(k);
-            for b in bit_positions(d_victims | i_victims) {
-                let node = k << 6 | b;
-                let sides = [(d_victims, &mut l1d[node]), (i_victims, &mut l1i[node])];
-                for (victims, cache) in sides {
-                    if victims >> b & 1 != 0 {
-                        if drop_one {
-                            drop_one = false;
-                        } else {
-                            cache.invalidate(addr);
-                        }
-                        stats.invalidations_sent += 1;
-                    }
+        for (side, caches) in [(d, &mut *l1d), (i, &mut *l1i)] {
+            for (k, w) in side.iter_mut().enumerate() {
+                let victims = *w & !own(k);
+                *w &= own(k);
+                for b in bit_positions(victims) {
+                    caches[k << 6 | b].invalidate(addr);
                 }
+                stats.invalidations_sent += u64::from(victims.count_ones());
             }
         }
     }
@@ -209,68 +186,58 @@ impl Directory {
         }
     }
 
-    /// Checks the directory invariant: every valid L1 line has its presence
-    /// bit set, and every presence bit points at a valid L1 line backed by
-    /// a valid L2 line (inclusion). Diagnostics / property tests.
+    /// Checks the directory invariant over the whole table: no presence
+    /// bit sits on an invalid L2 way, and [`Directory::check_line`] finds
+    /// nothing wrong with any line an L1 holds or a slot's presence bits
+    /// name. Diagnostics / property tests.
     pub fn consistent(&self, l1d: &[CacheArray], l1i: &[CacheArray], l2: &CacheArray) -> bool {
-        for node in 0..self.n_nodes {
-            for (cache, side) in [(&l1d[node], 0), (&l1i[node], 1)] {
-                for line in cache.valid_lines() {
-                    let Some(slot) = l2.slot_of(line) else {
-                        return false; // inclusion violated
-                    };
-                    if !self.has(self.slot(slot), side, node) {
-                        return false;
-                    }
-                }
-            }
-        }
+        let mut lines: Vec<Addr> = l1d
+            .iter()
+            .chain(l1i)
+            .flat_map(CacheArray::valid_lines)
+            .collect();
         for slot in 0..l2.n_slots() {
-            let bits = self.slot(slot);
-            if bits.iter().all(|&w| w == 0) {
-                continue;
-            }
-            let Some(line) = l2.line_at_slot(slot) else {
-                return false; // presence bits on an invalid L2 way
-            };
-            let (d, i) = bits.split_at(self.words);
-            for (side, caches) in [(d, l1d), (i, l1i)] {
-                for (k, &w) in side.iter().enumerate() {
-                    if bit_positions(w).any(|b| !caches[k << 6 | b].probe(line).is_valid()) {
-                        return false;
-                    }
-                }
+            if self.slot(slot).iter().any(|&w| w != 0) {
+                let Some(line) = l2.line_at_slot(slot) else {
+                    return false; // presence bits on an invalid L2 way
+                };
+                lines.push(line);
             }
         }
-        true
+        lines.sort_unstable();
+        lines.dedup();
+        lines
+            .into_iter()
+            .all(|line| self.check_line(l1d, l1i, l2, "node", line).is_empty())
     }
 
-    /// Sentinel invariant check scoped to one line: presence bits must
-    /// agree with actual L1 residency, every L1 copy must be backed by a
-    /// valid L2 line (inclusion), and the write-through L1s must never hold
-    /// dirty data. `noun` names the node kind ("cpu", "cluster", "tile")
-    /// in violation details.
-    #[allow(clippy::too_many_arguments)]
+    /// The sentinel's invariant check scoped to one line, over every node:
+    /// each L1 copy must be backed by a valid L2 line (inclusion) and by
+    /// its presence bit, each presence bit by an L1 copy, and the
+    /// write-through L1s must never hold dirty data. Returns one `(kind,
+    /// detail)` per broken rule; `noun` names the node kind ("cpu",
+    /// "cluster", "tile") in the details.
     pub fn check_line(
         &self,
-        sentinel: &mut Sentinel,
         l1d: &[CacheArray],
         l1i: &[CacheArray],
         l2: &CacheArray,
         noun: &str,
-        now: Cycle,
-        cpu: CpuId,
         line: Addr,
-    ) {
+    ) -> Vec<(ViolationKind, String)> {
         let slot = l2.slot_of(line);
         let bits = slot.map_or(&[][..], |s| self.slot(s));
-        let l2_valid = slot.is_some();
-        let mut found: Vec<(ViolationKind, String)> = Vec::new();
+        let mut found = Vec::new();
         for n in 0..self.n_nodes {
             for (cache, side, name) in [(&l1d[n], 0, "l1d"), (&l1i[n], 1, "l1i")] {
                 let state = cache.probe(line);
                 let bit = self.has(bits, side, n);
-                if state.is_valid() && !bit {
+                if state.is_valid() && slot.is_none() {
+                    found.push((
+                        ViolationKind::InclusionViolation,
+                        format!("{noun} {n} {name} holds the line but the shared L2 does not"),
+                    ));
+                } else if state.is_valid() && !bit {
                     found.push((
                         ViolationKind::CopyWithoutPresence,
                         format!("{noun} {n} {name} holds the line but its directory bit is clear"),
@@ -284,12 +251,6 @@ impl Directory {
                         ),
                     ));
                 }
-                if state.is_valid() && !l2_valid {
-                    found.push((
-                        ViolationKind::InclusionViolation,
-                        format!("{noun} {n} {name} holds the line but the shared L2 does not"),
-                    ));
-                }
                 if state == LineState::Modified {
                     found.push((
                         ViolationKind::WriteThroughDirty,
@@ -298,9 +259,7 @@ impl Directory {
                 }
             }
         }
-        for (kind, detail) in found {
-            sentinel.report(now.0, cpu, line, kind, detail);
-        }
+        found
     }
 }
 
@@ -451,14 +410,8 @@ impl<S: NodeScheme> DirectoryTopo<S> {
         // Write-through L1: lines are never dirty.
         let victim = cache.fill(addr, LineState::Shared).map(|v| v.addr);
         let line = self.back.line(addr);
-        self.dir.note_fill(
-            &mut core.sentinel,
-            &self.back.l2,
-            node,
-            line,
-            ifetch,
-            victim,
-        );
+        self.dir
+            .note_fill(&self.back.l2, node, line, ifetch, victim);
         MemResult {
             finish: finish + back_lat,
             serviced_by: level,
@@ -483,7 +436,6 @@ impl<S: NodeScheme> DirectoryTopo<S> {
         let (arrive, back_lat) = self.scheme.to_l2(node, addr, grant);
         let line = self.back.line(addr);
         self.dir.invalidate_sharers(
-            &mut core.sentinel,
             &mut core.stats,
             &mut self.l1d,
             &mut self.l1i,
@@ -553,16 +505,12 @@ impl<S: NodeScheme> Topology for DirectoryTopo<S> {
 
     fn check_line(&self, core: &mut HierarchyCore, now: Cycle, cpu: CpuId, addr: Addr) {
         let line = self.back.line(addr);
-        self.dir.check_line(
-            &mut core.sentinel,
-            &self.l1d,
-            &self.l1i,
-            &self.back.l2,
-            S::NOUN,
-            now,
-            cpu,
-            line,
-        );
+        let found = self
+            .dir
+            .check_line(&self.l1d, &self.l1i, &self.back.l2, S::NOUN, line);
+        for (kind, detail) in found {
+            core.sentinel.report(now.0, cpu, line, kind, detail);
+        }
     }
 
     fn load_would_hit_l1(&self, cpu: CpuId, addr: Addr) -> bool {
@@ -590,19 +538,93 @@ impl<S: NodeScheme> HierarchySystem<DirectoryTopo<S>> {
         &self.topo().back.l2
     }
 
-    /// Checks the directory invariant: every valid L1 line has its presence
-    /// bit set, and every presence bit points at a valid L1 line backed by
-    /// a valid L2 line (inclusion). Diagnostics / property tests.
+    /// Checks the directory invariant over the whole table (see
+    /// [`Directory::consistent`]). Diagnostics / property tests.
     pub fn directory_consistent(&self) -> bool {
         let t = self.topo();
         t.dir.consistent(&t.l1d, &t.l1i, &t.back.l2)
     }
 }
 
+/// Faults planted straight into a directory machine's state, for the
+/// tests that check the sentinel reports each one.
+#[cfg(test)]
+pub(crate) mod plant {
+    use super::*;
+    use crate::MemorySystem;
+
+    /// The line every planted fault sits on.
+    const LINE: Addr = 0x1000;
+
+    /// A fault in a directory machine's state, planted on `LINE` after
+    /// CPU 0 and the machine's last CPU (on another node) read it and
+    /// CPU 0 wrote it.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Plant {
+        /// The last CPU's node gets back the copy the store invalidated,
+        /// as a dropped invalidation would leave it.
+        StaleCopy,
+        /// The last CPU's node gets back its presence bit, with no copy.
+        GhostBit,
+        /// The L2 drops the line while CPU 0's node keeps its L1 copy.
+        Uncovered,
+        /// CPU 0's node's write-through copy turns dirty.
+        Dirty,
+    }
+
+    /// Runs the accesses above on `s` (sentinel on), plants `fault` and
+    /// has CPU 0 load the line again, so the sentinel checks it. Asserts
+    /// that the check reports exactly one violation, of `kind`, and that
+    /// its detail names the node the fault sits on.
+    pub(crate) fn assert_reported<S: NodeScheme>(
+        mut s: HierarchySystem<DirectoryTopo<S>>,
+        fault: Plant,
+        kind: ViolationKind,
+    ) {
+        let last = s.n_cpus() - 1;
+        s.access(Cycle(0), MemRequest::load(0, LINE));
+        s.access(Cycle(100), MemRequest::load(last, LINE));
+        s.access(Cycle(200), MemRequest::store(0, LINE));
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        let t = s.topo_mut();
+        let (near, far) = (t.scheme.node_of(0), t.scheme.node_of(last));
+        assert_ne!(near, far);
+        let slot = t.back.l2.slot_of(LINE).expect("the L2 holds the line");
+        let node = match fault {
+            Plant::StaleCopy => {
+                t.l1d[far].fill(LINE, LineState::Shared);
+                far
+            }
+            Plant::GhostBit => {
+                t.dir.sides_mut(slot).0[far >> 6] |= 1 << (far & 63);
+                far
+            }
+            Plant::Uncovered => {
+                t.back.l2.evict(LINE);
+                near
+            }
+            Plant::Dirty => {
+                t.l1d[near].set_state(LINE, LineState::Modified);
+                near
+            }
+        };
+        s.access(Cycle(300), MemRequest::load(0, LINE));
+        let noun = S::NOUN;
+        let [v] = s.violations() else {
+            panic!("{fault:?} on the {noun} machine: {:?}", s.violations());
+        };
+        assert_eq!(v.kind, kind, "{fault:?} on the {noun} machine");
+        let at = format!("{noun} {node} l1d");
+        assert!(v.detail.contains(&at), "{:?} does not name {at}", v.detail);
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::plant::{assert_reported, Plant};
     use super::*;
-    use crate::sentinel::{FaultClassSet, SentinelSpec};
+    use crate::sentinel::SentinelSpec;
+    use crate::{ClusteredSystem, MeshSystem, SharedL2System};
 
     #[test]
     fn presence_table_holds_one_word_per_side_per_64_nodes() {
@@ -612,11 +634,11 @@ mod tests {
         }
     }
 
-    /// The dropped-invalidation fault spares the first victim, so the walk
-    /// order decides which stale copy the sentinel reports: ascending
-    /// nodes across words, the d side before the i side at each node.
+    /// The victim walk crosses presence words and both sides: nodes 65
+    /// (both sides) and 130 (d side) lose their copies, the writer keeps
+    /// its own, and only the writer's bit survives in the slot.
     #[test]
-    fn a_dropped_invalidation_spares_the_lowest_node_d_side_first() {
+    fn a_store_invalidates_every_other_node_across_words_and_sides() {
         let n = 131;
         let l1 = CacheSpec::new(1024, 2, 32);
         let mut l1d: Vec<_> = (0..n).map(|_| CacheArray::new("l1d", l1)).collect();
@@ -625,31 +647,46 @@ mod tests {
         let line = 0x40;
         l2.fill(line, LineState::Exclusive);
         let mut dir = Directory::new(n, l2.n_slots());
-        let drop_all = FaultClassSet::only(FaultKind::DroppedInvalidation);
-        let mut sentinel = Sentinel::from_spec(&SentinelSpec::with_faults(1, 1_000_000, drop_all));
-        for (node, ifetch) in [(130, false), (65, true), (65, false)] {
+        for (node, ifetch) in [(130, false), (65, true), (65, false), (0, false)] {
             let cache = if ifetch {
                 &mut l1i[node]
             } else {
                 &mut l1d[node]
             };
             cache.fill(line, LineState::Shared);
-            dir.note_fill(&mut sentinel, &l2, node, line, ifetch, None);
+            dir.note_fill(&l2, node, line, ifetch, None);
         }
         let mut stats = MemStats::new();
-        dir.invalidate_sharers(
-            &mut sentinel,
-            &mut stats,
-            &mut l1d,
-            &mut l1i,
-            &l2,
-            0,
-            line,
-            line,
-        );
+        dir.invalidate_sharers(&mut stats, &mut l1d, &mut l1i, &l2, 0, line, line);
         assert_eq!(stats.invalidations_sent, 3);
-        assert!(l1d[65].probe(line).is_valid(), "node 65's d side is first");
-        assert!(!l1i[65].probe(line).is_valid());
-        assert!(!l1d[130].probe(line).is_valid());
+        assert!(l1d[0].probe(line).is_valid(), "the writer keeps its copy");
+        for cache in [&l1d[65], &l1i[65], &l1d[130]] {
+            assert!(!cache.probe(line).is_valid());
+        }
+        let slot = l2.slot_of(line).expect("resident");
+        assert_eq!(dir.slot(slot), [1, 0, 0, 0, 0, 0]);
+        assert!(dir.consistent(&l1d, &l1i, &l2));
+    }
+
+    /// Plants `fault` on each directory machine — shared-L2, clustered
+    /// (two CPUs per node) and mesh, 4 CPUs each. A stale copy and a
+    /// ghost bit are planted machine by machine in each machine's tests.
+    fn assert_reported_everywhere(fault: Plant, kind: ViolationKind) {
+        let on = SentinelSpec::on();
+        let l2 = SystemConfig::paper_shared_l2(4).with_sentinel(on);
+        let mesh = SystemConfig::paper_mesh(4).with_sentinel(on);
+        assert_reported(SharedL2System::new(&l2), fault, kind);
+        assert_reported(ClusteredSystem::new(&l2), fault, kind);
+        assert_reported(MeshSystem::new(&mesh), fault, kind);
+    }
+
+    #[test]
+    fn an_l1_line_the_l2_no_longer_holds_is_an_inclusion_violation() {
+        assert_reported_everywhere(Plant::Uncovered, ViolationKind::InclusionViolation);
+    }
+
+    #[test]
+    fn a_dirty_write_through_line_is_reported() {
+        assert_reported_everywhere(Plant::Dirty, ViolationKind::WriteThroughDirty);
     }
 }

@@ -39,7 +39,7 @@ pub use backside::{SharedL2Back, UniBack};
 pub use directory::{Directory, DirectoryLayout, DirectoryTopo, NodeScheme};
 
 use crate::config::SystemConfig;
-use crate::sentinel::{FaultKind, Sentinel, SentinelViolation};
+use crate::sentinel::{Sentinel, SentinelViolation};
 use crate::stats::MemStats;
 use crate::{Addr, CpuId, MemRequest, MemResult, MemorySystem, PortUtil};
 use cmpsim_engine::{BankedResource, Cycle, Port};
@@ -52,7 +52,7 @@ pub struct HierarchyCore {
     pub cfg: SystemConfig,
     /// Accumulated statistics (reset at the region-of-interest marker).
     pub stats: MemStats,
-    /// Invariant checker + fault injector (off unless configured).
+    /// Invariant checker (off unless configured).
     pub sentinel: Sentinel,
 }
 
@@ -116,6 +116,13 @@ impl<T: Topology> HierarchySystem<T> {
     pub fn topo(&self) -> &T {
         &self.topo
     }
+
+    /// The topology description, mutably: the sentinel tests plant faults
+    /// in a live system's caches and presence table through this.
+    #[cfg(test)]
+    pub(crate) fn topo_mut(&mut self) -> &mut T {
+        &mut self.topo
+    }
 }
 
 impl<T: Topology> MemorySystem for HierarchySystem<T> {
@@ -162,10 +169,6 @@ impl<T: Topology> MemorySystem for HierarchySystem<T> {
 
     fn violations(&self) -> &[SentinelViolation] {
         self.core.sentinel.violations()
-    }
-
-    fn injected_faults(&self) -> &[(FaultKind, Addr)] {
-        self.core.sentinel.injected_faults()
     }
 }
 

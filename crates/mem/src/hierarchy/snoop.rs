@@ -7,7 +7,7 @@
 //! read of a dirty line.
 
 use crate::cache::{CacheArray, LineState};
-use crate::sentinel::{FaultKind, Sentinel, ViolationKind};
+use crate::sentinel::{Sentinel, ViolationKind};
 use crate::stats::MemStats;
 use crate::{Addr, CpuId};
 use cmpsim_engine::Cycle;
@@ -54,48 +54,10 @@ pub fn snoop(
 }
 
 /// Invalidates the line in every remote CPU (read-exclusive / upgrade).
-/// Fault injection (sentinel): may drop the invalidation to one remote
-/// cache — the surviving stale copy coexists with the new owner.
 pub fn invalidate_remote(
-    sentinel: &mut Sentinel,
     stats: &mut MemStats,
     l1d: &mut [CacheArray],
     l1i: &mut [CacheArray],
-    l2: &mut [CacheArray],
-    me: CpuId,
-    addr: Addr,
-) {
-    let n = l1d.len();
-    let any_victim = (0..n).any(|cpu| {
-        cpu != me
-            && (l1d[cpu].probe(addr).is_valid()
-                || l1i[cpu].probe(addr).is_valid()
-                || l2[cpu].probe(addr).is_valid())
-    });
-    let mut drop_one = any_victim && sentinel.inject(FaultKind::DroppedInvalidation, addr);
-    for cpu in 0..n {
-        if cpu == me {
-            continue;
-        }
-        for cache in [&mut l1d[cpu], &mut l1i[cpu], &mut l2[cpu]] {
-            if cache.probe(addr).is_valid() {
-                if drop_one {
-                    drop_one = false;
-                } else {
-                    cache.invalidate(addr);
-                }
-                stats.invalidations_sent += 1;
-            }
-        }
-    }
-}
-
-/// Downgrades remote copies to Shared (remote read of a dirty line).
-/// Fault injection (sentinel): may spuriously promote a remote copy to
-/// Exclusive instead of downgrading it.
-pub fn downgrade_remote(
-    sentinel: &mut Sentinel,
-    l1d: &mut [CacheArray],
     l2: &mut [CacheArray],
     me: CpuId,
     addr: Addr,
@@ -104,9 +66,18 @@ pub fn downgrade_remote(
         if cpu == me {
             continue;
         }
-        if l1d[cpu].probe(addr).is_valid() && sentinel.inject(FaultKind::SpuriousState, addr) {
-            l1d[cpu].set_state(addr, LineState::Exclusive);
-            l2[cpu].downgrade(addr);
+        for cache in [&mut l1d[cpu], &mut l1i[cpu], &mut l2[cpu]] {
+            if cache.invalidate(addr).is_valid() {
+                stats.invalidations_sent += 1;
+            }
+        }
+    }
+}
+
+/// Downgrades remote copies to Shared (remote read of a dirty line).
+pub fn downgrade_remote(l1d: &mut [CacheArray], l2: &mut [CacheArray], me: CpuId, addr: Addr) {
+    for cpu in 0..l1d.len() {
+        if cpu == me {
             continue;
         }
         l1d[cpu].downgrade(addr);

@@ -22,6 +22,11 @@
 //!   three are one directory walk ([`hierarchy::DirectoryTopo`]) whose
 //!   node schemes differ only in the L1 front end and the interconnect
 //!   stage to the shared L2.
+//! * [`sentinel`] — the opt-in coherence checker
+//!   ([`SentinelSpec::on`]): after every access the owning system checks
+//!   the touched line's directory or MESI invariants and records
+//!   [`SentinelViolation`]s. The shared L1 has no coherence state to
+//!   check.
 //! * [`WriteBuffer`] — the per-CPU store buffer both CPU models drain
 //!   stores through.
 //!
@@ -56,10 +61,7 @@ pub mod wbuf;
 pub use cache::{AccessOutcome, CacheArray, LineState, MissKind, Victim};
 pub use config::{AreaModel, CacheCopies, CacheSpec, ConfigError, LatencySpec, SystemConfig};
 pub use phys::{AddrSpace, PhysMem, KERNEL_BASE};
-pub use sentinel::{
-    FaultClassSet, FaultInjector, FaultKind, Sentinel, SentinelSpec, SentinelViolation,
-    ViolationKind,
-};
+pub use sentinel::{Sentinel, SentinelSpec, SentinelViolation, ViolationKind};
 pub use stats::{LevelStats, MemStats};
 pub use systems::{ClusteredSystem, MeshSystem, SharedL1System, SharedL2System, SharedMemSystem};
 pub use wbuf::WriteBuffer;
@@ -203,12 +205,6 @@ pub trait MemorySystem {
     fn violations(&self) -> &[sentinel::SentinelViolation] {
         &[]
     }
-
-    /// Faults the sentinel's injector introduced so far (tests correlate
-    /// these against [`MemorySystem::violations`]).
-    fn injected_faults(&self) -> &[(sentinel::FaultKind, Addr)] {
-        &[]
-    }
 }
 
 /// A boxed system is a system: lets `Box<dyn MemorySystem>` (the shape
@@ -243,8 +239,5 @@ impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
     }
     fn violations(&self) -> &[sentinel::SentinelViolation] {
         (**self).violations()
-    }
-    fn injected_faults(&self) -> &[(sentinel::FaultKind, Addr)] {
-        (**self).injected_faults()
     }
 }

@@ -137,6 +137,8 @@ impl ClusteredSystem {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::hierarchy::directory::plant::{assert_reported, Plant};
+    use crate::sentinel::{SentinelSpec, ViolationKind};
     use crate::{MemRequest, MemorySystem, ServiceLevel};
     use cmpsim_engine::Cycle;
 
@@ -270,7 +272,6 @@ mod tests {
 
     #[test]
     fn sentinel_clean_traffic_has_no_violations() {
-        use crate::sentinel::SentinelSpec;
         use crate::Addr;
         let mut s = ClusteredSystem::new(
             &SystemConfig::paper_shared_l2(4).with_sentinel(SentinelSpec::on()),
@@ -289,40 +290,15 @@ mod tests {
 
     #[test]
     fn sentinel_detects_dropped_invalidations() {
-        use crate::sentinel::{FaultClassSet, FaultKind, SentinelSpec, ViolationKind};
-        let spec = SentinelSpec::with_faults(
-            17,
-            1_000_000,
-            FaultClassSet::only(FaultKind::DroppedInvalidation),
-        );
-        let mut s = ClusteredSystem::new(&SystemConfig::paper_shared_l2(4).with_sentinel(spec));
-        s.access(Cycle(0), MemRequest::load(0, 0x1000)); // cluster 0
-        s.access(Cycle(100), MemRequest::load(2, 0x1000)); // cluster 1
-        s.access(Cycle(200), MemRequest::store(0, 0x1000));
-        assert!(!s.injected_faults().is_empty());
-        assert!(
-            s.violations()
-                .iter()
-                .any(|v| v.kind == ViolationKind::CopyWithoutPresence),
-            "{:?}",
-            s.violations()
-        );
+        let cfg = SystemConfig::paper_shared_l2(4).with_sentinel(SentinelSpec::on());
+        let s = ClusteredSystem::new(&cfg);
+        assert_reported(s, Plant::StaleCopy, ViolationKind::CopyWithoutPresence);
     }
 
     #[test]
     fn sentinel_detects_spurious_directory_state() {
-        use crate::sentinel::{FaultClassSet, FaultKind, SentinelSpec, ViolationKind};
-        let spec =
-            SentinelSpec::with_faults(19, 1_000_000, FaultClassSet::only(FaultKind::SpuriousState));
-        let mut s = ClusteredSystem::new(&SystemConfig::paper_shared_l2(4).with_sentinel(spec));
-        s.access(Cycle(0), MemRequest::load(0, 0x1000));
-        assert!(!s.injected_faults().is_empty());
-        assert!(
-            s.violations()
-                .iter()
-                .any(|v| v.kind == ViolationKind::PresenceWithoutCopy),
-            "{:?}",
-            s.violations()
-        );
+        let cfg = SystemConfig::paper_shared_l2(4).with_sentinel(SentinelSpec::on());
+        let s = ClusteredSystem::new(&cfg);
+        assert_reported(s, Plant::GhostBit, ViolationKind::PresenceWithoutCopy);
     }
 }

@@ -167,6 +167,8 @@ mod tests {
     use super::*;
     use crate::cache::LineState;
     use crate::config::SystemConfig;
+    use crate::hierarchy::directory::plant::{assert_reported, Plant};
+    use crate::sentinel::{SentinelSpec, ViolationKind};
     use crate::{MemRequest, MemorySystem, ServiceLevel};
 
     fn sys(n: usize) -> MeshSystem {
@@ -275,7 +277,6 @@ mod tests {
 
     #[test]
     fn sixty_four_tiles_run_clean_under_the_sentinel() {
-        use crate::sentinel::SentinelSpec;
         let mut s =
             MeshSystem::new(&SystemConfig::paper_mesh(64).with_sentinel(SentinelSpec::on()));
         assert_eq!(s.n_cpus(), 64);
@@ -290,5 +291,19 @@ mod tests {
         }
         assert!(s.violations().is_empty(), "{:?}", s.violations());
         assert!(s.directory_consistent());
+    }
+
+    #[test]
+    fn sentinel_detects_dropped_invalidations() {
+        let cfg = SystemConfig::paper_mesh(4).with_sentinel(SentinelSpec::on());
+        let s = MeshSystem::new(&cfg);
+        assert_reported(s, Plant::StaleCopy, ViolationKind::CopyWithoutPresence);
+    }
+
+    #[test]
+    fn sentinel_detects_spurious_directory_state() {
+        let cfg = SystemConfig::paper_mesh(4).with_sentinel(SentinelSpec::on());
+        let s = MeshSystem::new(&cfg);
+        assert_reported(s, Plant::GhostBit, ViolationKind::PresenceWithoutCopy);
     }
 }

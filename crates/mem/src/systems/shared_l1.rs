@@ -21,7 +21,6 @@
 use crate::cache::{AccessOutcome, CacheArray, LineState, MissKind};
 use crate::config::SystemConfig;
 use crate::hierarchy::{frontend, HierarchyCore, HierarchySystem, Topology, UniBack};
-use crate::sentinel::ViolationKind;
 use crate::{AccessKind, Addr, CpuId, MemRequest, MemResult, PortUtil, ServiceLevel};
 use cmpsim_engine::{BankedResource, Cycle};
 
@@ -248,28 +247,10 @@ impl Topology for SharedL1Topo {
         }
     }
 
-    /// With no coherence hardware the interesting invariant is physical:
-    /// a line must never be resident in more than one way of a set.
-    fn check_line(&self, core: &mut HierarchyCore, now: Cycle, cpu: CpuId, addr: Addr) {
-        let line = self.back.l2.line_addr(addr);
-        let mut found: Vec<(ViolationKind, String)> = Vec::new();
-        for (cache, what) in [
-            (&self.l1d, "shared l1d"),
-            (&self.l1i, "shared l1i"),
-            (&self.back.l2, "l2"),
-        ] {
-            let ways = cache.ways_holding(line);
-            if ways > 1 {
-                found.push((
-                    ViolationKind::DuplicateResidency,
-                    format!("{what} holds the line in {ways} ways of one set"),
-                ));
-            }
-        }
-        for (kind, detail) in found {
-            core.sentinel.report(now.0, cpu, line, kind, detail);
-        }
-    }
+    /// No coherence state to check: the CPUs share the one copy of every
+    /// line, and `CacheArray::fill` asserts that a line is never resident
+    /// in two ways of a set.
+    fn check_line(&self, _core: &mut HierarchyCore, _now: Cycle, _cpu: CpuId, _addr: Addr) {}
 
     #[inline]
     fn load_would_hit_l1(&self, _cpu: CpuId, addr: Addr) -> bool {

@@ -156,7 +156,6 @@ impl SharedMemTopo {
         core.stats.serviced(level);
         let state = if exclusive {
             snoop::invalidate_remote(
-                &mut core.sentinel,
                 &mut core.stats,
                 &mut self.l1d,
                 &mut self.l1i,
@@ -169,13 +168,7 @@ impl SharedMemTopo {
             match result {
                 SnoopResult::None => LineState::Exclusive,
                 _ => {
-                    snoop::downgrade_remote(
-                        &mut core.sentinel,
-                        &mut self.l1d,
-                        &mut self.l2,
-                        cpu,
-                        addr,
-                    );
+                    snoop::downgrade_remote(&mut self.l1d, &mut self.l2, cpu, addr);
                     LineState::Shared
                 }
             }
@@ -217,7 +210,6 @@ impl SharedMemTopo {
                 core.stats.mem_wait += grant - (now + 1);
                 core.stats.upgrades += 1;
                 snoop::invalidate_remote(
-                    &mut core.sentinel,
                     &mut core.stats,
                     &mut self.l1d,
                     &mut self.l1i,
@@ -291,7 +283,6 @@ impl SharedMemTopo {
                     core.stats.mem_wait += grant - g2;
                     core.stats.upgrades += 1;
                     snoop::invalidate_remote(
-                        &mut core.sentinel,
                         &mut core.stats,
                         &mut self.l1d,
                         &mut self.l1i,
@@ -397,6 +388,7 @@ impl Topology for SharedMemTopo {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::sentinel::ViolationKind;
     use crate::MemorySystem;
 
     fn sys() -> SharedMemSystem {
@@ -525,48 +517,93 @@ mod tests {
         assert!(s.violations().is_empty(), "{:?}", s.violations());
     }
 
+    /// A 4-CPU system with the sentinel on.
+    fn checked() -> SharedMemSystem {
+        use crate::sentinel::SentinelSpec;
+        SharedMemSystem::new(&SystemConfig::paper_shared_mem(4).with_sentinel(SentinelSpec::on()))
+    }
+
+    /// Plants a fault in `s`'s caches (clean so far), then issues `access`
+    /// to the line so the sentinel checks it; returns what it reported.
+    fn check_after(
+        mut s: SharedMemSystem,
+        plant: impl FnOnce(&mut SharedMemTopo),
+        access: MemRequest,
+    ) -> Vec<(ViolationKind, String)> {
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        plant(s.topo_mut());
+        s.access(Cycle(1_000), access);
+        s.violations()
+            .iter()
+            .map(|v| (v.kind, v.detail.clone()))
+            .collect()
+    }
+
+    /// What a dropped invalidation leaves: CPU 0's upgrade never reached
+    /// CPU 1, whose Shared copy outlives the store beside the new owner.
     #[test]
     fn sentinel_detects_dropped_invalidations() {
-        use crate::sentinel::{FaultClassSet, FaultKind, SentinelSpec, ViolationKind};
-        let spec = SentinelSpec::with_faults(
-            11,
-            1_000_000,
-            FaultClassSet::only(FaultKind::DroppedInvalidation),
-        );
-        let mut s = SharedMemSystem::new(&SystemConfig::paper_shared_mem(4).with_sentinel(spec));
+        let mut s = checked();
         s.access(Cycle(0), MemRequest::load(0, 0x1000));
         s.access(Cycle(100), MemRequest::load(1, 0x1000)); // both Shared
-                                                           // CPU 0's upgrade should invalidate CPU 1; the message is dropped.
-        s.access(Cycle(200), MemRequest::store(0, 0x1000));
-        assert!(!s.injected_faults().is_empty());
-        assert!(
-            s.violations()
-                .iter()
-                .any(|v| v.kind == ViolationKind::SharedAlongsideOwner
-                    || v.kind == ViolationKind::MultipleOwners),
-            "{:?}",
-            s.violations()
+        s.access(Cycle(200), MemRequest::store(0, 0x1000)); // invalidates CPU 1
+        let found = check_after(
+            s,
+            |t| {
+                t.l2[1].fill(0x1000, LineState::Shared);
+                t.l1d[1].fill(0x1000, LineState::Shared);
+            },
+            MemRequest::load(0, 0x1000),
+        );
+        assert_eq!(
+            found,
+            [(
+                ViolationKind::SharedAlongsideOwner,
+                "cpu 0 owns the line while cpus [1] still hold copies".to_string()
+            )]
         );
     }
 
+    /// A spurious second owner: CPU 1 holds Exclusive what CPU 0 already
+    /// owns.
     #[test]
     fn sentinel_detects_spurious_states() {
-        use crate::sentinel::{FaultClassSet, FaultKind, SentinelSpec, ViolationKind};
-        let spec =
-            SentinelSpec::with_faults(13, 1_000_000, FaultClassSet::only(FaultKind::SpuriousState));
-        let mut s = SharedMemSystem::new(&SystemConfig::paper_shared_mem(4).with_sentinel(spec));
-        s.access(Cycle(0), MemRequest::store(0, 0x2000)); // CPU 0 Modified
-                                                          // CPU 1's read should downgrade CPU 0 to Shared; the injector
-                                                          // promotes the copy to Exclusive instead.
-        s.access(Cycle(100), MemRequest::load(1, 0x2000));
-        assert!(!s.injected_faults().is_empty());
-        assert!(
-            s.violations()
-                .iter()
-                .any(|v| v.kind == ViolationKind::SharedAlongsideOwner
-                    || v.kind == ViolationKind::MultipleOwners),
-            "{:?}",
-            s.violations()
+        let mut s = checked();
+        s.access(Cycle(0), MemRequest::load(0, 0x2000)); // CPU 0 Exclusive
+        let found = check_after(
+            s,
+            |t| {
+                t.l2[1].fill(0x2000, LineState::Exclusive);
+                t.l1d[1].fill(0x2000, LineState::Exclusive);
+            },
+            MemRequest::load(0, 0x2000),
+        );
+        assert_eq!(
+            found,
+            [(
+                ViolationKind::MultipleOwners,
+                "cpus [0, 1] each hold the line in an ownership (M/E) state".to_string()
+            )]
+        );
+    }
+
+    /// The instruction cache is never written, so a dirty I-line is a
+    /// fault even when its CPU is the line's only holder.
+    #[test]
+    fn sentinel_detects_a_dirty_instruction_line() {
+        let mut s = checked();
+        s.access(Cycle(0), MemRequest::ifetch(0, 0x3000)); // CPU 0 Exclusive
+        let found = check_after(
+            s,
+            |t| t.l1i[0].set_state(0x3000, LineState::Modified),
+            MemRequest::ifetch(0, 0x3000),
+        );
+        assert_eq!(
+            found,
+            [(
+                ViolationKind::WriteThroughDirty,
+                "cpu 0 instruction cache holds the line dirty".to_string()
+            )]
         );
     }
 

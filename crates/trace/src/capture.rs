@@ -259,10 +259,6 @@ impl MemorySystem for TracingSystem {
     fn violations(&self) -> &[sentinel::SentinelViolation] {
         self.inner.violations()
     }
-
-    fn injected_faults(&self) -> &[(sentinel::FaultKind, Addr)] {
-        self.inner.injected_faults()
-    }
 }
 
 /// A clonable in-memory byte buffer implementing [`Write`] — the capture

@@ -60,6 +60,37 @@ fn workloads_validate_with_fewer_cpus() {
     }
 }
 
+/// Every workload at every CPU count from 1 to 8 either refuses to build,
+/// naming its rule, or runs and passes its self-check. Only ear (a
+/// masked rotation) and fft (equal power-of-two chunks) refuse, and only
+/// the counts that are not powers of two.
+#[test]
+fn every_cpu_count_up_to_eight_validates_or_is_refused() {
+    let mut refused = Vec::new();
+    for workload in ALL_WORKLOADS {
+        for n in 1..=8 {
+            let w = match build_by_name(workload, n, 0.02) {
+                Ok(w) => w,
+                Err(e) => {
+                    assert!(e.contains("power-of-two count of CPUs"), "{workload}: {e}");
+                    refused.push((workload, n));
+                    continue;
+                }
+            };
+            let mut cfg = MachineConfig::new(ArchKind::SharedMem, CpuKind::Mipsy);
+            cfg.n_cpus = n;
+            run_workload(&cfg, &w, BUDGET)
+                .unwrap_or_else(|e| panic!("{workload} on {n} cpus: {e}"));
+        }
+    }
+    let odd = [3, 5, 6, 7];
+    let want: Vec<_> = ["ear", "fft"]
+        .into_iter()
+        .flat_map(|w| odd.map(|n| (w, n)))
+        .collect();
+    assert_eq!(refused, want);
+}
+
 #[test]
 fn clustered_extension_validates_on_representative_workloads() {
     for workload in ["ear", "eqntott", "multiprog"] {

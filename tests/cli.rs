@@ -108,6 +108,20 @@ fn run_rejects_workload_parameters_it_cannot_build() {
             "-w ocean --scale 1e30",
             "the sweep counter holds at most 4294967295",
         ),
+        // ear panicked on its mask; fft ran and failed its own check
+        // (512 CPUs only after a minute of simulation).
+        (
+            "-w ear -s 0.02 --cpus 3",
+            "power-of-two count of CPUs, not 3",
+        ),
+        (
+            "-w fft -s 0.02 --cpus 3",
+            "power-of-two count of CPUs up to 256, not 3",
+        ),
+        (
+            "-w fft -s 0.02 --cpus 512",
+            "power-of-two count of CPUs up to 256, not 512",
+        ),
         // Each of these machine flags used to panic in a system builder,
         // or wrap `l1_lat - 1` in the hit path.
         (
