@@ -11,7 +11,7 @@
 //! * [`hash`] — deterministic fixed-function hashing: [`FastSet`] for
 //!   the caches' invalidated-line sets, [`FastMap`] for the journal's
 //!   rows.
-//! * [`stats`] — counters and histograms used for the paper's
+//! * [`stats`] — the histogram and ratio helper used for the paper's
 //!   execution-time breakdowns and miss-rate tables.
 //! * [`Rng64`] — a small deterministic PRNG so every simulation is exactly
 //!   reproducible from its seed.
@@ -48,7 +48,7 @@ pub use journal::{Journal, JournalKey};
 pub use pool::{map_jobs, run_indexed};
 pub use resource::{BankedResource, Port};
 pub use rng::Rng64;
-pub use stats::{Counter, Histogram};
+pub use stats::Histogram;
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

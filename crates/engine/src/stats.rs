@@ -3,66 +3,11 @@
 //! The reproduction reports two families of numbers:
 //! execution-time breakdowns (Figures 4–10), where every CPU cycle is
 //! attributed to exactly one category, and cache miss-rate breakdowns
-//! (replacement vs. invalidation misses). [`Counter`] and [`Histogram`] are
-//! the building blocks for both.
+//! (replacement vs. invalidation misses). [`Histogram`] records the
+//! memory system's access latencies and trace reuse distances; [`ratio`]
+//! turns the counts of both families into shares and rates.
 
 use std::fmt;
-
-/// A named monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use cmpsim_engine::Counter;
-/// let mut c = Counter::new("l1d.miss");
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter labelled `name`.
-    pub fn new(name: &'static str) -> Counter {
-        Counter { name, value: 0 }
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one event.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Counter label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets the counter to zero (used when entering the region of
-    /// interest, mirroring the paper's checkpoint methodology).
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
 
 /// Ratio helper that renders `0/0` as zero instead of NaN.
 ///
@@ -206,17 +151,6 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates_and_resets() {
-        let mut c = Counter::new("x");
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(c.name(), "x");
-    }
 
     #[test]
     fn ratio_handles_zero_denominator() {

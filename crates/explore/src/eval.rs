@@ -1,8 +1,9 @@
-//! Batch point evaluation: the replay fast path and the execution path.
+//! Point evaluation: the replay fast path and the execution path.
 //!
-//! The evaluator is a **pure function of the point** — results never
-//! depend on which other points share a batch, so the cache stays
-//! coherent across overlapping searches and any job count.
+//! A search's planned points are evaluated once, and each result is a
+//! **pure function of the point** — it never depends on which other
+//! points share the search, so the cache stays coherent across
+//! overlapping searches and any job count.
 //!
 //! * **Replay mode** (the default): points are grouped by their CPU-side
 //!   signature (timing model, reorder window, CPU count — everything
@@ -25,19 +26,19 @@
 //! persistent cache. Errors stay values: a workload that cannot be built
 //! or a canonical capture that fails stops the search with a typed
 //! [`ExploreError`], while an execution-mode point whose run fails (a
-//! cycle budget, the watchdog, a failed self-check) is dropped and its
-//! error kept in [`Evaluator::dropped`]. A panic is a simulator bug and
+//! cycle budget, a failed self-check) is dropped and its error kept in
+//! [`crate::SearchOutcome::dropped`]. A panic is a simulator bug and
 //! stops the process.
 
 use crate::cache::ResultCache;
 use crate::space::{DesignSpace, Point};
 use crate::ExploreError;
 use cmpsim_core::{capture_run, run_workload, ArchKind, MachineConfig, RunSummary};
+use cmpsim_engine::journal::JournalKey;
 use cmpsim_engine::pool::map_jobs;
 use cmpsim_kernels::build_by_name;
 use cmpsim_mem::{LevelStats, MemStats, SentinelSpec};
-use cmpsim_trace::TraceRecord;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// How points are evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +102,7 @@ impl EvalSpec {
 
     /// Whether `p` is evaluated by trace replay: in replay mode, and only
     /// when a trace can carry the point's CPU count. Every other point
-    /// runs execution-driven. [`Evaluator::eval_batch`] and
+    /// runs execution-driven. [`crate::run_search`] and
     /// [`crate::dry_run`] both route points through this one rule.
     pub fn replays(&self, p: &Point) -> bool {
         self.mode == EvalMode::Replay
@@ -180,7 +181,7 @@ fn replay_metrics(p: &Point, accesses: u64, stats: &MemStats) -> PointMetrics {
 /// The canonical capture machine of one CPU-side signature: the paper's
 /// bus-based shared-memory architecture with the point's CPU model and
 /// count — a pure function of the signature, so cached results never
-/// depend on which architectures happen to share a batch.
+/// depend on which architectures happen to share a search.
 fn capture_config(p: &Point) -> MachineConfig {
     let mut cfg = MachineConfig::new(ArchKind::SharedMem, p.cfg.cpu);
     cfg.n_cpus = p.cfg.n_cpus;
@@ -188,15 +189,17 @@ fn capture_config(p: &Point) -> MachineConfig {
     cfg
 }
 
-/// Batch evaluator with an in-process memo, the persistent cache, and
-/// per-group reference traces.
-#[derive(Debug)]
-pub struct Evaluator {
-    /// The evaluation contract.
-    pub spec: EvalSpec,
-    cache: Option<ResultCache>,
-    seen: BTreeMap<u64, PointMetrics>,
-    traces: BTreeMap<String, Vec<TraceRecord>>,
+/// The cache key of `p` under the evaluation contract `tag`
+/// ([`EvalSpec::workload_tag`]).
+pub(crate) fn cache_key(tag: &str, p: &Point) -> JournalKey {
+    ResultCache::key(tag, &format!("{:?}", p.cfg))
+}
+
+/// What one evaluation pass produced.
+#[derive(Default)]
+pub(crate) struct Evaluated {
+    /// Every evaluated point with its metrics, ascending code order.
+    pub points: Vec<(u64, PointMetrics)>,
     /// Execution-driven runs performed (captures in replay mode, full
     /// runs in exec mode).
     pub exec_runs: usize,
@@ -207,168 +210,128 @@ pub struct Evaluator {
     pub dropped: Vec<(u64, String)>,
 }
 
-impl Evaluator {
-    /// A fresh evaluator over `spec`, optionally backed by a persistent
-    /// cache.
-    pub fn new(spec: EvalSpec, cache: Option<ResultCache>) -> Evaluator {
-        Evaluator {
-            spec,
-            cache,
-            seen: BTreeMap::new(),
-            traces: BTreeMap::new(),
-            exec_runs: 0,
-            replay_points: 0,
-            dropped: Vec::new(),
+/// Evaluates the distinct `codes` once: cached points answer from
+/// `cache`, the rest run execution-driven or by capture and replay, and
+/// every new result lands in `cache`.
+///
+/// # Errors
+///
+/// [`ExploreError::InvalidEmbedding`]/[`ExploreError::Config`] for a
+/// code outside the space, [`ExploreError::Workload`] when the workload
+/// cannot be built or a canonical capture fails, and
+/// [`ExploreError::Io`] on cache append failure.
+pub(crate) fn evaluate(
+    space: &DesignSpace,
+    spec: &EvalSpec,
+    codes: &[u64],
+    mut cache: Option<&mut ResultCache>,
+) -> Result<Evaluated, ExploreError> {
+    let tag = spec.workload_tag();
+    let mut ev = Evaluated::default();
+    let (mut replayed, mut executed) = (Vec::new(), Vec::new());
+    for &code in codes {
+        let p = space.decode(code)?;
+        if let Some(m) = cache
+            .as_deref_mut()
+            .and_then(|c| c.get(cache_key(&tag, &p)))
+        {
+            ev.points.push((code, m));
+        } else if spec.replays(&p) {
+            replayed.push(p);
+        } else {
+            executed.push(p);
         }
     }
-
-    /// Metrics of an already evaluated point.
-    pub fn metrics(&self, code: u64) -> Option<&PointMetrics> {
-        self.seen.get(&code)
+    let mut results = execute(spec, &executed, &mut ev)?;
+    results.extend(replay(spec, &replayed, &mut ev)?);
+    // Store executed points, then replayed ones, each in plan order: a
+    // deterministic journal append order, so a cache cut at a given byte
+    // holds the same rows every time.
+    for (p, m) in executed.iter().chain(&replayed).zip(results) {
+        let Some(m) = m else { continue };
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.put(cache_key(&tag, p), &m)?;
+        }
+        ev.points.push((p.code, m));
     }
+    ev.points.sort_unstable_by_key(|&(code, _)| code);
+    Ok(ev)
+}
 
-    /// Every evaluated point in ascending code order.
-    pub fn results(&self) -> impl Iterator<Item = (u64, &PointMetrics)> {
-        self.seen.iter().map(|(&c, m)| (c, m))
-    }
-
-    /// Unique points evaluated so far.
-    pub fn evaluated(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Points answered from the persistent cache.
-    pub fn cache_hits(&self) -> usize {
-        self.cache.as_ref().map_or(0, ResultCache::hits)
-    }
-
-    /// Rows the persistent cache recovered from disk at open.
-    pub fn cache_recovered(&self) -> usize {
-        self.cache.as_ref().map_or(0, ResultCache::recovered)
-    }
-
-    /// Evaluates every code in `codes` (duplicates and already-known
-    /// points are free), landing results in the memo and the cache.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::InvalidEmbedding`]/[`ExploreError::Config`] when
-    /// a driver submits a code outside the space,
-    /// [`ExploreError::Workload`] when the workload cannot be built or a
-    /// canonical capture fails, and [`ExploreError::Io`] on cache append
-    /// failure.
-    pub fn eval_batch(&mut self, space: &DesignSpace, codes: &[u64]) -> Result<(), ExploreError> {
-        let tag = self.spec.workload_tag();
-        let mut todo: Vec<Point> = Vec::new();
-        let mut dedup: HashSet<u64> = HashSet::new();
-        for &code in codes {
-            if self.seen.contains_key(&code) || !dedup.insert(code) {
-                continue;
+/// Execution mode: every point through the full machine. A point whose
+/// run fails is dropped (`None`) and its error recorded.
+fn execute(
+    spec: &EvalSpec,
+    todo: &[Point],
+    ev: &mut Evaluated,
+) -> Result<Vec<Option<PointMetrics>>, ExploreError> {
+    let runs = map_jobs(spec.jobs, todo, |p| -> Result<_, ExploreError> {
+        let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
+            .map_err(ExploreError::Workload)?;
+        Ok(run_workload(&p.cfg, &w, spec.budget).map(|s| exec_metrics(p, &s)))
+    });
+    let mut out = Vec::with_capacity(todo.len());
+    for (p, run) in todo.iter().zip(runs) {
+        match run? {
+            Ok(m) => {
+                ev.exec_runs += 1;
+                out.push(Some(m));
             }
-            let p = space.decode(code)?;
-            if let Some(cache) = &mut self.cache {
-                if let Some(m) = cache.get(ResultCache::key(&tag, &format!("{:?}", p.cfg))) {
-                    self.seen.insert(code, m);
-                    continue;
-                }
+            Err(e) => {
+                ev.dropped.push((p.code, e.to_string()));
+                out.push(None);
             }
-            todo.push(p);
         }
-        if todo.is_empty() {
-            return Ok(());
-        }
-        let (replayed, executed): (Vec<Point>, Vec<Point>) =
-            todo.into_iter().partition(|p| self.spec.replays(p));
-        let mut results = self.exec_batch(&executed)?;
-        results.extend(self.replay_batch(&replayed)?);
-        // Store executed points, then replayed ones, each in batch order:
-        // a deterministic journal append order, so a cache cut at a given
-        // byte holds the same rows every time.
-        for (p, m) in executed.iter().chain(&replayed).zip(results) {
-            let Some(m) = m else { continue };
-            if let Some(cache) = &mut self.cache {
-                cache.put(ResultCache::key(&tag, &format!("{:?}", p.cfg)), &m)?;
-            }
-            self.seen.insert(p.code, m);
-        }
-        Ok(())
     }
+    Ok(out)
+}
 
-    /// Execution mode: every point through the full machine. A point
-    /// whose run fails is dropped (`None`) and its error recorded.
-    fn exec_batch(&mut self, todo: &[Point]) -> Result<Vec<Option<PointMetrics>>, ExploreError> {
-        let spec = &self.spec;
-        let runs = map_jobs(spec.jobs, todo, |p| -> Result<_, ExploreError> {
-            let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
-                .map_err(ExploreError::Workload)?;
-            Ok(run_workload(&p.cfg, &w, spec.budget).map(|s| exec_metrics(p, &s)))
+/// Replay mode: one canonical capture per CPU-side signature, then
+/// `replay_matrix` over each group's candidate hierarchies.
+fn replay(
+    spec: &EvalSpec,
+    todo: &[Point],
+    ev: &mut Evaluated,
+) -> Result<Vec<Option<PointMetrics>>, ExploreError> {
+    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    for (i, p) in todo.iter().enumerate() {
+        groups.entry(p.group_sig()).or_default().push(i);
+    }
+    // Stage A: capture every group's reference trace, fanned out in
+    // parallel across signatures.
+    let firsts: Vec<(&String, &Point)> = groups
+        .iter()
+        .map(|(sig, idxs)| (sig, &todo[idxs[0]]))
+        .collect();
+    let captured = map_jobs(spec.jobs, &firsts, |&(sig, p)| {
+        let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
+            .map_err(ExploreError::Workload)?;
+        let failed = |e: &dyn std::fmt::Display| {
+            ExploreError::Workload(format!(
+                "canonical capture for CPU-side signature {sig} failed: {e}"
+            ))
+        };
+        let (_, bytes) =
+            capture_run(&capture_config(p), &w, spec.budget).map_err(|e| failed(&e))?;
+        cmpsim_trace::decode(&bytes).map_err(|e| failed(&e))
+    });
+    let traces = captured.into_iter().collect::<Result<Vec<_>, _>>()?;
+    ev.exec_runs += traces.len();
+    // Stage B: batched replay, group by group in signature order.
+    let mut out: Vec<Option<PointMetrics>> = vec![None; todo.len()];
+    for (idxs, records) in groups.values().zip(traces) {
+        let pts: Vec<&Point> = idxs.iter().map(|&i| &todo[i]).collect();
+        let replayed = cmpsim_trace::replay_matrix(&records, pts.len(), spec.jobs, |i| {
+            pts[i]
+                .cfg
+                .arch
+                .try_build(&pts[i].system_config())
+                .unwrap_or_else(|e| panic!("decoded point {} failed to build: {e}", pts[i].code))
         });
-        let mut out = Vec::with_capacity(todo.len());
-        for (p, run) in todo.iter().zip(runs) {
-            match run? {
-                Ok(m) => {
-                    self.exec_runs += 1;
-                    out.push(Some(m));
-                }
-                Err(e) => {
-                    self.dropped.push((p.code, e.to_string()));
-                    out.push(None);
-                }
-            }
+        for (&i, r) in idxs.iter().zip(replayed) {
+            out[i] = Some(replay_metrics(&todo[i], r.replay.accesses, &r.stats));
+            ev.replay_points += 1;
         }
-        Ok(out)
     }
-
-    /// Replay mode: one canonical capture per CPU-side signature, then
-    /// `replay_matrix` over each group's candidate hierarchies.
-    fn replay_batch(&mut self, todo: &[Point]) -> Result<Vec<Option<PointMetrics>>, ExploreError> {
-        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, p) in todo.iter().enumerate() {
-            groups.entry(p.group_sig()).or_default().push(i);
-        }
-        // Stage A: capture the missing reference traces, fanned out in
-        // parallel across signatures.
-        let missing: Vec<(String, Point)> = groups
-            .iter()
-            .filter(|(sig, _)| !self.traces.contains_key(*sig))
-            .map(|(sig, idxs)| (sig.clone(), todo[idxs[0]]))
-            .collect();
-        let spec = &self.spec;
-        let captured = map_jobs(spec.jobs, &missing, |(sig, p)| {
-            let w = build_by_name(&spec.workload, p.cfg.n_cpus, spec.scale)
-                .map_err(ExploreError::Workload)?;
-            let failed = |e: &dyn std::fmt::Display| {
-                ExploreError::Workload(format!(
-                    "canonical capture for CPU-side signature {sig} failed: {e}"
-                ))
-            };
-            let (_, bytes) =
-                capture_run(&capture_config(p), &w, spec.budget).map_err(|e| failed(&e))?;
-            cmpsim_trace::decode(&bytes).map_err(|e| failed(&e))
-        });
-        for ((sig, _), records) in missing.iter().zip(captured) {
-            self.traces.insert(sig.clone(), records?);
-            self.exec_runs += 1;
-        }
-        // Stage B: batched replay, group by group in signature order.
-        let mut out: Vec<Option<PointMetrics>> = vec![None; todo.len()];
-        for (sig, idxs) in &groups {
-            let records = &self.traces[sig];
-            let pts: Vec<&Point> = idxs.iter().map(|&i| &todo[i]).collect();
-            let replayed = cmpsim_trace::replay_matrix(records, pts.len(), self.spec.jobs, |i| {
-                pts[i]
-                    .cfg
-                    .arch
-                    .try_build(&pts[i].system_config())
-                    .unwrap_or_else(|e| {
-                        panic!("decoded point {} failed to build: {e}", pts[i].code)
-                    })
-            });
-            for (&i, r) in idxs.iter().zip(replayed) {
-                out[i] = Some(replay_metrics(&todo[i], r.replay.accesses, &r.stats));
-                self.replay_points += 1;
-            }
-        }
-        Ok(out)
-    }
+    Ok(out)
 }

@@ -6,11 +6,10 @@
 //!
 //! * [`space`] — a typed design space over architecture, CPU model and
 //!   the memory-hierarchy knobs, embedded as a compact mixed-radix
-//!   integer with validated decode, enumeration and neighborhood
-//!   generation.
-//! * [`search`] — exhaustive, seeded-random, hill-climb and evolutionary
-//!   drivers, each batch fanned through the job pool.
-//! * [`eval`] — the batch evaluator: memory-system-only points route
+//!   integer with validated decode and enumeration.
+//! * [`search`] — exhaustive and seeded-random drivers: one planned batch
+//!   per search, evaluated once and fanned through the job pool.
+//! * [`eval`] — point evaluation: memory-system-only points route
 //!   through the trace-replay fast path ([`cmpsim_trace::replay_matrix`],
 //!   one execution-driven capture per CPU-side signature), execution
 //!   mode runs every point through the full machine.
@@ -30,7 +29,7 @@ pub mod search;
 pub mod space;
 
 pub use cache::ResultCache;
-pub use eval::{EvalMode, EvalSpec, Evaluator, PointMetrics};
+pub use eval::{EvalMode, EvalSpec, PointMetrics};
 pub use pareto::frontier;
 pub use report::render_lines;
 pub use search::{dry_run, run_search, Driver, DryRun, SearchOutcome};

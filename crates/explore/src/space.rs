@@ -14,8 +14,9 @@
 //! runnable configuration, and it validates everything: range, cache
 //! geometry, cluster/mesh coverage, and **canonicality** — a knob that
 //! is physically absent from the point's architecture or CPU model
-//! (L1 banks off the shared-L1 crossbar, the reorder window under
-//! Mipsy) must sit at digit 0, so no two codes alias the same machine.
+//! (L1 banks off the shared-L1 crossbar, L2 banks on an unbanked L2, the
+//! reorder window under Mipsy) must sit at digit 0, so no two codes
+//! alias the same machine.
 
 use crate::ExploreError;
 use cmpsim_core::{ArchKind, CpuKind, MachineConfig, MxsConfig};
@@ -64,7 +65,8 @@ pub struct DesignSpace {
     pub l2_kb: Vec<u32>,
     /// L2 associativity.
     pub l2_assoc: Vec<usize>,
-    /// L2 bank count.
+    /// L2 bank count (canonical only on the banked shared L2 of the
+    /// shared-L2, clustered and mesh architectures).
     pub l2_banks: Vec<usize>,
     /// Shared-L1 bank count (canonical only on the shared-L1
     /// architecture).
@@ -370,6 +372,13 @@ impl DesignSpace {
         if arch != ArchKind::SharedL1 && digits[7] != 0 {
             return Err(noncanon("L1 banks exist on the shared-L1 crossbar only; other architectures must keep the l1-banks dimension at its first level"));
         }
+        let banked_l2 = matches!(
+            arch,
+            ArchKind::SharedL2 | ArchKind::Clustered | ArchKind::Mesh
+        );
+        if !banked_l2 && digits[6] != 0 {
+            return Err(noncanon("L2 banks exist on the shared L2 of the shared-L2, clustered and mesh architectures only; other architectures must keep the l2-banks dimension at its first level"));
+        }
         let cpu = match (cpusel, self.rob.is_empty()) {
             (CpuSel::Mipsy, _) => CpuKind::Mipsy,
             (CpuSel::Mxs, true) => CpuKind::Mxs,
@@ -420,7 +429,7 @@ impl DesignSpace {
         if !self.l2_assoc.is_empty() {
             cfg.l2_assoc = Some(self.l2_assoc[digits[5]]);
         }
-        if !self.l2_banks.is_empty() {
+        if !self.l2_banks.is_empty() && banked_l2 {
             cfg.l2_banks = Some(self.l2_banks[digits[6]]);
         }
         if !self.l1_banks.is_empty() && arch == ArchKind::SharedL1 {
@@ -445,31 +454,6 @@ impl DesignSpace {
         (0..self.cardinality())
             .filter(|&c| self.decode(c).is_ok())
             .collect()
-    }
-
-    /// The valid one-digit-step neighbors of `code`, in dimension order
-    /// (minus before plus) — the hill-climb move set.
-    pub fn neighbors(&self, code: u64) -> Vec<u64> {
-        let Ok(digits) = self.split(code) else {
-            return Vec::new();
-        };
-        let radices = self.radices();
-        let mut out = Vec::new();
-        for dim in 0..NDIMS {
-            for delta in [-1i64, 1] {
-                let d = digits[dim] as i64 + delta;
-                if d < 0 || d as u64 >= radices[dim] {
-                    continue;
-                }
-                let mut moved = digits;
-                moved[dim] = d as usize;
-                let c = self.encode(&moved);
-                if self.decode(c).is_ok() {
-                    out.push(c);
-                }
-            }
-        }
-        out
     }
 }
 

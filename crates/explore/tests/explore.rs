@@ -1,7 +1,7 @@
 //! End-to-end exploration tests: embedding round-trips, canonicality
-//! rejection, driver determinism across job counts, cache-hit byte
-//! identity, recovery from a torn cache, the execution path and its
-//! failure rules.
+//! rejection, search determinism across job counts, the dry run's plan,
+//! cache-hit byte identity, recovery from a torn cache, the execution
+//! path and its failure rules.
 
 use cmpsim_explore::search::dry_run;
 use cmpsim_explore::space::{CpuSel, NDIMS};
@@ -11,14 +11,16 @@ use cmpsim_explore::{
 use std::path::PathBuf;
 
 /// A multi-dimensional space that exercises every canonicality rule:
-/// two architectures (one shared-L1), both CPU models, swept rob and
-/// l1-banks dimensions.
+/// four architectures (shared-L1, two banked L2s, shared-memory), both
+/// CPU models, swept rob, l1-banks and l2-banks dimensions.
 fn thorny_space() -> DesignSpace {
     let mut s = DesignSpace::paper();
-    s.set_dim("arch", "shared-l1,shared-l2,mesh").unwrap();
+    s.set_dim("arch", "shared-l1,shared-l2,mesh,shared-memory")
+        .unwrap();
     s.set_dim("cpu", "mipsy,mxs").unwrap();
     s.set_dim("cpus", "2,4").unwrap();
     s.set_dim("l2-kb", "512,2048").unwrap();
+    s.set_dim("l2-banks", "1,4").unwrap();
     s.set_dim("l1-banks", "2,4").unwrap();
     s.set_dim("rob", "16,64").unwrap();
     s.validate().unwrap();
@@ -55,7 +57,7 @@ fn tmp(tag: &str) -> PathBuf {
 fn embedding_roundtrips_over_the_whole_space() {
     let s = thorny_space();
     let card = s.cardinality();
-    assert_eq!(card, 3 * 2 * 2 * 2 * 2 * 2);
+    assert_eq!(card, 4 * 2 * 2 * 2 * 2 * 2 * 2);
     let mut valid = 0u64;
     for code in 0..card {
         let digits = s.split(code).unwrap();
@@ -106,14 +108,8 @@ fn embedding_roundtrip_property_over_random_spaces() {
         let digits = s.split(code).expect("in-range code splits");
         assert_eq!(s.encode(&digits), code);
         if let Ok(p) = s.decode(code) {
-            // A decoded point re-encodes to itself and its neighbors
-            // stay inside the space.
+            // A decoded point re-encodes to itself.
             assert_eq!(s.encode(&p.digits), code);
-            for n in s.neighbors(code) {
-                assert!(n < card);
-                assert!(s.decode(n).is_ok(), "neighbors are pre-validated");
-                assert_ne!(n, code);
-            }
         }
     });
 }
@@ -157,6 +153,33 @@ fn invalid_embeddings_are_rejected_with_reasons() {
     digits[7] = 1;
     let p = s.decode(s.encode(&digits)).expect("canonical on shared-L1");
     assert_eq!(p.cfg.l1_banks, Some(4));
+    // l2-banks off its first level on an unbanked L2: shared-L1's one
+    // L2 and shared-memory's private ones. At its first level the
+    // dimension leaves such an L2 at its one bank.
+    for arch in [0, 3] {
+        let mut digits = [0usize; NDIMS];
+        digits[0] = arch;
+        digits[6] = 1; // l2-banks dimension
+        match s.decode(s.encode(&digits)) {
+            Err(ExploreError::InvalidEmbedding { why, .. }) => assert!(
+                why.contains("shared-L2, clustered and mesh"),
+                "l2-banks rule names the banked architectures: {why}"
+            ),
+            other => panic!("expected l2-banks canonicality rejection, got {other:?}"),
+        }
+        digits[6] = 0;
+        let p = s
+            .decode(s.encode(&digits))
+            .expect("first level is canonical");
+        assert_eq!(p.cfg.l2_banks, None, "arch digit {arch}");
+        assert_eq!(p.system_config().l2_banks, 1, "arch digit {arch}");
+    }
+    // The same digit is canonical on a banked L2.
+    let mut digits = [0usize; NDIMS];
+    digits[0] = 1; // shared-L2
+    digits[6] = 1;
+    let p = s.decode(s.encode(&digits)).expect("canonical on shared-L2");
+    assert_eq!(p.cfg.l2_banks, Some(4));
 }
 
 #[test]
@@ -203,35 +226,6 @@ fn random_search_is_identical_across_job_counts() {
     }
     for o in &outputs[1..] {
         assert_eq!(&outputs[0], o, "byte-identical at any job count");
-    }
-}
-
-#[test]
-fn hill_and_evolve_are_deterministic_and_stay_in_space() {
-    let space = mem_space();
-    for driver in [
-        Driver::HillClimb {
-            starts: 3,
-            steps: 4,
-        },
-        Driver::Evolve {
-            population: 8,
-            generations: 3,
-        },
-    ] {
-        let sp = spec(4, EvalMode::Replay);
-        let a = run_search(&space, sp.clone(), driver, 42, None).expect("search runs");
-        let b = run_search(&space, sp.clone(), driver, 42, None).expect("search runs");
-        assert_eq!(
-            render_lines(&space, &sp, driver, 42, &a).unwrap(),
-            render_lines(&space, &sp, driver, 42, &b).unwrap(),
-            "same seed, same output ({driver:?})"
-        );
-        assert!(!a.points.is_empty());
-        for &(code, _) in &a.points {
-            assert!(space.decode(code).is_ok(), "every visited point decodes");
-        }
-        assert!(!a.frontier.is_empty(), "non-degenerate frontier");
     }
 }
 
@@ -315,6 +309,27 @@ fn dry_run_plans_without_touching_disk() {
     assert_eq!(warm.exec_captures, 0);
     assert_eq!(warm.replay_points, 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// The dry run plans exactly what the search then does: the same
+/// points, captures and replays, and over a warm cache one hit a point.
+#[test]
+fn dry_run_plans_what_the_search_does() {
+    let space = mem_space();
+    let sp = spec(2, EvalMode::Replay);
+    for driver in [Driver::Exhaustive, Driver::Random { points: 20 }] {
+        let path = tmp(&format!("plan-{}", driver.tag()));
+        let _ = std::fs::remove_file(&path);
+        let plan = dry_run(&space, &sp, driver, 11, Some(&path)).expect("plans");
+        let outcome = run_search(&space, sp.clone(), driver, 11, Some(&path)).expect("searches");
+        assert_eq!(outcome.quarantined, 0, "{driver:?}");
+        assert_eq!(plan.planned, outcome.points.len(), "{driver:?}");
+        assert_eq!(plan.exec_captures, outcome.exec_runs, "{driver:?}");
+        assert_eq!(plan.replay_points, outcome.replay_points, "{driver:?}");
+        let warm = dry_run(&space, &sp, driver, 11, Some(&path)).expect("plans again");
+        assert_eq!(warm.cache_hits, outcome.points.len(), "{driver:?}");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]

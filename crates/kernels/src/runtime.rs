@@ -115,76 +115,6 @@ impl Runtime {
         a.sync();
         a.mv(result, Reg::T8);
     }
-
-    /// Ticket lock acquire: FIFO-fair under contention, unlike the
-    /// test-and-test-and-set lock. The lock block holds the ticket counter
-    /// at `0(lock)` and the now-serving counter one line later at
-    /// `32(lock)` (separate lines so ticket-grabbing does not invalidate
-    /// the spinners). Clobbers `$t8`/`$t9`; the caller supplies a register
-    /// to hold the ticket across the critical section... no — the ticket is
-    /// consumed here, nothing to keep.
-    pub fn ticket_lock_acquire(&mut self, a: &mut Asm, lock: Reg, ticket: Reg) {
-        assert!(
-            ticket != Reg::T8 && ticket != Reg::T9 && ticket != lock,
-            "ticket register conflicts with scratch"
-        );
-        self.fetch_add(a, lock, 1, ticket);
-        let wait = self.fresh("ticket_wait");
-        a.label(&wait);
-        a.lw(Reg::T8, lock, 32);
-        a.bne(Reg::T8, ticket, &wait);
-        a.sync();
-    }
-
-    /// Ticket lock release: passes the lock to the next ticket holder.
-    pub fn ticket_lock_release(&mut self, a: &mut Asm, lock: Reg) {
-        a.sync();
-        a.lw(Reg::T8, lock, 32);
-        a.addi(Reg::T8, Reg::T8, 1);
-        a.sw(Reg::T8, lock, 32);
-    }
-
-    /// Pulls the next task index from a shared work queue (a fetch-and-add
-    /// counter, as in Volpack's scanline queue). `result` gets the task id;
-    /// the caller compares it against the task count and branches to its
-    /// done label when exhausted. Clobbers `$t8`/`$t9`.
-    pub fn task_pull(&mut self, a: &mut Asm, queue: Reg, result: Reg) {
-        self.fetch_add(a, queue, 1, result);
-    }
-
-    /// Word-aligned memcpy: copies `$a1` *words* from `$a2` to `$a3`,
-    /// clobbering `$t8`/`$t9`/`$a1`/`$a2`/`$a3`. No-op when the count is
-    /// zero. This is the copy loop Eqntott's master conceptually performs.
-    pub fn memcpy_words(&mut self, a: &mut Asm) {
-        let done = self.fresh("memcpy_done");
-        let copy = self.fresh("memcpy");
-        a.beqz(Reg::A1, &done);
-        a.label(&copy);
-        a.lw(Reg::T8, Reg::A2, 0);
-        a.sw(Reg::T8, Reg::A3, 0);
-        a.addi(Reg::A2, Reg::A2, 4);
-        a.addi(Reg::A3, Reg::A3, 4);
-        a.addi(Reg::A1, Reg::A1, -1);
-        a.bnez(Reg::A1, &copy);
-        a.label(&done);
-    }
-
-    /// Global sum reduction: atomically folds `value` into the accumulator
-    /// at `0(acc)`, then barriers; afterwards every CPU can read the final
-    /// total from `0(acc)`. Clobbers `$t8`/`$t9`.
-    pub fn reduce_add(&mut self, a: &mut Asm, acc: Reg, value: Reg, bar: Reg, n_cpus: usize) {
-        assert!(
-            value != Reg::T8 && value != Reg::T9 && value != acc,
-            "reduce value register conflicts with scratch"
-        );
-        let retry = self.fresh("reduce");
-        a.label(&retry);
-        a.ll(Reg::T8, acc, 0);
-        a.add(Reg::T9, Reg::T8, value);
-        a.sc(Reg::T9, acc, 0);
-        a.beqz(Reg::T9, &retry);
-        self.barrier(a, bar, n_cpus);
-    }
 }
 
 #[cfg(test)]
@@ -335,168 +265,5 @@ mod tests {
         let mut rt = Runtime::new();
         let mut a = Asm::new(0);
         rt.fetch_add(&mut a, Reg::A0, 1, Reg::T8);
-    }
-}
-
-#[cfg(test)]
-mod ext_tests {
-    use super::*;
-    use crate::layout::Layout;
-    use cmpsim_cpu::{CpuModel, MipsyCpu};
-    use cmpsim_engine::Cycle;
-    use cmpsim_mem::{AddrSpace, PhysMem, SharedMemSystem, SystemConfig};
-
-    fn run4(prog: &cmpsim_isa::Program, phys: &mut PhysMem) {
-        let mut mem = SharedMemSystem::new(&SystemConfig::paper_shared_mem(4));
-        let mut cpus: Vec<MipsyCpu> = (0..4)
-            .map(|c| MipsyCpu::new(c, prog.base, AddrSpace::identity()))
-            .collect();
-        let mut ready = [Cycle(0); 4];
-        for _ in 0..8_000_000 {
-            let Some(c) = (0..4)
-                .filter(|&c| !cpus[c].halted())
-                .min_by_key(|&c| ready[c])
-            else {
-                return;
-            };
-            let (next, _) = cpus[c].step(ready[c], &mut mem, phys);
-            ready[c] = next;
-        }
-        panic!("did not converge");
-    }
-
-    #[test]
-    fn ticket_lock_is_mutually_exclusive_and_fair() {
-        let lock = Layout::sync_word(50); // counter @+0, serving @+32
-        let counter = Layout::sync_word(53);
-        let order = Layout::sync_word(54); // 4 line-padded slots
-        let mut rt = Runtime::new();
-        let mut a = Asm::new(Layout::CODE);
-        rt.preamble(&mut a);
-        a.la_abs(Reg::A0, lock);
-        a.la_abs(Reg::A1, counter);
-        a.li(Reg::S0, 30);
-        a.label("loop");
-        rt.ticket_lock_acquire(&mut a, Reg::A0, Reg::S1);
-        a.lw(Reg::T0, Reg::A1, 0);
-        a.addi(Reg::T0, Reg::T0, 1);
-        a.sw(Reg::T0, Reg::A1, 0);
-        rt.ticket_lock_release(&mut a, Reg::A0);
-        a.addi(Reg::S0, Reg::S0, -1);
-        a.bnez(Reg::S0, "loop");
-        // Record the last ticket each CPU held (tickets are FIFO-unique).
-        a.la_abs(Reg::T0, order);
-        a.slli(Reg::T1, Reg::S7, 5);
-        a.add(Reg::T0, Reg::T0, Reg::T1);
-        a.sw(Reg::S1, Reg::T0, 0);
-        a.halt();
-        let prog = a.assemble().expect("assembles");
-        let mut phys = PhysMem::new(4);
-        phys.load_words(prog.base, &prog.words);
-        run4(&prog, &mut phys);
-        assert_eq!(phys.read_u32(counter), 120, "4 CPUs x 30 increments");
-        let mut last: Vec<u32> = (0..4).map(|c| phys.read_u32(order + c * 32)).collect();
-        last.sort_unstable();
-        last.dedup();
-        assert_eq!(last.len(), 4, "tickets are unique per holder");
-    }
-
-    #[test]
-    fn memcpy_words_copies_and_handles_zero() {
-        let src = Layout::DATA;
-        let dst = Layout::DATA + 0x1000;
-        let mut rt = Runtime::new();
-        let mut a = Asm::new(Layout::CODE);
-        rt.preamble(&mut a);
-        // Only CPU 0 copies; others exit.
-        a.bnez(Reg::S7, "skip");
-        a.li(Reg::A1, 16);
-        a.la_abs(Reg::A2, src);
-        a.la_abs(Reg::A3, dst);
-        rt.memcpy_words(&mut a);
-        // Zero-length copy must be a no-op.
-        a.li(Reg::A1, 0);
-        a.la_abs(Reg::A2, src);
-        a.la_abs(Reg::A3, dst + 0x100);
-        rt.memcpy_words(&mut a);
-        a.label("skip");
-        a.halt();
-        let prog = a.assemble().expect("assembles");
-        let mut phys = PhysMem::new(4);
-        phys.load_words(prog.base, &prog.words);
-        for i in 0..16u32 {
-            phys.write_u32(src + i * 4, 0xA000 + i);
-        }
-        run4(&prog, &mut phys);
-        for i in 0..16u32 {
-            assert_eq!(phys.read_u32(dst + i * 4), 0xA000 + i);
-        }
-        assert_eq!(phys.read_u32(dst + 0x100), 0, "zero-length copied nothing");
-    }
-
-    #[test]
-    fn reduce_add_produces_global_total_visible_to_all() {
-        let acc = Layout::sync_word(60);
-        let bar = Layout::sync_word(62);
-        let out = Layout::sync_word(64);
-        let mut rt = Runtime::new();
-        let mut a = Asm::new(Layout::CODE);
-        rt.preamble(&mut a);
-        a.la_abs(Reg::A0, acc);
-        a.la_abs(Reg::A2, bar);
-        // value = (cpu + 1) * 10
-        a.addi(Reg::S0, Reg::S7, 1);
-        a.li(Reg::T0, 10);
-        a.mul(Reg::S0, Reg::S0, Reg::T0);
-        rt.reduce_add(&mut a, Reg::A0, Reg::S0, Reg::A2, 4);
-        // Every CPU stores the total it observes.
-        a.lw(Reg::T0, Reg::A0, 0);
-        a.la_abs(Reg::T1, out);
-        a.slli(Reg::T2, Reg::S7, 5);
-        a.add(Reg::T1, Reg::T1, Reg::T2);
-        a.sw(Reg::T0, Reg::T1, 0);
-        a.halt();
-        let prog = a.assemble().expect("assembles");
-        let mut phys = PhysMem::new(4);
-        phys.load_words(prog.base, &prog.words);
-        run4(&prog, &mut phys);
-        for c in 0..4 {
-            assert_eq!(
-                phys.read_u32(out + c * 32),
-                10 + 20 + 30 + 40,
-                "cpu {c} sees the full reduction"
-            );
-        }
-    }
-
-    #[test]
-    fn task_pull_distributes_every_task_exactly_once() {
-        let queue = Layout::sync_word(70);
-        let claimed = Layout::DATA + 0x2000; // one word per task
-        let mut rt = Runtime::new();
-        let mut a = Asm::new(Layout::CODE);
-        rt.preamble(&mut a);
-        a.la_abs(Reg::A3, queue);
-        a.la_abs(Reg::S1, claimed);
-        a.label("grab");
-        rt.task_pull(&mut a, Reg::A3, Reg::S3);
-        a.li(Reg::T0, 40);
-        a.bge(Reg::S3, Reg::T0, "done");
-        // claimed[task] += 1 (only this CPU owns the slot now).
-        a.slli(Reg::T0, Reg::S3, 2);
-        a.add(Reg::T0, Reg::S1, Reg::T0);
-        a.lw(Reg::T1, Reg::T0, 0);
-        a.addi(Reg::T1, Reg::T1, 1);
-        a.sw(Reg::T1, Reg::T0, 0);
-        a.j("grab");
-        a.label("done");
-        a.halt();
-        let prog = a.assemble().expect("assembles");
-        let mut phys = PhysMem::new(4);
-        phys.load_words(prog.base, &prog.words);
-        run4(&prog, &mut phys);
-        for t in 0..40u32 {
-            assert_eq!(phys.read_u32(claimed + t * 4), 1, "task {t} claimed once");
-        }
     }
 }

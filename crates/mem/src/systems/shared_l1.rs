@@ -364,24 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn sentinel_clean_traffic_has_no_violations() {
-        use crate::sentinel::SentinelSpec;
-        let mut s = SharedL1System::new(
-            &SystemConfig::paper_shared_l1(4).with_sentinel(SentinelSpec::on()),
-        );
-        for t in 0..200u64 {
-            let cpu = (t % 4) as usize;
-            let addr = 0x1000 + ((t * 44) % 8192) as Addr;
-            if t % 4 == 0 {
-                s.access(Cycle(t * 10), MemRequest::store(cpu, addr));
-            } else {
-                s.access(Cycle(t * 10), MemRequest::load(cpu, addr));
-            }
-        }
-        assert!(s.violations().is_empty(), "{:?}", s.violations());
-    }
-
-    #[test]
     fn ifetch_uses_instruction_cache() {
         let mut s = sys();
         s.access(Cycle(0), MemRequest::ifetch(0, 0x4000));

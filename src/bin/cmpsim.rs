@@ -58,18 +58,20 @@ USAGE:
                                  instead of rejecting it, --head N to
                                  replay only the first N records
     cmpsim explore --workload <NAME> [--scale <F>] [--budget <CYCLES>]
-                 [--driver exhaustive|random|hill|evolve] [--seed <N>]
+                 [--driver exhaustive|random] [--seed <N>]
                  [--dim <name>=<v1,v2,...>]... [--points <N>]
-                 [--starts <N>] [--steps <N>] [--pop <N>] [--gens <N>]
                  [--cache <PATH>] [--exec] [--dry-run] [--jobs <N>]
-                                 seeded design-space search: JSON-lines
-                                 points + Pareto frontier on stdout,
-                                 byte-identical at any job count; --cache
-                                 persists every evaluated point so
-                                 overlapping or interrupted searches
-                                 never recompute; --dry-run plans the
-                                 search (cardinality, exec/replay split,
-                                 cache hits) without simulating.
+                                 seeded design-space search: exhaustive
+                                 evaluates every valid point, random (the
+                                 default) --points distinct ones (default
+                                 64); JSON-lines points + Pareto frontier
+                                 on stdout, byte-identical at any job
+                                 count; --cache persists every evaluated
+                                 point so overlapping or interrupted
+                                 searches never recompute; --dry-run
+                                 plans the search (cardinality,
+                                 exec/replay split, cache hits) without
+                                 simulating.
                                  Dimensions: arch, cpu, cpus, l1-kb,
                                  l2-kb, l2-assoc, l2-banks, l1-banks,
                                  l2-width (128|64 bits), rob
@@ -337,10 +339,6 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     let mut seed = 1u64;
     let mut driver_name = "random".to_string();
     let mut points = 64usize;
-    let mut starts = 4usize;
-    let mut steps = 8usize;
-    let mut pop = 16usize;
-    let mut gens = 8usize;
     let mut cache: Option<std::path::PathBuf> = None;
     let mut exec = false;
     let mut dry = false;
@@ -359,10 +357,6 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
             "--seed" => seed = num(val()?, "seed")?,
             "--driver" => driver_name = val()?,
             "--points" => points = num(val()?, "points")?,
-            "--starts" => starts = num(val()?, "starts")?,
-            "--steps" => steps = num(val()?, "steps")?,
-            "--pop" => pop = num(val()?, "pop")?,
-            "--gens" => gens = num(val()?, "gens")?,
             "--jobs" | "-j" => jobs = num(val()?, "jobs")?,
             "--cache" => cache = Some(val()?.into()),
             "--exec" => exec = true,
@@ -385,16 +379,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     let driver = match driver_name.as_str() {
         "exhaustive" => Driver::Exhaustive,
         "random" => Driver::Random { points },
-        "hill" => Driver::HillClimb { starts, steps },
-        "evolve" => Driver::Evolve {
-            population: pop,
-            generations: gens,
-        },
-        other => {
-            return Err(format!(
-                "unknown driver `{other}` (exhaustive, random, hill, evolve)"
-            ))
-        }
+        other => return Err(format!("unknown driver `{other}` (exhaustive, random)")),
     };
     let spec = EvalSpec {
         workload: workload.ok_or("--workload is required")?,

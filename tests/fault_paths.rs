@@ -104,20 +104,21 @@ fn sentinel_on_random_fragments_reports_zero_violations() {
     ];
     let cfg = Config::from_env_or_cases(8);
     prop::check_with(&cfg, "sentinel_on_random_fragments", |src| {
-        let arch = src.choice(&arches);
         let workload = src.choice(&ALL_WORKLOADS);
         let scale = src.f64(0.02..0.08);
         let w = build_by_name(workload, 4, scale)
             .unwrap_or_else(|e| panic!("{workload} @{scale}: {e}"));
-        let mut mc = MachineConfig::new(arch, CpuKind::Mipsy);
-        mc.sentinel = Some(SentinelSpec::on());
-        let s = run_workload(&mc, &w, 10_000_000_000)
-            .unwrap_or_else(|e| panic!("{workload} on {arch}: {e}"));
-        assert!(
-            s.violations.is_empty(),
-            "{workload} @{scale} on {arch}: {:?}",
-            s.violations
-        );
+        for arch in arches {
+            let mut mc = MachineConfig::new(arch, CpuKind::Mipsy);
+            mc.sentinel = Some(SentinelSpec::on());
+            let s = run_workload(&mc, &w, 10_000_000_000)
+                .unwrap_or_else(|e| panic!("{workload} on {arch}: {e}"));
+            assert!(
+                s.violations.is_empty(),
+                "{workload} @{scale} on {arch}: {:?}",
+                s.violations
+            );
+        }
     });
 }
 
