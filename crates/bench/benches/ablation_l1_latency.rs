@@ -27,7 +27,6 @@ fn main() {
         let w = build_by_name("eqntott", 4, 1.0).expect("builds");
         let mut cfg = MachineConfig::new(ArchKind::SharedL1, CpuKind::Mxs);
         cfg.l1_latency = Some(lat);
-        cfg.ideal_shared_l1 = Some(false);
         let s = run_workload(&cfg, &w, BUDGET).expect("runs");
         println!(
             "{:<10} {:>12} {:>10.3}",

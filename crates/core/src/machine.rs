@@ -133,8 +133,10 @@ impl CpuKind {
 ///
 /// Per the paper's methodology, Mipsy runs idealize the shared L1 (1-cycle
 /// hits, no bank contention) while MXS runs model the real 3-cycle hit time
-/// and bank conflicts; `ideal_shared_l1` overrides that default for
-/// ablation studies.
+/// and bank conflicts. The CPU model decides it:
+/// [`MachineConfig::system_config`] sets
+/// [`SystemConfig::ideal_shared_l1`] for Mipsy on the shared-L1 and
+/// clustered architectures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     pub arch: ArchKind,
@@ -156,8 +158,6 @@ pub struct MachineConfig {
     pub l2_occupancy: Option<u64>,
     /// Override the L1 capacity in bytes (cache-size extension study).
     pub l1_size: Option<u32>,
-    /// Override the Mipsy/MXS idealization default.
-    pub ideal_shared_l1: Option<bool>,
     /// Override the cluster geometry (clustered architecture): CPUs per
     /// cluster-shared L1. `None` keeps the paper default of 2.
     pub cpus_per_cluster: Option<usize>,
@@ -190,7 +190,6 @@ impl MachineConfig {
             l1_banks: None,
             l2_occupancy: None,
             l1_size: None,
-            ideal_shared_l1: None,
             cpus_per_cluster: None,
             mesh_dims: None,
             sentinel: None,
@@ -228,9 +227,8 @@ impl MachineConfig {
         if let Some((r, c)) = self.mesh_dims {
             sc = sc.with_mesh_dims(r, c);
         }
-        let ideal = self.ideal_shared_l1.unwrap_or_else(|| {
-            self.cpu.is_mipsy() && matches!(self.arch, ArchKind::SharedL1 | ArchKind::Clustered)
-        });
+        let ideal =
+            self.cpu.is_mipsy() && matches!(self.arch, ArchKind::SharedL1 | ArchKind::Clustered);
         sc.with_ideal_shared_l1(ideal)
             .with_sentinel(self.sentinel.unwrap_or_default())
     }
@@ -483,7 +481,7 @@ impl Machine {
         // an untraced one), and its absence means zero overhead.
         let (mem, trace): (Box<dyn MemorySystem>, Option<SinkHandle>) = match trace_out {
             Some(out) => {
-                let sink = sink_to(out, cfg.n_cpus, mem.line_bytes())
+                let sink = sink_to(out, cfg.n_cpus)
                     .unwrap_or_else(|e| panic!("trace capture failed: {e}"));
                 (
                     Box::new(TracingSystem::new(mem, Rc::clone(&sink))),
@@ -794,11 +792,9 @@ mod tests {
         let mut cfg = MachineConfig::new(ArchKind::SharedL1, CpuKind::Mipsy);
         cfg.l2_assoc = Some(4);
         cfg.l1_latency = Some(5);
-        cfg.ideal_shared_l1 = Some(false);
         let sc = cfg.system_config();
         assert_eq!(sc.l2.assoc, 4);
         assert_eq!(sc.lat.l1_lat, 5);
-        assert!(!sc.ideal_shared_l1);
     }
 
     #[test]
@@ -884,17 +880,20 @@ mod tests {
     #[test]
     fn try_new_rejects_bad_mxs_configs() {
         let w = build_by_name("eqntott", 4, 0.03).expect("builds");
-        let starved = MxsConfig {
-            phys_regs: 40,
+        let bad_btb = MxsConfig {
+            btb_entries: 1000,
             ..MxsConfig::default()
         };
-        let cfg = MachineConfig::new(ArchKind::SharedMem, CpuKind::MxsCustom(starved));
-        let err = Machine::try_new(&cfg, &w).expect_err("starved register file");
-        assert!(matches!(
+        let cfg = MachineConfig::new(ArchKind::SharedMem, CpuKind::MxsCustom(bad_btb));
+        let err = Machine::try_new(&cfg, &w).expect_err("a BTB size that is not a power of two");
+        assert_eq!(
             err,
-            cmpsim_mem::ConfigError::TooFewPhysRegs { phys_regs: 40, .. }
-        ));
-        assert!(err.to_string().contains("32 + rob_entries"));
+            cmpsim_mem::ConfigError::NotPowerOfTwo {
+                what: "BTB size",
+                value: 1000
+            }
+        );
+        assert!(err.to_string().contains("power of two"), "{err}");
     }
 
     /// The trace contract end to end: a traced run is bit-identical to an
@@ -1046,9 +1045,6 @@ mod tests {
         }
         fn load_would_hit_l1(&self, _: usize, _: u32) -> bool {
             false
-        }
-        fn line_bytes(&self) -> u32 {
-            32
         }
         fn n_cpus(&self) -> usize {
             1

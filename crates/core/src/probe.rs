@@ -8,7 +8,7 @@
 use crate::machine::{ArchKind, Machine, MachineConfig, RunError, RunSummary};
 use cmpsim_engine::Cycle;
 use cmpsim_kernels::BuiltWorkload;
-use cmpsim_mem::{MemRequest, MemorySystem};
+use cmpsim_mem::{MemRequest, MemorySystem, LINE_BYTES};
 use cmpsim_trace::{SharedBuf, SinkOut};
 
 /// Measured latencies (in cycles) for one architecture.
@@ -78,10 +78,9 @@ pub fn probe_latencies(arch: ArchKind, ideal_shared_l1: bool) -> ProbeResult {
     // L2 occupancy: two L1-missing loads to the same L2 bank back to back;
     // the second's extra wait is the occupancy.
     t = Cycle(100_000);
-    let line = cfg.l1d.line_bytes;
     // Two distinct lines in the same L2 bank (bank interleave is by line;
     // banks * line apart) that both miss the L1 but hit the L2.
-    let stride_same_bank = line * (cfg.l2_banks.max(1) as u32);
+    let stride_same_bank = LINE_BYTES * (cfg.l2_banks.max(1) as u32);
     let (p1, p2) = (0xa0_0000, 0xa0_0000 + stride_same_bank);
     s.access(t, MemRequest::load(0, p1)); // warm L2
     s.access(t + 1_000, MemRequest::load(0, p2)); // warm L2

@@ -47,11 +47,6 @@ impl Breakdown {
             total_cycles: total,
         }
     }
-
-    /// Fraction of time in the memory system (everything but CPU).
-    pub fn memory_fraction(&self) -> f64 {
-        1.0 - self.cpu
-    }
 }
 
 impl fmt::Display for Breakdown {
@@ -250,7 +245,7 @@ mod tests {
         let sum = b.cpu + b.instruction + b.l1_data + b.l2 + b.memory + b.cache_to_cache + b.store;
         assert!((sum - 1.0).abs() < 1e-12);
         assert_eq!(b.total_cycles, 100);
-        assert!((b.memory_fraction() - 0.3).abs() < 1e-12);
+        assert!((b.cpu - 0.7).abs() < 1e-12);
         assert!(b.to_string().contains("cpu"));
     }
 

@@ -12,16 +12,11 @@ use crate::arch::ArchState;
 use crate::counters::{CpuCounters, StallCategory};
 use crate::decode::DecodeCache;
 use crate::func::{self, ExecEnv, Outcome};
-use crate::{CpuModel, StepEvent};
+use crate::{CpuModel, StepEvent, WRITE_BUFFER_ENTRIES};
 use cmpsim_engine::Cycle;
 use cmpsim_mem::{
     AccessKind, AddrSpace, CpuId, MemRequest, MemorySystem, PhysMem, ServiceLevel, WriteBuffer,
 };
-
-/// Write-buffer depth (entries). Deep enough that well-spaced stores never
-/// stall, shallow enough that bursts expose L2 port contention (a 1996-era
-/// depth; the R10000 has 4 entries).
-const WRITE_BUFFER_ENTRIES: usize = 4;
 
 /// The simple in-order CPU model.
 ///

@@ -33,74 +33,84 @@ use crate::decode::DecodeCache;
 use crate::func::{
     effective_addr, eval_alu, eval_alui, eval_branch, eval_cvt_fi, eval_cvt_if, eval_fcmp, eval_fp,
 };
-use crate::{CpuModel, FuLatencies, StepEvent};
+use crate::{CpuModel, FuLatencies, StepEvent, WRITE_BUFFER_ENTRIES};
 use cmpsim_engine::Cycle;
 use cmpsim_isa::{FuClass, Instr, Reg};
-use cmpsim_mem::{AddrSpace, CpuId, MemRequest, MemorySystem, PhysMem, WriteBuffer};
+use cmpsim_mem::{
+    AddrSpace, ConfigError, CpuId, MemRequest, MemorySystem, PhysMem, WriteBuffer, LINE_BYTES,
+};
 use std::collections::VecDeque;
 
-/// Configuration of the MXS core; defaults follow the paper (§2.1).
+/// The sizes of the MXS core that ablations and the explorer vary;
+/// defaults follow the paper (§2.1).
+///
+/// Everything else the paper fixes is a constant of the core (DESIGN.md
+/// §6): it graduates 2 instructions per cycle, has 2 copies of every
+/// functional unit but the single memory port, drains stores through the
+/// same 4-entry write buffer as Mipsy, runs the Table 1 latencies
+/// ([`FuLatencies::table1`]), and holds `32 + rob_entries` physical
+/// registers per file, which is enough that rename never stalls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MxsConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: usize,
     /// Instructions issued to functional units per cycle.
     pub issue_width: usize,
-    /// Instructions graduated per cycle.
-    pub graduate_width: usize,
     /// Reorder-buffer (= instruction window) entries.
     pub rob_entries: usize,
     /// Maximum outstanding load misses (non-blocking cache MSHRs).
     pub mshrs: usize,
     /// Branch-target-buffer entries.
     pub btb_entries: usize,
-    /// Copies of each functional unit (except the single memory port).
-    pub fu_per_class: usize,
-    /// Physical registers per file.
-    pub phys_regs: usize,
-    /// Write-buffer entries.
-    pub wbuf_entries: usize,
-    /// Functional-unit latencies.
-    pub fu: FuLatencies,
 }
 
 impl MxsConfig {
     /// Validates the configuration, returning a typed error instead of
-    /// panicking.
+    /// panicking. A configuration that passes builds a core that runs.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::TooFewPhysRegs`] when renaming could
-    /// deadlock (`phys_regs < 32 + rob_entries`: every architectural
-    /// register plus every in-flight instruction needs a physical
-    /// register), [`ConfigError::TooManyPhysRegs`] when the register file
-    /// outgrows the core's 16-bit physical register indices, and
-    /// [`ConfigError::FetchWidthOutOfRange`] when the fetch width is zero
-    /// or exceeds the fetch-buffer capacity.
-    ///
-    /// [`ConfigError::TooFewPhysRegs`]: cmpsim_mem::ConfigError::TooFewPhysRegs
-    /// [`ConfigError::TooManyPhysRegs`]: cmpsim_mem::ConfigError::TooManyPhysRegs
-    /// [`ConfigError::FetchWidthOutOfRange`]: cmpsim_mem::ConfigError::FetchWidthOutOfRange
-    pub fn validate(&self) -> Result<(), cmpsim_mem::ConfigError> {
-        if self.phys_regs < 32 + self.rob_entries {
-            return Err(cmpsim_mem::ConfigError::TooFewPhysRegs {
-                phys_regs: self.phys_regs,
-                needed: 32 + self.rob_entries,
+    /// Returns [`ConfigError::Zero`] for a zero fetch width, issue width,
+    /// window or MSHR count (the core would fetch, issue, hold or miss
+    /// nothing and spin until the cycle budget ends the run),
+    /// [`ConfigError::NotPowerOfTwo`] for a BTB size that is not a power
+    /// of two, and [`ConfigError::OutOfRange`] for a fetch width past the
+    /// 8-entry fetch buffer, a window whose `32 + rob_entries` registers
+    /// outgrow the 16-bit register indices, or a BTB above 65536 entries.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (value, what) in [
+            (self.fetch_width, "MXS fetch width"),
+            (self.issue_width, "MXS issue width"),
+            (self.rob_entries, "MXS reorder window"),
+            (self.mshrs, "MXS MSHR count"),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::Zero { what });
+            }
+        }
+        if !self.btb_entries.is_power_of_two() {
+            return Err(ConfigError::NotPowerOfTwo {
+                what: "BTB size",
+                value: self.btb_entries as u64,
             });
         }
-        if self.phys_regs > MAX_PHYS_REGS {
-            return Err(cmpsim_mem::ConfigError::TooManyPhysRegs {
-                phys_regs: self.phys_regs,
-                max: MAX_PHYS_REGS,
-            });
-        }
-        if self.fetch_width == 0 || self.fetch_width > FBUF_CAP {
-            return Err(cmpsim_mem::ConfigError::FetchWidthOutOfRange {
-                fetch_width: self.fetch_width,
-                max: FBUF_CAP,
-            });
+        for (value, max, what) in [
+            (self.fetch_width, FBUF_CAP, "MXS fetch width"),
+            (self.rob_entries, MAX_ROB_ENTRIES, "MXS reorder window"),
+            (self.btb_entries, MAX_BTB_ENTRIES, "BTB size"),
+        ] {
+            if value > max {
+                return Err(ConfigError::OutOfRange { what, value, max });
+            }
         }
         Ok(())
+    }
+
+    /// Physical registers per file: the 32 architectural mappings plus one
+    /// per window entry, since each in-flight instruction renames at most
+    /// one register per file. Rename can therefore never run out.
+    fn phys_regs(&self) -> usize {
+        ARCH_REGS + self.rob_entries
     }
 }
 
@@ -109,20 +119,31 @@ impl Default for MxsConfig {
         MxsConfig {
             fetch_width: 2,
             issue_width: 2,
-            graduate_width: 2,
             rob_entries: 32,
             mshrs: 4,
             btb_entries: 1024,
-            fu_per_class: 2,
-            phys_regs: 96,
-            wbuf_entries: 4,
-            fu: FuLatencies::table1(),
         }
     }
 }
 
-/// Physical registers per file that the `u16` register indices can name.
-const MAX_PHYS_REGS: usize = 1 << 16;
+/// Architectural registers per file.
+const ARCH_REGS: usize = 32;
+
+/// Largest window: its `32 + rob_entries` registers per file must fit the
+/// `u16` register indices.
+const MAX_ROB_ENTRIES: usize = (1 << 16) - ARCH_REGS;
+
+/// Largest BTB: a sanity ceiling, 64 times the paper's 1024 entries.
+const MAX_BTB_ENTRIES: usize = 1 << 16;
+
+/// Instructions graduated per cycle.
+const GRADUATE_WIDTH: u64 = 2;
+
+/// Copies of each functional unit (except the single memory port).
+const FU_PER_CLASS: usize = 2;
+
+/// Functional-unit latencies: Table 1.
+const FU: FuLatencies = FuLatencies::table1();
 
 /// Buffered store data awaiting graduation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -283,10 +304,9 @@ impl MxsCpu {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_regs < 32 + rob_entries` (renaming could deadlock),
-    /// `phys_regs` exceeds the 16-bit register index range, or the fetch
-    /// width is out of range. Use [`MxsCpu::try_with_config`] to reject bad
-    /// configurations without unwinding.
+    /// Panics on a configuration [`MxsConfig::validate`] rejects. Use
+    /// [`MxsCpu::try_with_config`] to reject bad configurations without
+    /// unwinding.
     pub fn with_config(cpu: CpuId, pc: u32, space: AddrSpace, cfg: MxsConfig) -> MxsCpu {
         MxsCpu::try_with_config(cpu, pc, space, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -298,24 +318,25 @@ impl MxsCpu {
         pc: u32,
         space: AddrSpace,
         cfg: MxsConfig,
-    ) -> Result<MxsCpu, cmpsim_mem::ConfigError> {
+    ) -> Result<MxsCpu, ConfigError> {
         cfg.validate()?;
+        let phys_regs = cfg.phys_regs();
         let mut m = MxsCpu {
             cpu,
             cfg,
             space,
             arch: ArchState::new(pc),
             halted: false,
-            int_preg: vec![0; cfg.phys_regs],
-            int_ready: vec![Cycle::ZERO; cfg.phys_regs],
-            fp_preg: vec![0.0; cfg.phys_regs],
-            fp_ready: vec![Cycle::ZERO; cfg.phys_regs],
+            int_preg: vec![0; phys_regs],
+            int_ready: vec![Cycle::ZERO; phys_regs],
+            fp_preg: vec![0.0; phys_regs],
+            fp_ready: vec![Cycle::ZERO; phys_regs],
             front_int: [0; 32],
             front_fp: [0; 32],
             retire_int: [0; 32],
             retire_fp: [0; 32],
-            int_free: Vec::with_capacity(cfg.phys_regs),
-            fp_free: Vec::with_capacity(cfg.phys_regs),
+            int_free: Vec::with_capacity(phys_regs),
+            fp_free: Vec::with_capacity(phys_regs),
             rob: VecDeque::with_capacity(cfg.rob_entries),
             rob_base: 0,
             iq: Vec::with_capacity(cfg.rob_entries),
@@ -328,8 +349,8 @@ impl MxsCpu {
             fbuf: VecDeque::with_capacity(FBUF_CAP),
             btb: Btb::new(cfg.btb_entries),
             decode: DecodeCache::new(),
-            wbuf: WriteBuffer::new(cfg.wbuf_entries),
-            outstanding: Vec::with_capacity(cfg.mshrs),
+            wbuf: WriteBuffer::new(WRITE_BUFFER_ENTRIES),
+            outstanding: Vec::new(),
             fetch_line: None,
             counters: CpuCounters::new(),
         };
@@ -350,7 +371,7 @@ impl MxsCpu {
             self.fp_ready[r] = Cycle::ZERO;
         }
         // Refilled in place: this runs on every hcall graduation.
-        let free = (32..self.cfg.phys_regs).map(|p| p as u16);
+        let free = (ARCH_REGS..self.cfg.phys_regs()).map(|p| p as u16);
         self.int_free.clear();
         self.int_free.extend(free.clone());
         self.fp_free.clear();
@@ -468,7 +489,7 @@ impl MxsCpu {
         mem: &mut dyn MemorySystem,
         phys: &mut PhysMem,
     ) -> Option<StepEvent> {
-        let width = self.cfg.graduate_width as u64;
+        let width = GRADUATE_WIDTH;
         let mut grads: u64 = 0;
         let mut event = None;
 
@@ -681,7 +702,7 @@ impl MxsCpu {
                     q += 1;
                     continue;
                 }
-            } else if class_counts[class_index(class)] >= self.cfg.fu_per_class {
+            } else if class_counts[class_index(class)] >= FU_PER_CLASS {
                 wake = now + 1;
                 q += 1;
                 continue;
@@ -730,8 +751,7 @@ impl MxsCpu {
         let (int_srcs, fp_srcs) = (e.int_srcs, e.fp_srcs);
         let (int_def, fp_def) = (e.int_def, e.fp_def);
         let next = pc.wrapping_add(4);
-        let fu = self.cfg.fu;
-        let mut done = now + fu.of(class);
+        let mut done = now + FU.of(class);
         let mut actual_next = next;
 
         use Instr::*;
@@ -797,7 +817,7 @@ impl MxsCpu {
                         self.rob[idx].mem_paddr = Some(pa);
                     }
                     StoreScan::Clear => {
-                        let line = pa & !(mem.line_bytes() - 1);
+                        let line = pa & !(LINE_BYTES - 1);
                         if let Some(&(_, fin)) = self.outstanding.iter().find(|&&(l, _)| l == line)
                         {
                             // Merge with the outstanding miss to this line.
@@ -835,7 +855,7 @@ impl MxsCpu {
                     Fsd { .. } => StoreVal::F64(self.fval(fp_srcs[0])),
                     _ => unreachable!(),
                 };
-                done = now + fu.store;
+                done = now + FU.store;
                 self.rob[idx].mem_paddr = Some(pa);
                 self.rob[idx].store_val = Some(val);
                 self.store_epoch += 1;
@@ -876,7 +896,7 @@ impl MxsCpu {
             e.mispredicted = true;
             self.squash_after(idx);
             self.fetch_pc = actual_next;
-            self.fetch_resume_at = now + self.cfg.fu.branch;
+            self.fetch_resume_at = now + FU.branch;
             self.fetch_stopped = false;
             self.fetch_line = None;
         }
@@ -1111,7 +1131,7 @@ impl MxsCpu {
                 break; // taken prediction ends the fetch group
             }
         }
-        let line = group_pa & !(mem.line_bytes() - 1);
+        let line = group_pa & !(LINE_BYTES - 1);
         let (avail_at, was_miss) = if self.fetch_line == Some(line) {
             // Same line as the previous group: served from the line buffer.
             (now + 1, false)
@@ -1237,69 +1257,98 @@ mod tests {
     #[test]
     fn config_validation_rejects_each_bad_shape_with_a_typed_error() {
         use cmpsim_mem::ConfigError;
-        assert!(MxsConfig::default().validate().is_ok());
-
-        let starved = MxsConfig {
-            phys_regs: 40,
-            ..MxsConfig::default()
+        let ok = MxsConfig::default();
+        assert!(ok.validate().is_ok());
+        type Set = fn(&mut MxsConfig);
+        let with = |set: Set| {
+            let mut c = ok;
+            set(&mut c);
+            c
         };
-        assert_eq!(
-            starved.validate(),
-            Err(ConfigError::TooFewPhysRegs {
-                phys_regs: 40,
-                needed: 32 + MxsConfig::default().rob_entries,
-            })
-        );
 
-        let oversized = MxsConfig {
-            phys_regs: MAX_PHYS_REGS + 1,
-            ..MxsConfig::default()
-        };
-        assert_eq!(
-            oversized.validate(),
-            Err(ConfigError::TooManyPhysRegs {
-                phys_regs: MAX_PHYS_REGS + 1,
-                max: MAX_PHYS_REGS,
-            })
-        );
-        for phys_regs in [32 + 512, MAX_PHYS_REGS] {
-            // The explorer's widest window (rob 512) and the largest file.
-            let wide = MxsConfig {
-                rob_entries: 512,
-                phys_regs,
-                ..MxsConfig::default()
-            };
-            assert!(wide.validate().is_ok(), "{phys_regs} registers");
+        // Zero of any of these fetches, issues, holds or misses nothing:
+        // the core would spin until the cycle budget ends the run.
+        let zeros: [(Set, &str); 4] = [
+            (|c| c.fetch_width = 0, "MXS fetch width"),
+            (|c| c.issue_width = 0, "MXS issue width"),
+            (|c| c.rob_entries = 0, "MXS reorder window"),
+            (|c| c.mshrs = 0, "MXS MSHR count"),
+        ];
+        for (set, what) in zeros {
+            assert_eq!(with(set).validate(), Err(ConfigError::Zero { what }));
         }
 
-        for fetch_width in [0, FBUF_CAP + 1] {
-            let wide = MxsConfig {
-                fetch_width,
-                ..MxsConfig::default()
-            };
+        // The BTB indexes by masking the pc.
+        for btb_entries in [0, 1000] {
             assert_eq!(
-                wide.validate(),
-                Err(ConfigError::FetchWidthOutOfRange {
-                    fetch_width,
-                    max: FBUF_CAP,
+                MxsConfig { btb_entries, ..ok }.validate(),
+                Err(ConfigError::NotPowerOfTwo {
+                    what: "BTB size",
+                    value: btb_entries as u64,
                 })
             );
         }
 
-        let err = MxsCpu::try_with_config(0, 0, AddrSpace::identity(), starved)
-            .expect_err("starved register file must be rejected");
-        assert!(err.to_string().contains("32 + rob_entries"));
-        assert!(MxsCpu::try_with_config(0, 0, AddrSpace::identity(), MxsConfig::default()).is_ok());
+        // Upper bounds: the fetch buffer, the 16-bit indices naming the
+        // window's `32 + rob_entries` registers, and the BTB ceiling.
+        let too_large: [(Set, &str, usize, usize); 3] = [
+            (|c| c.fetch_width = 9, "MXS fetch width", 9, 8),
+            (
+                |c| c.rob_entries = 65_505,
+                "MXS reorder window",
+                65_505,
+                65_504,
+            ),
+            (|c| c.btb_entries = 1 << 17, "BTB size", 1 << 17, 1 << 16),
+        ];
+        for (set, what, value, max) in too_large {
+            assert_eq!(
+                with(set).validate(),
+                Err(ConfigError::OutOfRange { what, value, max })
+            );
+        }
+
+        // Every shape that validates builds, down to one of each and up
+        // to each bound.
+        let smallest = MxsConfig {
+            fetch_width: 1,
+            issue_width: 1,
+            rob_entries: 1,
+            mshrs: 1,
+            btb_entries: 1,
+        };
+        let largest = MxsConfig {
+            fetch_width: FBUF_CAP,
+            issue_width: usize::MAX,
+            rob_entries: MAX_ROB_ENTRIES,
+            mshrs: usize::MAX,
+            btb_entries: MAX_BTB_ENTRIES,
+        };
+        for shape in [smallest, ok, largest] {
+            assert!(shape.validate().is_ok(), "{shape:?}");
+            assert!(MxsCpu::try_with_config(0, 0, AddrSpace::identity(), shape).is_ok());
+        }
+        let err = MxsCpu::try_with_config(
+            0,
+            0,
+            AddrSpace::identity(),
+            MxsConfig {
+                btb_entries: 1000,
+                ..ok
+            },
+        )
+        .expect_err("a BTB size that is not a power of two must be rejected");
+        assert!(err.to_string().contains("(got 1000)"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "32 + rob_entries")]
+    #[should_panic(expected = "BTB size must be a power of two (got 1000)")]
     fn with_config_still_panics_on_bad_configs() {
-        let starved = MxsConfig {
-            phys_regs: 40,
+        let bad = MxsConfig {
+            btb_entries: 1000,
             ..MxsConfig::default()
         };
-        let _ = MxsCpu::with_config(0, 0, AddrSpace::identity(), starved);
+        let _ = MxsCpu::with_config(0, 0, AddrSpace::identity(), bad);
     }
 
     fn run_to_halt(phys: &mut PhysMem, mem: &mut SharedMemSystem, cpu: &mut MxsCpu) -> Cycle {

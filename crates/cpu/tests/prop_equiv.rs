@@ -205,10 +205,8 @@ fn run<C: CpuModel>(mut cpu: C, prog: &cmpsim_isa::Program) -> (C, PhysMem) {
 /// and the MSHR, issue and fetch widths the issue queue's wake-up rules
 /// depend on.
 fn any_mxs_config(src: &mut Source) -> MxsConfig {
-    let rob_entries = src.choice(&[4, 8, 32, 512]);
     MxsConfig {
-        rob_entries,
-        phys_regs: 96.max(32 + rob_entries),
+        rob_entries: src.choice(&[4, 8, 32, 512]),
         mshrs: src.usize(1..5),
         issue_width: src.usize(1..5),
         fetch_width: src.usize(1..9),
@@ -217,13 +215,20 @@ fn any_mxs_config(src: &mut Source) -> MxsConfig {
 }
 
 /// Runs the program on both models and asserts identical architectural
-/// state: GPRs, FPRs (NaN == NaN) and all data memory.
+/// state: GPRs, FPRs (NaN == NaN) and all data memory. Also asserts that
+/// MXS rename never stalled: its `32 + rob_entries` registers per file
+/// cover every in-flight instruction.
 fn assert_models_agree(ops: &[GenOp], iters: u8, cfg: MxsConfig) {
     let prog = emit(ops, iters).assemble().expect("assembles");
     let (mipsy, mem_a) = run(MipsyCpu::new(0, CODE, AddrSpace::identity()), &prog);
     let (mxs, mem_b) = run(
         MxsCpu::with_config(0, CODE, AddrSpace::identity(), cfg),
         &prog,
+    );
+    assert_eq!(
+        mxs.counters().dispatch_stall_preg,
+        0,
+        "rename stalled on {cfg:?}"
     );
 
     for r in 0..32u8 {

@@ -1,13 +1,13 @@
-//! Scoped-thread job pool shared by the bench harness, trace decode and
-//! replay, and the explore driver.
+//! Scoped-thread job pool shared by the bench harness, trace replay and
+//! the explore driver.
 //!
 //! [`run_indexed`] / [`map_jobs`] are an atomic-cursor job pool for
 //! independent work items, built on `std::thread::scope` with zero
 //! external dependencies. Results are always returned **in index order**,
 //! so callers produce byte-identical output whatever the thread count or
 //! scheduling. This is the simulator's one parallelism model: independent
-//! jobs (whole runs, trace chunks, replay configurations) in parallel,
-//! while a single simulation always runs on one thread.
+//! jobs (whole runs, replay configurations) in parallel, while a single
+//! simulation always runs on one thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

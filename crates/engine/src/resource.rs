@@ -183,11 +183,6 @@ impl BankedResource {
         self.banks.iter().map(Port::wait_cycles).sum()
     }
 
-    /// Total transactions granted across all banks.
-    pub fn total_grants(&self) -> u64 {
-        self.banks.iter().map(Port::grants).sum()
-    }
-
     /// Access to an individual bank's port, for fine-grained statistics.
     pub fn bank(&self, idx: usize) -> &Port {
         &self.banks[idx]
@@ -247,7 +242,6 @@ mod tests {
         // Same bank as first: conflict.
         assert_eq!(b.reserve(0x40, Cycle(0), 4), Cycle(4));
         assert_eq!(b.total_wait_cycles(), 4);
-        assert_eq!(b.total_grants(), 3);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Rng64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -91,15 +86,6 @@ mod tests {
             for _ in 0..200 {
                 assert!(r.range(n) < n);
             }
-        }
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let mut r = Rng64::new(9);
-        for _ in 0..1000 {
-            let x = r.next_f64();
-            assert!((0.0..1.0).contains(&x));
         }
     }
 

@@ -20,7 +20,7 @@
 
 use crate::ExploreError;
 use cmpsim_core::{ArchKind, CpuKind, MachineConfig, MxsConfig};
-use cmpsim_mem::{AreaModel, CacheCopies, CacheSpec, ConfigError, SentinelSpec, SystemConfig};
+use cmpsim_mem::{CacheSpec, ConfigError, SentinelSpec, SystemConfig};
 
 /// Number of dimensions in the embedding, in [`DIM_NAMES`] order.
 pub const NDIMS: usize = 10;
@@ -34,6 +34,20 @@ pub const DIM_NAMES: [&str; NDIMS] = [
 /// Hard ceiling on a space's cardinality — far above anything a search
 /// can visit, but low enough that strides never overflow `u64`.
 pub const MAX_CARDINALITY: u64 = 1 << 40;
+
+/// Area proxy: extra area per bank beyond the first (crossbar ports,
+/// duplicated decoders). Each bank past one multiplies that level's SRAM
+/// by `1 + AREA_BANK_WEIGHT`. The proxy's absolute numbers are
+/// "KB-equivalents", not square millimetres: SRAM capacity dominates, so
+/// two configurations compare without a technology file.
+const AREA_BANK_WEIGHT: f64 = 0.08;
+
+/// Area proxy: surcharge on the L2 array for a 128-bit datapath
+/// (`l2_occ <= 2`) over the 64-bit one (wider sense amps and buses).
+const AREA_WIDE_PATH_WEIGHT: f64 = 0.10;
+
+/// Area proxy: flat KB-equivalent per mesh router (buffers + crossbar).
+const AREA_ROUTER_KB: f64 = 2.0;
 
 /// CPU model selector (the `rob` dimension refines `Mxs` into custom
 /// window sizes; `CpuKind::MxsCustom` itself is not enumerable).
@@ -382,14 +396,10 @@ impl DesignSpace {
         let cpu = match (cpusel, self.rob.is_empty()) {
             (CpuSel::Mipsy, _) => CpuKind::Mipsy,
             (CpuSel::Mxs, true) => CpuKind::Mxs,
-            (CpuSel::Mxs, false) => {
-                let rob = self.rob[digits[9]];
-                CpuKind::MxsCustom(MxsConfig {
-                    rob_entries: rob,
-                    phys_regs: MxsConfig::default().phys_regs.max(32 + rob),
-                    ..MxsConfig::default()
-                })
-            }
+            (CpuSel::Mxs, false) => CpuKind::MxsCustom(MxsConfig {
+                rob_entries: self.rob[digits[9]],
+                ..MxsConfig::default()
+            }),
         };
         let mut cfg = MachineConfig::new(arch, cpu);
         cfg.n_cpus = n;
@@ -416,7 +426,7 @@ impl DesignSpace {
                 let pooled = bytes
                     .checked_mul(k)
                     .ok_or_else(|| noncanon("cluster-pooled L1 capacity overflows u32"))?;
-                CacheSpec::try_new(pooled, paper.l1d.assoc, paper.l1d.line_bytes)?;
+                CacheSpec::try_new(pooled, paper.l1d.assoc)?;
             }
             cfg.l1_size = Some(bytes);
         }
@@ -472,46 +482,33 @@ impl Point {
         self.cfg.system_config()
     }
 
-    /// Physical copy counts for the area proxy: how many L1 pairs, L2
-    /// arrays and routers this architecture lays down.
-    pub fn copies(&self) -> CacheCopies {
-        let n = self.cfg.n_cpus;
-        match self.cfg.arch {
-            // One pooled L1 pair (the SystemConfig holds the total).
-            ArchKind::SharedL1 => CacheCopies {
-                l1: 1,
-                l2: 1,
-                routers: 0,
-            },
-            ArchKind::SharedL2 => CacheCopies {
-                l1: n,
-                l2: 1,
-                routers: 0,
-            },
-            ArchKind::SharedMem => CacheCopies {
-                l1: n,
-                l2: n,
-                routers: 0,
-            },
-            // Per-CPU L1 specs pooled per cluster: n × per-CPU capacity
-            // of SRAM either way.
-            ArchKind::Clustered => CacheCopies {
-                l1: n,
-                l2: 1,
-                routers: 0,
-            },
-            ArchKind::Mesh => CacheCopies {
-                l1: n,
-                l2: 1,
-                routers: n,
-            },
-        }
-    }
-
-    /// Static area proxy in KB-equivalents (DESIGN.md §15).
+    /// Static area proxy in KB-equivalents of SRAM (DESIGN.md §15):
+    /// `Σ level copies × capacity × bank factor`, with the L2 datapath
+    /// surcharge and a flat per-router term. Pure arithmetic over the
+    /// configuration, so a search ranks candidate floorplans for free.
     pub fn area_kb(&self) -> f64 {
-        self.system_config()
-            .area_proxy_kb(self.copies(), &AreaModel::default())
+        let sc = self.system_config();
+        let n = self.cfg.n_cpus;
+        // Physical copies laid down: L1 I+D pairs, L2 arrays and mesh
+        // routers. The shared L1 is one pooled pair (its SystemConfig
+        // holds the total); the clustered L1s pool the per-CPU capacity
+        // per cluster, which is n per-CPU capacities of SRAM all the same.
+        let (l1_copies, l2_copies, routers) = match self.cfg.arch {
+            ArchKind::SharedL1 => (1, 1, 0),
+            ArchKind::SharedL2 | ArchKind::Clustered => (n, 1, 0),
+            ArchKind::SharedMem => (n, n, 0),
+            ArchKind::Mesh => (n, 1, n),
+        };
+        let bank = |banks: usize| 1.0 + AREA_BANK_WEIGHT * banks.saturating_sub(1) as f64;
+        let kb = |c: &CacheSpec| f64::from(c.size_bytes) / 1024.0;
+        let l1 = l1_copies as f64 * (kb(&sc.l1i) + kb(&sc.l1d)) * bank(sc.l1_banks);
+        let wide = if sc.lat.l2_occ <= 2 {
+            1.0 + AREA_WIDE_PATH_WEIGHT
+        } else {
+            1.0
+        };
+        let l2 = l2_copies as f64 * kb(&sc.l2) * bank(sc.l2_banks) * wide;
+        l1 + l2 + routers as f64 * AREA_ROUTER_KB
     }
 
     /// Reorder-window entries (0 under Mipsy — the knob does not exist).

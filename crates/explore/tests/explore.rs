@@ -446,3 +446,27 @@ fn replay_mode_runs_points_above_64_cpus_execution_driven() {
         assert!(line.contains(&format!("\"path\":\"{path}\"")), "{line}");
     }
 }
+
+/// The area proxy: more capacity, more banks, a wider L2 path or mesh
+/// routers all cost area, and the paper's shared-L2 machine comes to its
+/// hand-computed figure.
+#[test]
+fn area_proxy_tracks_capacity_banks_and_routers() {
+    let area = |dims: &[(&str, &str)]| {
+        let mut s = DesignSpace::paper();
+        for (dim, level) in dims {
+            s.set_dim(dim, level).unwrap();
+        }
+        s.decode(0).expect("one valid point").area_kb()
+    };
+    // Paper shared-L2 at a 64-bit path (l2_occ = 4): 4 x 32 KB of L1
+    // plus one 4-banked 2 MB L2, no wide-path surcharge.
+    let base = area(&[]);
+    let expect = 4.0 * 32.0 + 2048.0 * (1.0 + 0.08 * 3.0);
+    assert!((base - expect).abs() < 1e-9, "{base} vs {expect}");
+    assert!(area(&[("l2-kb", "4096")]) > base);
+    assert!(area(&[("l2-banks", "8")]) > base);
+    assert!(area(&[("l2-width", "128")]) > base);
+    // The mesh has the shared-L2 geometry plus one 2 KB router per tile.
+    assert!((area(&[("arch", "mesh")]) - base - 8.0).abs() < 1e-9);
+}

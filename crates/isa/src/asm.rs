@@ -179,12 +179,6 @@ impl Asm {
     pub fn sltu(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Asm {
         self.alu(AluOp::Sltu, rd, rs, rt)
     }
-    pub fn sllv(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Asm {
-        self.alu(AluOp::Sll, rd, rs, rt)
-    }
-    pub fn srlv(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Asm {
-        self.alu(AluOp::Srl, rd, rs, rt)
-    }
 
     pub fn alui(&mut self, op: AluOp, rt: Reg, rs: Reg, imm: i16) -> &mut Asm {
         self.instr(Instr::AluI { op, rt, rs, imm })
@@ -209,9 +203,6 @@ impl Asm {
     }
     pub fn srli(&mut self, rt: Reg, rs: Reg, sh: i16) -> &mut Asm {
         self.alui(AluOp::Srl, rt, rs, sh)
-    }
-    pub fn srai(&mut self, rt: Reg, rs: Reg, sh: i16) -> &mut Asm {
-        self.alui(AluOp::Sra, rt, rs, sh)
     }
     pub fn lui(&mut self, rt: Reg, imm: u16) -> &mut Asm {
         self.instr(Instr::Lui { rt, imm })
@@ -351,18 +342,6 @@ impl Asm {
             label: label.to_string(),
         });
         self
-    }
-    /// Jump to an absolute byte address.
-    pub fn j_abs(&mut self, addr: Addr) -> &mut Asm {
-        self.instr(Instr::J {
-            target: addr / INSTR_BYTES,
-        })
-    }
-    /// Call an absolute byte address.
-    pub fn jal_abs(&mut self, addr: Addr) -> &mut Asm {
-        self.instr(Instr::Jal {
-            target: addr / INSTR_BYTES,
-        })
     }
     pub fn jr(&mut self, rs: Reg) -> &mut Asm {
         self.instr(Instr::Jr { rs })

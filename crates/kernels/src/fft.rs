@@ -240,7 +240,6 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::erro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testharness::run_workload_mipsy;
 
     #[test]
     fn builds_at_paper_scale() {
@@ -253,15 +252,5 @@ mod tests {
         let r = reference(256);
         assert!(r.is_finite());
         assert_eq!(r, reference(256));
-    }
-
-    #[test]
-    fn runs_and_validates_small() {
-        let w = build(&WorkloadParams {
-            n_cpus: 4,
-            scale: 0.03,
-        })
-        .expect("builds");
-        run_workload_mipsy(&w).expect("workload validates");
     }
 }

@@ -24,8 +24,6 @@ pub mod multiprog;
 pub mod ocean;
 pub mod runtime;
 pub mod synth;
-#[cfg(test)]
-mod testharness;
 pub mod volpack;
 pub mod workload;
 

@@ -208,7 +208,6 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::erro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testharness::run_workload_mipsy;
 
     #[test]
     fn builds_at_paper_scale() {
@@ -229,15 +228,5 @@ mod tests {
         // The design hinges on this address relationship.
         let scratch = PART_BASE + SCRATCH_OFFSET;
         assert_eq!((scratch - PART_BASE) % (2 * 1024 * 1024), 0);
-    }
-
-    #[test]
-    fn runs_and_validates_small() {
-        let w = build(&WorkloadParams {
-            n_cpus: 4,
-            scale: 0.05,
-        })
-        .expect("builds");
-        run_workload_mipsy(&w).expect("workload validates");
     }
 }

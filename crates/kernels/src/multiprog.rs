@@ -305,7 +305,6 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::erro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testharness::run_workload_mipsy;
 
     /// `MAX_FUNCS` rests on two bounds: the main loop fits in one
     /// function's words, and each function adds at most `FUNC_WORDS`.
@@ -349,25 +348,5 @@ mod tests {
         let funcs = gen_funcs(&mut rng, 4, 20);
         assert_ne!(eval_process(0, &funcs, 1), eval_process(1, &funcs, 1));
         assert_eq!(eval_process(2, &funcs, 1), eval_process(2, &funcs, 1));
-    }
-
-    #[test]
-    fn runs_and_validates_small() {
-        let w = build(&WorkloadParams {
-            n_cpus: 4,
-            scale: 0.15,
-        })
-        .expect("builds");
-        run_workload_mipsy(&w).expect("workload validates");
-    }
-
-    #[test]
-    fn runs_on_two_cpus() {
-        let w = build(&WorkloadParams {
-            n_cpus: 2,
-            scale: 0.15,
-        })
-        .expect("builds");
-        run_workload_mipsy(&w).expect("two-cpu run validates");
     }
 }

@@ -274,43 +274,6 @@ pub fn build(p: &SynthParams) -> Result<BuiltWorkload, Box<dyn std::error::Error
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testharness::run_workload_mipsy;
-
-    #[test]
-    fn default_params_validate() {
-        let p = SynthParams {
-            rounds: 4,
-            grain: 120,
-            ..SynthParams::default()
-        };
-        let w = build(&p).expect("builds");
-        run_workload_mipsy(&w).expect("validates");
-    }
-
-    #[test]
-    fn pure_private_read_only_configuration() {
-        let p = SynthParams {
-            rounds: 3,
-            grain: 100,
-            store_pct: 0,
-            shared_pct: 0,
-            ..SynthParams::default()
-        };
-        run_workload_mipsy(&build(&p).expect("builds")).expect("validates");
-    }
-
-    #[test]
-    fn heavy_sharing_heavy_stores_configuration() {
-        let p = SynthParams {
-            rounds: 3,
-            grain: 100,
-            store_pct: 60,
-            shared_pct: 80,
-            shared_kb: 2,
-            ..SynthParams::default()
-        };
-        run_workload_mipsy(&build(&p).expect("builds")).expect("validates");
-    }
 
     #[test]
     fn classify_is_deterministic_and_bounded() {
@@ -325,17 +288,6 @@ mod tests {
                 assert!(i1 <= p.ws_mask());
             }
         }
-    }
-
-    #[test]
-    fn single_cpu_works() {
-        let p = SynthParams {
-            n_cpus: 1,
-            rounds: 2,
-            grain: 80,
-            ..SynthParams::default()
-        };
-        run_workload_mipsy(&build(&p).expect("builds")).expect("validates");
     }
 
     #[test]

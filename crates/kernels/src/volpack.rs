@@ -208,7 +208,6 @@ pub fn build(params: &WorkloadParams) -> Result<BuiltWorkload, Box<dyn std::erro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testharness::run_workload_mipsy;
 
     #[test]
     fn builds_at_paper_scale() {
@@ -235,15 +234,5 @@ mod tests {
             assert!(err.to_string().contains("at most 512"), "{err}");
         }
         build(&at(10.67)).expect("512 tasks build");
-    }
-
-    #[test]
-    fn runs_and_validates_small() {
-        let w = build(&WorkloadParams {
-            n_cpus: 4,
-            scale: 0.1,
-        })
-        .expect("builds");
-        run_workload_mipsy(&w).expect("workload validates");
     }
 }

@@ -14,7 +14,7 @@
 //! when to call [`CacheArray::set_state`], [`CacheArray::invalidate`], etc.
 
 use crate::config::CacheSpec;
-use crate::Addr;
+use crate::{Addr, LINE_BYTES};
 use cmpsim_engine::FastSet;
 
 /// MESI-style line states. Write-through caches use only `Invalid`/`Shared`.
@@ -72,28 +72,26 @@ pub enum AccessOutcome {
 /// ```
 /// use cmpsim_mem::{CacheArray, CacheSpec, LineState, AccessOutcome, MissKind};
 ///
-/// let mut c = CacheArray::new("l1d", CacheSpec::new(1024, 2, 32));
+/// let mut c = CacheArray::new("l1d", CacheSpec::new(1024, 2));
 /// assert_eq!(c.lookup(0x40), AccessOutcome::Miss(MissKind::Replacement));
 /// c.fill(0x40, LineState::Exclusive);
 /// assert_eq!(c.lookup(0x40), AccessOutcome::Hit(LineState::Exclusive));
 /// ```
 /// Storage is one packed metadata word per way, indexed
 /// `set * assoc + way`: the line-aligned tag OR'd with the 2-bit line
-/// state in the low bits (lines are at least 4 bytes, so those bits are
-/// free). A probe therefore touches a single contiguous array — one host
-/// cache line per set — instead of striding over parallel tag/state/LRU
-/// arrays, which matters when the simulated L2's metadata is megabytes
-/// wide and probed at random. The LRU array exists only for associative
-/// arrays (direct-mapped sets have no replacement choice), and the set
-/// index is a shift-and-mask (power-of-two set counts — the common case —
-/// pay no division).
+/// state in the low bits (a line-aligned address leaves its low
+/// `log2(LINE_BYTES)` bits free). A probe therefore touches a single
+/// contiguous array — one host cache line per set — instead of striding
+/// over parallel tag/state/LRU arrays, which matters when the simulated
+/// L2's metadata is megabytes wide and probed at random. The LRU array
+/// exists only for associative arrays (direct-mapped sets have no
+/// replacement choice), and the set index is a shift-and-mask
+/// (power-of-two set counts — the common case — pay no division).
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     name: &'static str,
     spec: CacheSpec,
     n_sets: usize,
-    /// `log2(line_bytes)`.
-    line_shift: u32,
     /// `n_sets - 1` when the set count is a power of two, else `usize::MAX`
     /// as the "use modulo" sentinel (odd associativities).
     set_mask: usize,
@@ -107,6 +105,10 @@ pub struct CacheArray {
 
 /// Low metadata bits holding the [`LineState`] code.
 const STATE_BITS: Addr = 0b11;
+
+/// `log2(LINE_BYTES)`: a byte address shifted right by this is its line
+/// number.
+const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
 
 /// Packs a [`LineState`] into the low metadata bits (`Invalid` is 0, so a
 /// zeroed array is an empty cache).
@@ -141,15 +143,10 @@ impl CacheArray {
     pub fn new(name: &'static str, spec: CacheSpec) -> CacheArray {
         let n_sets = spec.n_sets();
         let n_lines = n_sets * spec.assoc;
-        assert!(
-            spec.line_bytes >= CacheSpec::MIN_LINE_BYTES,
-            "packed meta needs 2 free low address bits"
-        );
         CacheArray {
             name,
             spec,
             n_sets,
-            line_shift: spec.line_bytes.trailing_zeros(),
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
             } else {
@@ -165,12 +162,12 @@ impl CacheArray {
     /// Line-aligned address of `addr`.
     #[inline]
     pub fn line_addr(&self, addr: Addr) -> Addr {
-        addr & !(self.spec.line_bytes - 1)
+        addr & !(LINE_BYTES - 1)
     }
 
     #[inline]
     fn set_range(&self, addr: Addr) -> std::ops::Range<usize> {
-        let idx = (addr >> self.line_shift) as usize;
+        let idx = (addr >> LINE_SHIFT) as usize;
         let set = if self.set_mask != usize::MAX {
             idx & self.set_mask
         } else {
@@ -411,7 +408,7 @@ mod tests {
 
     fn small() -> CacheArray {
         // 2 sets x 2 ways x 32B lines = 128 B.
-        CacheArray::new("t", CacheSpec::new(128, 2, 32))
+        CacheArray::new("t", CacheSpec::new(128, 2))
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Configuration: cache geometries and the paper's latency/occupancy table.
 
 use crate::sentinel::SentinelSpec;
-use crate::Addr;
+use crate::LINE_BYTES;
 use std::fmt;
 
 /// A rejected configuration, with enough context to correct it.
@@ -15,32 +15,25 @@ use std::fmt;
 pub enum ConfigError {
     /// A size that the geometry math requires to be a power of two.
     NotPowerOfTwo {
-        /// Which parameter ("cache size", "line size").
+        /// Which parameter ("cache size", "BTB size").
         what: &'static str,
         /// The offending value.
         value: u64,
     },
     /// Associativity of zero.
     ZeroAssociativity,
-    /// A bank count or hit latency of zero.
+    /// A count or latency of zero.
     Zero {
         /// Which parameter ("L1 bank count", "L2 bank count", "L1 hit
-        /// latency").
+        /// latency", "MXS reorder window", ...).
         what: &'static str,
     },
-    /// Capacity below one full set (`assoc * line_bytes`).
+    /// Capacity below one full set (`assoc * LINE_BYTES`).
     CacheTooSmall {
         /// Requested capacity in bytes.
         size_bytes: u32,
         /// Requested associativity.
         assoc: usize,
-        /// Requested line size in bytes.
-        line_bytes: u32,
-    },
-    /// Line size below [`CacheSpec::MIN_LINE_BYTES`].
-    LineTooSmall {
-        /// Requested line size in bytes.
-        line_bytes: u32,
     },
     /// CPU count exceeds the validation ceiling.
     TooManyCpus {
@@ -68,26 +61,16 @@ pub enum ConfigError {
         /// CPUs per cluster.
         cpus_per_cluster: usize,
     },
-    /// MXS renaming would deadlock without `32 + rob_entries` registers.
-    TooFewPhysRegs {
-        /// Requested physical register count.
-        phys_regs: usize,
-        /// Minimum required (`32 + rob_entries`).
-        needed: usize,
-    },
-    /// MXS physical register file larger than its 16-bit register indices
-    /// can name.
-    TooManyPhysRegs {
-        /// Requested physical register count.
-        phys_regs: usize,
-        /// Supported maximum (inclusive).
-        max: usize,
-    },
-    /// MXS fetch width outside the fetch buffer's capacity.
-    FetchWidthOutOfRange {
-        /// Requested fetch width.
-        fetch_width: usize,
-        /// Fetch-buffer capacity (inclusive upper bound).
+    /// An MXS core size above what its structures hold: a fetch width
+    /// past the fetch buffer, a window whose `32 + rob_entries` registers
+    /// outgrow the 16-bit register indices, or a BTB past its ceiling.
+    OutOfRange {
+        /// Which parameter ("MXS fetch width", "MXS reorder window",
+        /// "BTB size").
+        what: &'static str,
+        /// The requested value.
+        value: usize,
+        /// The largest value allowed.
         max: usize,
     },
     /// A process's private region would reach the shared kernel mapping.
@@ -129,19 +112,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "associativity must be at least 1")
             }
             ConfigError::Zero { what } => write!(f, "{what} must be at least 1"),
-            ConfigError::CacheTooSmall {
-                size_bytes,
-                assoc,
-                line_bytes,
-            } => write!(
+            ConfigError::CacheTooSmall { size_bytes, assoc } => write!(
                 f,
-                "cache smaller than assoc * line ({size_bytes} B < {assoc} x {line_bytes} B)"
-            ),
-            ConfigError::LineTooSmall { line_bytes } => write!(
-                f,
-                "line size must be at least {} B: a cache keeps each line's state \
-                 in its 2 low address bits (got {line_bytes} B)",
-                CacheSpec::MIN_LINE_BYTES
+                "cache smaller than assoc * line ({size_bytes} B < {assoc} x {LINE_BYTES} B)"
             ),
             ConfigError::TooManyCpus { n_cpus, max } => {
                 write!(f, "{n_cpus} CPUs exceed the {max}-CPU validation ceiling")
@@ -158,20 +131,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "clusters must be full: {n_cpus} CPUs with {cpus_per_cluster} per cluster"
             ),
-            ConfigError::TooFewPhysRegs { phys_regs, needed } => write!(
-                f,
-                "need at least 32 + rob_entries physical registers \
-                 (got {phys_regs}, need {needed})"
-            ),
-            ConfigError::TooManyPhysRegs { phys_regs, max } => write!(
-                f,
-                "at most {max} physical registers fit 16-bit register indices \
-                 (got {phys_regs})"
-            ),
-            ConfigError::FetchWidthOutOfRange { fetch_width, max } => write!(
-                f,
-                "fetch width must be 1..={max} (the fetch buffer capacity), got {fetch_width}"
-            ),
+            ConfigError::OutOfRange { what, value, max } => {
+                write!(f, "{what} must be 1..={max} (got {value})")
+            }
             ConfigError::KernelOverlap { asid } => {
                 write!(f, "asid {asid} private region overlaps kernel space")
             }
@@ -196,31 +158,25 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Geometry of one cache.
+/// Geometry of one cache. Every cache has [`LINE_BYTES`]-byte lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSpec {
     /// Total capacity in bytes.
     pub size_bytes: u32,
     /// Associativity (1 = direct-mapped).
     pub assoc: usize,
-    /// Line size in bytes.
-    pub line_bytes: u32,
 }
 
 impl CacheSpec {
-    /// Smallest line size: [`crate::CacheArray`] packs each line's state
-    /// into the two low bits of its line address.
-    pub const MIN_LINE_BYTES: u32 = 4;
-
     /// Creates and validates a cache geometry.
     ///
     /// # Panics
     ///
-    /// Panics if sizes are not powers of two or the capacity is not an
+    /// Panics if the size is not a power of two or the capacity is not an
     /// integer number of sets. Use [`CacheSpec::try_new`] to reject bad
     /// geometries without unwinding.
-    pub fn new(size_bytes: u32, assoc: usize, line_bytes: u32) -> CacheSpec {
-        CacheSpec::try_new(size_bytes, assoc, line_bytes).unwrap_or_else(|e| panic!("{e}"))
+    pub fn new(size_bytes: u32, assoc: usize) -> CacheSpec {
+        CacheSpec::try_new(size_bytes, assoc).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Validates a cache geometry, returning a typed error instead of
@@ -228,60 +184,33 @@ impl CacheSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if either size is not a power of two, the
-    /// line is below [`CacheSpec::MIN_LINE_BYTES`], the associativity is
-    /// zero, or the capacity is below one full set.
-    pub fn try_new(
-        size_bytes: u32,
-        assoc: usize,
-        line_bytes: u32,
-    ) -> Result<CacheSpec, ConfigError> {
+    /// Returns a [`ConfigError`] if the size is not a power of two, the
+    /// associativity is zero, or the capacity is below one full set.
+    pub fn try_new(size_bytes: u32, assoc: usize) -> Result<CacheSpec, ConfigError> {
         if !size_bytes.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo {
                 what: "cache size",
                 value: u64::from(size_bytes),
             });
         }
-        if !line_bytes.is_power_of_two() {
-            return Err(ConfigError::NotPowerOfTwo {
-                what: "line size",
-                value: u64::from(line_bytes),
-            });
-        }
-        if line_bytes < CacheSpec::MIN_LINE_BYTES {
-            return Err(ConfigError::LineTooSmall { line_bytes });
-        }
         if assoc == 0 {
             return Err(ConfigError::ZeroAssociativity);
         }
-        let spec = CacheSpec {
-            size_bytes,
-            assoc,
-            line_bytes,
-        };
+        let spec = CacheSpec { size_bytes, assoc };
         if spec.n_sets() < 1 {
-            return Err(ConfigError::CacheTooSmall {
-                size_bytes,
-                assoc,
-                line_bytes,
-            });
+            return Err(ConfigError::CacheTooSmall { size_bytes, assoc });
         }
         Ok(spec)
     }
 
     /// Number of sets.
     pub fn n_sets(&self) -> usize {
-        (self.size_bytes / self.line_bytes) as usize / self.assoc
+        self.n_lines() / self.assoc
     }
 
     /// Number of lines.
     pub fn n_lines(&self) -> usize {
-        (self.size_bytes / self.line_bytes) as usize
-    }
-
-    /// Line-aligned address.
-    pub fn line_addr(&self, addr: Addr) -> Addr {
-        addr & !(self.line_bytes - 1)
+        (self.size_bytes / LINE_BYTES) as usize
     }
 }
 
@@ -391,8 +320,8 @@ pub struct SystemConfig {
     /// the L1s several CPUs share (shared-L1, clustered); private L1s
     /// ignore it.
     pub ideal_shared_l1: bool,
-    /// Coherence-sentinel configuration (invariant checker + fault
-    /// injector). Off by default.
+    /// Coherence-sentinel configuration (the invariant checker). Off by
+    /// default.
     pub sentinel: SentinelSpec,
 }
 
@@ -409,9 +338,9 @@ impl SystemConfig {
         SystemConfig {
             n_cpus,
             // 4 x 16 KB, pooled into one shared 2-way cache.
-            l1i: CacheSpec::new(64 * 1024, 2, 32),
-            l1d: CacheSpec::new(64 * 1024, 2, 32),
-            l2: CacheSpec::new(2 * 1024 * 1024, 1, 32),
+            l1i: CacheSpec::new(64 * 1024, 2),
+            l1d: CacheSpec::new(64 * 1024, 2),
+            l2: CacheSpec::new(2 * 1024 * 1024, 1),
             lat: LatencySpec::shared_l1(),
             l1_banks: 4,
             l2_banks: 1,
@@ -428,9 +357,9 @@ impl SystemConfig {
     pub fn paper_shared_l2(n_cpus: usize) -> SystemConfig {
         SystemConfig {
             n_cpus,
-            l1i: CacheSpec::new(16 * 1024, 2, 32),
-            l1d: CacheSpec::new(16 * 1024, 2, 32),
-            l2: CacheSpec::new(2 * 1024 * 1024, 1, 32),
+            l1i: CacheSpec::new(16 * 1024, 2),
+            l1d: CacheSpec::new(16 * 1024, 2),
+            l2: CacheSpec::new(2 * 1024 * 1024, 1),
             lat: LatencySpec::shared_l2(),
             l1_banks: 1,
             l2_banks: 4,
@@ -457,10 +386,10 @@ impl SystemConfig {
     pub fn paper_shared_mem(n_cpus: usize) -> SystemConfig {
         SystemConfig {
             n_cpus,
-            l1i: CacheSpec::new(16 * 1024, 2, 32),
-            l1d: CacheSpec::new(16 * 1024, 2, 32),
+            l1i: CacheSpec::new(16 * 1024, 2),
+            l1d: CacheSpec::new(16 * 1024, 2),
             // 2 MB total, divided among the CPUs.
-            l2: CacheSpec::new(512 * 1024, 1, 32),
+            l2: CacheSpec::new(512 * 1024, 1),
             lat: LatencySpec::shared_mem(),
             l1_banks: 1,
             l2_banks: 1,
@@ -481,8 +410,8 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the L2 capacity (size ablations; associativity and line
-    /// size are preserved). Total for shared configurations, per CPU for
+    /// Overrides the L2 capacity (size ablations; associativity is
+    /// preserved). Total for shared configurations, per CPU for
     /// the shared-memory architecture — the same convention as the `l2`
     /// field itself.
     #[must_use]
@@ -528,7 +457,7 @@ impl SystemConfig {
     }
 
     /// Overrides both L1 geometries' capacity (cache-size ablations;
-    /// associativity and line size are preserved).
+    /// associativity is preserved).
     #[must_use]
     pub fn with_l1_size(mut self, bytes: u32) -> SystemConfig {
         self.l1i.size_bytes = bytes;
@@ -536,8 +465,7 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the sentinel configuration (invariant checker / fault
-    /// injector).
+    /// Overrides the sentinel configuration (the invariant checker).
     #[must_use]
     pub fn with_sentinel(mut self, sentinel: SentinelSpec) -> SystemConfig {
         self.sentinel = sentinel;
@@ -581,7 +509,7 @@ impl SystemConfig {
             });
         }
         for c in [self.l1i, self.l1d, self.l2] {
-            CacheSpec::try_new(c.size_bytes, c.assoc, c.line_bytes)?;
+            CacheSpec::try_new(c.size_bytes, c.assoc)?;
         }
         for (value, what) in [
             (self.l1_banks as u64, "L1 bank count"),
@@ -600,71 +528,6 @@ impl SystemConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Weights of the static area-proxy model (DESIGN.md §15). The proxy is
-/// deliberately simple — SRAM capacity dominates, with multiplicative
-/// surcharges for extra ports/banks and the wide datapath, plus a flat
-/// per-router term for mesh tiles — so two configurations are comparable
-/// without a technology file. The absolute numbers are "KB-equivalents",
-/// not square millimetres.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AreaModel {
-    /// Extra area per additional bank beyond the first (crossbar ports,
-    /// duplicated decoders): each bank past one multiplies that level's
-    /// SRAM by `1 + bank_weight`.
-    pub bank_weight: f64,
-    /// Surcharge on the L2 array for a 128-bit datapath (`l2_occ <= 2`)
-    /// relative to the narrow 64-bit one: wider sense amps and buses.
-    pub wide_path_weight: f64,
-    /// Flat KB-equivalent per mesh router (buffers + crossbar).
-    pub router_kb: f64,
-}
-
-impl Default for AreaModel {
-    fn default() -> AreaModel {
-        AreaModel {
-            bank_weight: 0.08,
-            wide_path_weight: 0.10,
-            router_kb: 2.0,
-        }
-    }
-}
-
-/// How many physical instances of each structure a floorplan holds — the
-/// architecture-dependent input to [`SystemConfig::area_proxy_kb`]. The
-/// explore crate maps each `ArchKind` to its copy counts (e.g. shared-L2:
-/// `n_cpus` private L1 pairs over one shared L2; mesh adds one router per
-/// tile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheCopies {
-    /// Physical L1 instruction+data cache pairs (1 for a pooled shared L1,
-    /// `n_cpus` for private L1s, `n_clusters` for cluster L1s).
-    pub l1: usize,
-    /// Physical L2 arrays (1 shared, `n_cpus` private).
-    pub l2: usize,
-    /// Mesh routers (0 for crossbar/bus architectures).
-    pub routers: usize,
-}
-
-impl SystemConfig {
-    /// Static area proxy of this memory system in KB-equivalents of SRAM:
-    /// `Σ level copies × capacity × bank factor`, with the L2 datapath
-    /// surcharge and a flat per-router term (see [`AreaModel`]). Pure
-    /// arithmetic over the configuration — no simulation — so search
-    /// drivers can rank thousands of candidate floorplans for free.
-    pub fn area_proxy_kb(&self, copies: CacheCopies, model: &AreaModel) -> f64 {
-        let bank = |banks: usize| 1.0 + model.bank_weight * banks.saturating_sub(1) as f64;
-        let kb = |c: &CacheSpec| f64::from(c.size_bytes) / 1024.0;
-        let l1 = copies.l1 as f64 * (kb(&self.l1i) + kb(&self.l1d)) * bank(self.l1_banks);
-        let wide = if self.lat.l2_occ <= 2 {
-            1.0 + model.wide_path_weight
-        } else {
-            1.0
-        };
-        let l2 = copies.l2 as f64 * kb(&self.l2) * bank(self.l2_banks) * wide;
-        l1 + l2 + copies.routers as f64 * model.router_kb
     }
 }
 
@@ -689,59 +552,39 @@ mod tests {
 
     #[test]
     fn spec_geometry() {
-        let s = CacheSpec::new(16 * 1024, 2, 32);
+        let s = CacheSpec::new(16 * 1024, 2);
         assert_eq!(s.n_lines(), 512);
         assert_eq!(s.n_sets(), 256);
-        assert_eq!(s.line_addr(0x1234), 0x1220);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_size_rejected() {
-        let _ = CacheSpec::new(1000, 2, 32);
+        let _ = CacheSpec::new(1000, 2);
     }
 
     #[test]
     fn try_new_rejects_each_bad_geometry_with_a_typed_error() {
         assert_eq!(
-            CacheSpec::try_new(1000, 2, 32),
+            CacheSpec::try_new(1000, 2),
             Err(ConfigError::NotPowerOfTwo {
                 what: "cache size",
                 value: 1000
             })
         );
         assert_eq!(
-            CacheSpec::try_new(1024, 2, 24),
-            Err(ConfigError::NotPowerOfTwo {
-                what: "line size",
-                value: 24
-            })
-        );
-        assert_eq!(
-            CacheSpec::try_new(1024, 0, 32),
+            CacheSpec::try_new(1024, 0),
             Err(ConfigError::ZeroAssociativity)
         );
         assert_eq!(
-            CacheSpec::try_new(64, 4, 32),
+            CacheSpec::try_new(64, 4),
             Err(ConfigError::CacheTooSmall {
                 size_bytes: 64,
                 assoc: 4,
-                line_bytes: 32
             })
         );
-        assert!(CacheSpec::try_new(1024, 2, 32).is_ok());
-        assert!(CacheSpec::try_new(1024, 2, CacheSpec::MIN_LINE_BYTES).is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_lines_too_small_for_the_packed_state_bits() {
-        for line_bytes in [1, 2] {
-            let mut c = SystemConfig::paper_shared_l2(4);
-            c.l1d.line_bytes = line_bytes;
-            assert_eq!(c.validate(), Err(ConfigError::LineTooSmall { line_bytes }));
-        }
-        let e = ConfigError::LineTooSmall { line_bytes: 2 };
-        assert!(e.to_string().contains("at least 4 B"), "{e}");
+        assert!(CacheSpec::try_new(1024, 2).is_ok());
+        assert!(CacheSpec::try_new(LINE_BYTES, 1).is_ok());
     }
 
     #[test]
@@ -805,16 +648,17 @@ mod tests {
 
     #[test]
     fn config_errors_render_actionable_messages() {
-        let e = ConfigError::TooFewPhysRegs {
-            phys_regs: 40,
-            needed: 64,
+        let e = ConfigError::OutOfRange {
+            what: "MXS reorder window",
+            value: 70_000,
+            max: 65_504,
         };
-        assert!(e.to_string().contains("32 + rob_entries"));
-        let e = ConfigError::TooManyPhysRegs {
-            phys_regs: 70_000,
-            max: 65_536,
+        assert!(e.to_string().contains("1..=65504") && e.to_string().contains("70000"));
+        let e = ConfigError::CacheTooSmall {
+            size_bytes: 64,
+            assoc: 4,
         };
-        assert!(e.to_string().contains("at most 65536") && e.to_string().contains("70000"));
+        assert!(e.to_string().contains("4 x 32 B"), "{e}");
         let e = ConfigError::PartialCluster {
             n_cpus: 3,
             cpus_per_cluster: 2,
@@ -888,33 +732,5 @@ mod tests {
         assert_eq!(c.l2.assoc, 4, "with_l2_size preserves associativity");
         assert_eq!(c.l2_banks, 8);
         assert_eq!(c.cpus_per_cluster, 4);
-    }
-
-    #[test]
-    fn area_proxy_tracks_capacity_banks_and_routers() {
-        let model = AreaModel::default();
-        let per_cpu = CacheCopies {
-            l1: 4,
-            l2: 1,
-            routers: 0,
-        };
-        // Paper shared-L2 at a 64-bit path (l2_occ = 4): 4 x 32 KB of L1
-        // plus one 4-banked 2 MB L2, no wide-path surcharge.
-        let c = SystemConfig::paper_shared_l2(4);
-        let base = c.area_proxy_kb(per_cpu, &model);
-        let expect = 4.0 * 32.0 + 2048.0 * (1.0 + 0.08 * 3.0);
-        assert!((base - expect).abs() < 1e-9, "{base} vs {expect}");
-        // More capacity, more banks, a wider path, or routers all cost.
-        let grow = c.with_l2_size(4 * 1024 * 1024);
-        assert!(grow.area_proxy_kb(per_cpu, &model) > base);
-        let banked = c.with_l2_banks(8);
-        assert!(banked.area_proxy_kb(per_cpu, &model) > base);
-        let wide = c.with_l2_occupancy(2);
-        assert!(wide.area_proxy_kb(per_cpu, &model) > base);
-        let meshy = CacheCopies {
-            routers: 4,
-            ..per_cpu
-        };
-        assert!((c.area_proxy_kb(meshy, &model) - base - 8.0).abs() < 1e-9);
     }
 }

@@ -8,7 +8,7 @@ use super::directory::Directory;
 use crate::cache::{AccessOutcome, CacheArray, LineState};
 use crate::config::{LatencySpec, SystemConfig};
 use crate::stats::MemStats;
-use crate::{Addr, ServiceLevel};
+use crate::{Addr, ServiceLevel, LINE_BYTES};
 use cmpsim_engine::{BankedResource, Cycle, Port};
 
 /// A banked, write-back shared L2 with main memory behind a single port.
@@ -29,7 +29,7 @@ impl SharedL2Back {
     pub fn new(cfg: &SystemConfig) -> SharedL2Back {
         SharedL2Back {
             l2: CacheArray::new("shared-l2", cfg.l2),
-            banks: BankedResource::new("l2-bank", cfg.l2_banks, u64::from(cfg.l2.line_bytes)),
+            banks: BankedResource::new("l2-bank", cfg.l2_banks, u64::from(LINE_BYTES)),
             mem: Port::new("mem"),
         }
     }

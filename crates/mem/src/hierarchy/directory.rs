@@ -640,10 +640,10 @@ mod tests {
     #[test]
     fn a_store_invalidates_every_other_node_across_words_and_sides() {
         let n = 131;
-        let l1 = CacheSpec::new(1024, 2, 32);
+        let l1 = CacheSpec::new(1024, 2);
         let mut l1d: Vec<_> = (0..n).map(|_| CacheArray::new("l1d", l1)).collect();
         let mut l1i: Vec<_> = (0..n).map(|_| CacheArray::new("l1i", l1)).collect();
-        let mut l2 = CacheArray::new("l2", CacheSpec::new(4096, 1, 32));
+        let mut l2 = CacheArray::new("l2", CacheSpec::new(4096, 1));
         let line = 0x40;
         l2.fill(line, LineState::Exclusive);
         let mut dir = Directory::new(n, l2.n_slots());

@@ -141,10 +141,6 @@ impl<T: Topology> MemorySystem for HierarchySystem<T> {
         self.topo.load_would_hit_l1(cpu, addr)
     }
 
-    fn line_bytes(&self) -> u32 {
-        self.core.cfg.l1d.line_bytes
-    }
-
     fn n_cpus(&self) -> usize {
         self.core.cfg.n_cpus
     }

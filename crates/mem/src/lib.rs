@@ -7,7 +7,9 @@
 //!   per-CPU LL/SC link registers). Data values live here; the timing models
 //!   operate purely on addresses.
 //! * [`CacheArray`] — a set-associative tag/state array with LRU replacement
-//!   and replacement-vs-invalidation miss classification.
+//!   and replacement-vs-invalidation miss classification. Every cache has
+//!   the paper's [`LINE_BYTES`]-byte lines, so a [`CacheSpec`] is just a
+//!   capacity and an associativity.
 //! * The [`hierarchy`] core — the shared coherent-hierarchy building
 //!   blocks (L1 frontend, directory/invalidation engine, MESI snooping,
 //!   sentinel hooks, `MemorySystem` boilerplate) every architecture is
@@ -59,7 +61,7 @@ pub mod systems;
 pub mod wbuf;
 
 pub use cache::{AccessOutcome, CacheArray, LineState, MissKind, Victim};
-pub use config::{AreaModel, CacheCopies, CacheSpec, ConfigError, LatencySpec, SystemConfig};
+pub use config::{CacheSpec, ConfigError, LatencySpec, SystemConfig};
 pub use phys::{AddrSpace, PhysMem, KERNEL_BASE};
 pub use sentinel::{Sentinel, SentinelSpec, SentinelViolation, ViolationKind};
 pub use stats::{LevelStats, MemStats};
@@ -70,6 +72,10 @@ use cmpsim_engine::Cycle;
 
 /// Byte address (32-bit physical space).
 pub type Addr = u32;
+
+/// Cache line size in bytes: every cache of every architecture, as in the
+/// paper. The L2 occupancies of Table 2 are per 32-byte line.
+pub const LINE_BYTES: u32 = 32;
 
 /// CPU identifier within the multiprocessor (0..n_cpus).
 pub type CpuId = usize;
@@ -181,9 +187,6 @@ pub trait MemorySystem {
     /// miss registers are busy, but a fifth miss cannot issue.
     fn load_would_hit_l1(&self, cpu: CpuId, addr: Addr) -> bool;
 
-    /// Cache line size in bytes (32 in all paper configurations).
-    fn line_bytes(&self) -> u32;
-
     /// Number of CPUs this system connects.
     fn n_cpus(&self) -> usize;
 
@@ -218,9 +221,6 @@ impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
     }
     fn load_would_hit_l1(&self, cpu: CpuId, addr: Addr) -> bool {
         (**self).load_would_hit_l1(cpu, addr)
-    }
-    fn line_bytes(&self) -> u32 {
-        (**self).line_bytes()
     }
     fn n_cpus(&self) -> usize {
         (**self).n_cpus()

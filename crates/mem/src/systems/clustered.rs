@@ -21,7 +21,7 @@ use crate::config::SystemConfig;
 use crate::hierarchy::{
     util_of_banks, DirectoryLayout, DirectoryTopo, HierarchyCore, HierarchySystem, NodeScheme,
 };
-use crate::{Addr, CpuId, PortUtil};
+use crate::{Addr, CpuId, PortUtil, LINE_BYTES};
 use cmpsim_engine::{BankedResource, Cycle};
 
 /// Extra hit latency of the intra-cluster crossbar: smaller than the
@@ -99,16 +99,12 @@ impl ClusteredSystem {
                 cpus_per_cluster: k,
             });
         }
-        let l1_spec = crate::CacheSpec::try_new(
-            cfg.l1d.size_bytes * k as u32,
-            cfg.l1d.assoc,
-            cfg.l1d.line_bytes,
-        )?;
+        let l1_spec = crate::CacheSpec::try_new(cfg.l1d.size_bytes * k as u32, cfg.l1d.assoc)?;
         let n_clusters = cfg.n_cpus / k;
         let scheme = PerCluster {
             cpus_per_cluster: k,
             banks: (0..n_clusters)
-                .map(|_| BankedResource::new("cluster-l1-bank", k, u64::from(l1_spec.line_bytes)))
+                .map(|_| BankedResource::new("cluster-l1-bank", k, u64::from(LINE_BYTES)))
                 .collect(),
         };
         Ok(HierarchySystem::from_parts(

@@ -25,7 +25,7 @@
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::hierarchy::{DirectoryLayout, DirectoryTopo, HierarchySystem, NodeScheme};
-use crate::{Addr, PortUtil};
+use crate::{Addr, PortUtil, LINE_BYTES};
 use cmpsim_engine::{Cycle, Port};
 
 /// Latency of one router-to-router hop, in cycles.
@@ -46,8 +46,6 @@ const N: usize = 3;
 pub struct Mesh {
     rows: usize,
     cols: usize,
-    /// Shared-L2 line size: the home-tile interleave unit.
-    line_bytes: u32,
     /// Directed links, `tile * 4 + direction`. Edge tiles keep unused
     /// ports (never reserved) so indexing stays branch-free.
     links: Vec<Port>,
@@ -57,7 +55,7 @@ impl Mesh {
     /// The tile whose L2 slice is home to `addr`'s line.
     #[inline]
     fn home_of(&self, addr: Addr) -> usize {
-        let line = addr / self.line_bytes;
+        let line = addr / LINE_BYTES;
         line as usize % (self.rows * self.cols)
     }
 
@@ -143,7 +141,6 @@ impl MeshSystem {
         let mesh = Mesh {
             rows: cfg.mesh_rows,
             cols: cfg.mesh_cols,
-            line_bytes: cfg.l2.line_bytes,
             links: (0..cfg.n_cpus * 4)
                 .map(|_| Port::new("mesh-link"))
                 .collect(),

@@ -21,7 +21,7 @@
 use crate::cache::{AccessOutcome, CacheArray, LineState, MissKind};
 use crate::config::SystemConfig;
 use crate::hierarchy::{frontend, HierarchyCore, HierarchySystem, Topology, UniBack};
-use crate::{AccessKind, Addr, CpuId, MemRequest, MemResult, PortUtil, ServiceLevel};
+use crate::{AccessKind, Addr, CpuId, MemRequest, MemResult, PortUtil, ServiceLevel, LINE_BYTES};
 use cmpsim_engine::{BankedResource, Cycle};
 
 /// The shared-L1 topology: pooled write-back L1s behind a banked crossbar,
@@ -52,16 +52,8 @@ impl SharedL1System {
             SharedL1Topo {
                 l1i: CacheArray::new("shared-l1i", cfg.l1i),
                 l1d: CacheArray::new("shared-l1d", cfg.l1d),
-                l1i_banks: BankedResource::new(
-                    "l1i-bank",
-                    cfg.l1_banks,
-                    u64::from(cfg.l1i.line_bytes),
-                ),
-                l1d_banks: BankedResource::new(
-                    "l1d-bank",
-                    cfg.l1_banks,
-                    u64::from(cfg.l1d.line_bytes),
-                ),
+                l1i_banks: BankedResource::new("l1i-bank", cfg.l1_banks, u64::from(LINE_BYTES)),
+                l1d_banks: BankedResource::new("l1d-bank", cfg.l1_banks, u64::from(LINE_BYTES)),
                 back: UniBack::new(cfg),
             },
         )

@@ -27,8 +27,6 @@ use cmpsim_engine::Cycle;
 pub struct WriteBuffer {
     cap: usize,
     finishes: Vec<Cycle>,
-    total_stores: u64,
-    full_stalls: u64,
 }
 
 impl WriteBuffer {
@@ -42,8 +40,6 @@ impl WriteBuffer {
         WriteBuffer {
             cap,
             finishes: Vec::with_capacity(cap),
-            total_stores: 0,
-            full_stalls: 0,
         }
     }
 
@@ -64,14 +60,11 @@ impl WriteBuffer {
         if self.finishes.len() < self.cap {
             now
         } else {
-            let earliest = self
-                .finishes
+            self.finishes
                 .iter()
                 .copied()
                 .min()
-                .expect("full buffer is non-empty");
-            self.full_stalls += earliest - now;
-            earliest
+                .expect("full buffer is non-empty")
         }
     }
 
@@ -86,7 +79,6 @@ impl WriteBuffer {
         self.retire(now);
         debug_assert!(self.finishes.len() < self.cap, "write buffer overflow");
         self.finishes.push(finish);
-        self.total_stores += 1;
     }
 
     /// Cycle by which every buffered store has completed (`SYNC` fence
@@ -94,22 +86,6 @@ impl WriteBuffer {
     pub fn drain_time(&mut self, now: Cycle) -> Cycle {
         self.retire(now);
         self.finishes.iter().copied().fold(now, Cycle::max)
-    }
-
-    /// Stores currently in flight at `now`.
-    pub fn pending(&mut self, now: Cycle) -> usize {
-        self.retire(now);
-        self.finishes.len()
-    }
-
-    /// Total stores that passed through the buffer.
-    pub fn total_stores(&self) -> u64 {
-        self.total_stores
-    }
-
-    /// Total cycles callers were told to wait because the buffer was full.
-    pub fn full_stall_cycles(&self) -> u64 {
-        self.full_stalls
     }
 }
 
@@ -126,9 +102,8 @@ mod tests {
         assert!(wb.is_full(Cycle(0)));
         assert_eq!(wb.free_at(Cycle(0)), Cycle(5));
         assert!(!wb.is_full(Cycle(5)));
-        assert_eq!(wb.pending(Cycle(5)), 1);
-        assert_eq!(wb.pending(Cycle(9)), 0);
-        assert_eq!(wb.total_stores(), 2);
+        assert_eq!(wb.drain_time(Cycle(5)), Cycle(9));
+        assert_eq!(wb.drain_time(Cycle(9)), Cycle(9));
     }
 
     #[test]
@@ -138,14 +113,6 @@ mod tests {
         wb.push(Cycle(3), Cycle(10));
         wb.push(Cycle(3), Cycle(7));
         assert_eq!(wb.drain_time(Cycle(3)), Cycle(10));
-    }
-
-    #[test]
-    fn full_stall_cycles_accumulate() {
-        let mut wb = WriteBuffer::new(1);
-        wb.push(Cycle(0), Cycle(8));
-        assert_eq!(wb.free_at(Cycle(2)), Cycle(8));
-        assert_eq!(wb.full_stall_cycles(), 6);
     }
 
     #[test]

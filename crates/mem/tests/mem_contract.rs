@@ -11,7 +11,7 @@
 use cmpsim_engine::Cycle;
 use cmpsim_mem::{
     ClusteredSystem, MemRequest, MemResult, MemorySystem, MeshSystem, ServiceLevel, SharedL1System,
-    SharedL2System, SharedMemSystem, SystemConfig,
+    SharedL2System, SharedMemSystem, SystemConfig, LINE_BYTES,
 };
 
 const ADDR: u32 = 0x4000;
@@ -193,8 +193,11 @@ fn stats_reset_at_roi_clears_every_counter() {
 fn line_size_cpu_count_and_name_are_reported() {
     for c in contracts() {
         for n in [4usize, 8] {
-            let s = (c.make)(n);
-            assert_eq!(s.line_bytes(), 32, "{}", c.arch);
+            let mut s = (c.make)(n);
+            // One miss fills exactly one `LINE_BYTES`-wide line.
+            s.access(Cycle(0), MemRequest::load(0, ADDR));
+            assert!(s.load_would_hit_l1(0, ADDR + LINE_BYTES - 4), "{}", c.arch);
+            assert!(!s.load_would_hit_l1(0, ADDR + LINE_BYTES), "{}", c.arch);
             assert_eq!(s.n_cpus(), n, "{}", c.arch);
             assert_eq!(s.name(), c.arch);
         }

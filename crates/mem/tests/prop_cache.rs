@@ -6,7 +6,7 @@
 use cmpsim_engine::{prop, Cycle};
 use cmpsim_mem::{
     AccessOutcome, CacheArray, CacheSpec, LineState, MemRequest, MemorySystem, PhysMem,
-    SharedMemSystem, SystemConfig,
+    SharedMemSystem, SystemConfig, LINE_BYTES,
 };
 use std::collections::HashMap;
 
@@ -23,7 +23,7 @@ impl RefCache {
         RefCache {
             sets: vec![Vec::new(); spec.n_sets()],
             assoc: spec.assoc,
-            line: spec.line_bytes,
+            line: LINE_BYTES,
         }
     }
     fn set_of(&self, addr: u32) -> usize {
@@ -61,7 +61,7 @@ fn cache_matches_reference_model() {
     prop::check("cache_matches_reference_model", |src| {
         let addrs = src.vec(1..500, |s| s.u32(0..4096));
         // Tiny cache to force plenty of evictions: 4 sets x 2 ways x 32B.
-        let spec = CacheSpec::new(256, 2, 32);
+        let spec = CacheSpec::new(256, 2);
         let mut dut = CacheArray::new("dut", spec);
         let mut rf = RefCache::new(spec);
         for &addr in &addrs {

@@ -12,7 +12,9 @@
 
 use crate::codec::{TraceKind, TraceRecord, TraceWriter};
 use cmpsim_engine::Cycle;
-use cmpsim_mem::{sentinel, Addr, CpuId, MemRequest, MemResult, MemStats, MemorySystem, PortUtil};
+use cmpsim_mem::{
+    sentinel, Addr, CpuId, MemRequest, MemResult, MemStats, MemorySystem, PortUtil, LINE_BYTES,
+};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, Write};
@@ -126,14 +128,14 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// Starts a sink writing the trace header for an `n_cpus`-CPU machine
-    /// with `line_bytes`-byte cache lines into `out`.
+    /// (with the memory systems' [`LINE_BYTES`]-byte lines) into `out`.
     ///
     /// # Errors
     ///
     /// Propagates header-write failures.
-    pub fn new(out: SinkOut, n_cpus: usize, line_bytes: u32) -> io::Result<TraceSink> {
+    pub fn new(out: SinkOut, n_cpus: usize) -> io::Result<TraceSink> {
         Ok(TraceSink {
-            writer: TraceWriter::new(out, n_cpus, line_bytes)?,
+            writer: TraceWriter::new(out, n_cpus, LINE_BYTES)?,
         })
     }
 
@@ -185,11 +187,6 @@ impl TraceSink {
     pub fn records(&self) -> u64 {
         self.writer.records()
     }
-
-    /// Encoded bytes emitted so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.writer.bytes_written()
-    }
 }
 
 /// Shared handle to a [`TraceSink`]: the machine keeps one end, the
@@ -230,10 +227,6 @@ impl MemorySystem for TracingSystem {
 
     fn load_would_hit_l1(&self, cpu: CpuId, addr: Addr) -> bool {
         self.inner.load_would_hit_l1(cpu, addr)
-    }
-
-    fn line_bytes(&self) -> u32 {
-        self.inner.line_bytes()
     }
 
     fn n_cpus(&self) -> usize {
@@ -307,10 +300,8 @@ impl Write for SharedBuf {
 /// # Errors
 ///
 /// Propagates header-write failures.
-pub fn sink_to(out: SinkOut, n_cpus: usize, line_bytes: u32) -> io::Result<SinkHandle> {
-    Ok(Rc::new(RefCell::new(TraceSink::new(
-        out, n_cpus, line_bytes,
-    )?)))
+pub fn sink_to(out: SinkOut, n_cpus: usize) -> io::Result<SinkHandle> {
+    Ok(Rc::new(RefCell::new(TraceSink::new(out, n_cpus)?)))
 }
 
 #[cfg(test)]
@@ -323,7 +314,7 @@ mod tests {
     fn wrapper_is_transparent_and_records_in_issue_order() {
         let cfg = SystemConfig::paper_shared_mem(4);
         let buf = SharedBuf::new();
-        let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 4, 32).expect("header writes");
+        let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 4).expect("header writes");
         let mut traced = TracingSystem::new(Box::new(SharedMemSystem::new(&cfg)), Rc::clone(&sink));
         let mut plain = SharedMemSystem::new(&cfg);
 
@@ -337,7 +328,6 @@ mod tests {
             let at = Cycle(i as u64 * 100);
             assert_eq!(traced.access(at, *req), plain.access(at, *req));
         }
-        assert_eq!(traced.line_bytes(), plain.line_bytes());
         assert_eq!(traced.n_cpus(), 4);
         assert_eq!(traced.name(), plain.name());
         assert_eq!(
@@ -359,14 +349,14 @@ mod tests {
     #[test]
     fn sink_finish_is_idempotent_and_counts_bytes() {
         let buf = SharedBuf::new();
-        let mut sink =
-            TraceSink::new(SinkOut::Plain(Box::new(buf.clone())), 2, 32).expect("header");
+        let mut sink = TraceSink::new(SinkOut::Plain(Box::new(buf.clone())), 2).expect("header");
         sink.record_access(Cycle(5), &MemRequest::load(1, 0x40));
         sink.record_reset(6);
         sink.finish().expect("first finish");
+        let finished = buf.len();
         sink.finish().expect("second finish is a no-op");
         assert_eq!(sink.records(), 2);
-        assert_eq!(sink.bytes_written() as usize, buf.len());
+        assert_eq!(buf.len(), finished, "a second finish writes nothing");
         let records = decode(&buf.take()).expect("decodes");
         assert_eq!(records[1].kind, TraceKind::StatsReset);
         assert_eq!(records[1].cycle, 6);

@@ -443,14 +443,12 @@ pub struct TraceWriter<W: Write> {
     pending: Vec<TraceRecord>,
     state: DeltaState,
     records: u64,
-    bytes: u64,
 }
 
 impl<W: Write> fmt::Debug for TraceWriter<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceWriter")
             .field("records", &self.records)
-            .field("bytes", &self.bytes)
             .field("finished", &self.out.is_none())
             .finish()
     }
@@ -481,7 +479,6 @@ impl<W: Write> TraceWriter<W> {
             pending: Vec::with_capacity(CHUNK_RECORDS),
             state: DeltaState::default(),
             records: 0,
-            bytes: 8,
         })
     }
 
@@ -511,7 +508,6 @@ impl<W: Write> TraceWriter<W> {
         out.write_all(&(self.pending.len() as u32).to_le_bytes())?;
         out.write_all(&fnv1a(&payload).to_le_bytes())?;
         out.write_all(&payload)?;
-        self.bytes += 16 + payload.len() as u64;
         self.pending.clear();
         Ok(())
     }
@@ -534,19 +530,12 @@ impl<W: Write> TraceWriter<W> {
         out.write_all(&FOOTER_SENTINEL.to_le_bytes())?;
         out.write_all(&self.records.to_le_bytes())?;
         out.flush()?;
-        self.bytes += 12;
         Ok(Some(out))
     }
 
     /// Records written so far (including still-buffered ones).
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Bytes emitted so far, counting the header and (once finished) the
-    /// footer — the numerator of the bytes-per-reference compression ratio.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
     }
 }
 

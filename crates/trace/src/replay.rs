@@ -48,8 +48,8 @@ fn apply<S: MemorySystem + ?Sized>(rec: &TraceRecord, sys: &mut S) -> bool {
 /// Replays an already-decoded record stream into `sys`.
 ///
 /// Generic over the system so a concrete type (`&mut SharedL2System`)
-/// replays with static dispatch — the sweep-bench fast path — while
-/// `&mut dyn MemorySystem` still works for systems built behind a `Box`.
+/// replays with static dispatch, while `&mut dyn MemorySystem` still
+/// works for systems built behind a `Box`.
 pub fn replay_records<'a, I, S>(records: I, sys: &mut S) -> ReplayStats
 where
     I: IntoIterator<Item = &'a TraceRecord>,
@@ -107,8 +107,9 @@ pub struct ConfigReplay {
 /// neither `Send` nor `Sync`. Each configuration's replay is the exact
 /// serial [`replay_records`] call, and results come back in config-index
 /// order, so every [`ConfigReplay`] is bit-identical to a single-config
-/// replay of the same configuration at any job count (verify.sh diffs a
-/// two-configuration `cmpsim replay` at `--jobs 1` and `--jobs 4`).
+/// replay of the same configuration at any job count (the CLI test
+/// `a_mesh_capture_replays_identically_into_two_configurations` compares
+/// a two-configuration `cmpsim replay` at `--jobs 1` and `--jobs 4`).
 pub fn replay_matrix<S, F>(
     records: &[TraceRecord],
     n_configs: usize,
@@ -147,7 +148,7 @@ mod tests {
     fn replay_reproduces_identical_stats() {
         let cfg = SystemConfig::paper_shared_l2(4);
         let buf = SharedBuf::new();
-        let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 4, 32).expect("header");
+        let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 4).expect("header");
         let mut traced = TracingSystem::new(Box::new(SharedL2System::new(&cfg)), Rc::clone(&sink));
         for i in 0..5_000u64 {
             let addr = ((i * 97) as u32).wrapping_mul(2_654_435_761) & 0xf_ffff;

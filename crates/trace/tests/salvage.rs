@@ -196,7 +196,7 @@ fn atomic_capture_surfaces_only_after_finish() {
     let _ = std::fs::remove_file(&tmp);
 
     let out = SinkOut::Atomic(AtomicFile::create(&dest).expect("creates temp"));
-    let mut sink = TraceSink::new(out, 4, 32).expect("writes the header");
+    let mut sink = TraceSink::new(out, 4).expect("writes the header");
     for rec in stream(CHUNK_RECORDS + 10) {
         let req = cmpsim_mem::MemRequest {
             cpu: rec.cpu as usize,
@@ -231,7 +231,7 @@ fn killed_capture_leaves_a_salvageable_temp_and_no_destination() {
 
     {
         let out = SinkOut::Atomic(AtomicFile::create(&dest).expect("creates temp"));
-        let mut sink = TraceSink::new(out, 4, 32).expect("writes the header");
+        let mut sink = TraceSink::new(out, 4).expect("writes the header");
         for rec in stream(2 * CHUNK_RECORDS) {
             let req = cmpsim_mem::MemRequest {
                 cpu: rec.cpu as usize,

@@ -44,7 +44,7 @@ fn main() {
     let mut phys = PhysMem::new(1);
     phys.load_words(prog.base, &prog.words);
     let buf = SharedBuf::new();
-    let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 1, cfg.l1d.line_bytes).expect("sink");
+    let sink = sink_to(SinkOut::Plain(Box::new(buf.clone())), 1).expect("sink");
     let mut mem = TracingSystem::new(Box::new(SharedMemSystem::new(&cfg)), Rc::clone(&sink));
     let mut cpu = MipsyCpu::new(0, prog.base, AddrSpace::identity());
     let mut now = Cycle(0);
