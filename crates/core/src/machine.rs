@@ -127,6 +127,16 @@ impl CpuKind {
     fn is_mipsy(self) -> bool {
         matches!(self, CpuKind::Mipsy)
     }
+
+    /// The MXS core this model runs: the paper default for
+    /// [`CpuKind::Mxs`], `None` under Mipsy.
+    pub fn mxs_config(self) -> Option<MxsConfig> {
+        match self {
+            CpuKind::Mipsy => None,
+            CpuKind::Mxs => Some(MxsConfig::default()),
+            CpuKind::MxsCustom(c) => Some(c),
+        }
+    }
 }
 
 /// Full machine configuration.
@@ -465,7 +475,7 @@ impl Machine {
         }
         let sc = cfg.system_config();
         sc.validate()?;
-        if let CpuKind::MxsCustom(mc) = cfg.cpu {
+        if let Some(mc) = cfg.cpu.mxs_config() {
             mc.validate()?;
         }
         let trace_max = usize::from(cmpsim_trace::codec::MAX_CPU) + 1;
@@ -497,12 +507,9 @@ impl Machine {
             .iter()
             .enumerate()
             .map(|(c, p)| -> Box<dyn CpuModel> {
-                match cfg.cpu {
-                    CpuKind::Mipsy => Box::new(MipsyCpu::new(c, p.entry, p.space)),
-                    CpuKind::Mxs => Box::new(MxsCpu::new(c, p.entry, p.space)),
-                    CpuKind::MxsCustom(mc) => {
-                        Box::new(MxsCpu::with_config(c, p.entry, p.space, mc))
-                    }
+                match cfg.cpu.mxs_config() {
+                    None => Box::new(MipsyCpu::new(c, p.entry, p.space)),
+                    Some(mc) => Box::new(MxsCpu::with_config(c, p.entry, p.space, mc)),
                 }
             })
             .collect();
@@ -875,6 +882,26 @@ mod tests {
         assert_eq!(err, want);
         let err = crate::probe::capture_run(&cfg, &w, 1_000).expect_err("does not build");
         assert_eq!(err, RunError::Config(want));
+    }
+
+    /// The LRU rank of a packed tag word holds 8 ways: a 16-way L2 is a
+    /// typed error, and an 8-way one builds.
+    #[test]
+    fn try_new_rejects_an_l2_of_more_than_eight_ways() {
+        let w = build_by_name("eqntott", 4, 0.03).expect("builds");
+        let mut cfg = MachineConfig::new(ArchKind::SharedL2, CpuKind::Mipsy);
+        cfg.l2_assoc = Some(16);
+        let err = Machine::try_new(&cfg, &w).expect_err("16 ways");
+        assert_eq!(
+            err,
+            cmpsim_mem::ConfigError::OutOfRange {
+                what: "cache associativity",
+                value: 16,
+                max: 8
+            }
+        );
+        cfg.l2_assoc = Some(8);
+        Machine::try_new(&cfg, &w).unwrap_or_else(|e| panic!("8 ways: {e}"));
     }
 
     #[test]

@@ -824,8 +824,9 @@ impl MxsCpu {
                             done = fin.max(now + 1);
                             self.rob[idx].dcache_blame = true;
                         } else {
-                            if !mem.load_would_hit_l1(self.cpu, pa)
-                                && self.outstanding.len() >= self.cfg.mshrs
+                            // The L1 probe only matters when every MSHR is busy.
+                            if self.outstanding.len() >= self.cfg.mshrs
+                                && !mem.load_would_hit_l1(self.cpu, pa)
                             {
                                 return Err(Blocked::Mshrs);
                             }

@@ -91,49 +91,41 @@ impl Port {
 }
 
 /// An address-interleaved group of [`Port`]s, e.g. the 4 banks of the shared
-/// L1 or L2 cache. Lines are interleaved across banks by line address.
+/// L1 or L2 cache. Lines are interleaved across banks by line number (the
+/// byte address divided by the line size), which callers pass in.
 ///
 /// # Examples
 ///
 /// ```
 /// use cmpsim_engine::{BankedResource, Cycle};
-/// // 4 banks, 32-byte lines.
-/// let mut banks = BankedResource::new("l1", 4, 32);
+/// let mut banks = BankedResource::new("l1", 4);
 /// // Same line twice: second access waits for the bank.
-/// assert_eq!(banks.reserve(0x40, Cycle(0), 1), Cycle(0));
-/// assert_eq!(banks.reserve(0x40, Cycle(0), 1), Cycle(1));
-/// // A different bank is free.
-/// assert_eq!(banks.reserve(0x60, Cycle(0), 1), Cycle(0));
+/// assert_eq!(banks.reserve(2, Cycle(0), 1), Cycle(0));
+/// assert_eq!(banks.reserve(2, Cycle(0), 1), Cycle(1));
+/// // The next line is in a different bank, which is free.
+/// assert_eq!(banks.reserve(3, Cycle(0), 1), Cycle(0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BankedResource {
     label: &'static str,
     banks: Vec<Port>,
-    /// `log2(line_bytes)` — lines are a power of two, so interleaving is a
-    /// shift, not a division.
-    line_shift: u32,
     /// `n_banks - 1` when the bank count is a power of two (the common
     /// case), else `u64::MAX` as the "use modulo" sentinel.
     bank_mask: u64,
 }
 
 impl BankedResource {
-    /// Creates `n_banks` idle banks interleaved at `line_bytes` granularity.
-    /// `name` labels both the group and every individual bank.
+    /// Creates `n_banks` idle banks interleaved line by line. `name`
+    /// labels both the group and every individual bank.
     ///
     /// # Panics
     ///
-    /// Panics if `n_banks` is zero or `line_bytes` is not a power of two.
-    pub fn new(name: &'static str, n_banks: usize, line_bytes: u64) -> BankedResource {
+    /// Panics if `n_banks` is zero.
+    pub fn new(name: &'static str, n_banks: usize) -> BankedResource {
         assert!(n_banks > 0, "banked resource needs at least one bank");
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
         BankedResource {
             label: name,
             banks: (0..n_banks).map(|_| Port::new(name)).collect(),
-            line_shift: line_bytes.trailing_zeros(),
             bank_mask: if n_banks.is_power_of_two() {
                 n_banks as u64 - 1
             } else {
@@ -147,12 +139,11 @@ impl BankedResource {
         self.label
     }
 
-    /// Index of the bank that services `addr`. Sits on every store and
-    /// every L1-miss path, so the common power-of-two geometry pays a
-    /// shift and a mask rather than a divide.
+    /// Index of the bank that services line number `line`. Sits on every
+    /// store and every L1-miss path, so the common power-of-two geometry
+    /// pays a mask rather than a divide.
     #[inline]
-    pub fn bank_of(&self, addr: u64) -> usize {
-        let line = addr >> self.line_shift;
+    pub fn bank_of(&self, line: u64) -> usize {
         if self.bank_mask != u64::MAX {
             (line & self.bank_mask) as usize
         } else {
@@ -160,16 +151,17 @@ impl BankedResource {
         }
     }
 
-    /// Reserves the bank servicing `addr`; see [`Port::reserve`].
+    /// Reserves the bank servicing line number `line`; see
+    /// [`Port::reserve`].
     #[inline]
-    pub fn reserve(&mut self, addr: u64, at: Cycle, occupancy: u64) -> Cycle {
-        let bank = self.bank_of(addr);
+    pub fn reserve(&mut self, line: u64, at: Cycle, occupancy: u64) -> Cycle {
+        let bank = self.bank_of(line);
         self.banks[bank].reserve(at, occupancy)
     }
 
-    /// Whether the bank servicing `addr` is busy at `at`.
-    pub fn busy_at(&self, addr: u64, at: Cycle) -> bool {
-        let bank = self.bank_of(addr);
+    /// Whether the bank servicing line number `line` is busy at `at`.
+    pub fn busy_at(&self, line: u64, at: Cycle) -> bool {
+        let bank = self.bank_of(line);
         self.banks[bank].busy_at(at)
     }
 
@@ -224,35 +216,32 @@ mod tests {
 
     #[test]
     fn banks_interleave_by_line() {
-        let b = BankedResource::new("t", 4, 32);
-        assert_eq!(b.bank_of(0x00), 0);
-        assert_eq!(b.bank_of(0x1f), 0);
-        assert_eq!(b.bank_of(0x20), 1);
-        assert_eq!(b.bank_of(0x40), 2);
-        assert_eq!(b.bank_of(0x60), 3);
-        assert_eq!(b.bank_of(0x80), 0);
+        let b = BankedResource::new("t", 4);
+        assert_eq!(b.bank_of(0), 0);
+        assert_eq!(b.bank_of(1), 1);
+        assert_eq!(b.bank_of(2), 2);
+        assert_eq!(b.bank_of(3), 3);
+        assert_eq!(b.bank_of(4), 0);
+        // A bank count that is not a power of two interleaves by modulo.
+        let b = BankedResource::new("t", 3);
+        assert_eq!(b.bank_of(4), 1);
+        assert_eq!(b.bank_of(6), 0);
     }
 
     #[test]
     fn bank_conflicts_only_within_bank() {
-        let mut b = BankedResource::new("t", 2, 32);
-        assert_eq!(b.reserve(0x00, Cycle(0), 4), Cycle(0));
+        let mut b = BankedResource::new("t", 2);
+        assert_eq!(b.reserve(0, Cycle(0), 4), Cycle(0));
         // Different bank: no conflict.
-        assert_eq!(b.reserve(0x20, Cycle(0), 4), Cycle(0));
+        assert_eq!(b.reserve(1, Cycle(0), 4), Cycle(0));
         // Same bank as first: conflict.
-        assert_eq!(b.reserve(0x40, Cycle(0), 4), Cycle(4));
+        assert_eq!(b.reserve(2, Cycle(0), 4), Cycle(4));
         assert_eq!(b.total_wait_cycles(), 4);
     }
 
     #[test]
     #[should_panic(expected = "at least one bank")]
     fn zero_banks_rejected() {
-        let _ = BankedResource::new("t", 0, 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_pow2_line_rejected() {
-        let _ = BankedResource::new("t", 4, 33);
+        let _ = BankedResource::new("t", 0);
     }
 }

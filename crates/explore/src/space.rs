@@ -272,6 +272,13 @@ impl DesignSpace {
             if a == 0 {
                 return Err(bad("l2-assoc", a, "associativity must be at least 1"));
             }
+            if a > CacheSpec::MAX_ASSOC {
+                let why = format!(
+                    "associativity must be at most {} ways",
+                    CacheSpec::MAX_ASSOC
+                );
+                return Err(bad("l2-assoc", a, &why));
+            }
         }
         for &b in self.l2_banks.iter().chain(&self.l1_banks) {
             if b == 0 {
@@ -393,13 +400,20 @@ impl DesignSpace {
         if !banked_l2 && digits[6] != 0 {
             return Err(noncanon("L2 banks exist on the shared L2 of the shared-L2, clustered and mesh architectures only; other architectures must keep the l2-banks dimension at its first level"));
         }
-        let cpu = match (cpusel, self.rob.is_empty()) {
+        // The default window is spelled `CpuKind::Mxs` whatever the rob
+        // dimension, so a point keys the same result-cache entry with or
+        // without it.
+        let cpu = match (cpusel, self.rob.get(digits[9])) {
             (CpuSel::Mipsy, _) => CpuKind::Mipsy,
-            (CpuSel::Mxs, true) => CpuKind::Mxs,
-            (CpuSel::Mxs, false) => CpuKind::MxsCustom(MxsConfig {
-                rob_entries: self.rob[digits[9]],
-                ..MxsConfig::default()
-            }),
+            (CpuSel::Mxs, Some(&rob_entries))
+                if rob_entries != MxsConfig::default().rob_entries =>
+            {
+                CpuKind::MxsCustom(MxsConfig {
+                    rob_entries,
+                    ..MxsConfig::default()
+                })
+            }
+            (CpuSel::Mxs, _) => CpuKind::Mxs,
         };
         let mut cfg = MachineConfig::new(arch, cpu);
         cfg.n_cpus = n;
@@ -513,11 +527,7 @@ impl Point {
 
     /// Reorder-window entries (0 under Mipsy — the knob does not exist).
     pub fn rob_entries(&self) -> usize {
-        match self.cfg.cpu {
-            CpuKind::Mipsy => 0,
-            CpuKind::Mxs => MxsConfig::default().rob_entries,
-            CpuKind::MxsCustom(c) => c.rob_entries,
-        }
+        self.cfg.cpu.mxs_config().map_or(0, |c| c.rob_entries)
     }
 
     /// Short CPU-model label for JSON output.

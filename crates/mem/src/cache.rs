@@ -78,15 +78,22 @@ pub enum AccessOutcome {
 /// assert_eq!(c.lookup(0x40), AccessOutcome::Hit(LineState::Exclusive));
 /// ```
 /// Storage is one packed metadata word per way, indexed
-/// `set * assoc + way`: the line-aligned tag OR'd with the 2-bit line
-/// state in the low bits (a line-aligned address leaves its low
-/// `log2(LINE_BYTES)` bits free). A probe therefore touches a single
-/// contiguous array — one host cache line per set — instead of striding
-/// over parallel tag/state/LRU arrays, which matters when the simulated
-/// L2's metadata is megabytes wide and probed at random. The LRU array
-/// exists only for associative arrays (direct-mapped sets have no
-/// replacement choice), and the set index is a shift-and-mask
-/// (power-of-two set counts — the common case — pay no division).
+/// `set * assoc + way`, and nothing else per way. A line-aligned address
+/// leaves its low `log2(LINE_BYTES)` = 5 bits free, so the word is the
+/// line-aligned tag OR'd with the 2-bit line state in bits 0–1 and the
+/// way's exact-LRU rank in bits 2–4. A probe therefore touches a single
+/// contiguous array — one host cache line per set — which matters when
+/// the simulated L2's metadata is megabytes wide and probed at random,
+/// and replacement state costs no memory of its own.
+///
+/// Ranks order a set's ways by recency: the most recently used way has
+/// rank 0 and, once every way has been touched, the ranks are a
+/// permutation of `0..assoc`, so three bits hold up to
+/// [`CacheSpec::MAX_ASSOC`] ways. A touch increments every other way of
+/// the set whose rank is at most the touched way's and zeroes its own
+/// (ways not yet touched share the highest rank); a hit on the MRU way
+/// writes nothing. The set index is a shift-and-mask (power-of-two set
+/// counts — the common case — pay no division).
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     name: &'static str,
@@ -95,16 +102,23 @@ pub struct CacheArray {
     /// `n_sets - 1` when the set count is a power of two, else `usize::MAX`
     /// as the "use modulo" sentinel (odd associativities).
     set_mask: usize,
-    /// Per-way `line_addr | state_code`; `state_code == 0` ⇔ invalid.
+    /// Per-way `line_addr | rank << 2 | state_code`; `state_code == 0` ⇔
+    /// invalid.
     meta: Vec<Addr>,
-    /// Last-touch tick per way; empty when `assoc == 1`.
-    lru: Vec<u64>,
-    tick: u64,
     invalidated: FastSet<Addr>,
 }
 
 /// Low metadata bits holding the [`LineState`] code.
 const STATE_BITS: Addr = 0b11;
+
+/// Metadata bits holding the way's LRU rank (0 = most recently used).
+const RANK_BITS: Addr = 0b111 << 2;
+
+/// One LRU rank step in the metadata word.
+const RANK_ONE: Addr = 1 << 2;
+
+/// Metadata bits holding the line-aligned tag.
+const TAG_BITS: Addr = !(LINE_BYTES - 1);
 
 /// `log2(LINE_BYTES)`: a byte address shifted right by this is its line
 /// number.
@@ -139,8 +153,11 @@ impl CacheArray {
     /// # Panics
     ///
     /// Panics if the spec is internally inconsistent (see
-    /// [`CacheSpec::new`]).
+    /// [`CacheSpec::try_new`]).
     pub fn new(name: &'static str, spec: CacheSpec) -> CacheArray {
+        if let Err(e) = CacheSpec::try_new(spec.size_bytes, spec.assoc) {
+            panic!("{name}: {e}");
+        }
         let n_sets = spec.n_sets();
         let n_lines = n_sets * spec.assoc;
         CacheArray {
@@ -153,8 +170,6 @@ impl CacheArray {
                 usize::MAX
             },
             meta: vec![0; n_lines],
-            lru: vec![0; if spec.assoc > 1 { n_lines } else { 0 }],
-            tick: 0,
             invalidated: FastSet::default(),
         }
     }
@@ -162,7 +177,7 @@ impl CacheArray {
     /// Line-aligned address of `addr`.
     #[inline]
     pub fn line_addr(&self, addr: Addr) -> Addr {
-        addr & !(LINE_BYTES - 1)
+        addr & TAG_BITS
     }
 
     #[inline]
@@ -181,15 +196,30 @@ impl CacheArray {
     fn find(&self, addr: Addr) -> Option<usize> {
         let la = self.line_addr(addr);
         self.set_range(addr)
-            .find(|&i| self.meta[i] & !STATE_BITS == la && self.meta[i] & STATE_BITS != 0)
+            .find(|&i| self.meta[i] & TAG_BITS == la && self.meta[i] & STATE_BITS != 0)
     }
 
-    /// Records `i` as most recently used (no-op for direct-mapped arrays,
-    /// which keep no recency state).
+    /// Records way `i` of the set `range` as most recently used: it takes
+    /// rank 0, and every other way ranked at or below its old rank ages by
+    /// one.
     #[inline]
-    fn touch_way(&mut self, i: usize) {
-        if self.spec.assoc > 1 {
-            self.lru[i] = self.tick;
+    fn touch_way(&mut self, range: std::ops::Range<usize>, i: usize) {
+        let rank = self.meta[i] & RANK_BITS;
+        for j in range {
+            if j != i && self.meta[j] & RANK_BITS <= rank {
+                self.meta[j] += RANK_ONE;
+            }
+        }
+        self.meta[i] &= !RANK_BITS;
+    }
+
+    /// Records the resident way `i` of `addr`'s set as most recently used.
+    /// The MRU way is the one way of rank 0, so hitting it again — most
+    /// hits — writes nothing.
+    #[inline]
+    fn touch_hit(&mut self, addr: Addr, i: usize) {
+        if self.meta[i] & RANK_BITS != 0 {
+            self.touch_way(self.set_range(addr), i);
         }
     }
 
@@ -197,10 +227,9 @@ impl CacheArray {
     /// fill happens; the caller decides whether/what to fill.
     #[inline]
     pub fn lookup(&mut self, addr: Addr) -> AccessOutcome {
-        self.tick += 1;
         match self.find(addr) {
             Some(i) => {
-                self.touch_way(i);
+                self.touch_hit(addr, i);
                 AccessOutcome::Hit(code_state(self.meta[i]))
             }
             None => {
@@ -217,13 +246,12 @@ impl CacheArray {
 
     /// Touches `addr` for LRU purposes without classifying a miss: the
     /// store path's L1 recency update, where the hit/miss outcome is
-    /// unused and the invalidated-set probe would be wasted work. State
-    /// evolution (tick, LRU) is identical to [`CacheArray::lookup`].
+    /// unused and the invalidated-set probe would be wasted work. The LRU
+    /// update is identical to [`CacheArray::lookup`]'s.
     #[inline]
     pub fn touch(&mut self, addr: Addr) {
-        self.tick += 1;
         if let Some(i) = self.find(addr) {
-            self.touch_way(i);
+            self.touch_hit(addr, i);
         }
     }
 
@@ -234,10 +262,9 @@ impl CacheArray {
     /// would observe it.
     #[inline]
     pub fn lookup_set(&mut self, addr: Addr, state: LineState) -> AccessOutcome {
-        self.tick += 1;
         match self.find(addr) {
             Some(i) => {
-                self.touch_way(i);
+                self.touch_hit(addr, i);
                 let old = code_state(self.meta[i]);
                 self.meta[i] = (self.meta[i] & !STATE_BITS) | state_code(state);
                 AccessOutcome::Hit(old)
@@ -274,7 +301,7 @@ impl CacheArray {
     /// [`CacheArray::slot_of`], for diagnostics walking a side table).
     pub fn line_at_slot(&self, slot: usize) -> Option<Addr> {
         let m = self.meta[slot];
-        (m & STATE_BITS != 0).then_some(m & !STATE_BITS)
+        (m & STATE_BITS != 0).then_some(m & TAG_BITS)
     }
 
     /// Total way slots (`n_sets * assoc`), the length of any parallel
@@ -284,7 +311,8 @@ impl CacheArray {
     }
 
     /// Inserts the line containing `addr` with `state`, evicting the LRU way
-    /// if the set is full. Returns the victim if a valid line was evicted.
+    /// (the highest rank) if the set is full. Returns the victim if a valid
+    /// line was evicted.
     ///
     /// # Panics
     ///
@@ -297,10 +325,11 @@ impl CacheArray {
         );
         let la = self.line_addr(addr);
         self.invalidated.remove(&la);
-        self.tick += 1;
         let range = self.set_range(addr);
-        // Prefer an invalid way; otherwise evict true-LRU (first minimum).
-        // Direct-mapped sets have exactly one candidate either way.
+        // Prefer an invalid way; otherwise evict true-LRU: in a full set
+        // every way has been touched, so the ranks are a permutation and
+        // the highest is unique. Direct-mapped sets have exactly one
+        // candidate either way.
         let slot = if self.spec.assoc == 1 {
             range.start
         } else {
@@ -309,21 +338,22 @@ impl CacheArray {
                 .find(|&i| self.meta[i] & STATE_BITS == 0)
                 .unwrap_or_else(|| {
                     range
-                        .min_by_key(|&i| self.lru[i])
+                        .clone()
+                        .max_by_key(|&i| self.meta[i] & RANK_BITS)
                         .expect("set_range is non-empty: CacheSpec::try_new rejects assoc == 0")
                 })
         };
         let m = self.meta[slot];
         let victim = if m & STATE_BITS != 0 {
             Some(Victim {
-                addr: m & !STATE_BITS,
+                addr: m & TAG_BITS,
                 dirty: code_state(m).is_dirty(),
             })
         } else {
             None
         };
-        self.meta[slot] = la | state_code(state);
-        self.touch_way(slot);
+        self.meta[slot] = la | (m & RANK_BITS) | state_code(state);
+        self.touch_way(range, slot);
         victim
     }
 
@@ -387,7 +417,7 @@ impl CacheArray {
         self.meta
             .iter()
             .filter(|&&m| m & STATE_BITS != 0)
-            .map(|&m| m & !STATE_BITS)
+            .map(|&m| m & TAG_BITS)
             .collect()
     }
 

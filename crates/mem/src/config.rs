@@ -61,12 +61,13 @@ pub enum ConfigError {
         /// CPUs per cluster.
         cpus_per_cluster: usize,
     },
-    /// An MXS core size above what its structures hold: a fetch width
-    /// past the fetch buffer, a window whose `32 + rob_entries` registers
+    /// A size above what its structures hold: a cache associativity past
+    /// the 3-bit LRU rank of a packed tag word, an MXS fetch width past
+    /// the fetch buffer, a window whose `32 + rob_entries` registers
     /// outgrow the 16-bit register indices, or a BTB past its ceiling.
     OutOfRange {
-        /// Which parameter ("MXS fetch width", "MXS reorder window",
-        /// "BTB size").
+        /// Which parameter ("cache associativity", "MXS fetch width",
+        /// "MXS reorder window", "BTB size").
         what: &'static str,
         /// The requested value.
         value: usize,
@@ -163,11 +164,17 @@ impl std::error::Error for ConfigError {}
 pub struct CacheSpec {
     /// Total capacity in bytes.
     pub size_bytes: u32,
-    /// Associativity (1 = direct-mapped).
+    /// Associativity (1 = direct-mapped, at most
+    /// [`CacheSpec::MAX_ASSOC`]).
     pub assoc: usize,
 }
 
 impl CacheSpec {
+    /// The most ways a set may have: [`crate::CacheArray`] keeps each
+    /// way's LRU rank in the three tag-word bits a 32-byte line leaves
+    /// free beside the line state.
+    pub const MAX_ASSOC: usize = 8;
+
     /// Creates and validates a cache geometry.
     ///
     /// # Panics
@@ -185,7 +192,8 @@ impl CacheSpec {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the size is not a power of two, the
-    /// associativity is zero, or the capacity is below one full set.
+    /// associativity is zero, the capacity is below one full set, or the
+    /// associativity exceeds [`CacheSpec::MAX_ASSOC`].
     pub fn try_new(size_bytes: u32, assoc: usize) -> Result<CacheSpec, ConfigError> {
         if !size_bytes.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo {
@@ -199,6 +207,13 @@ impl CacheSpec {
         let spec = CacheSpec { size_bytes, assoc };
         if spec.n_sets() < 1 {
             return Err(ConfigError::CacheTooSmall { size_bytes, assoc });
+        }
+        if assoc > CacheSpec::MAX_ASSOC {
+            return Err(ConfigError::OutOfRange {
+                what: "cache associativity",
+                value: assoc,
+                max: CacheSpec::MAX_ASSOC,
+            });
         }
         Ok(spec)
     }
@@ -583,8 +598,17 @@ mod tests {
                 assoc: 4,
             })
         );
+        assert_eq!(
+            CacheSpec::try_new(64 * 1024, 16),
+            Err(ConfigError::OutOfRange {
+                what: "cache associativity",
+                value: 16,
+                max: 8,
+            })
+        );
         assert!(CacheSpec::try_new(1024, 2).is_ok());
         assert!(CacheSpec::try_new(LINE_BYTES, 1).is_ok());
+        assert!(CacheSpec::try_new(1024, CacheSpec::MAX_ASSOC).is_ok());
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl SharedL2Back {
     pub fn new(cfg: &SystemConfig) -> SharedL2Back {
         SharedL2Back {
             l2: CacheArray::new("shared-l2", cfg.l2),
-            banks: BankedResource::new("l2-bank", cfg.l2_banks, u64::from(LINE_BYTES)),
+            banks: BankedResource::new("l2-bank", cfg.l2_banks),
             mem: Port::new("mem"),
         }
     }
@@ -52,7 +52,9 @@ impl SharedL2Back {
         addr: Addr,
         at: Cycle,
     ) -> (Cycle, ServiceLevel) {
-        let g2 = self.banks.reserve(u64::from(addr), at, lat.l2_occ);
+        let g2 = self
+            .banks
+            .reserve(u64::from(addr / LINE_BYTES), at, lat.l2_occ);
         stats.l2_bank_wait += g2 - at;
         match self.l2.lookup(addr) {
             AccessOutcome::Hit(_) => {
@@ -88,7 +90,9 @@ impl SharedL2Back {
         at: Cycle,
     ) -> (Cycle, ServiceLevel) {
         let store_occ = lat.l2_occ;
-        let g2 = self.banks.reserve(u64::from(addr), at, store_occ);
+        let g2 = self
+            .banks
+            .reserve(u64::from(addr / LINE_BYTES), at, store_occ);
         stats.l2_bank_wait += g2 - at;
         match self.l2.lookup_set(addr, LineState::Modified) {
             AccessOutcome::Hit(_) => {

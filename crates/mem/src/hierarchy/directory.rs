@@ -28,18 +28,22 @@ use cmpsim_engine::Cycle;
 /// path's presence lookup rides the L2 set walk it was about to do anyway
 /// instead of hashing into a side map.
 ///
-/// The table is one flat word array: each slot holds `words` d-side words
-/// then `words` i-side words, `words = ⌈n_nodes / 64⌉`, with node `k` at
-/// bit `k % 64` of word `k / 64` of its side — 16 B per L2 way up to 64
-/// nodes. It is allocated zeroed and has no per-slot object to build or
-/// drop.
+/// The table is one flat bitset allocated zeroed, with no per-slot object
+/// to build or drop. Each slot holds a d-side lane then an i-side lane of
+/// `lane` bits each, node `k` of slot `s` on side `d` (0 = data, 1 =
+/// instruction) at bit `(2s + d) * lane + k`. `lane` is `n_nodes` rounded
+/// up to a power of two up to 64 nodes and to a multiple of 64 above, so
+/// a lane never straddles a word: at the paper's 4 CPUs a slot costs one
+/// byte, and from 33 nodes on each lane is whole words, one per 64 nodes.
 #[derive(Debug)]
 pub struct Directory {
-    /// `2 * words` presence words per L2 way slot. Invariant: every word
-    /// of a slot is zero whenever its way is invalid.
+    /// The presence bitset. Invariant: every bit of a slot is zero
+    /// whenever its way is invalid.
     bits: Vec<u64>,
-    /// Words per side of one slot.
-    words: usize,
+    /// Bits per side of one slot.
+    lane: usize,
+    /// The low `min(lane, 64)` bits: one word's share of a lane.
+    mask: u64,
     n_nodes: usize,
 }
 
@@ -58,35 +62,56 @@ impl Directory {
     /// An empty directory over `n_nodes` nodes, tracking an L2 with
     /// `n_slots` way slots.
     pub fn new(n_nodes: usize, n_slots: usize) -> Directory {
-        let words = n_nodes.div_ceil(64);
+        let lane = if n_nodes <= 64 {
+            n_nodes.next_power_of_two()
+        } else {
+            n_nodes.next_multiple_of(64)
+        };
         Directory {
-            bits: vec![0; 2 * words * n_slots],
-            words,
+            bits: vec![0; (2 * lane * n_slots).div_ceil(64)],
+            lane,
+            mask: u64::MAX >> (64 - lane.min(64)),
             n_nodes,
         }
     }
 
-    /// `slot`'s d-side words followed by its i-side words.
+    /// Bit position of node 0 on `side` of `slot`.
     #[inline]
-    fn slot(&self, slot: usize) -> &[u64] {
-        let w = 2 * self.words;
-        &self.bits[slot * w..slot * w + w]
+    fn lane_at(&self, slot: usize, side: usize) -> usize {
+        (2 * slot + side) * self.lane
     }
 
-    /// `slot`'s d-side and i-side words, mutably.
+    /// The bits of the lane chunk starting at bit `pos`: nodes `64c..`
+    /// of a lane for chunk `c` (one chunk per lane up to 64 nodes).
     #[inline]
-    fn sides_mut(&mut self, slot: usize) -> (&mut [u64], &mut [u64]) {
-        let w = self.words;
-        self.bits[slot * 2 * w..slot * 2 * w + 2 * w].split_at_mut(w)
+    fn chunk(&self, pos: usize) -> u64 {
+        self.bits[pos >> 6] >> (pos & 63) & self.mask
     }
 
-    /// Whether `node`'s bit is set in one slot's words `bits`, on the
-    /// d side (`side == 0`) or the i side (`side == 1`). Empty `bits`
-    /// (no slot) hold no bit.
+    /// Clears the bits `m` of the lane chunk starting at bit `pos`.
     #[inline]
-    fn has(&self, bits: &[u64], side: usize, node: usize) -> bool {
-        bits.get(side * self.words + (node >> 6))
-            .is_some_and(|w| w >> (node & 63) & 1 != 0)
+    fn clear(&mut self, pos: usize, m: u64) {
+        self.bits[pos >> 6] &= !(m << (pos & 63));
+    }
+
+    /// Sets `node`'s bit on `side` of `slot`.
+    #[inline]
+    fn set(&mut self, slot: usize, side: usize, node: usize) {
+        let pos = self.lane_at(slot, side) + node;
+        self.bits[pos >> 6] |= 1 << (pos & 63);
+    }
+
+    /// Whether `node`'s bit is set on `side` of `slot`.
+    #[inline]
+    fn has(&self, slot: usize, side: usize, node: usize) -> bool {
+        let pos = self.lane_at(slot, side) + node;
+        self.bits[pos >> 6] >> (pos & 63) & 1 != 0
+    }
+
+    /// Chunks per lane: one word's worth of nodes each.
+    #[inline]
+    fn chunks_per_lane(&self) -> usize {
+        self.lane.div_ceil(64)
     }
 
     /// Records `node`'s new L1 copy of `line` and clears its bit on the
@@ -99,23 +124,13 @@ impl Directory {
         ifetch: bool,
         victim: Option<Addr>,
     ) {
-        let (word, bit) = (node >> 6, 1u64 << (node & 63));
+        let side = usize::from(ifetch);
         if let Some(slot) = l2.slot_of(line) {
-            let (d, i) = self.sides_mut(slot);
-            if ifetch {
-                i[word] |= bit;
-            } else {
-                d[word] |= bit;
-            }
+            self.set(slot, side, node);
         }
         if let Some(v) = victim {
             if let Some(slot) = l2.slot_of(v) {
-                let (d, i) = self.sides_mut(slot);
-                if ifetch {
-                    i[word] &= !bit;
-                } else {
-                    d[word] &= !bit;
-                }
+                self.clear(self.lane_at(slot, side) + node, 1);
             }
         }
     }
@@ -137,21 +152,22 @@ impl Directory {
             // Not L2-resident: inclusion says no L1 holds it either.
             return;
         };
-        let (word, bit) = (writer >> 6, 1u64 << (writer & 63));
-        let own = |k: usize| if k == word { bit } else { 0 };
-        let (d, i) = self.sides_mut(slot);
-        let mut words = d.iter().zip(&*i).enumerate();
-        if words.all(|(k, (&dw, &iw))| (dw | iw) & !own(k) == 0) {
+        let (d, i) = (self.lane_at(slot, 0), self.lane_at(slot, 1));
+        let others = |c: usize| !(u64::from(writer >> 6 == c) << (writer & 63));
+        if (0..self.chunks_per_lane())
+            .all(|c| (self.chunk(d + 64 * c) | self.chunk(i + 64 * c)) & others(c) == 0)
+        {
             // Common case: only the writer holds the line — no victim
             // walk. (Every store funnels through here.)
             return;
         }
-        for (side, caches) in [(d, &mut *l1d), (i, &mut *l1i)] {
-            for (k, w) in side.iter_mut().enumerate() {
-                let victims = *w & !own(k);
-                *w &= own(k);
+        for (start, caches) in [(d, &mut *l1d), (i, &mut *l1i)] {
+            for c in 0..self.chunks_per_lane() {
+                let pos = start + 64 * c;
+                let victims = self.chunk(pos) & others(c);
+                self.clear(pos, victims);
                 for b in bit_positions(victims) {
-                    caches[k << 6 | b].invalidate(addr);
+                    caches[64 * c + b].invalidate(addr);
                 }
                 stats.invalidations_sent += u64::from(victims.count_ones());
             }
@@ -171,11 +187,14 @@ impl Directory {
         slot: usize,
         line: Addr,
     ) {
-        let (d, i) = self.sides_mut(slot);
-        for (k, (dw, iw)) in d.iter_mut().zip(i).enumerate() {
-            let (d_bits, i_bits) = (std::mem::take(dw), std::mem::take(iw));
+        let (d, i) = (self.lane_at(slot, 0), self.lane_at(slot, 1));
+        for c in 0..self.chunks_per_lane() {
+            let (dp, ip) = (d + 64 * c, i + 64 * c);
+            let (d_bits, i_bits) = (self.chunk(dp), self.chunk(ip));
+            self.clear(dp, d_bits);
+            self.clear(ip, i_bits);
             for b in bit_positions(d_bits | i_bits) {
-                let node = k << 6 | b;
+                let node = 64 * c + b;
                 if d_bits >> b & 1 != 0 {
                     l1d[node].evict(line);
                 }
@@ -197,7 +216,10 @@ impl Directory {
             .flat_map(CacheArray::valid_lines)
             .collect();
         for slot in 0..l2.n_slots() {
-            if self.slot(slot).iter().any(|&w| w != 0) {
+            let (d, i) = (self.lane_at(slot, 0), self.lane_at(slot, 1));
+            if (0..self.chunks_per_lane())
+                .any(|c| self.chunk(d + 64 * c) | self.chunk(i + 64 * c) != 0)
+            {
                 let Some(line) = l2.line_at_slot(slot) else {
                     return false; // presence bits on an invalid L2 way
                 };
@@ -226,12 +248,11 @@ impl Directory {
         line: Addr,
     ) -> Vec<(ViolationKind, String)> {
         let slot = l2.slot_of(line);
-        let bits = slot.map_or(&[][..], |s| self.slot(s));
         let mut found = Vec::new();
         for n in 0..self.n_nodes {
             for (cache, side, name) in [(&l1d[n], 0, "l1d"), (&l1i[n], 1, "l1i")] {
                 let state = cache.probe(line);
-                let bit = self.has(bits, side, n);
+                let bit = slot.is_some_and(|s| self.has(s, side, n));
                 if state.is_valid() && slot.is_none() {
                     found.push((
                         ViolationKind::InclusionViolation,
@@ -596,7 +617,7 @@ pub(crate) mod plant {
                 far
             }
             Plant::GhostBit => {
-                t.dir.sides_mut(slot).0[far >> 6] |= 1 << (far & 63);
+                t.dir.set(slot, 0, far);
                 far
             }
             Plant::Uncovered => {
@@ -626,12 +647,33 @@ mod tests {
     use crate::sentinel::SentinelSpec;
     use crate::{ClusteredSystem, MeshSystem, SharedL2System};
 
+    /// A slot costs two lanes of bits, each lane `n_nodes` rounded up to a
+    /// power of two up to 64 and to a multiple of 64 above — never more
+    /// than one 64-bit word per side per 64 nodes (16·⌈n/64⌉ B).
     #[test]
-    fn presence_table_holds_one_word_per_side_per_64_nodes() {
-        for (n_nodes, words_per_way) in [(4, 2), (64, 2), (65, 4), (130, 6)] {
-            let dir = Directory::new(n_nodes, 8);
-            assert_eq!(dir.bits.len(), 8 * words_per_way, "{n_nodes} nodes");
+    fn a_way_costs_two_presence_lanes_sized_to_the_node_count() {
+        let n_slots = 64;
+        for (n_nodes, lane) in [
+            (1, 1),
+            (3, 4),
+            (4, 4),
+            (33, 64),
+            (64, 64),
+            (65, 128),
+            (130, 192),
+        ] {
+            let dir = Directory::new(n_nodes, n_slots);
+            assert_eq!(dir.lane, lane, "{n_nodes} nodes");
+            let bytes = 8 * dir.bits.len();
+            assert_eq!(8 * bytes, 2 * lane * n_slots, "{n_nodes} nodes");
+            assert!(
+                bytes <= 16 * n_nodes.div_ceil(64) * n_slots,
+                "{n_nodes} nodes"
+            );
         }
+        // The paper's 2 MB direct-mapped L2 at 4 CPUs: 64 KiB of presence.
+        let dir = Directory::new(4, 64 * 1024);
+        assert_eq!(8 * dir.bits.len(), 64 * 1024);
     }
 
     /// The victim walk crosses presence words and both sides: nodes 65
@@ -664,8 +706,66 @@ mod tests {
             assert!(!cache.probe(line).is_valid());
         }
         let slot = l2.slot_of(line).expect("resident");
-        assert_eq!(dir.slot(slot), [1, 0, 0, 0, 0, 0]);
+        for node in 0..n {
+            for side in 0..2 {
+                let kept = (side, node) == (0, 0);
+                assert_eq!(dir.has(slot, side, node), kept, "side {side} node {node}");
+            }
+        }
         assert!(dir.consistent(&l1d, &l1i, &l2));
+    }
+
+    /// Below 33 nodes several slots share a word. Bits planted in the
+    /// slots on either side of `s` (every node, both sides) survive a
+    /// store's invalidation and an L2 eviction on `s`, which clear only
+    /// `s`'s own lanes.
+    #[test]
+    fn clearing_a_slot_leaves_its_word_neighbours_set() {
+        for n in [3, 5] {
+            let l1 = CacheSpec::new(1024, 2);
+            let mut l1d: Vec<_> = (0..n).map(|_| CacheArray::new("l1d", l1)).collect();
+            let mut l1i: Vec<_> = (0..n).map(|_| CacheArray::new("l1i", l1)).collect();
+            let mut l2 = CacheArray::new("l2", CacheSpec::new(4096, 1));
+            let line: Addr = 0x20;
+            l2.fill(line, LineState::Exclusive);
+            let s = l2.slot_of(line).expect("resident");
+            let mut dir = Directory::new(n, l2.n_slots());
+            assert_eq!(
+                dir.lane_at(s - 1, 0) >> 6,
+                dir.lane_at(s + 1, 1) >> 6,
+                "{n} nodes: slots s - 1 to s + 1 share a word"
+            );
+            let neighbours = [s - 1, s + 1];
+            for slot in neighbours {
+                for node in 0..n {
+                    dir.set(slot, 0, node);
+                    dir.set(slot, 1, node);
+                }
+            }
+            for node in 0..n {
+                for cache in [&mut l1d[node], &mut l1i[node]] {
+                    cache.fill(line, LineState::Shared);
+                }
+                dir.set(s, 0, node);
+                dir.set(s, 1, node);
+            }
+            let mut stats = MemStats::new();
+            dir.invalidate_sharers(&mut stats, &mut l1d, &mut l1i, &l2, 0, line, line);
+            assert_eq!(stats.invalidations_sent, 2 * n as u64 - 2, "{n} nodes");
+            dir.back_invalidate_slot(&mut l1d, &mut l1i, s, line);
+            for node in 0..n {
+                for side in 0..2 {
+                    assert!(!dir.has(s, side, node), "{n} nodes: slot s keeps a bit");
+                    for slot in neighbours {
+                        assert!(
+                            dir.has(slot, side, node),
+                            "{n} nodes: slot {slot} lost a bit"
+                        );
+                    }
+                }
+                assert!(!l1d[node].probe(line).is_valid() && !l1i[node].probe(line).is_valid());
+            }
+        }
     }
 
     /// Plants `fault` on each directory machine — shared-L2, clustered

@@ -6,16 +6,19 @@
 //! * [`PhysMem`] — the physical memory *contents* (sparse byte store with
 //!   per-CPU LL/SC link registers). Data values live here; the timing models
 //!   operate purely on addresses.
-//! * [`CacheArray`] — a set-associative tag/state array with LRU replacement
-//!   and replacement-vs-invalidation miss classification. Every cache has
-//!   the paper's [`LINE_BYTES`]-byte lines, so a [`CacheSpec`] is just a
-//!   capacity and an associativity.
+//! * [`CacheArray`] — a set-associative tag/state array with exact LRU
+//!   replacement and replacement-vs-invalidation miss classification,
+//!   one packed word per way: the tag, the line state and the way's LRU
+//!   rank. Every cache has the paper's [`LINE_BYTES`]-byte lines, so a
+//!   [`CacheSpec`] is just a capacity and an associativity of 1 to
+//!   [`CacheSpec::MAX_ASSOC`].
 //! * The [`hierarchy`] core — the shared coherent-hierarchy building
 //!   blocks (L1 frontend, directory/invalidation engine, MESI snooping,
 //!   sentinel hooks, `MemorySystem` boilerplate) every architecture is
 //!   assembled from. The directory keeps its presence bits in one flat
-//!   table of 64-bit words beside the shared L2's ways: 16 B per way up
-//!   to 64 nodes, one more word per side for each further 64.
+//!   bitset beside the shared L2's ways, a d-side and an i-side lane per
+//!   way, each lane the node count rounded up to a power of two up to 64
+//!   and to whole words above: 1 B per way at 4 nodes, 16 B at 33–64.
 //! * The five architectures behind the [`MemorySystem`] trait:
 //!   [`SharedL1System`], [`SharedL2System`], [`SharedMemSystem`],
 //!   [`ClusteredSystem`] and [`MeshSystem`] — thin geometry descriptions

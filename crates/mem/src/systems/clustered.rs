@@ -59,7 +59,8 @@ impl NodeScheme for PerCluster {
         if core.cfg.ideal_shared_l1 {
             return (now, 1);
         }
-        let grant = self.banks[node].reserve(u64::from(addr), now, core.cfg.lat.l1_occ);
+        let grant =
+            self.banks[node].reserve(u64::from(addr / LINE_BYTES), now, core.cfg.lat.l1_occ);
         core.stats.l1_bank_wait += grant - now;
         (grant, CLUSTER_L1_LAT)
     }
@@ -104,7 +105,7 @@ impl ClusteredSystem {
         let scheme = PerCluster {
             cpus_per_cluster: k,
             banks: (0..n_clusters)
-                .map(|_| BankedResource::new("cluster-l1-bank", k, u64::from(LINE_BYTES)))
+                .map(|_| BankedResource::new("cluster-l1-bank", k))
                 .collect(),
         };
         Ok(HierarchySystem::from_parts(

@@ -52,8 +52,8 @@ impl SharedL1System {
             SharedL1Topo {
                 l1i: CacheArray::new("shared-l1i", cfg.l1i),
                 l1d: CacheArray::new("shared-l1d", cfg.l1d),
-                l1i_banks: BankedResource::new("l1i-bank", cfg.l1_banks, u64::from(LINE_BYTES)),
-                l1d_banks: BankedResource::new("l1d-bank", cfg.l1_banks, u64::from(LINE_BYTES)),
+                l1i_banks: BankedResource::new("l1i-bank", cfg.l1_banks),
+                l1d_banks: BankedResource::new("l1d-bank", cfg.l1_banks),
                 back: UniBack::new(cfg),
             },
         )
@@ -205,7 +205,7 @@ impl Topology for SharedL1Topo {
             } else {
                 &mut self.l1d_banks
             };
-            let g = banks.reserve(u64::from(addr), now, core.cfg.lat.l1_occ);
+            let g = banks.reserve(u64::from(addr / LINE_BYTES), now, core.cfg.lat.l1_occ);
             (g, core.cfg.lat.l1_lat)
         };
         let l1_extra = (grant - now) + (l1_lat - 1);

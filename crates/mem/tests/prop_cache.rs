@@ -5,17 +5,20 @@
 
 use cmpsim_engine::{prop, Cycle};
 use cmpsim_mem::{
-    AccessOutcome, CacheArray, CacheSpec, LineState, MemRequest, MemorySystem, PhysMem,
+    AccessOutcome, CacheArray, CacheSpec, LineState, MemRequest, MemorySystem, MissKind, PhysMem,
     SharedMemSystem, SystemConfig, LINE_BYTES,
 };
 use std::collections::HashMap;
 
-/// A naive fully-explicit reference cache: per-set vectors ordered by
-/// recency. Must agree with `CacheArray` on every hit/miss.
+/// A naive fully-explicit reference cache: per-set vectors of resident
+/// lines ordered by recency, plus the lines a coherence invalidation
+/// removed. Must agree with `CacheArray` on every hit/miss, every miss
+/// classification and every eviction victim.
 struct RefCache {
     sets: Vec<Vec<u32>>, // line addresses, most recent last
     assoc: usize,
     line: u32,
+    invalidated: Vec<u32>,
 }
 
 impl RefCache {
@@ -24,25 +27,29 @@ impl RefCache {
             sets: vec![Vec::new(); spec.n_sets()],
             assoc: spec.assoc,
             line: LINE_BYTES,
+            invalidated: Vec::new(),
         }
     }
     fn set_of(&self, addr: u32) -> usize {
         ((addr / self.line) as usize) % self.sets.len()
     }
-    fn lookup(&mut self, addr: u32) -> bool {
+    fn lookup(&mut self, addr: u32) -> AccessOutcome {
         let la = addr & !(self.line - 1);
         let set = self.set_of(addr);
         let s = &mut self.sets[set];
         if let Some(pos) = s.iter().position(|&x| x == la) {
             let v = s.remove(pos);
             s.push(v); // most-recent last
-            true
+            AccessOutcome::Hit(LineState::Shared)
+        } else if self.invalidated.contains(&la) {
+            AccessOutcome::Miss(MissKind::Invalidation)
         } else {
-            false
+            AccessOutcome::Miss(MissKind::Replacement)
         }
     }
     fn fill(&mut self, addr: u32) -> Option<u32> {
         let la = addr & !(self.line - 1);
+        self.invalidated.retain(|&x| x != la);
         let set = self.set_of(addr);
         let victim = if self.sets[set].len() >= self.assoc {
             Some(self.sets[set].remove(0)) // least-recent first
@@ -52,31 +59,62 @@ impl RefCache {
         self.sets[set].push(la);
         victim
     }
+    /// Removes the line; a coherence invalidation also remembers it.
+    fn remove(&mut self, addr: u32, coherence: bool) -> bool {
+        let la = addr & !(self.line - 1);
+        let set = self.set_of(addr);
+        let Some(pos) = self.sets[set].iter().position(|&x| x == la) else {
+            return false;
+        };
+        self.sets[set].remove(pos);
+        if coherence {
+            self.invalidated.push(la);
+        }
+        true
+    }
 }
 
-/// CacheArray and the reference model agree on every access outcome and
-/// every eviction victim.
+/// CacheArray and the reference model agree on every access outcome, miss
+/// classification and eviction victim, at 1, 2, 3, 4 and 8 ways (3 ways
+/// leaves 5 sets, so the set index is a modulo), with coherence
+/// invalidations and plain evictions interleaved among the accesses so
+/// that sets refill around the holes they leave.
 #[test]
 fn cache_matches_reference_model() {
     prop::check("cache_matches_reference_model", |src| {
-        let addrs = src.vec(1..500, |s| s.u32(0..4096));
-        // Tiny cache to force plenty of evictions: 4 sets x 2 ways x 32B.
-        let spec = CacheSpec::new(256, 2);
+        let assoc = [1, 2, 3, 4, 8][src.index(5)];
+        // Tiny cache to force plenty of evictions: 16 lines of 32 B.
+        let spec = CacheSpec::new(512, assoc);
+        let ops = src.vec(1..500, |s| (s.u32(0..4096), s.u8(0..8)));
         let mut dut = CacheArray::new("dut", spec);
         let mut rf = RefCache::new(spec);
-        for &addr in &addrs {
-            let hit_ref = rf.lookup(addr);
-            let outcome = dut.lookup(addr);
-            match outcome {
-                AccessOutcome::Hit(_) => assert!(hit_ref, "dut hit, ref miss @{addr:#x}"),
-                AccessOutcome::Miss(_) => {
-                    assert!(!hit_ref, "dut miss, ref hit @{addr:#x}");
-                    let v_ref = rf.fill(addr);
-                    let v_dut = dut.fill(addr, LineState::Shared).map(|v| v.addr);
-                    assert_eq!(v_dut, v_ref, "victims differ @{addr:#x}");
+        for &(addr, op) in &ops {
+            match op {
+                0 => {
+                    let was = rf.remove(addr, true);
+                    assert_eq!(
+                        dut.invalidate(addr).is_valid(),
+                        was,
+                        "invalidate @{addr:#x}"
+                    );
+                }
+                1 => {
+                    let was = rf.remove(addr, false);
+                    assert_eq!(dut.evict(addr).is_valid(), was, "evict @{addr:#x}");
+                }
+                _ => {
+                    let outcome = dut.lookup(addr);
+                    assert_eq!(outcome, rf.lookup(addr), "{assoc} ways @{addr:#x}");
+                    if let AccessOutcome::Miss(_) = outcome {
+                        let v_ref = rf.fill(addr);
+                        let v_dut = dut.fill(addr, LineState::Shared).map(|v| v.addr);
+                        assert_eq!(v_dut, v_ref, "{assoc} ways: victims differ @{addr:#x}");
+                    }
                 }
             }
         }
+        let resident: usize = rf.sets.iter().map(Vec::len).sum();
+        assert_eq!(dut.resident(), resident);
     });
 }
 

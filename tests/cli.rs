@@ -132,6 +132,11 @@ fn run_rejects_workload_parameters_it_cannot_build() {
             "-w eqntott -s 0.02 --l2-assoc 1000000",
             "cache smaller than assoc * line",
         ),
+        // Ran before the LRU ranks moved into the tag word's 3 free bits.
+        (
+            "-w eqntott -s 0.02 --l2-assoc 16",
+            "cache associativity must be 1..=8 (got 16)",
+        ),
         (
             "-w eqntott -s 0.02 -a shared-l1 --l1-banks 0",
             "L1 bank count must be at least 1",
@@ -191,6 +196,49 @@ fn explore_stops_on_a_workload_it_cannot_build() {
             "{mode}: {stderr}"
         );
     }
+}
+
+/// An L2 associativity level the cache cannot hold is refused before
+/// the search starts, at either end of the 1..=8 range.
+#[test]
+fn explore_refuses_an_l2_associativity_outside_one_to_eight_ways() {
+    for (level, why) in [
+        ("0", "associativity must be at least 1"),
+        ("16", "associativity must be at most 8 ways"),
+    ] {
+        let out = cmpsim(&format!(
+            "explore -w eqntott --scale 0.02 --dim arch=shared-l2 --dim cpus=2 \
+             --dim l2-assoc=1,{level}"
+        ));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{level}: {stderr}");
+        let want = format!("error: dimension 'l2-assoc': bad level '{level}': {why}");
+        assert!(stderr.starts_with(&want), "{level}: {stderr}");
+    }
+}
+
+/// A `rob` level equal to the default window names the same machine as
+/// a search without the dimension, so the second search finds the first
+/// one's result in the cache instead of running the point again.
+#[test]
+fn explore_caches_the_default_mxs_window_under_one_key() {
+    let dir = temp_dir("rob");
+    let search = |rob: &str| {
+        let out = cmpsim(&format!(
+            "explore --workload eqntott --scale 0.02 --exec --dim arch=shared-l2 \
+             --dim cpu=mxs --dim cpus=2 {rob} --cache {}",
+            dir.join("rob.jrnl").display()
+        ));
+        assert!(out.status.success(), "{out:?}");
+        let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8");
+        (text(out.stdout), text(out.stderr))
+    };
+    let (first, summary) = search("");
+    assert!(summary.contains("0 cached"), "{summary}");
+    let (second, summary) = search("--dim rob=32");
+    assert_eq!(first, second, "the default window printed another point");
+    assert!(summary.contains("1 cached"), "{summary}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
