@@ -679,15 +679,6 @@ impl Machine {
         }
     }
 
-    /// Turns off every CPU's decoded-instruction cache before a run. The
-    /// cache is a pure host-speed optimization: results are identical
-    /// either way, which `tests/decode_cache.rs` proves with this switch.
-    pub fn disable_decode_cache(&mut self) {
-        for cpu in &mut self.cpus {
-            cpu.disable_decode_cache();
-        }
-    }
-
     /// Read access to physical memory (validation, probes).
     pub fn phys(&self) -> &PhysMem {
         &self.phys
@@ -1008,7 +999,6 @@ mod tests {
             self.space
         }
         fn flush(&mut self) {}
-        fn disable_decode_cache(&mut self) {}
         fn halted(&self) -> bool {
             self.steps == self.latencies.len()
         }

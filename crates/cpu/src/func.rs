@@ -232,7 +232,7 @@ pub fn step(state: &mut ArchState, instr: &Instr, env: &mut ExecEnv<'_>) -> Step
         }
         Sw { rt, base, off } => {
             let pa = env.space.translate(effective_addr(state.gpr(base), off));
-            env.mem.write_u32_tracked(env.cpu, pa, state.gpr(rt));
+            env.mem.write_u32_tracked(pa, state.gpr(rt));
             StepInfo {
                 mem_access: Some((AccessKind::Store, pa)),
                 ..NO_MEM
@@ -250,7 +250,7 @@ pub fn step(state: &mut ArchState, instr: &Instr, env: &mut ExecEnv<'_>) -> Step
         Sc { rt, base, off } => {
             let pa = env.space.translate(effective_addr(state.gpr(base), off));
             if env.mem.check_and_clear_link(env.cpu, pa) {
-                env.mem.write_u32_tracked(env.cpu, pa, state.gpr(rt));
+                env.mem.write_u32_tracked(pa, state.gpr(rt));
                 state.set_gpr(rt, 1);
                 StepInfo {
                     mem_access: Some((AccessKind::Store, pa)),
@@ -596,7 +596,7 @@ mod tests {
                 off: 0,
             },
         );
-        m.write_u32_tracked(1, 0x3000, 7);
+        m.write_u32_tracked(0x3000, 7);
         s.set_gpr(Reg::T0, 99);
         let info = run(
             &mut s,

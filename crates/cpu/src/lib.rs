@@ -19,14 +19,17 @@
 //!
 //! Both models execute the same programs against the same [`PhysMem`], so a
 //! program's final architectural state is identical under either model —
-//! a property the test suite checks with random programs.
+//! a property the test suite checks with random programs. Both fetch
+//! through [`PhysMem::fetch`], whose decoded-instruction memo is shared by
+//! every CPU of a machine and always agrees with memory, so the models keep
+//! no decode state of their own.
 //!
 //! [`PhysMem`]: cmpsim_mem::PhysMem
+//! [`PhysMem::fetch`]: cmpsim_mem::PhysMem::fetch
 
 pub mod arch;
 pub mod btb;
 pub mod counters;
-pub mod decode;
 pub mod func;
 pub mod mipsy;
 pub mod mxs;
@@ -34,7 +37,6 @@ pub mod mxs;
 pub use arch::ArchState;
 pub use btb::Btb;
 pub use counters::{CpuCounters, StallCategory};
-pub use decode::DecodeCache;
 pub use func::{ExecEnv, Outcome, StepInfo};
 pub use mipsy::MipsyCpu;
 pub use mxs::{MxsConfig, MxsCpu};
@@ -142,19 +144,18 @@ pub trait CpuModel {
     /// For MXS this is only meaningful after a [`CpuModel::flush`].
     fn arch_mut(&mut self) -> &mut ArchState;
 
-    /// Replaces the address space (context switch).
+    /// Replaces the address space (context switch). Decoded instructions
+    /// live in [`PhysMem`], keyed by physical address, so nothing decoded
+    /// under the old space can be served under the new one.
     fn set_space(&mut self, space: AddrSpace);
 
     /// Current address space.
     fn space(&self) -> AddrSpace;
 
-    /// Drains/flushes any pipeline state (no-op for Mipsy).
+    /// Drains/flushes any pipeline state (no-op for Mipsy). There is no
+    /// decode state to drop: [`PhysMem::fetch`] always returns a fresh
+    /// decode of memory.
     fn flush(&mut self);
-
-    /// Turns the decoded-instruction memo off, so every fetch decodes
-    /// fresh from memory. Results are identical either way; tests use
-    /// this to prove it.
-    fn disable_decode_cache(&mut self);
 
     /// Whether the CPU has executed `HALT`.
     fn halted(&self) -> bool;

@@ -10,7 +10,6 @@
 
 use crate::arch::ArchState;
 use crate::counters::{CpuCounters, StallCategory};
-use crate::decode::DecodeCache;
 use crate::func::{self, ExecEnv, Outcome};
 use crate::{CpuModel, StepEvent, WRITE_BUFFER_ENTRIES};
 use cmpsim_engine::Cycle;
@@ -56,7 +55,6 @@ pub struct MipsyCpu {
     state: ArchState,
     space: AddrSpace,
     wbuf: WriteBuffer,
-    decode: DecodeCache,
     counters: CpuCounters,
     halted: bool,
 }
@@ -69,7 +67,6 @@ impl MipsyCpu {
             state: ArchState::new(pc),
             space,
             wbuf: WriteBuffer::new(WRITE_BUFFER_ENTRIES),
-            decode: DecodeCache::new(),
             counters: CpuCounters::new(),
             halted: false,
         }
@@ -103,7 +100,7 @@ impl CpuModel for MipsyCpu {
         self.counters.stall(StallCategory::Instruction, iextra);
         t += iextra;
 
-        let instr = self.decode.fetch(phys, ipa);
+        let instr = phys.fetch(self.cpu, ipa);
 
         // Execute (one busy cycle).
         let mut env = ExecEnv {
@@ -176,23 +173,13 @@ impl CpuModel for MipsyCpu {
 
     fn set_space(&mut self, space: AddrSpace) {
         self.space = space;
-        // A new address space maps different code behind the same PCs.
-        self.decode.clear();
     }
 
     fn space(&self) -> AddrSpace {
         self.space
     }
 
-    fn flush(&mut self) {
-        // Context switch: drop memoized decodes so a process image
-        // overwritten in place can never serve stale instructions.
-        self.decode.clear();
-    }
-
-    fn disable_decode_cache(&mut self) {
-        self.decode = DecodeCache::new_with(false);
-    }
+    fn flush(&mut self) {}
 
     fn halted(&self) -> bool {
         self.halted
@@ -305,6 +292,32 @@ mod tests {
         run_to_halt(&mut phys, &mut mem, &mut cpu);
         // The first fetch cold-misses all the way to memory.
         assert_eq!(cpu.counters().stall_instruction, 49);
+    }
+
+    #[test]
+    fn a_rewritten_instruction_runs_its_new_encoding() {
+        use cmpsim_isa::{encode, AluOp, Instr};
+        let add100 = Instr::AluI {
+            op: AluOp::Add,
+            rt: Reg::T1,
+            rs: Reg::T1,
+            imm: 100,
+        };
+        // Pass 1 runs `addi t1, t1, 1`, then stores `addi t1, t1, 100`
+        // over it; pass 2 must run the new word.
+        let mut a = Asm::new(0x1000);
+        a.li(Reg::T0, 2);
+        a.la(Reg::A0, "patched");
+        a.li(Reg::A1, i64::from(encode(&add100)));
+        a.label("patched");
+        a.addi(Reg::T1, Reg::T1, 1);
+        a.sw(Reg::A1, Reg::A0, 0);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, "patched");
+        a.halt();
+        let (mut phys, mut mem, mut cpu) = build(&a);
+        run_to_halt(&mut phys, &mut mem, &mut cpu);
+        assert_eq!(cpu.arch().gpr(Reg::T1), 101);
     }
 
     #[test]

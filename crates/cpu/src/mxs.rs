@@ -29,7 +29,6 @@
 use crate::arch::ArchState;
 use crate::btb::Btb;
 use crate::counters::CpuCounters;
-use crate::decode::DecodeCache;
 use crate::func::{
     effective_addr, eval_alu, eval_alui, eval_branch, eval_cvt_fi, eval_cvt_if, eval_fcmp, eval_fp,
 };
@@ -278,7 +277,6 @@ pub struct MxsCpu {
     fetch_stopped: bool,
     fbuf: VecDeque<Fetched>,
     btb: Btb,
-    decode: DecodeCache,
     wbuf: WriteBuffer,
     /// Outstanding load misses: (line address, completion).
     outstanding: Vec<(u32, Cycle)>,
@@ -348,7 +346,6 @@ impl MxsCpu {
             fetch_stopped: false,
             fbuf: VecDeque::with_capacity(FBUF_CAP),
             btb: Btb::new(cfg.btb_entries),
-            decode: DecodeCache::new(),
             wbuf: WriteBuffer::new(WRITE_BUFFER_ENTRIES),
             outstanding: Vec::new(),
             fetch_line: None,
@@ -533,7 +530,7 @@ impl MxsCpu {
                     self.write_int(def, u32::from(ok), now);
                     if ok {
                         let val = self.rob.front().expect("head").store_val.expect("sc value");
-                        Self::apply_store(phys, self.cpu, paddr, val);
+                        Self::apply_store(phys, paddr, val);
                         let res = mem.access(now, MemRequest::store(self.cpu, paddr));
                         self.wbuf.push(now, res.finish);
                     } else {
@@ -545,7 +542,7 @@ impl MxsCpu {
                         return event;
                     }
                     let val = head.store_val.expect("store executed");
-                    Self::apply_store(phys, self.cpu, paddr, val);
+                    Self::apply_store(phys, paddr, val);
                     let res = mem.access(now, MemRequest::store(self.cpu, paddr));
                     self.wbuf.push(now, res.finish);
                 }
@@ -623,7 +620,7 @@ impl MxsCpu {
         event
     }
 
-    fn apply_store(phys: &mut PhysMem, _cpu: CpuId, paddr: u32, val: StoreVal) {
+    fn apply_store(phys: &mut PhysMem, paddr: u32, val: StoreVal) {
         phys.snoop_store(paddr);
         match val {
             StoreVal::W8(b) => phys.write_u8(paddr, b),
@@ -1093,7 +1090,7 @@ impl MxsCpu {
     // Fetch stage
     // ------------------------------------------------------------------
 
-    fn fetch(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &PhysMem) {
+    fn fetch(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &mut PhysMem) {
         if self.fetch_stopped
             || now < self.fetch_resume_at
             || self.fbuf.len() + self.cfg.fetch_width > FBUF_CAP
@@ -1107,7 +1104,7 @@ impl MxsCpu {
         for _ in 0..self.cfg.fetch_width {
             let pc = self.fetch_pc;
             let pa = self.space.translate(pc);
-            let instr = self.decode.fetch(phys, pa);
+            let instr = phys.fetch(self.cpu, pa);
             let predicted_next = match instr {
                 Instr::J { target } | Instr::Jal { target } => target * 4,
                 Instr::Branch { .. } => self.btb.predict_branch(pc).unwrap_or(pc.wrapping_add(4)),
@@ -1207,8 +1204,6 @@ impl CpuModel for MxsCpu {
 
     fn set_space(&mut self, space: AddrSpace) {
         self.space = space;
-        // A new address space maps different code behind the same PCs.
-        self.decode.clear();
     }
 
     fn space(&self) -> AddrSpace {
@@ -1217,14 +1212,6 @@ impl CpuModel for MxsCpu {
 
     fn flush(&mut self) {
         self.reset_pipeline();
-        // Context switch: drop memoized decodes so a process image
-        // overwritten in place can never serve stale instructions. (Not in
-        // `reset_pipeline`, which also runs on every hcall graduation.)
-        self.decode.clear();
-    }
-
-    fn disable_decode_cache(&mut self) {
-        self.decode = DecodeCache::new_with(false);
     }
 
     fn halted(&self) -> bool {

@@ -1,14 +1,15 @@
 //! Deterministic fixed-function hashing for simulator-internal maps.
 //!
 //! std's default `HashMap` hasher is SipHash keyed per process — HashDoS
-//! hardening that buys nothing for a simulator hashing its own keys. Two
+//! hardening that buys nothing for a simulator hashing its own keys. Three
 //! maps use these aliases: [`FastSet`] holds each `CacheArray`'s
-//! coherence-invalidated lines (touched on every fill and every
-//! coherence invalidation), and [`FastMap`] holds the resume journal's
-//! rows. They swap in a multiply-fold hasher in the FxHash family: one
-//! rotate-xor-multiply per 8-byte word, no per-process key, so map
-//! behaviour is identical across runs and the hash of a line address
-//! costs less than the cache lookup next to it.
+//! coherence-invalidated lines (touched on every fill and every coherence
+//! invalidation), and [`FastMap`] holds the resume journal's rows and
+//! `PhysMem`'s page index (looked up whenever a data access or a fetch
+//! leaves the page it last touched). They swap in a multiply-fold hasher
+//! in the FxHash family: one rotate-xor-multiply per 8-byte word, no
+//! per-process key, so map behaviour is identical across runs and the hash
+//! of a line address costs less than the cache lookup next to it.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -10,7 +10,7 @@
 //!   runs independent simulations in parallel.
 //! * [`hash`] — deterministic fixed-function hashing: [`FastSet`] for
 //!   the caches' invalidated-line sets, [`FastMap`] for the journal's
-//!   rows.
+//!   rows and the physical-memory page index.
 //! * [`stats`] — the histogram and ratio helper used for the paper's
 //!   execution-time breakdowns and miss-rate tables.
 //! * [`Rng64`] — a small deterministic PRNG so every simulation is exactly

@@ -5,7 +5,10 @@
 //!
 //! * [`PhysMem`] — the physical memory *contents* (sparse byte store with
 //!   per-CPU LL/SC link registers). Data values live here; the timing models
-//!   operate purely on addresses.
+//!   operate purely on addresses. It also decodes instructions for both
+//!   CPU models ([`PhysMem::fetch`], hence this crate's one dependency on
+//!   `cmpsim-isa`): one memo of decoded words per page for the whole
+//!   machine, cleared word by word by every write.
 //! * [`CacheArray`] — a set-associative tag/state array with exact LRU
 //!   replacement and replacement-vs-invalidation miss classification,
 //!   one packed word per way: the tag, the line state and the way's LRU
@@ -56,6 +59,7 @@
 
 pub mod cache;
 pub mod config;
+mod decode;
 pub mod hierarchy;
 pub mod phys;
 pub mod sentinel;

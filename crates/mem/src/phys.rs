@@ -6,28 +6,81 @@
 //! unmapped or unaligned address reads as zero bytes rather than faulting,
 //! so speculative wrong-path execution under the MXS model is harmless.
 //!
+//! It also holds the machine's one decoded-instruction memo (a host-speed
+//! optimization, not a microarchitectural structure, one `DecodedPage` per
+//! code page): [`PhysMem::fetch`] decodes each word of a page once, for
+//! every CPU, and every write clears the decodes of the words it touches,
+//! so a fetch always returns what a fresh decode of memory would.
+//!
 //! [`AddrSpace`] provides the minimal address translation the
 //! multiprogramming workload needs: each process's private virtual range is
 //! relocated to a disjoint physical range, while the kernel range above
 //! [`KERNEL_BASE`] maps identically in every process (shared kernel code and
 //! data, as in IRIX).
 
-use crate::{Addr, CpuId};
+use crate::decode::{decode_word, DecodedPage};
+use crate::{Addr, CpuId, LINE_BYTES};
+use cmpsim_engine::FastMap;
+use cmpsim_isa::Instr;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
-const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+pub(crate) const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+
+/// LL/SC links are per cache line, as in the paper.
+const LINE_MASK: Addr = !(LINE_BYTES - 1);
 
 /// Virtual addresses at or above this value are kernel addresses, mapped
 /// identically in every address space.
 pub const KERNEL_BASE: Addr = 0xC000_0000;
 
-/// Sparse physical memory with per-CPU LL/SC links.
+/// One physical page frame: its bytes and, once code has been fetched
+/// from it, the memoized decode of each of its words.
+#[derive(Debug, Clone)]
+struct Frame {
+    bytes: Box<[u8; PAGE_BYTES]>,
+    /// Allocated on the frame's first fetch.
+    decoded: Option<DecodedPage>,
+}
+
+impl Frame {
+    /// Stores `bytes` at `off` and forgets the decodes of the (at most
+    /// two) words they touch.
+    fn write(&mut self, off: usize, bytes: &[u8]) {
+        self.bytes[off..off + bytes.len()].copy_from_slice(bytes);
+        if let Some(decoded) = &mut self.decoded {
+            decoded.clear(off, bytes.len());
+        }
+    }
+
+    /// The memoized decode of the word at `off`, if there is one.
+    fn decoded(&self, off: usize) -> Option<Instr> {
+        self.decoded.as_ref()?.get(off)
+    }
+
+    /// The instruction in the word at `off` (word-aligned), decoded at most
+    /// once between writes to that word.
+    fn fetch(&mut self, off: usize) -> Instr {
+        let decoded = self.decoded.get_or_insert_with(DecodedPage::new);
+        if let Some(instr) = decoded.get(off) {
+            return instr;
+        }
+        let word = u32::from_le_bytes(
+            self.bytes[off..off + 4]
+                .try_into()
+                .expect("4-byte span: off is word-aligned within the page"),
+        );
+        decoded.fill(off, word)
+    }
+}
+
+/// Sparse physical memory with per-CPU LL/SC links and the machine's
+/// decoded-instruction memo.
 ///
 /// # Examples
 ///
 /// ```
+/// use cmpsim_isa::{encode, Instr};
 /// use cmpsim_mem::PhysMem;
 /// let mut m = PhysMem::new(4);
 /// m.write_u32(0x100, 0xdeadbeef);
@@ -36,34 +89,45 @@ pub const KERNEL_BASE: Addr = 0xC000_0000;
 ///
 /// // LL/SC: a store by another CPU breaks the link.
 /// m.set_link(0, 0x200);
-/// m.write_u32_tracked(1, 0x200, 7);
+/// m.write_u32_tracked(0x200, 7);
 /// assert!(!m.check_and_clear_link(0, 0x200));
+///
+/// // Fetches see every store, even to an already decoded word.
+/// m.write_u32(0x300, encode(&Instr::Halt));
+/// assert_eq!(m.fetch(1, 0x300), Instr::Halt);
+/// m.write_u32(0x300, encode(&Instr::Sync));
+/// assert_eq!(m.fetch(2, 0x300), Instr::Sync);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysMem {
-    /// Page frames; `index` maps page numbers to slots here.
-    pages: Vec<Box<[u8; PAGE_BYTES]>>,
-    index: HashMap<u32, u32>,
+    /// Page frames; `index` maps page numbers to slots here. A slot never
+    /// changes page, so a slot packed beside its page stays valid forever.
+    frames: Vec<Frame>,
+    index: FastMap<u32, u32>,
     /// One-entry translation cache, packed `page << 32 | (slot + 1)`; a
     /// zero slot field means invalid. Simulated memory access is the
     /// hottest loop in the whole simulator and exhibits strong page
     /// locality.
     last: Cell<u64>,
+    /// Per-CPU fetch hint: the CPU's last code page and its slot, packed
+    /// like `last`. Instruction fetch stays on one page for long runs, but
+    /// data accesses in between move `last`.
+    fetch_hints: Vec<u64>,
     /// Per-CPU link register: line address of an outstanding LL.
     links: Vec<Option<Addr>>,
-    line_mask: Addr,
 }
 
 impl PhysMem {
-    /// Creates empty memory serving `n_cpus` link registers. The LL/SC link
-    /// granularity is the 32-byte cache line used throughout the paper.
+    /// Creates empty memory serving `n_cpus` CPUs (link registers and
+    /// fetch hints). The LL/SC link granularity is the 32-byte cache line
+    /// used throughout the paper.
     pub fn new(n_cpus: usize) -> PhysMem {
         PhysMem {
-            pages: Vec::new(),
-            index: HashMap::new(),
+            frames: Vec::new(),
+            index: FastMap::default(),
             last: Cell::new(0),
+            fetch_hints: vec![0; n_cpus],
             links: vec![None; n_cpus],
-            line_mask: !31,
         }
     }
 
@@ -71,18 +135,22 @@ impl PhysMem {
         (addr >> PAGE_SHIFT, (addr as usize) & (PAGE_BYTES - 1))
     }
 
-    fn pack_last(page: u32, slot: u32) -> u64 {
+    fn pack(page: u32, slot: u32) -> u64 {
         (u64::from(page) << 32) | u64::from(slot + 1)
+    }
+
+    /// The slot packed in `packed` if it caches `page`.
+    fn unpack(packed: u64, page: u32) -> Option<usize> {
+        (packed as u32 != 0 && (packed >> 32) as u32 == page).then(|| packed as u32 as usize - 1)
     }
 
     /// Resolves a page number to a frame slot, if mapped (cached).
     fn slot_of(&self, page: u32) -> Option<usize> {
-        let packed = self.last.get();
-        if packed as u32 != 0 && (packed >> 32) as u32 == page {
-            return Some(packed as u32 as usize - 1);
+        if let Some(slot) = Self::unpack(self.last.get(), page) {
+            return Some(slot);
         }
         let slot = *self.index.get(&page)?;
-        self.last.set(Self::pack_last(page, slot));
+        self.last.set(Self::pack(page, slot));
         Some(slot as usize)
     }
 
@@ -91,10 +159,13 @@ impl PhysMem {
         if let Some(s) = self.slot_of(page) {
             return s;
         }
-        let slot = self.pages.len() as u32;
-        self.pages.push(Box::new([0u8; PAGE_BYTES]));
+        let slot = self.frames.len() as u32;
+        self.frames.push(Frame {
+            bytes: Box::new([0u8; PAGE_BYTES]),
+            decoded: None,
+        });
         self.index.insert(page, slot);
-        self.last.set(Self::pack_last(page, slot));
+        self.last.set(Self::pack(page, slot));
         slot as usize
     }
 
@@ -102,7 +173,7 @@ impl PhysMem {
     pub fn read_u8(&self, addr: Addr) -> u8 {
         let (page, off) = Self::page_of(addr);
         match self.slot_of(page) {
-            Some(s) => self.pages[s][off],
+            Some(s) => self.frames[s].bytes[off],
             None => 0,
         }
     }
@@ -111,7 +182,7 @@ impl PhysMem {
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
         let (page, off) = Self::page_of(addr);
         let slot = self.slot_or_alloc(page);
-        self.pages[slot][off] = value;
+        self.frames[slot].write(off, &[value]);
     }
 
     /// Reads a little-endian `u32`. Works for unaligned addresses (byte-wise).
@@ -120,7 +191,7 @@ impl PhysMem {
         if off + 4 <= PAGE_BYTES {
             match self.slot_of(page) {
                 Some(s) => u32::from_le_bytes(
-                    self.pages[s][off..off + 4]
+                    self.frames[s].bytes[off..off + 4]
                         .try_into()
                         .expect("4-byte span: bounds checked against PAGE_BYTES above"),
                 ),
@@ -140,7 +211,7 @@ impl PhysMem {
         let (page, off) = Self::page_of(addr);
         if off + 4 <= PAGE_BYTES {
             let slot = self.slot_or_alloc(page);
-            self.pages[slot][off..off + 4].copy_from_slice(&value.to_le_bytes());
+            self.frames[slot].write(off, &value.to_le_bytes());
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u32), *b);
@@ -188,28 +259,28 @@ impl PhysMem {
 
     /// Establishes CPU `cpu`'s LL link on the line containing `addr`.
     pub fn set_link(&mut self, cpu: CpuId, addr: Addr) {
-        self.links[cpu] = Some(addr & self.line_mask);
+        self.links[cpu] = Some(addr & LINE_MASK);
     }
 
     /// Atomically checks and consumes the link for an SC. Returns whether
     /// the SC may proceed. The caller performs the store (tracked) on
     /// success.
     pub fn check_and_clear_link(&mut self, cpu: CpuId, addr: Addr) -> bool {
-        let ok = self.links[cpu] == Some(addr & self.line_mask);
+        let ok = self.links[cpu] == Some(addr & LINE_MASK);
         self.links[cpu] = None;
         ok
     }
 
     /// A store that also breaks every CPU's link to the stored line — the
     /// path all simulated stores take.
-    pub fn write_u32_tracked(&mut self, _cpu: CpuId, addr: Addr, value: u32) {
+    pub fn write_u32_tracked(&mut self, addr: Addr, value: u32) {
         self.snoop_store(addr);
         self.write_u32(addr, value);
     }
 
     /// Invalidates all links to `addr`'s line (any store, any size).
     pub fn snoop_store(&mut self, addr: Addr) {
-        let line = addr & self.line_mask;
+        let line = addr & LINE_MASK;
         for link in &mut self.links {
             if *link == Some(line) {
                 *link = None;
@@ -217,9 +288,47 @@ impl PhysMem {
         }
     }
 
+    /// Fetches the instruction at `pa` (word-aligned by truncation) for
+    /// CPU `cpu`: always `decode(read_u32(pa & !3))`, an undecodable word
+    /// as `NOP`.
+    ///
+    /// Decodes are memoized per frame, shared by every CPU, and cleared
+    /// word by word by every write, so no context switch, address-space
+    /// change or rewritten instruction can serve a stale decode. A fetch
+    /// from an unmapped page decodes a zero word without allocating.
+    #[inline]
+    pub fn fetch(&mut self, cpu: CpuId, pa: Addr) -> Instr {
+        let (page, off) = Self::page_of(pa & !3);
+        if let Some(slot) = Self::unpack(self.fetch_hints[cpu], page) {
+            if let Some(instr) = self.frames[slot].decoded(off) {
+                return instr;
+            }
+        }
+        self.fetch_slow(cpu, page, off)
+    }
+
+    /// [`PhysMem::fetch`] off its fast path (a page crossing or a word
+    /// not yet decoded): resolves the page, points the CPU's hint at it
+    /// and decodes through the frame's memo.
+    #[cold]
+    fn fetch_slow(&mut self, cpu: CpuId, page: u32, off: usize) -> Instr {
+        let Some(slot) = self.slot_of(page) else {
+            return decode_word(0);
+        };
+        self.fetch_hints[cpu] = Self::pack(page, slot as u32);
+        self.frames[slot].fetch(off)
+    }
+
     /// Number of resident (allocated) pages; useful in tests.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.frames.len()
+    }
+
+    /// Number of pages code has been fetched from, each holding one
+    /// decoded-instruction memo whichever CPUs fetch from it; useful in
+    /// tests.
+    pub fn decoded_pages(&self) -> usize {
+        self.frames.iter().filter(|f| f.decoded.is_some()).count()
     }
 
     /// CPU `cpu`'s outstanding LL reservation, if any (watchdog diagnostics).
@@ -352,11 +461,11 @@ mod tests {
     fn store_by_other_cpu_breaks_link() {
         let mut m = PhysMem::new(2);
         m.set_link(0, 0x100);
-        m.write_u32_tracked(1, 0x11c, 5); // same 32-byte line
+        m.write_u32_tracked(0x11c, 5); // same 32-byte line
         assert!(!m.check_and_clear_link(0, 0x100));
 
         m.set_link(0, 0x100);
-        m.write_u32_tracked(1, 0x120, 5); // different line
+        m.write_u32_tracked(0x120, 5); // different line
         assert!(m.check_and_clear_link(0, 0x100));
     }
 
@@ -364,7 +473,7 @@ mod tests {
     fn own_store_breaks_own_link() {
         let mut m = PhysMem::new(1);
         m.set_link(0, 0x40);
-        m.write_u32_tracked(0, 0x44, 9);
+        m.write_u32_tracked(0x44, 9);
         assert!(!m.check_and_clear_link(0, 0x40));
     }
 
@@ -374,6 +483,23 @@ mod tests {
         m.load_words(0x1000, &[1, 2, 3]);
         assert_eq!(m.read_u32(0x1000), 1);
         assert_eq!(m.read_u32(0x1008), 3);
+    }
+
+    #[test]
+    fn one_memo_per_page_whichever_cpus_fetch() {
+        let mut m = PhysMem::new(3);
+        m.write_u32(0x1000, 1);
+        m.write_u32(0x8000, 2);
+        assert_eq!(m.decoded_pages(), 0, "writes decode nothing");
+        for cpu in 0..3 {
+            for k in 0..16 {
+                m.fetch(cpu, 0x1000 + k * 4);
+            }
+        }
+        assert_eq!(m.decoded_pages(), 1);
+        // An unmapped page decodes a zero word and allocates nothing.
+        assert_eq!(m.fetch(2, 0x7_0000), decode_word(0));
+        assert_eq!((m.resident_pages(), m.decoded_pages()), (2, 1));
     }
 
     #[test]
