@@ -8,6 +8,16 @@
 //! breakdowns (Figure 11) and cache miss rates split into replacement and
 //! invalidation components.
 //!
+//! [`ArchKind::try_visit`] is the one place an architecture becomes a
+//! memory system: it hands the concrete system to a generic
+//! [`SystemVisitor`]. A [`Machine`] is such a visit: its run loop is
+//! generic over the CPU model and the system, so every step and every
+//! access is a static call, and the loop is erased behind one box, so
+//! [`Machine::run`] makes one virtual call per run. [`ArchSystem`] is
+//! another, replaying a trace through the concrete system;
+//! [`ArchKind::try_build`] boxes the system for callers that mix
+//! architectures in one collection.
+//!
 //! # Examples
 //!
 //! Run Eqntott on all three architectures and compare:
@@ -34,8 +44,8 @@ pub mod report;
 
 pub use cmpsim_cpu::MxsConfig;
 pub use machine::{
-    run_workload, ArchKind, CpuDiag, CpuKind, Machine, MachineConfig, RunError, RunSummary,
-    WatchdogReport,
+    run_workload, ArchKind, ArchSystem, CpuDiag, CpuKind, Machine, MachineConfig, RunError,
+    RunSummary, SystemVisitor, WatchdogReport,
 };
 pub use probe::{capture_run, probe_latencies, ProbeResult};
 pub use report::{Breakdown, IpcBreakdown, MissRates, TraceProfile};

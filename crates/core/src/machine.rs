@@ -8,7 +8,9 @@ use cmpsim_mem::{
     AddrSpace, ClusteredSystem, ConfigError, MemStats, MemorySystem, MeshSystem, PhysMem,
     SentinelSpec, SentinelViolation, SharedL1System, SharedL2System, SharedMemSystem, SystemConfig,
 };
-use cmpsim_trace::{sink_to, SinkHandle, SinkOut, TracingSystem};
+use cmpsim_trace::{
+    sink_to, ConfigReplay, ReplayTarget, SinkHandle, SinkOut, TraceRecord, TracingSystem,
+};
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
@@ -73,19 +75,83 @@ impl ArchKind {
         self.try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible builder: surfaces every configuration error
-    /// ([`SystemConfig::validate`], then the architecture's own: partial
-    /// clusters, unrepresentable pooled L1 geometries) as a typed error
-    /// instead of a panic.
-    pub fn try_build(self, cfg: &SystemConfig) -> Result<Box<dyn MemorySystem>, ConfigError> {
+    /// Builds this architecture's memory system and hands it to `visitor`
+    /// by its concrete type: the one place an [`ArchKind`] becomes a
+    /// system. Code generic over the visited system (the run loop, trace
+    /// replay) calls its `access` with static dispatch.
+    ///
+    /// # Errors
+    ///
+    /// Every configuration error ([`SystemConfig::validate`], then the
+    /// architecture's own: partial clusters, unrepresentable pooled L1
+    /// geometries), before `visitor` runs.
+    pub fn try_visit<V: SystemVisitor>(
+        self,
+        cfg: &SystemConfig,
+        visitor: V,
+    ) -> Result<V::Output, ConfigError> {
         cfg.validate()?;
         Ok(match self {
-            ArchKind::SharedL1 => Box::new(SharedL1System::new(cfg)),
-            ArchKind::SharedL2 => Box::new(SharedL2System::new(cfg)),
-            ArchKind::SharedMem => Box::new(SharedMemSystem::new(cfg)),
-            ArchKind::Clustered => Box::new(ClusteredSystem::try_new(cfg)?),
-            ArchKind::Mesh => Box::new(MeshSystem::try_new(cfg)?),
+            ArchKind::SharedL1 => visitor.visit(SharedL1System::new(cfg)),
+            ArchKind::SharedL2 => visitor.visit(SharedL2System::new(cfg)),
+            ArchKind::SharedMem => visitor.visit(SharedMemSystem::new(cfg)),
+            ArchKind::Clustered => visitor.visit(ClusteredSystem::try_new(cfg)?),
+            ArchKind::Mesh => visitor.visit(MeshSystem::try_new(cfg)?),
         })
+    }
+
+    /// Fallible builder: [`ArchKind::try_visit`] with a visitor that boxes
+    /// the system, for callers that hold systems of several architectures
+    /// in one collection.
+    pub fn try_build(self, cfg: &SystemConfig) -> Result<Box<dyn MemorySystem>, ConfigError> {
+        struct Boxed;
+        impl SystemVisitor for Boxed {
+            type Output = Box<dyn MemorySystem>;
+            fn visit<M: MemorySystem + 'static>(self, sys: M) -> Box<dyn MemorySystem> {
+                Box::new(sys)
+            }
+        }
+        self.try_visit(cfg, Boxed)
+    }
+}
+
+/// A computation over one memory system of any architecture, run by
+/// [`ArchKind::try_visit`] on the system it builds.
+pub trait SystemVisitor {
+    /// What the computation returns.
+    type Output;
+
+    /// Runs the computation on `sys`, by its concrete type.
+    fn visit<M: MemorySystem + 'static>(self, sys: M) -> Self::Output;
+}
+
+/// One architecture's memory system, not yet built: a
+/// [`cmpsim_trace::replay_matrix`] target that builds the concrete system
+/// inside the worker, so the replay loop calls its `access` directly.
+#[derive(Debug, Clone, Copy)]
+pub struct ArchSystem {
+    /// The architecture to build.
+    pub arch: ArchKind,
+    /// Its resolved configuration.
+    pub config: SystemConfig,
+}
+
+impl ReplayTarget for ArchSystem {
+    /// # Panics
+    ///
+    /// Panics on a configuration [`ArchKind::try_visit`] rejects: validate
+    /// it with [`ArchKind::try_build`] before the batch.
+    fn replay(self, records: &[TraceRecord]) -> ConfigReplay {
+        struct Replay<'a>(&'a [TraceRecord]);
+        impl SystemVisitor for Replay<'_> {
+            type Output = ConfigReplay;
+            fn visit<M: MemorySystem + 'static>(self, sys: M) -> ConfigReplay {
+                sys.replay(self.0)
+            }
+        }
+        self.arch
+            .try_visit(&self.config, Replay(records))
+            .unwrap_or_else(|e| panic!("{} replay target: {e}", self.arch))
     }
 }
 
@@ -393,21 +459,16 @@ struct ProcessCtx {
 
 /// A complete simulated machine: CPUs, memory system, physical memory and
 /// the per-CPU process queues of the multiprogramming scheduler.
+///
+/// The machine holds its CPUs and memory system by their concrete types
+/// in one generic run loop, built once per machine by
+/// [`ArchKind::try_visit`] and erased behind one trait object:
+/// [`Machine::run`] makes one virtual call per run, and none per step or
+/// access.
 pub struct Machine {
     cfg: MachineConfig,
-    cpus: Vec<Box<dyn CpuModel>>,
-    mem: Box<dyn MemorySystem>,
-    phys: PhysMem,
-    ready: Vec<Cycle>,
-    done: Vec<bool>,
-    queues: Vec<VecDeque<ProcessCtx>>,
-    roi_start: Cycle,
-    phases: Vec<(u64, usize, u8)>,
     workload_name: &'static str,
-    /// Reference-trace sink when capture is on; the other end is held by
-    /// the [`TracingSystem`] wrapped around `mem`. `None` means `mem` is
-    /// the raw system — capture off costs exactly zero.
-    trace: Option<SinkHandle>,
+    run_loop: Box<dyn Run>,
 }
 
 impl fmt::Debug for Machine {
@@ -415,7 +476,7 @@ impl fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("arch", &self.cfg.arch)
             .field("workload", &self.workload_name)
-            .field("n_cpus", &self.cpus.len())
+            .field("n_cpus", &self.cfg.n_cpus)
             .finish_non_exhaustive()
     }
 }
@@ -485,35 +546,98 @@ impl Machine {
                 max: trace_max,
             });
         }
-        let mem = cfg.arch.try_build(&sc)?;
-        // Install the capture decorator only when asked: the wrapper
-        // forwards everything unchanged (a traced run is bit-identical to
-        // an untraced one), and its absence means zero overhead.
-        let (mem, trace): (Box<dyn MemorySystem>, Option<SinkHandle>) = match trace_out {
+        let assemble = Assemble {
+            cfg,
+            workload,
+            trace: None,
+        };
+        let run_loop = match trace_out {
+            // Install the capture decorator only when asked: the wrapper
+            // forwards everything unchanged (a traced run is bit-identical
+            // to an untraced one), and its absence means zero overhead.
+            // It is one more memory system to the run loop, over the boxed
+            // topology.
             Some(out) => {
+                let mem = cfg.arch.try_build(&sc)?;
                 let sink = sink_to(out, cfg.n_cpus)
                     .unwrap_or_else(|e| panic!("trace capture failed: {e}"));
-                (
-                    Box::new(TracingSystem::new(mem, Rc::clone(&sink))),
-                    Some(sink),
-                )
-            }
-            None => (mem, None),
-        };
-        let mut phys = PhysMem::new(cfg.n_cpus);
-        workload.install(&mut phys);
-        let cpus: Vec<Box<dyn CpuModel>> = workload
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(c, p)| -> Box<dyn CpuModel> {
-                match cfg.cpu.mxs_config() {
-                    None => Box::new(MipsyCpu::new(c, p.entry, p.space)),
-                    Some(mc) => Box::new(MxsCpu::with_config(c, p.entry, p.space, mc)),
+                let traced = TracingSystem::new(mem, Rc::clone(&sink));
+                Assemble {
+                    trace: Some(sink),
+                    ..assemble
                 }
-            })
-            .collect();
-        let queues = workload
+                .visit(traced)
+            }
+            None => cfg.arch.try_visit(&sc, assemble)?,
+        };
+        Ok(Machine {
+            cfg: *cfg,
+            workload_name: workload.name,
+            run_loop,
+        })
+    }
+
+    /// Runs until every CPU finishes or `max_cycles` elapses: steps the
+    /// earliest-ready CPU (ties to the lowest index) until all halt.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::Timeout`] if the budget expires.
+    pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, RunError> {
+        self.run_loop.run(max_cycles)
+    }
+
+    /// Read access to physical memory (validation, probes).
+    pub fn phys(&self) -> &PhysMem {
+        self.run_loop.phys()
+    }
+
+    /// The machine's configuration.
+    pub fn config(&self) -> &MachineConfig {
+        &self.cfg
+    }
+}
+
+/// Assembles a machine's [`RunLoop`] over the system it visits, with the
+/// configured CPU model and the workload installed.
+struct Assemble<'a> {
+    cfg: &'a MachineConfig,
+    workload: &'a BuiltWorkload,
+    trace: Option<SinkHandle>,
+}
+
+impl SystemVisitor for Assemble<'_> {
+    type Output = Box<dyn Run>;
+
+    fn visit<M: MemorySystem + 'static>(self, mem: M) -> Box<dyn Run> {
+        let entries = self.workload.entries.iter().enumerate();
+        match self.cfg.cpu.mxs_config() {
+            None => self.erase(
+                entries
+                    .map(|(c, p)| MipsyCpu::new(c, p.entry, p.space))
+                    .collect(),
+                mem,
+            ),
+            Some(mc) => self.erase(
+                entries
+                    .map(|(c, p)| MxsCpu::with_config(c, p.entry, p.space, mc))
+                    .collect(),
+                mem,
+            ),
+        }
+    }
+}
+
+impl Assemble<'_> {
+    fn erase<C, M>(self, cpus: Vec<C>, mem: M) -> Box<dyn Run>
+    where
+        C: CpuModel + 'static,
+        M: MemorySystem + 'static,
+    {
+        let mut phys = PhysMem::new(self.cfg.n_cpus);
+        self.workload.install(&mut phys);
+        let queues = self
+            .workload
             .extra_processes
             .iter()
             .map(|v| {
@@ -525,84 +649,102 @@ impl Machine {
                     .collect()
             })
             .collect();
-        Ok(Machine {
-            cfg: *cfg,
+        Box::new(RunLoop {
+            queues,
+            trace: self.trace,
+            ..RunLoop::new(self.cfg.arch, cpus, mem, phys)
+        })
+    }
+}
+
+/// What [`Machine`] asks of its run loop, whatever the CPU model and
+/// memory system.
+trait Run {
+    /// Runs the loop to completion or the cycle budget.
+    fn run(&mut self, max_cycles: u64) -> Result<RunSummary, RunError>;
+
+    /// The machine's physical memory.
+    fn phys(&self) -> &PhysMem;
+}
+
+/// The run loop over CPUs of one model `C` and one memory system `M`,
+/// both held by their concrete types, so every step and every access is
+/// statically dispatched.
+struct RunLoop<C, M> {
+    arch: ArchKind,
+    cpus: Vec<C>,
+    mem: M,
+    phys: PhysMem,
+    /// Each CPU's next ready cycle, or [`Cycle::MAX`] once it is done, so
+    /// the pick reads this one slice.
+    ready: Vec<Cycle>,
+    /// The ready cycle each done CPU finished at, for the wall-cycle
+    /// count and failure reports.
+    finished_at: Vec<Cycle>,
+    queues: Vec<VecDeque<ProcessCtx>>,
+    roi_start: Cycle,
+    phases: Vec<(u64, usize, u8)>,
+    /// Reference-trace sink when capture is on; the other end is held by
+    /// the [`TracingSystem`] that `mem` then is. `None` means `mem` is the
+    /// raw system — capture off costs exactly zero.
+    trace: Option<SinkHandle>,
+}
+
+impl<C: CpuModel, M: MemorySystem> RunLoop<C, M> {
+    /// A loop over `cpus` and `mem`, every CPU ready at cycle 0, with no
+    /// extra processes and no capture.
+    fn new(arch: ArchKind, cpus: Vec<C>, mem: M, phys: PhysMem) -> RunLoop<C, M> {
+        let n = cpus.len();
+        RunLoop {
+            arch,
             cpus,
             mem,
             phys,
-            ready: vec![Cycle::ZERO; workload.entries.len()],
-            done: vec![false; workload.entries.len()],
-            queues,
+            ready: vec![Cycle::ZERO; n],
+            finished_at: vec![Cycle::ZERO; n],
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
             roi_start: Cycle::ZERO,
             phases: Vec::new(),
-            workload_name: workload.name,
-            trace,
-        })
+            trace: None,
+        }
     }
 
     /// The earliest not-done CPU as `(ready cycle, index)`, ties to the
     /// lowest index; `None` once every CPU is done.
     fn earliest_ready(&self) -> Option<(Cycle, usize)> {
-        let mut best: Option<(Cycle, usize)> = None;
-        for (c, (&r, &done)) in self.ready.iter().zip(&self.done).enumerate() {
-            if !done && best.is_none_or(|(t, _)| r < t) {
-                best = Some((r, c));
+        let mut best = (Cycle::MAX, 0);
+        for (c, &r) in self.ready.iter().enumerate() {
+            if r < best.0 {
+                best = (r, c);
             }
         }
-        best
+        (best.0 < Cycle::MAX).then_some(best)
     }
 
-    /// Runs until every CPU finishes or `max_cycles` elapses: steps the
-    /// earliest-ready CPU (ties to the lowest index) until all halt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Timeout`] if the budget expires.
-    pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, RunError> {
-        let mut pick = self.earliest_ready();
-        while let Some((now, c)) = pick {
-            if now.0 > max_cycles {
-                let report = self.diagnose();
-                return Err(RunError::Timeout {
-                    budget: max_cycles,
-                    report: Box::new(report),
-                });
-            }
-            let (next, ev) = self.cpus[c].step(now, self.mem.as_mut(), &mut self.phys);
-            debug_assert!(next >= now, "cpu {c} stepped back in time");
-            self.ready[c] = next;
-            match ev {
-                StepEvent::None => {}
-                StepEvent::Halted => self.done[c] = true,
-                StepEvent::Hcall(no) => self.handle_hcall(c, now, no),
-            }
-            // A step moves only the stepped CPU's ready cycle: hcalls
-            // switch processes on `c` or mark it done, and never move
-            // another CPU's. Every CPU below `c` is ready after `now`
-            // (ties went to the lowest index), so the next CPU is the
-            // lowest not-done index from `c` upward still ready at `now`.
-            // Only when there is none has time advanced, and a full scan
-            // finds the earliest.
-            pick = self.ready[c..]
-                .iter()
-                .zip(&self.done[c..])
-                .position(|(&r, &done)| r == now && !done)
-                .map(|i| (now, c + i))
-                .or_else(|| self.earliest_ready());
-        }
-        Ok(self.summary())
+    /// Marks CPU `c` done at its current ready cycle.
+    fn finish(&mut self, c: usize) {
+        self.finished_at[c] = self.ready[c];
+        self.ready[c] = Cycle::MAX;
     }
 
     /// Snapshots every CPU for a failure report.
     fn diagnose(&self) -> WatchdogReport {
         let cpus = (0..self.cpus.len())
-            .map(|c| CpuDiag {
-                cpu: c,
-                done: self.done[c],
-                pc: self.cpus[c].arch().pc,
-                ready_cycle: self.ready[c].0,
-                instructions: self.cpus[c].counters().instructions,
-                ll_reservation: self.phys.link(c),
+            .map(|c| {
+                let done = self.ready[c] == Cycle::MAX;
+                let ready = if done {
+                    self.finished_at[c]
+                } else {
+                    self.ready[c]
+                };
+                CpuDiag {
+                    cpu: c,
+                    done,
+                    pc: self.cpus[c].arch().pc,
+                    ready_cycle: ready.0,
+                    instructions: self.cpus[c].counters().instructions,
+                    ll_reservation: self.phys.link(c),
+                }
             })
             .collect();
         WatchdogReport {
@@ -630,15 +772,15 @@ impl Machine {
             HcallNo::Phase(tag) => self.phases.push((now.0, c, tag)),
             HcallNo::Yield => {
                 if let Some(next) = self.queues[c].pop_front() {
-                    let saved = switch_ctx(self.cpus[c].as_mut(), next);
+                    let saved = switch_ctx(&mut self.cpus[c], next);
                     self.queues[c].push_back(saved);
                 }
             }
             HcallNo::Exit => {
                 if let Some(next) = self.queues[c].pop_front() {
-                    let _ = switch_ctx(self.cpus[c].as_mut(), next);
+                    let _ = switch_ctx(&mut self.cpus[c], next);
                 } else {
-                    self.done[c] = true;
+                    self.finish(c);
                 }
             }
         }
@@ -658,14 +800,14 @@ impl Machine {
             total.merge(c);
         }
         let wall = self
-            .ready
+            .finished_at
             .iter()
             .map(|r| r.0)
             .max()
             .unwrap_or(0)
             .saturating_sub(self.roi_start.0);
         RunSummary {
-            arch: self.cfg.arch,
+            arch: self.arch,
             wall_cycles: wall,
             per_cpu,
             total,
@@ -678,20 +820,50 @@ impl Machine {
             violations: self.mem.violations().to_vec(),
         }
     }
+}
 
-    /// Read access to physical memory (validation, probes).
-    pub fn phys(&self) -> &PhysMem {
-        &self.phys
+impl<C: CpuModel, M: MemorySystem> Run for RunLoop<C, M> {
+    fn run(&mut self, max_cycles: u64) -> Result<RunSummary, RunError> {
+        let mut pick = self.earliest_ready();
+        while let Some((now, c)) = pick {
+            if now.0 > max_cycles {
+                let report = self.diagnose();
+                return Err(RunError::Timeout {
+                    budget: max_cycles,
+                    report: Box::new(report),
+                });
+            }
+            let (next, ev) = self.cpus[c].step(now, &mut self.mem, &mut self.phys);
+            debug_assert!(next >= now, "cpu {c} stepped back in time");
+            self.ready[c] = next;
+            match ev {
+                StepEvent::None => {}
+                StepEvent::Halted => self.finish(c),
+                StepEvent::Hcall(no) => self.handle_hcall(c, now, no),
+            }
+            // A step moves only the stepped CPU's ready cycle: hcalls
+            // switch processes on `c` or mark it done, and never move
+            // another CPU's. Every CPU below `c` is ready after `now`
+            // (ties went to the lowest index), so the next CPU is the
+            // lowest index from `c` upward still ready at `now` (a done
+            // CPU reads `Cycle::MAX`, never `now`). Only when there is
+            // none has time advanced, and a full scan finds the earliest.
+            pick = self.ready[c..]
+                .iter()
+                .position(|&r| r == now)
+                .map(|i| (now, c + i))
+                .or_else(|| self.earliest_ready());
+        }
+        Ok(self.summary())
     }
 
-    /// The machine's configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
+    fn phys(&self) -> &PhysMem {
+        &self.phys
     }
 }
 
 /// Switches `cpu` to the context `next`, returning the saved context.
-fn switch_ctx(cpu: &mut dyn CpuModel, next: ProcessCtx) -> ProcessCtx {
+fn switch_ctx<C: CpuModel>(cpu: &mut C, next: ProcessCtx) -> ProcessCtx {
     let saved = ProcessCtx {
         arch: cpu.arch().clone(),
         space: cpu.space(),
@@ -965,10 +1137,10 @@ mod tests {
     }
 
     impl CpuModel for ScriptedCpu {
-        fn step(
+        fn step<M: MemorySystem + ?Sized>(
             &mut self,
             now: Cycle,
-            _mem: &mut dyn MemorySystem,
+            _mem: &mut M,
             _phys: &mut PhysMem,
         ) -> (Cycle, StepEvent) {
             let latency = *self
@@ -1010,42 +1182,36 @@ mod tests {
         }
     }
 
-    /// A machine of one [`ScriptedCpu`] per `(latencies, exit)` script and
-    /// no extra processes, with the log its CPUs share.
-    fn scripted_machine(scripts: Vec<(Vec<u64>, bool)>) -> (Machine, StepLog) {
+    /// A run loop of one [`ScriptedCpu`] per `(latencies, exit)` script
+    /// over `mem`, with no extra processes, and the log its CPUs share.
+    fn scripted_machine<M: MemorySystem>(
+        scripts: Vec<(Vec<u64>, bool)>,
+        mem: M,
+    ) -> (RunLoop<ScriptedCpu, M>, StepLog) {
         let n = scripts.len();
         let log = StepLog::default();
         let cpus = scripts
             .into_iter()
             .enumerate()
-            .map(|(id, (latencies, exit))| -> Box<dyn CpuModel> {
-                Box::new(ScriptedCpu {
-                    id,
-                    latencies,
-                    exit,
-                    steps: 0,
-                    log: Rc::clone(&log),
-                    arch: ArchState::new(0x1000),
-                    space: AddrSpace::identity(),
-                    counters: CpuCounters::new(),
-                })
+            .map(|(id, (latencies, exit))| ScriptedCpu {
+                id,
+                latencies,
+                exit,
+                steps: 0,
+                log: Rc::clone(&log),
+                arch: ArchState::new(0x1000),
+                space: AddrSpace::identity(),
+                counters: CpuCounters::new(),
             })
             .collect();
-        let cfg = MachineConfig::new(ArchKind::SharedMem, CpuKind::Mipsy);
-        let m = Machine {
-            cfg,
-            cpus,
-            mem: Box::new(SharedMemSystem::new(&cfg.system_config())),
-            phys: PhysMem::new(n),
-            ready: vec![Cycle::ZERO; n],
-            done: vec![false; n],
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            roi_start: Cycle::ZERO,
-            phases: Vec::new(),
-            workload_name: "scripted",
-            trace: None,
-        };
+        let m = RunLoop::new(ArchKind::SharedMem, cpus, mem, PhysMem::new(n));
         (m, log)
+    }
+
+    /// A 4-CPU shared-memory system for scripted CPUs, which issue no
+    /// accesses.
+    fn shared_mem() -> SharedMemSystem {
+        SharedMemSystem::new(&SystemConfig::paper_shared_mem(4))
     }
 
     /// A memory system whose sentinel already holds one violation: what a
@@ -1085,16 +1251,16 @@ mod tests {
 
     /// A one-CPU scripted machine (two 10-cycle steps) over [`Flagged`],
     /// and the violation its sentinel holds.
-    fn flagged_machine() -> (Machine, SentinelViolation) {
+    fn flagged_machine() -> (RunLoop<ScriptedCpu, Flagged>, SentinelViolation) {
         let mut sentinel = cmpsim_mem::Sentinel::from_spec(&SentinelSpec::on());
         let kind = cmpsim_mem::ViolationKind::CopyWithoutPresence;
         sentinel.report(7, 0, 0x1000, kind, "cpu 1 l1d holds the line".into());
         let planted = sentinel.violations()[0].clone();
-        let (mut m, _) = scripted_machine(vec![(vec![10, 10], false)]);
-        m.mem = Box::new(Flagged {
+        let flagged = Flagged {
             stats: MemStats::new(),
             sentinel,
-        });
+        };
+        let (m, _) = scripted_machine(vec![(vec![10, 10], false)], flagged);
         (m, planted)
     }
 
@@ -1141,7 +1307,7 @@ mod tests {
                 taken[c] += 1;
             }
 
-            let (mut m, log) = scripted_machine(scripts);
+            let (mut m, log) = scripted_machine(scripts, shared_mem());
             let s = m.run(u64::MAX).expect("a scripted run completes");
             assert_eq!(*log.borrow(), want, "step order");
             assert_eq!(s.wall_cycles, ready.into_iter().max().unwrap_or(0));

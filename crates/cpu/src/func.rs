@@ -232,7 +232,8 @@ pub fn step(state: &mut ArchState, instr: &Instr, env: &mut ExecEnv<'_>) -> Step
         }
         Sw { rt, base, off } => {
             let pa = env.space.translate(effective_addr(state.gpr(base), off));
-            env.mem.write_u32_tracked(pa, state.gpr(rt));
+            env.mem.snoop_store(pa);
+            env.mem.write_u32(pa, state.gpr(rt));
             StepInfo {
                 mem_access: Some((AccessKind::Store, pa)),
                 ..NO_MEM
@@ -250,7 +251,8 @@ pub fn step(state: &mut ArchState, instr: &Instr, env: &mut ExecEnv<'_>) -> Step
         Sc { rt, base, off } => {
             let pa = env.space.translate(effective_addr(state.gpr(base), off));
             if env.mem.check_and_clear_link(env.cpu, pa) {
-                env.mem.write_u32_tracked(pa, state.gpr(rt));
+                env.mem.snoop_store(pa);
+                env.mem.write_u32(pa, state.gpr(rt));
                 state.set_gpr(rt, 1);
                 StepInfo {
                     mem_access: Some((AccessKind::Store, pa)),
@@ -596,7 +598,8 @@ mod tests {
                 off: 0,
             },
         );
-        m.write_u32_tracked(0x3000, 7);
+        m.snoop_store(0x3000);
+        m.write_u32(0x3000, 7);
         s.set_gpr(Reg::T0, 99);
         let info = run(
             &mut s,

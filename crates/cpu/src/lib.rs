@@ -24,6 +24,11 @@
 //! every CPU of a machine and always agrees with memory, so the models keep
 //! no decode state of their own.
 //!
+//! [`CpuModel::step`] (and MXS's stages under it) is generic over the
+//! [`MemorySystem`] it drives: a caller holding the concrete topology gets
+//! every access of a step as a static call the L1-hit path can inline
+//! into. No trait object stands between a CPU model and its memory system.
+//!
 //! [`PhysMem`]: cmpsim_mem::PhysMem
 //! [`PhysMem::fetch`]: cmpsim_mem::PhysMem::fetch
 
@@ -126,13 +131,19 @@ pub enum StepEvent {
 /// `now` and returns the cycle at which the CPU next wants to run. Keeping
 /// all CPUs ordered by that time makes the functional memory interleaving
 /// consistent with the timing model.
+///
+/// `step` is generic over the memory system, so a caller holding the
+/// concrete topology gets every `access` of the step statically
+/// dispatched, and the L1-hit path can inline into the CPU model. The
+/// trait therefore has no trait-object form: a machine holds its CPUs by
+/// their concrete type.
 pub trait CpuModel {
     /// Advances the CPU. Returns the next cycle this CPU is runnable and
     /// any event the machine must handle.
-    fn step(
+    fn step<M: MemorySystem + ?Sized>(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemorySystem,
+        mem: &mut M,
         phys: &mut PhysMem,
     ) -> (Cycle, StepEvent);
 

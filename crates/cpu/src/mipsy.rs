@@ -83,10 +83,10 @@ impl MipsyCpu {
 }
 
 impl CpuModel for MipsyCpu {
-    fn step(
+    fn step<M: MemorySystem + ?Sized>(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemorySystem,
+        mem: &mut M,
         phys: &mut PhysMem,
     ) -> (Cycle, StepEvent) {
         debug_assert!(!self.halted, "stepping a halted CPU");

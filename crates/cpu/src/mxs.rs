@@ -480,10 +480,10 @@ impl MxsCpu {
     // Graduate stage
     // ------------------------------------------------------------------
 
-    fn graduate(
+    fn graduate<M: MemorySystem + ?Sized>(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemorySystem,
+        mem: &mut M,
         phys: &mut PhysMem,
     ) -> Option<StepEvent> {
         let width = GRADUATE_WIDTH;
@@ -641,7 +641,7 @@ impl MxsCpu {
     /// per-cycle resource to retry next cycle) or records the event it
     /// waits for: a producer's result, a store issuing or graduating, a
     /// `SYNC` graduating. Those events lower `issue_wake` where they happen.
-    fn issue(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &mut PhysMem) {
+    fn issue<M: MemorySystem + ?Sized>(&mut self, now: Cycle, mem: &mut M, phys: &mut PhysMem) {
         if now < self.issue_wake {
             return;
         }
@@ -736,11 +736,11 @@ impl MxsCpu {
 
     /// Executes the instruction in ROB slot `idx`, or reports why a load
     /// could not issue after all (memory structural hazards).
-    fn execute_at(
+    fn execute_at<M: MemorySystem + ?Sized>(
         &mut self,
         idx: usize,
         now: Cycle,
-        mem: &mut dyn MemorySystem,
+        mem: &mut M,
         phys: &mut PhysMem,
     ) -> Result<(), Blocked> {
         let e = &self.rob[idx];
@@ -1090,7 +1090,7 @@ impl MxsCpu {
     // Fetch stage
     // ------------------------------------------------------------------
 
-    fn fetch(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &mut PhysMem) {
+    fn fetch<M: MemorySystem + ?Sized>(&mut self, now: Cycle, mem: &mut M, phys: &mut PhysMem) {
         if self.fetch_stopped
             || now < self.fetch_resume_at
             || self.fbuf.len() + self.cfg.fetch_width > FBUF_CAP
@@ -1175,10 +1175,10 @@ fn class_index(c: FuClass) -> usize {
 }
 
 impl CpuModel for MxsCpu {
-    fn step(
+    fn step<M: MemorySystem + ?Sized>(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemorySystem,
+        mem: &mut M,
         phys: &mut PhysMem,
     ) -> (Cycle, StepEvent) {
         debug_assert!(!self.halted, "stepping a halted CPU");

@@ -33,7 +33,7 @@
 use crate::cache::ResultCache;
 use crate::space::{DesignSpace, Point};
 use crate::ExploreError;
-use cmpsim_core::{capture_run, run_workload, ArchKind, MachineConfig, RunSummary};
+use cmpsim_core::{capture_run, run_workload, ArchKind, ArchSystem, MachineConfig, RunSummary};
 use cmpsim_engine::journal::JournalKey;
 use cmpsim_engine::pool::map_jobs;
 use cmpsim_kernels::build_by_name;
@@ -321,13 +321,13 @@ fn replay(
     let mut out: Vec<Option<PointMetrics>> = vec![None; todo.len()];
     for (idxs, records) in groups.values().zip(traces) {
         let pts: Vec<&Point> = idxs.iter().map(|&i| &todo[i]).collect();
-        let replayed = cmpsim_trace::replay_matrix(&records, pts.len(), spec.jobs, |i| {
-            pts[i]
-                .cfg
-                .arch
-                .try_build(&pts[i].system_config())
-                .unwrap_or_else(|e| panic!("decoded point {} failed to build: {e}", pts[i].code))
-        });
+        // A decoded point's configuration is valid, so each worker builds
+        // its system by the concrete type.
+        let replayed =
+            cmpsim_trace::replay_matrix(&records, pts.len(), spec.jobs, |i| ArchSystem {
+                arch: pts[i].cfg.arch,
+                config: pts[i].system_config(),
+            });
         for (&i, r) in idxs.iter().zip(replayed) {
             out[i] = Some(replay_metrics(&todo[i], r.replay.accesses, &r.stats));
             ev.replay_points += 1;

@@ -131,7 +131,8 @@ mod tests {
         mem.write_u32(0x5000, encode(&a));
         assert_eq!(mem.fetch(0, 0x1000), a);
         assert_eq!(mem.fetch(0, 0x5000), a);
-        mem.write_u32_tracked(0x1000, encode(&b));
+        mem.snoop_store(0x1000);
+        mem.write_u32(0x1000, encode(&b));
         for (i, byte) in encode(&b).to_le_bytes().into_iter().enumerate() {
             mem.write_u8(0x5000 + i as u32, byte);
         }

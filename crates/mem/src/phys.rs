@@ -89,7 +89,8 @@ impl Frame {
 ///
 /// // LL/SC: a store by another CPU breaks the link.
 /// m.set_link(0, 0x200);
-/// m.write_u32_tracked(0x200, 7);
+/// m.snoop_store(0x200);
+/// m.write_u32(0x200, 7);
 /// assert!(!m.check_and_clear_link(0, 0x200));
 ///
 /// // Fetches see every store, even to an already decoded word.
@@ -263,22 +264,16 @@ impl PhysMem {
     }
 
     /// Atomically checks and consumes the link for an SC. Returns whether
-    /// the SC may proceed. The caller performs the store (tracked) on
-    /// success.
+    /// the SC may proceed. On success the caller performs the store
+    /// (`snoop_store`, then the write).
     pub fn check_and_clear_link(&mut self, cpu: CpuId, addr: Addr) -> bool {
         let ok = self.links[cpu] == Some(addr & LINE_MASK);
         self.links[cpu] = None;
         ok
     }
 
-    /// A store that also breaks every CPU's link to the stored line — the
-    /// path all simulated stores take.
-    pub fn write_u32_tracked(&mut self, addr: Addr, value: u32) {
-        self.snoop_store(addr);
-        self.write_u32(addr, value);
-    }
-
-    /// Invalidates all links to `addr`'s line (any store, any size).
+    /// Invalidates all links to `addr`'s line. Every simulated store, of
+    /// any size, calls this before its plain write.
     pub fn snoop_store(&mut self, addr: Addr) {
         let line = addr & LINE_MASK;
         for link in &mut self.links {
@@ -461,11 +456,13 @@ mod tests {
     fn store_by_other_cpu_breaks_link() {
         let mut m = PhysMem::new(2);
         m.set_link(0, 0x100);
-        m.write_u32_tracked(0x11c, 5); // same 32-byte line
+        m.snoop_store(0x11c); // same 32-byte line
+        m.write_u32(0x11c, 5);
         assert!(!m.check_and_clear_link(0, 0x100));
 
         m.set_link(0, 0x100);
-        m.write_u32_tracked(0x120, 5); // different line
+        m.snoop_store(0x120); // different line
+        m.write_u32(0x120, 5);
         assert!(m.check_and_clear_link(0, 0x100));
     }
 
@@ -473,7 +470,8 @@ mod tests {
     fn own_store_breaks_own_link() {
         let mut m = PhysMem::new(1);
         m.set_link(0, 0x40);
-        m.write_u32_tracked(0x44, 9);
+        m.snoop_store(0x44);
+        m.write_u32(0x44, 9);
         assert!(!m.check_and_clear_link(0, 0x40));
     }
 

@@ -39,4 +39,6 @@ pub use codec::{
     decode, decode_chunk, decode_with_header, encode, salvage, scan_chunks, ChunkFrame, Salvage,
     TraceError, TraceHeader, TraceKind, TraceRecord, TraceWriter, VERSION,
 };
-pub use replay::{replay_bytes, replay_matrix, replay_records, ConfigReplay, ReplayStats};
+pub use replay::{
+    replay_bytes, replay_matrix, replay_records, ConfigReplay, ReplayStats, ReplayTarget,
+};

@@ -97,39 +97,53 @@ pub struct ConfigReplay {
     pub name: &'static str,
 }
 
+/// One configuration of a [`replay_matrix`] batch: something that
+/// replays a record stream into a system it owns and reports what the
+/// system saw. Every [`MemorySystem`] is one, a boxed one included;
+/// `cmpsim_core::ArchSystem` is one that builds its architecture's
+/// concrete system first, so the record loop dispatches statically.
+pub trait ReplayTarget {
+    /// Replays `records` (the exact serial [`replay_records`] call) and
+    /// summarizes the system afterwards.
+    fn replay(self, records: &[TraceRecord]) -> ConfigReplay;
+}
+
+impl<S: MemorySystem> ReplayTarget for S {
+    fn replay(mut self, records: &[TraceRecord]) -> ConfigReplay {
+        let replay = replay_records(records, &mut self);
+        ConfigReplay {
+            replay,
+            stats: self.stats().clone(),
+            ports: self.port_utilization(),
+            name: self.name(),
+        }
+    }
+}
+
 /// Batched multi-config replay: decode once, replay `n_configs`
 /// configurations from the shared in-memory record arena, fanned across
 /// up to `jobs` threads of the engine job pool.
 ///
-/// `build(i)` constructs the `i`-th target system; it runs *inside* the
-/// worker, so the system itself never crosses a thread boundary — only
-/// the plain-data [`ConfigReplay`] summary does, which is why `S` needs
+/// `build(i)` constructs the `i`-th target; it runs *inside* the worker,
+/// so the target's system never crosses a thread boundary — only the
+/// plain-data [`ConfigReplay`] summary does, which is why `T` needs
 /// neither `Send` nor `Sync`. Each configuration's replay is the exact
 /// serial [`replay_records`] call, and results come back in config-index
 /// order, so every [`ConfigReplay`] is bit-identical to a single-config
 /// replay of the same configuration at any job count (the CLI test
 /// `a_mesh_capture_replays_identically_into_two_configurations` compares
 /// a two-configuration `cmpsim replay` at `--jobs 1` and `--jobs 4`).
-pub fn replay_matrix<S, F>(
+pub fn replay_matrix<T, F>(
     records: &[TraceRecord],
     n_configs: usize,
     jobs: usize,
     build: F,
 ) -> Vec<ConfigReplay>
 where
-    S: MemorySystem,
-    F: Fn(usize) -> S + Sync,
+    T: ReplayTarget,
+    F: Fn(usize) -> T + Sync,
 {
-    cmpsim_engine::pool::run_indexed(jobs, n_configs, |i| {
-        let mut sys = build(i);
-        let replay = replay_records(records, &mut sys);
-        ConfigReplay {
-            replay,
-            stats: sys.stats().clone(),
-            ports: sys.port_utilization(),
-            name: sys.name(),
-        }
-    })
+    cmpsim_engine::pool::run_indexed(jobs, n_configs, |i| build(i).replay(records))
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 use cmpsim::core::machine::run_workload;
 use cmpsim::core::report::IpcBreakdown;
 use cmpsim::core::{
-    probe_latencies, ArchKind, Breakdown, CpuKind, Machine, MachineConfig, MissRates, RunError,
-    RunSummary, TraceProfile,
+    probe_latencies, ArchKind, ArchSystem, Breakdown, CpuKind, Machine, MachineConfig, MissRates,
+    RunError, RunSummary, TraceProfile,
 };
 use cmpsim::engine::pool::host_jobs;
 use cmpsim::mem::{MemStats, PortUtil};
@@ -543,19 +543,17 @@ fn main() -> ExitCode {
             let replayed = &records[..head.map_or(records.len(), |n| n.min(records.len()))];
             println!("trace        : {path}");
             // Validate every configuration before fanning out, so a bad
-            // geometry is a CLI error rather than a worker panic.
-            let cfgs: Vec<_> = archs
+            // geometry is a CLI error rather than a worker panic. Each
+            // worker then builds its system by the concrete type.
+            let systems: Vec<ArchSystem> = archs
                 .iter()
                 .map(|&arch| {
-                    let sc = MachineConfig { arch, ..machine }.system_config();
-                    arch.try_build(&sc).map(|_| (arch, sc))
+                    let config = MachineConfig { arch, ..machine }.system_config();
+                    arch.try_build(&config).map(|_| ArchSystem { arch, config })
                 })
                 .collect::<Result<_, _>>()
                 .map_err(|e| e.to_string())?;
-            let results = replay_matrix(replayed, cfgs.len(), jobs, |i| {
-                let (arch, ref sc) = cfgs[i];
-                arch.try_build(sc).expect("configuration validated above")
-            });
+            let results = replay_matrix(replayed, systems.len(), jobs, |i| systems[i]);
             for cr in &results {
                 print_replay_block(cr, machine.n_cpus);
             }

@@ -41,8 +41,9 @@ fn any_word(src: &mut Source) -> u32 {
 
 /// Every fetch equals `decode(read_u32(pa & !3))` (undecodable as `NOP`)
 /// and allocates nothing, under arbitrary interleavings of every write
-/// path (`write_u8`, `write_u32`, `write_u32_tracked`, `write_f32`,
-/// `write_f64`, `load_words`; aligned, unaligned and page-crossing) with
+/// path (`write_u8`, `write_u32`, a store's `snoop_store` + `write_u32`,
+/// `write_f32`, `write_f64`, `load_words`; aligned, unaligned and
+/// page-crossing) with
 /// fetches by several CPUs on written pages, on page 4 (written only by
 /// straddling writes) and on page 8 (never written).
 #[test]
@@ -67,7 +68,10 @@ fn prop_fetch_matches_a_fresh_decode_of_memory() {
             match s.index(6) {
                 0 => m.write_u8(addr, s.u32(0..256) as u8),
                 1 => m.write_u32(addr, any_word(s)),
-                2 => m.write_u32_tracked(addr, any_word(s)),
+                2 => {
+                    m.snoop_store(addr);
+                    m.write_u32(addr, any_word(s));
+                }
                 3 => m.write_f32(addr, f32::from_bits(s.u32_any())),
                 4 => m.write_f64(addr, f64::from_bits(s.u64_any())),
                 _ => {

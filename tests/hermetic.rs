@@ -11,7 +11,8 @@
 //!
 //! Two more scans keep the simulator free of ambient configuration: only
 //! the property framework may read the process environment, and it reads
-//! only its two knobs.
+//! only its two knobs. A last scan keeps virtual calls out of the run
+//! loop's per-step and per-access paths.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -280,5 +281,72 @@ fn the_only_knobs_are_the_property_frameworks_seed_and_case_count() {
             "CMPSIM_PROP_CASES".to_string(),
             "CMPSIM_PROP_SEED".to_string()
         ])
+    );
+}
+
+/// 1-based lines of `text` that name a trait object of `trait_name`
+/// (`dyn Name` or `dyn path::to::Name`), comments included.
+fn trait_objects(text: &str, trait_name: &str) -> Vec<usize> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| {
+            line.match_indices("dyn ").any(|(i, m)| {
+                let path: String = line[i + m.len()..]
+                    .trim_start()
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == ':')
+                    .collect();
+                path.rsplit("::").next() == Some(trait_name)
+            })
+        })
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+/// The run loop holds its CPUs and memory system by their concrete types
+/// and the CPU models are generic over the memory system, so a `Machine`
+/// makes one virtual call per run. A CPU-model trait object anywhere, or a
+/// memory-system trait object in the CPU models, would put one back on
+/// every step or every access. The capture wrapper's inner box and
+/// `ArchKind::try_build` (crates/trace, crates/core) stay allowed.
+#[test]
+fn no_trait_object_on_the_per_step_or_per_access_path() {
+    let (cpu, mem) = ("CpuModel", "MemorySystem");
+    assert_eq!(
+        trait_objects(
+            &format!("// a dyn {cpu}\nBox<dyn cmpsim_cpu::{cpu}>\ndyn {cpu}Ext\n&mut dyn {mem}"),
+            cpu
+        ),
+        vec![1, 2],
+        "the scanner reads comments and paths, and only whole trait names"
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let cpu_src = root.join("crates/cpu/src");
+    assert!(
+        files.iter().any(|f| f.starts_with(&cpu_src)),
+        "crates/cpu/src was not scanned"
+    );
+    let mut report = String::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable");
+        let rel = file.strip_prefix(root).expect("under the root").display();
+        for line in trait_objects(&text, cpu) {
+            let _ = writeln!(report, "  {rel}:{line}: dyn {cpu}");
+        }
+        if file.starts_with(&cpu_src) {
+            for line in trait_objects(&text, mem) {
+                let _ = writeln!(report, "  {rel}:{line}: dyn {mem}");
+            }
+        }
+    }
+    assert!(
+        report.is_empty(),
+        "trait objects on the per-step or per-access path (hold the CPU \
+         model and memory system by their concrete types, generic code \
+         over `C: CpuModel` and `M: MemorySystem`):\n{report}"
     );
 }
